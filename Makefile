@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race smoke cover fuzz-smoke mutation-smoke registry-smoke bench-parallel bench-twigjoin bench-serving serving-smoke metrics-lint profile vet-profiles analyze analyze-build analyze-test analyze-baseline analyze-fix-list
+.PHONY: ci fmt-check vet build test race smoke cover fuzz-smoke mutation-smoke registry-smoke bench-test serving-smoke metrics-lint profile vet-profiles analyze analyze-build analyze-test analyze-baseline analyze-fix-list
 
-ci: fmt-check vet build test race smoke cover metrics-lint analyze analyze-test vet-profiles serving-smoke mutation-smoke registry-smoke
+ci: fmt-check vet build test race smoke cover metrics-lint analyze analyze-test vet-profiles bench-test serving-smoke mutation-smoke registry-smoke
 
 fmt-check:
 	@files="$$(gofmt -l .)"; \
@@ -54,8 +54,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The race suite at one, two and four processors: a tear that cannot
+# interleave on one core (the histogram count/bucket skew that kept
+# tier-1 red on every multi-core box) shows up at two or four.
 race:
-	$(GO) test -race ./...
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race ./... || exit 1; done
 
 # The headline correctness properties under the race detector: identical
 # ranked answers at every parallelism level, the engine-level concurrent
@@ -66,7 +69,9 @@ race:
 smoke:
 	$(GO) test -race -run 'TestParallelMatchesSequential|TestConcurrentSearches|TestAnalysisCacheStress' \
 		./internal/plan/ ./internal/engine/ -count=1
-	$(GO) test -race -run 'TestServerStress|TestCacheEquivalenceProperty|TestCacheSingleFlight|TestMutationStress' \
+	$(GO) test -race -run 'TestCacheSingleFlight|TestCacheFollowerOutlivesFailedLeader|TestCachePoisonedFlight' \
+		./internal/cache/ -count=2
+	$(GO) test -race -run 'TestServerStress|TestCacheEquivalenceProperty|TestMutationStress' \
 		./internal/server/ -count=2
 
 # Coverage floors on the layers the serving path leans on. The floor is
@@ -110,26 +115,18 @@ metrics-lint:
 vet-profiles:
 	scripts/vet_profiles.sh
 
-# Regenerates BENCH_parallel.json (BENCHTIME=5s for stable numbers).
-bench-parallel:
-	scripts/bench_parallel.sh
+# The benchmark (bench/, its own module, not part of `go test ./...`)
+# compiles against internal packages: a change that breaks its compile
+# surface or its own tests fails here instead of in the acceptance run.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test ./...
 
-# Regenerates BENCH_twigjoin.json: scan vs holistic twig join across
-# plan strategies and document sizes (BENCHTIME=5s for stable numbers).
-bench-twigjoin:
-	scripts/bench_twigjoin.sh
-
-# Regenerates BENCH_serving.json: pimentod p50/p99/QPS under load with
-# the admission scheduler (pooled) vs without it (naive), via
-# cmd/loadgen. DURATION=10s for stable numbers.
-bench-serving:
-	scripts/loadtest.sh
-
-# Fixed-seed serving smoke for CI: one small A/B matrix at low load —
-# zero errors, answers byte-identical to the sequential baseline, p99
-# bounded. Catches scheduler deadlocks and answer drift, not perf.
+# Fixed-seed serving smoke for CI: two seconds of the benchmark's
+# cached_mix workload against a freshly built pimentod. Every answer is
+# checked against the sequential reference path; a wrong or failed one
+# exits non-zero. Catches scheduler deadlocks and answer drift, not perf.
 serving-smoke:
-	DURATION=2s SIZES=101K CONCS=16 MAX_P99_MS=5000 scripts/loadtest.sh /tmp/bench_serving_smoke.json
+	bash bench/run.sh --workload cached_mix --seed 1 --seconds 2
 
 # Fixed-seed live-corpus gate for CI: the differential equivalence
 # suites — "mutate then query" answers byte-identical to "rebuild from

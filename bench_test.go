@@ -139,9 +139,11 @@ func BenchmarkFig7(b *testing.B) {
 }
 
 // BenchmarkParScale sweeps document size × worker count on the Push
-// plan (kors=4), the scaling surface scripts/bench_parallel.sh writes to
-// BENCH_parallel.json. Explicit worker counts above GOMAXPROCS are
-// included deliberately: they expose the partitioning overhead floor.
+// plan (kors=4) — the scaling surface behind the auto-parallelism
+// threshold (the committed verdict is the benchmark's
+// plan.execute_par1_us / par2_us rows). Explicit worker counts above
+// GOMAXPROCS are included deliberately: they expose the partitioning
+// overhead floor.
 func BenchmarkParScale(b *testing.B) {
 	for _, size := range benchSizes {
 		ix := xmarkIndex(size)
@@ -235,7 +237,7 @@ func BenchmarkAblationTwigAccess(b *testing.B) {
 		opts plan.Options
 	}{
 		{"scan", plan.Options{Strategy: plan.Push}},
-		{"twig", plan.Options{Strategy: plan.Push, TwigAccess: true}},
+		{"twig", plan.Options{Strategy: plan.Push, AccessPath: plan.AccessTwigJoin}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -252,8 +254,9 @@ func BenchmarkAblationTwigAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkTwigJoin is the access-path comparison surface
-// scripts/bench_twigjoin.sh writes to BENCH_twigjoin.json:
+// BenchmarkTwigJoin is the access-path comparison surface (the
+// committed verdict is the benchmark's plan.execute_scan_us /
+// plan.execute_twigjoin_us rows):
 //
 //   - fig7: the four Fig. 7 plan strategies on the Fig. 5 workload
 //     (kors=4) at the large document, scan vs twigjoin;

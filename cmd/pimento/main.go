@@ -33,7 +33,7 @@ func main() {
 	strat := flag.String("plan", "push", "plan: naive | interleave | interleave-sort | push | push-deep")
 	explain := flag.Bool("explain", false, "print the static analysis instead of executing")
 	stats := flag.Bool("stats", false, "print per-operator statistics")
-	twig := flag.Bool("twig", false, "use the holistic twig access path")
+	access := flag.String("access", "auto", "candidate access path: auto | scan | twigjoin")
 	flag.Parse()
 
 	if *docPath == "" || (*querySrc == "" && *keywords == "") {
@@ -86,13 +86,10 @@ func main() {
 	eng, err := pimento.Open(f)
 	fatal("doc", err)
 
-	searchOpts := []pimento.Option{
-		pimento.WithK(*k), pimento.WithStrategy(parseStrategy(*strat)),
-	}
-	if *twig {
-		searchOpts = append(searchOpts, pimento.WithTwigAccess())
-	}
-	resp, err := eng.Search(q, prof, searchOpts...)
+	accessPath, err := plan.ParseAccessPath(*access)
+	fatal("access", err)
+	resp, err := eng.Search(q, prof, pimento.WithK(*k),
+		pimento.WithStrategy(parseStrategy(*strat)), pimento.WithAccessPath(accessPath))
 	fatal("search", err)
 
 	if len(resp.AppliedSRs) > 0 {

@@ -20,11 +20,11 @@
 // from a shared memoized analysis cache (-analysis-cache). Fresh
 // executions are admitted through a bounded worker pool (-pool,
 // -pool-queue, -pool-max-wait; DESIGN.md §14) that sheds overload with
-// 503/429 + Retry-After instead of oversubscribing the CPU; -pool -1
-// restores the legacy unscheduled behavior. -slow-query enables the
-// slow-query log; -debug-addr serves net/http/pprof on a separate
-// listener for profiling (see `make profile`). SIGINT/SIGTERM drain
-// in-flight requests before exit (graceful shutdown).
+// 503/429 + Retry-After instead of oversubscribing the CPU.
+// -slow-query enables the slow-query log; -debug-addr serves
+// net/http/pprof on a separate listener for profiling (see `make
+// profile`). SIGINT/SIGTERM drain in-flight requests before exit
+// (graceful shutdown).
 package main
 
 import (
@@ -69,10 +69,9 @@ func main() {
 	access := flag.String("access", "auto", "default candidate access path: auto, scan, or twigjoin (requests override with their \"access\" field)")
 	slowQuery := flag.Duration("slow-query", 0, "log queries at least this slow, with plan and per-operator stats (0 disables)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
-	pool := flag.Int("pool", 0, "admission scheduler worker count: concurrent search executions (0 = GOMAXPROCS; -1 disables the scheduler — legacy per-request GOMAXPROCS parallelism)")
+	pool := flag.Int("pool", 0, "admission scheduler worker count: concurrent search executions (0 = GOMAXPROCS)")
 	poolQueue := flag.Int("pool-queue", 0, "admission waiting-room capacity; beyond it requests are shed with 503 (0 = 64×workers; negative = no waiting room)")
 	poolMaxWait := flag.Duration("pool-max-wait", 0, "shed requests queued longer than this with 429 (0 disables the bound)")
-	parMinNodes := flag.Int("par-min-nodes", 0, "document node count above which parallelism 0 (auto) is granted intra-query workers (0 = built-in default from BENCH_parallel.json)")
 	maxDocBytes := flag.String("max-doc-bytes", "64M", "largest document body PUT /docs/{name} accepts (e.g. 512K, 64M)")
 	watchBuffer := flag.Int("watch-buffer", 256, "mutations GET /watch retains for since-cursor replay")
 	shards := flag.Int("shards", 1, "consistent-hash partitions fan-out searches scatter over (<2 = unsharded)")
@@ -94,6 +93,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pimentod: %v\n", err)
 		os.Exit(2)
 	}
+	if *pool < 0 {
+		fmt.Fprintf(os.Stderr, "pimentod: bad -pool %d (want a worker count, or 0 for GOMAXPROCS)\n", *pool)
+		os.Exit(2)
+	}
 	if *shardDeadlineFrac < 0 || *shardDeadlineFrac > 1 {
 		fmt.Fprintf(os.Stderr, "pimentod: bad -shard-deadline-frac %v (want (0,1], or 0 for the default)\n", *shardDeadlineFrac)
 		os.Exit(2)
@@ -109,7 +112,6 @@ func main() {
 		PoolWorkers:        *pool,
 		PoolQueue:          *poolQueue,
 		PoolMaxWait:        *poolMaxWait,
-		ParallelMinNodes:   *parMinNodes,
 		MaxDocBytes:        int64(maxDoc),
 		WatchBuffer:        *watchBuffer,
 		Shards:             *shards,
@@ -187,12 +189,8 @@ func main() {
 		close(idle)
 	}()
 
-	poolDesc := "disabled (legacy per-request parallelism)"
-	if p := srv.Pool(); p != nil {
-		poolDesc = fmt.Sprintf("%d workers", p.Workers())
-	}
-	log.Printf("pimentod listening on %s (%d documents, cache %d entries, default timeout %s, pool %s)",
-		*addr, len(srv.Docs()), *cacheSize, *timeout, poolDesc)
+	log.Printf("pimentod listening on %s (%d documents, cache %d entries, default timeout %s, pool %d workers)",
+		*addr, len(srv.Docs()), *cacheSize, *timeout, srv.Pool().Workers())
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("pimentod: %v", err)
 	}

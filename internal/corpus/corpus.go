@@ -35,6 +35,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/algebra"
 	"repro/internal/analysis"
@@ -354,8 +355,39 @@ func (c *Corpus) SearchContext(ctx context.Context, q *tpq.Query, prof *profile.
 // SearchContext evaluates the query against exactly this snapshot's
 // documents — mutations committed after the snapshot was taken are
 // invisible, so a search admitted before a swap completes against the
-// old, internally consistent view (no torn reads).
+// old, internally consistent view (no torn reads). It is the unsharded
+// case of SearchSharded: one unit of work per document, no deadline
+// carve, never degraded.
 func (s *Snapshot) SearchContext(ctx context.Context, q *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy) (*Response, error) {
+	resp, err := s.SearchSharded(ctx, q, prof, k, strat, ShardOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return &resp.Response, nil
+}
+
+// unit is one schedulable piece of a fan-out: the documents one
+// goroutine evaluates back to back. The unsharded fan-out's units are
+// single documents; the sharded one's are the ring shards.
+type unit struct {
+	id    int // reported in TimedOutShards when the unit is dropped
+	names []string
+}
+
+// fanOut is the one budgeted drain behind every corpus search. It
+// evaluates the query against each unit's documents — per-document
+// plans run strictly sequentially (Parallelism 1): the fan-out itself
+// is the parallelism — and merges the units' local top-k lists into
+// the global top k.
+//
+// carve > 0 grants each unit that fraction of the request's remaining
+// deadline (shardContext); a unit that exhausts its carve while the
+// request is still alive is dropped from the merge and reported in
+// TimedOutShards. With carve == 0 a unit runs under ctx itself, so it
+// can only time out together with the request, and a dead request
+// returns ctx's error — never a partial merge. unitStart, when non-nil,
+// runs at the start of each unit (ShardOptions.ShardStart).
+func (s *Snapshot) fanOut(ctx context.Context, q *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy, units []unit, carve float64, unitStart func(id int)) (*ShardedResponse, error) {
 	if q == nil {
 		return nil, fmt.Errorf("corpus: nil query")
 	}
@@ -372,59 +404,72 @@ func (s *Snapshot) SearchContext(ctx context.Context, q *tpq.Query, prof *profil
 		return nil, err
 	}
 
-	names := s.names
-
-	var (
-		hitMu  sync.Mutex
-		hits   []docHit
-		errMu  sync.Mutex
-		runErr error
-		next   atomic.Int64
-	)
-	// searchDoc evaluates one document. Per-document plans run strictly
-	// sequentially (Parallelism 1): the fan-out itself is the
-	// parallelism, and letting each per-doc plan auto-resolve to
-	// GOMAXPROCS workers used to multiply into GOMAXPROCS² goroutines.
-	searchDoc := func(name string) {
-		p, err := plan.BuildWith(s.entries[name].idx, encoded, prof, k,
-			plan.Options{Strategy: strat, Parallelism: 1})
-		if err != nil {
-			errMu.Lock()
-			if runErr == nil {
-				runErr = fmt.Errorf("corpus: %s: %w", name, err)
+	type unitResult struct {
+		hits     []docHit
+		timedOut bool
+		err      error
+	}
+	results := make([]unitResult, len(units))
+	runUnit := func(u unit, res *unitResult) {
+		uctx := ctx
+		if carve > 0 {
+			var cancel context.CancelFunc
+			uctx, cancel = shardContext(ctx, carve)
+			defer cancel()
+		}
+		if unitStart != nil {
+			unitStart(u.id)
+		}
+		for _, name := range u.names {
+			if algebra.ContextErr(uctx) != nil {
+				break
 			}
-			errMu.Unlock()
+			p, err := plan.BuildWith(s.entries[name].idx, encoded, prof, k,
+				plan.Options{Strategy: strat, Parallelism: 1})
+			if err != nil {
+				res.err = fmt.Errorf("corpus: %s: %w", name, err)
+				return
+			}
+			answers, err := p.ExecuteContext(uctx)
+			p.Release()
+			if err != nil {
+				break // uctx expired mid-plan; classified below
+			}
+			for _, a := range answers {
+				res.hits = append(res.hits, docHit{doc: name, a: a})
+			}
+		}
+		if algebra.ContextErr(uctx) != nil {
+			// Whether the request died too is decided once, after the
+			// drain; if it did not, only this unit is dropped.
+			res.hits, res.timedOut = nil, true
 			return
 		}
-		defer p.Release()
-		answers, err := p.ExecuteContext(ctx)
-		if err != nil {
-			return // ctx.Err() is reported once below, not per document
+		if len(res.hits) > k {
+			// Local top k under the global comparator: anything ranked
+			// below a unit's own kth answer cannot appear in the merged
+			// top k.
+			res.hits = rankHits(res.hits, prof, k)
 		}
-		hitMu.Lock()
-		for _, a := range answers {
-			hits = append(hits, docHit{doc: name, a: a})
-		}
-		hitMu.Unlock()
 	}
+	var next atomic.Int64
 	drain := func() {
 		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(names) {
+			j := int(next.Add(1)) - 1
+			if j >= len(units) {
 				return
 			}
 			if algebra.ContextErr(ctx) != nil {
-				return // fan-out aborted before this document's turn
+				return // fan-out aborted before this unit's turn
 			}
-			searchDoc(names[i])
+			runUnit(units[j], &results[j])
 		}
 	}
 	// The caller's goroutine always works; helpers join only while the
 	// budget grants tokens. With no shared budget (library use), allow a
-	// private machine's worth per call — the legacy concurrency, minus
-	// the goroutine-per-document spawn.
+	// private machine's worth per call.
 	budget := s.c.budget
-	maxHelpers := len(names) - 1
+	maxHelpers := len(units) - 1
 	if budget == nil && maxHelpers > runtime.GOMAXPROCS(0)-1 {
 		maxHelpers = runtime.GOMAXPROCS(0) - 1
 	}
@@ -444,14 +489,32 @@ func (s *Snapshot) SearchContext(ctx context.Context, q *tpq.Query, prof *profil
 	}
 	drain()
 	wg.Wait()
+
 	if err := algebra.ContextErr(ctx); err != nil {
 		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
+	var (
+		all      []docHit
+		timedOut []int
+		docs     int
+	)
+	for j, r := range results {
+		switch {
+		case r.err != nil:
+			return nil, r.err
+		case r.timedOut:
+			timedOut = append(timedOut, units[j].id)
+		default:
+			all = append(all, r.hits...)
+			docs += len(units[j].names)
+		}
 	}
-
-	return s.materialize(rankHits(hits, prof, k), applied, len(names), time.Since(start)), nil
+	resp := s.materialize(rankHits(all, prof, k), applied, docs, time.Since(start))
+	return &ShardedResponse{
+		Response:       *resp,
+		Degraded:       len(timedOut) > 0,
+		TimedOutShards: timedOut,
+	}, nil
 }
 
 // docHit is one pre-merge answer: an algebra answer tagged with the
@@ -476,8 +539,8 @@ func (s *Snapshot) encodeForSearch(q *tpq.Query, prof *profile.Profile) (*tpq.Qu
 
 // rankHits sorts hits under the profile's total rank order — rank,
 // then document name, then node, so the order is deterministic — and
-// truncates to the top k. Both the unsharded merge and every per-shard
-// local top k go through this one comparator; the sharded/unsharded
+// truncates to the top k. The final merge and every unit's local top k
+// go through this one comparator; the sharded/unsharded
 // byte-equivalence depends on them agreeing.
 func rankHits(hits []docHit, prof *profile.Profile, k int) []docHit {
 	ranker := algebra.NewRanker(prof)
@@ -520,9 +583,15 @@ func (s *Snapshot) materialize(hits []docHit, applied []string, docsSearched int
 	return resp
 }
 
+// clip cuts s to at most n bytes plus an ellipsis, backing the cut up
+// to a rune boundary so a multi-byte rune straddling byte n is dropped
+// whole rather than split into invalid UTF-8.
 func clip(s string, n int) string {
 	if len(s) <= n {
 		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
 	}
 	return s[:n] + "…"
 }

@@ -21,13 +21,9 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/algebra"
 	"repro/internal/plan"
 	"repro/internal/profile"
 	"repro/internal/tpq"
@@ -96,8 +92,9 @@ func ShardNames(names []string, n int) [][]string {
 
 // ShardOptions tunes SearchSharded.
 type ShardOptions struct {
-	// Shards is the number of consistent-hash partitions; values below 2
-	// fall back to a single shard (equivalent to SearchContext).
+	// Shards is the number of consistent-hash partitions; below 2 the
+	// fan-out is unsharded (SearchContext): its unit of work is one
+	// document, no deadline is carved and nothing degrades.
 	Shards int
 	// DeadlineFrac is the fraction of the request's *remaining* deadline
 	// granted to each shard (0 means DefaultShardDeadlineFrac). With no
@@ -121,8 +118,9 @@ type ShardedResponse struct {
 	// TimedOutShards lists the dropped shards' indices in ascending
 	// order.
 	TimedOutShards []int
-	// ShardsRun is the number of shards that held at least one document
-	// (empty shards are skipped, not scattered).
+	// ShardsRun is the number of ring shards that held at least one
+	// document (empty shards are skipped, not scattered); 0 for an
+	// unsharded fan-out.
 	ShardsRun int
 }
 
@@ -142,167 +140,38 @@ func shardContext(ctx context.Context, frac float64) (context.Context, context.C
 	return context.WithDeadline(ctx, time.Now().Add(budget))
 }
 
-// searchNamesSequential evaluates the encoded query against names in
-// order, one plan at a time (the scatter supplies the parallelism).
-// A context expiry mid-loop returns the hits gathered so far — the
-// caller inspects ctx to tell a completed shard from a truncated one.
-// A plan build error fails the shard (and the whole fan-out).
-func (s *Snapshot) searchNamesSequential(ctx context.Context, names []string, encoded *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy) ([]docHit, error) {
-	var hits []docHit
-	for _, name := range names {
-		if algebra.ContextErr(ctx) != nil {
-			return hits, nil
-		}
-		p, err := plan.BuildWith(s.entries[name].idx, encoded, prof, k,
-			plan.Options{Strategy: strat, Parallelism: 1})
-		if err != nil {
-			return nil, fmt.Errorf("corpus: %s: %w", name, err)
-		}
-		answers, err := p.ExecuteContext(ctx)
-		p.Release()
-		if err != nil {
-			return hits, nil // ctx expiry; caller classifies it
-		}
-		for _, a := range answers {
-			hits = append(hits, docHit{doc: name, a: a})
-		}
-	}
-	return hits, nil
-}
-
 // SearchSharded evaluates the query against this snapshot as a
-// scatter-gather over consistent-hash shards. Shard workers draw from
-// the corpus's shared budget (SetBudget) exactly like the unsharded
-// fan-out's helpers, so shards × per-plan workers can never
-// oversubscribe the machine. With no request deadline the result is
-// always complete; with one, shards that exhaust their carved budget
-// are dropped and reported (Degraded/TimedOutShards) as long as the
-// request itself is still alive — a dead request returns its error,
-// never a partial merge.
+// scatter-gather over consistent-hash shards: the shards are the units
+// of the snapshot's one fan-out drain (fanOut), so shard workers draw
+// from the corpus's shared budget (SetBudget) and shards × per-plan
+// workers can never oversubscribe the machine. With no request deadline
+// the result is always complete; with one, shards that exhaust their
+// carved budget are dropped and reported (Degraded/TimedOutShards) as
+// long as the request itself is still alive — a dead request returns
+// its error, never a partial merge. Below two shards it is the plain
+// per-document fan-out.
 func (s *Snapshot) SearchSharded(ctx context.Context, q *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy, opts ShardOptions) (*ShardedResponse, error) {
-	if q == nil {
-		return nil, fmt.Errorf("corpus: nil query")
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("corpus: negative k %d (use 0 for the default of 10)", k)
-	}
-	if k == 0 {
-		k = 10
+	if opts.Shards < 2 {
+		units := make([]unit, len(s.names))
+		for i := range s.names {
+			units[i] = unit{id: i, names: s.names[i : i+1]}
+		}
+		return s.fanOut(ctx, q, prof, k, strat, units, 0, nil)
 	}
 	frac := opts.DeadlineFrac
 	if frac <= 0 || frac > 1 {
 		frac = DefaultShardDeadlineFrac
 	}
-	start := time.Now()
-
-	encoded, applied, err := s.encodeForSearch(q, prof)
+	var units []unit
+	for i, names := range ShardNames(s.names, opts.Shards) {
+		if len(names) > 0 {
+			units = append(units, unit{id: i, names: names})
+		}
+	}
+	resp, err := s.fanOut(ctx, q, prof, k, strat, units, frac, opts.ShardStart)
 	if err != nil {
 		return nil, err
 	}
-
-	shards := ShardNames(s.names, opts.Shards)
-	work := make([]int, 0, len(shards))
-	for i, sh := range shards {
-		if len(sh) > 0 {
-			work = append(work, i)
-		}
-	}
-
-	type shardResult struct {
-		hits     []docHit
-		timedOut bool
-		err      error
-	}
-	results := make([]shardResult, len(shards))
-	var next atomic.Int64
-	runShard := func(i int) {
-		sctx, cancel := shardContext(ctx, frac)
-		defer cancel()
-		if opts.ShardStart != nil {
-			opts.ShardStart(i)
-		}
-		hits, err := s.searchNamesSequential(sctx, shards[i], encoded, prof, k, strat)
-		if err != nil {
-			results[i].err = err
-			return
-		}
-		if algebra.ContextErr(sctx) != nil {
-			if perr := algebra.ContextErr(ctx); perr != nil {
-				results[i].err = perr // the request itself died, not just this shard
-				return
-			}
-			results[i].timedOut = true
-			return
-		}
-		// Local top k under the global comparator: anything ranked below
-		// a shard's own kth answer cannot appear in the merged top k.
-		results[i].hits = rankHits(hits, prof, k)
-	}
-	drain := func() {
-		for {
-			j := int(next.Add(1)) - 1
-			if j >= len(work) {
-				return
-			}
-			if algebra.ContextErr(ctx) != nil {
-				return
-			}
-			runShard(work[j])
-		}
-	}
-	// Caller + budget-granted helpers, exactly like the unsharded
-	// fan-out: the caller always drains; helpers join only while the
-	// shared budget grants tokens (or up to a private machine's worth in
-	// library use).
-	budget := s.c.budget
-	maxHelpers := len(work) - 1
-	if budget == nil && maxHelpers > runtime.GOMAXPROCS(0)-1 {
-		maxHelpers = runtime.GOMAXPROCS(0) - 1
-	}
-	var wg sync.WaitGroup
-	for h := 0; h < maxHelpers; h++ {
-		if budget != nil && !budget.TryAcquire() {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if budget != nil {
-				defer budget.Release()
-			}
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
-
-	if err := algebra.ContextErr(ctx); err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-	}
-
-	var (
-		all      []docHit
-		timedOut []int
-		docs     int
-	)
-	for i, r := range results {
-		if r.timedOut {
-			timedOut = append(timedOut, i)
-			continue
-		}
-		all = append(all, r.hits...)
-		docs += len(shards[i])
-	}
-	resp := s.materialize(rankHits(all, prof, k), applied, docs, time.Since(start))
-	return &ShardedResponse{
-		Response:       *resp,
-		Degraded:       len(timedOut) > 0,
-		TimedOutShards: timedOut,
-		ShardsRun:      len(work),
-	}, nil
+	resp.ShardsRun = len(units)
+	return resp, nil
 }

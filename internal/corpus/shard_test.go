@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/plan"
 	"repro/internal/profile"
@@ -178,6 +180,50 @@ kor k2: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 				t.Errorf("shards=%d k=%d: metadata diverges: %+v vs %+v", n, k, got.Response, *want)
 			}
 		}
+	}
+}
+
+// TestFanoutSnippetRuneBoundary: a fan-out snippet is cut at a byte
+// budget; a multi-byte rune straddling the cut must be dropped whole,
+// not split into invalid UTF-8 (which json.Marshal would rewrite to
+// U+FFFD). Three byte alignments of the same text guarantee at least
+// one straddles whatever precedes it in the node's text content. Pure
+// ASCII text keeps its exact 90-byte cut.
+func TestFanoutSnippetRuneBoundary(t *testing.T) {
+	if got, want := clip("x"+strings.Repeat("é", 60), 90), "x"+strings.Repeat("é", 44)+"…"; got != want {
+		t.Errorf("clip across a rune = %q, want %q", got, want)
+	}
+	if got, want := clip(strings.Repeat("a", 100), 90), strings.Repeat("a", 90)+"…"; got != want {
+		t.Errorf("ASCII clip moved: %q", got)
+	}
+
+	c := New(text.Pipeline{})
+	for i, pad := range []string{"", "x", "xx"} {
+		desc := "good condition " + pad + strings.Repeat("€", 40)
+		if err := c.AddXML(fmt.Sprintf("doc-%d", i), carDoc("red", desc, 500)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := c.Snapshot()
+	q := tpq.MustParse(`//car[./description[. ftcontains "good condition"]]`)
+	want, err := snap.SearchContext(context.Background(), q, nil, 10, plan.Push)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Results) != 3 {
+		t.Fatalf("fixture should match all three documents, got %d", len(want.Results))
+	}
+	for _, r := range want.Results {
+		if !utf8.ValidString(r.Snippet) || !strings.HasSuffix(r.Snippet, "…") {
+			t.Errorf("%s: snippet %q is not a clean UTF-8 cut", r.DocName, r.Snippet)
+		}
+	}
+	got, err := snap.SearchSharded(context.Background(), q, nil, 10, plan.Push, ShardOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Results, want.Results) {
+		t.Errorf("sharded snippets diverge\n got %+v\nwant %+v", got.Results, want.Results)
 	}
 }
 

@@ -9,8 +9,8 @@
 // Unlike the serving layer's ResultCache, analysis *errors* are cached
 // inside the verdict values: an ambiguous profile is deterministically
 // ambiguous, so recomputing the rejection per request would defeat the
-// cache. The only error do() itself can return is the caller's context
-// expiring while a fill is in flight.
+// cache. The only error do() itself can return is a follower's context
+// expiring while another caller's fill is in flight.
 package engine
 
 import (
@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/cache"
 	"repro/internal/profile"
 	"repro/internal/tpq"
 )
@@ -74,29 +75,14 @@ type AnalysisCacheStats struct {
 	Diagnostics map[string]uint64
 }
 
-// AnalysisCache memoizes ProfileVerdict and QueryVerdict values under an
-// LRU with single-flight fills.
+// AnalysisCache memoizes ProfileVerdict and QueryVerdict values in one
+// shared single-flight LRU (internal/cache), plus the per-class
+// diagnostic counters its fills feed.
 type AnalysisCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*acEntry
-	head     *acEntry // most recently used
-	tail     *acEntry // least recently used
-	inflight map[string]*acCall
+	lru *cache.Cache[any]
 
-	hits, misses, coalesced, evictions uint64
-	diagCounts                         map[string]uint64
-}
-
-type acEntry struct {
-	key        string
-	val        any
-	prev, next *acEntry
-}
-
-type acCall struct {
-	done chan struct{}
-	val  any
+	mu         sync.Mutex
+	diagCounts map[string]uint64
 }
 
 // NewAnalysisCache returns a cache holding up to capacity verdicts
@@ -105,12 +91,7 @@ func NewAnalysisCache(capacity int) *AnalysisCache {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &AnalysisCache{
-		capacity:   capacity,
-		entries:    make(map[string]*acEntry),
-		inflight:   make(map[string]*acCall),
-		diagCounts: make(map[string]uint64),
-	}
+	return &AnalysisCache{lru: cache.New[any](capacity), diagCounts: make(map[string]uint64)}
 }
 
 // ProfileVerdict returns the memoized profile-scoped analysis of p. The
@@ -150,108 +131,13 @@ func (c *AnalysisCache) QueryVerdict(ctx context.Context, p *profile.Profile, q 
 	return v.(*QueryVerdict), nil
 }
 
-// do is the single-flight LRU lookup. The fill runs in its own goroutine
-// detached from ctx, so a follower outlives a cancelled leader: whoever
-// triggered the fill giving up does not abort it, and every waiter with
-// a live context still receives the value.
+// do is the single-flight LRU lookup. The fill runs inline on the
+// leader and takes no context (the analyses are pure and cost tens of
+// microseconds), so the caller that triggered a fill giving up cannot
+// abort it: every waiter with a live context still receives the value.
 func (c *AnalysisCache) do(ctx context.Context, key string, fill func() any) (any, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.hits++
-		c.touch(e)
-		v := e.val
-		c.mu.Unlock()
-		return v, nil
-	}
-	if call, ok := c.inflight[key]; ok {
-		c.coalesced++
-		c.mu.Unlock()
-		select {
-		case <-call.done:
-			return call.val, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	call := &acCall{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.misses++
-	c.mu.Unlock()
-
-	//pimento:allow budgetedgo single-flight fill: at most one detached goroutine per missing key (bounded by the inflight map), so duplicate waiters share it instead of multiplying work
-	go func() {
-		call.val = fill()
-		c.mu.Lock()
-		c.insert(key, call.val)
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		close(call.done)
-	}()
-
-	select {
-	case <-call.done:
-		return call.val, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// touch moves e to the MRU position. Caller holds mu.
-func (c *AnalysisCache) touch(e *acEntry) {
-	if c.head == e {
-		return
-	}
-	// unlink
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	// relink at head
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-// insert stores a new entry at MRU, evicting LRU past capacity. Caller
-// holds mu.
-func (c *AnalysisCache) insert(key string, val any) {
-	if e, ok := c.entries[key]; ok {
-		e.val = val
-		c.touch(e)
-		return
-	}
-	e := &acEntry{key: key, val: val}
-	c.entries[key] = e
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-	for len(c.entries) > c.capacity && c.tail != nil {
-		victim := c.tail
-		c.tail = victim.prev
-		if c.tail != nil {
-			c.tail.next = nil
-		} else {
-			c.head = nil
-		}
-		delete(c.entries, victim.key)
-		c.evictions++
-	}
+	v, _, err := c.lru.DoTagged(ctx, key, nil, func() (any, error) { return fill(), nil })
+	return v, err
 }
 
 // RecordDiagnostics folds externally-produced diagnostics into the
@@ -270,6 +156,7 @@ func (c *AnalysisCache) countDiags(ds []analysis.Diagnostic) {
 
 // Stats snapshots the counters. The Diagnostics map is a copy.
 func (c *AnalysisCache) Stats() AnalysisCacheStats {
+	st := c.lru.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	diags := make(map[string]uint64, len(c.diagCounts))
@@ -277,12 +164,12 @@ func (c *AnalysisCache) Stats() AnalysisCacheStats {
 		diags[k] = v
 	}
 	return AnalysisCacheStats{
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Coalesced:   c.coalesced,
-		Evictions:   c.evictions,
-		Entries:     len(c.entries),
-		Capacity:    c.capacity,
+		Hits:        uint64(st.Hits),
+		Misses:      uint64(st.Misses),
+		Coalesced:   uint64(st.Coalesced),
+		Evictions:   uint64(st.Evictions),
+		Entries:     st.Entries,
+		Capacity:    st.Capacity,
 		Diagnostics: diags,
 	}
 }

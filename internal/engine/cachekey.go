@@ -49,16 +49,16 @@ func (e *Engine) SetFingerprint(fp string) {
 // document with the given fingerprint. Every request field that can
 // influence the response is folded in: the query's canonical string
 // form, the profile's canonical serialization, the resolved K, the
-// strategy, and the literal-rewrite / twig-access / access-path flags.
+// strategy and the access path.
 //
 // resolvedPar is the *resolved* parallelism (Engine.ResolvedParallelism),
 // not the request's raw Parallelism knob. Parallelism never changes the
 // ranked answers, but it changes the response's Workers/Stats metadata,
 // so it must be part of the key — and keying on the raw request value
 // would be wrong in both directions: requests that resolve identically
-// (0 and 1 on a small document) would miss needlessly, and a stored
-// entry would go stale if the resolution threshold changed between
-// requests (the resolved value is what actually ran).
+// (0 and 1 on a small document) would miss needlessly, and requests
+// that resolve differently (0 on a small and on a large document's
+// worth of GOMAXPROCS) would share metadata only one of them ran with.
 func (req *Request) CacheKey(fingerprint string, resolvedPar int) string {
 	k := req.K
 	if k == 0 {
@@ -66,9 +66,8 @@ func (req *Request) CacheKey(fingerprint string, resolvedPar int) string {
 	}
 	var sb strings.Builder
 	sb.Grow(256)
-	fmt.Fprintf(&sb, "doc=%s\x1fq=%s\x1fk=%d\x1fstrat=%s\x1flit=%t\x1ftwig=%t\x1faccess=%s\x1fpar=%d",
-		fingerprint, req.Query.String(), k, req.Strategy, req.LiteralRewrite,
-		req.TwigAccess, req.Access, resolvedPar)
+	fmt.Fprintf(&sb, "doc=%s\x1fq=%s\x1fk=%d\x1fstrat=%s\x1faccess=%s\x1fpar=%d",
+		fingerprint, req.Query.String(), k, req.Strategy, req.Access, resolvedPar)
 	sb.WriteString("\x1fprof=")
 	sb.WriteString(CanonicalProfile(req.Profile))
 	if req.Thesaurus != nil && req.Thesaurus.Len() > 0 {

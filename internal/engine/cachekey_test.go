@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"runtime"
 	"testing"
 
-	"repro/internal/plan"
 	"repro/internal/tpq"
 )
 
@@ -14,87 +12,57 @@ import (
 //   - requests whose parallelism resolves identically (raw 0 and raw 1
 //     on a document below the auto threshold) share one key, so they
 //     share one cache entry instead of missing needlessly;
-//   - when the resolution *changes* — the threshold moves, or the raw
-//     value differs materially — the key changes with it, so an entry
-//     stored under the old resolution can never be served for an
-//     execution that would run (and report) a different worker count.
+//   - when the resolution differs, the key differs with it, so an entry
+//     stored under one resolution can never be served for an execution
+//     that would run (and report) a different worker count.
 func TestCacheKeyResolvedParallelism(t *testing.T) {
-	// The resolver grants GOMAXPROCS workers above the threshold; on a
-	// 1-CPU runner that is indistinguishable from sequential, so pin 4.
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
 	e := newEngine(t)
-	docNodes := e.Document().Len()
 	q, err := tpq.Parse(`//car[price < 2000]`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp := e.Fingerprint()
-	key := func(rawPar, minNodes int) string {
-		req := Request{Query: q, K: 3, Parallelism: rawPar, ParallelMinNodes: minNodes}
+	key := func(rawPar int) string {
+		req := Request{Query: q, K: 3, Parallelism: rawPar}
 		return req.CacheKey(fp, e.ResolvedParallelism(&req))
 	}
 
-	// Below the threshold, auto (0) and explicit 1 both resolve to 1.
-	aboveDoc := docNodes + 1
-	if got, want := key(0, aboveDoc), key(1, aboveDoc); got != want {
+	// The fixture is far below the threshold: auto (0) and explicit 1
+	// both resolve to 1.
+	if got, want := key(0), key(1); got != want {
 		t.Errorf("identical resolutions got distinct keys:\n %s\n %s", got, want)
 	}
-
-	// Moving the threshold below the document flips auto to GOMAXPROCS:
-	// the key must move too, or the sequential entry would be served for
-	// a parallel execution (stale Workers/Stats metadata).
-	if got, stale := key(0, 1), key(0, aboveDoc); got == stale {
-		t.Errorf("threshold change did not change the key: %s", got)
-	}
-	// And the flipped key lands exactly on the explicit-GOMAXPROCS key:
-	// same resolution, same entry.
-	if got, want := key(0, 1), key(4, aboveDoc); got != want {
-		t.Errorf("auto-above-threshold and explicit keys differ:\n %s\n %s", got, want)
-	}
-
 	// Materially different explicit values stay distinct.
-	if key(1, aboveDoc) == key(2, aboveDoc) {
+	if key(1) == key(2) {
 		t.Error("parallelism 1 and 2 share a key")
 	}
-
-	// Legacy resolution (minNodes -1, the pre-scheduler behavior) is
-	// unconditional GOMAXPROCS — equivalent to auto-above-threshold.
-	if got, want := key(0, -1), key(0, 1); got != want {
-		t.Errorf("legacy and above-threshold auto keys differ:\n %s\n %s", got, want)
-	}
-	_ = plan.MaxParallelism // the server rejects values above this; no key exists for them
 }
 
-// TestCacheKeyEquivalenceAcrossThresholds executes the same auto
-// request under two thresholds and checks the stored responses disagree
-// exactly where the key disagrees — the end-to-end version of the
-// keying contract: no stale entry can survive a threshold change.
-func TestCacheKeyEquivalenceAcrossThresholds(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
+// TestCacheKeyTracksExecution executes the same query sequentially and
+// with forced workers and checks the responses disagree exactly where
+// the key disagrees — the end-to-end version of the keying contract.
+func TestCacheKeyTracksExecution(t *testing.T) {
 	e := newEngine(t)
 	q, err := tpq.Parse(`//car[price < 2000]`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(minNodes int) *Response {
-		resp, err := e.Search(Request{Query: q, K: 3, Parallelism: 0, ParallelMinNodes: minNodes})
+	run := func(par int) (*Response, string) {
+		req := Request{Query: q, K: 3, Parallelism: par}
+		resp, err := e.Search(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
+		return resp, req.CacheKey(e.Fingerprint(), e.ResolvedParallelism(&req))
 	}
-	seq := run(e.Document().Len() + 1) // below threshold: sequential
-	par := run(1)                      // above threshold: parallel
+	seq, seqKey := run(0) // auto on a small document: sequential
+	par, parKey := run(4)
 
 	if seq.Parallelism != 1 {
-		t.Errorf("below-threshold resolved parallelism = %d, want 1", seq.Parallelism)
+		t.Errorf("auto resolved parallelism = %d, want 1", seq.Parallelism)
 	}
 	if par.Parallelism != 4 {
-		t.Errorf("above-threshold resolved parallelism = %d, want 4", par.Parallelism)
+		t.Errorf("explicit resolved parallelism = %d, want 4", par.Parallelism)
 	}
 	// Identical ranked answers — parallelism never changes results…
 	if len(seq.Results) != len(par.Results) {
@@ -106,10 +74,7 @@ func TestCacheKeyEquivalenceAcrossThresholds(t *testing.T) {
 		}
 	}
 	// …but distinct response metadata, hence the distinct keys.
-	fp := e.Fingerprint()
-	reqSeq := Request{Query: q, K: 3, Parallelism: 0, ParallelMinNodes: e.Document().Len() + 1}
-	reqPar := Request{Query: q, K: 3, Parallelism: 0, ParallelMinNodes: 1}
-	if reqSeq.CacheKey(fp, e.ResolvedParallelism(&reqSeq)) == reqPar.CacheKey(fp, e.ResolvedParallelism(&reqPar)) {
+	if seqKey == parKey {
 		t.Error("sequential and parallel executions share a cache key")
 	}
 }

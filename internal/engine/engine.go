@@ -82,31 +82,18 @@ type Request struct {
 	// Strategy selects the physical plan; defaults to Push (the paper's
 	// winner).
 	Strategy plan.Strategy
-	// LiteralRewrite evaluates the whole query flock by literal rewriting
-	// (one query after another) instead of the single-plan encoding; it
-	// exists for comparison and testing.
-	LiteralRewrite bool
-	// TwigAccess uses the holistic twig semijoin as the access path
-	// instead of scan + per-candidate matching. Legacy toggle: it is
-	// equivalent to Access = plan.AccessTwigJoin and is ignored when
-	// Access is set explicitly.
-	TwigAccess bool
 	// Access selects the candidate access path: plan.AccessAuto (zero
 	// value; corpus-size heuristic), plan.AccessScan, or
 	// plan.AccessTwigJoin (holistic structural join with dataguide
 	// pruning).
 	Access plan.AccessPath
 	// Parallelism partitions plan execution across workers: 0 resolves
-	// by document size (sequential below ParallelMinNodes, GOMAXPROCS
-	// above — plan.ResolveParallelism), 1 forces the sequential
+	// by document size (sequential on small documents, GOMAXPROCS on
+	// large ones — plan.ResolveParallelism), 1 forces the sequential
 	// reference path, n >= 2 forces n workers (capped at
 	// plan.MaxParallelism). The ranked answers are identical at every
 	// setting.
 	Parallelism int
-	// ParallelMinNodes tunes auto-resolution: 0 means
-	// plan.DefaultParallelMinNodes, negative restores the legacy
-	// unconditional-GOMAXPROCS behavior (the load harness's baseline).
-	ParallelMinNodes int
 	// Budget, when non-nil, gates the extra goroutines of parallel plan
 	// execution (see plan.Options.Budget). The serving layer passes the
 	// scheduler's shared budget; library callers leave it nil.
@@ -156,7 +143,7 @@ type Response struct {
 	// per request are noise next to plan execution.
 	Trace []metrics.Span
 	// Cached is true when this response was served from a result cache
-	// (see internal/server.ResultCache) instead of a fresh execution.
+	// (internal/cache) instead of a fresh execution.
 	Cached bool
 }
 
@@ -192,7 +179,7 @@ func (e *Engine) SearchContext(ctx context.Context, req Request) (*Response, err
 	var applied []string
 	if req.Profile != nil {
 		endAnalyze := tr.Start("analyze")
-		if e.ac != nil && !req.LiteralRewrite {
+		if e.ac != nil {
 			// Memoized path: the ambiguity gate, flock encoding and vet
 			// diagnostics come from the shared analysis cache; only the
 			// first request per profile (and per profile+query) pays for
@@ -219,9 +206,6 @@ func (e *Engine) SearchContext(ctx context.Context, req Request) (*Response, err
 					"engine: ambiguous value-based ordering rules (cycle %v): %s",
 					rep.Cycle, rep.Suggestion)
 			}
-			if req.LiteralRewrite {
-				return e.literalFlockSearch(ctx, req, k, strat, start)
-			}
 			var err error
 			q, applied, err = analysis.EncodeFlock(req.Profile.SRs, req.Query)
 			endAnalyze()
@@ -242,13 +226,11 @@ func (e *Engine) SearchContext(ctx context.Context, req Request) (*Response, err
 
 	endBuild := tr.Start("build")
 	p, err := plan.BuildWith(e.ix, q, req.Profile, k, plan.Options{
-		Strategy:         strat,
-		TwigAccess:       req.TwigAccess,
-		AccessPath:       req.Access,
-		Parallelism:      req.Parallelism,
-		ParallelMinNodes: req.ParallelMinNodes,
-		Budget:           req.Budget,
-		Timing:           req.Timing,
+		Strategy:    strat,
+		AccessPath:  req.Access,
+		Parallelism: req.Parallelism,
+		Budget:      req.Budget,
+		Timing:      req.Timing,
 	})
 	endBuild()
 	if err != nil {
@@ -284,85 +266,13 @@ func (e *Engine) SearchContext(ctx context.Context, req Request) (*Response, err
 	return resp, nil
 }
 
-// literalFlockSearch evaluates every query of the flock separately and
-// merges results (rewritten-query answers get a rank bonus per flock
-// position). It exists to validate the single-plan encoding.
-func (e *Engine) literalFlockSearch(ctx context.Context, req Request, k int, strat plan.Strategy, start time.Time) (*Response, error) {
-	flock, applied, err := analysis.Flock(req.Profile.SRs, req.Query)
-	if err != nil {
-		return nil, err
-	}
-	type scored struct {
-		a     algebra.Answer
-		bonus float64
-	}
-	best := map[xmldoc.NodeID]scored{}
-	for pos, fq := range flock {
-		p, err := plan.BuildWith(e.ix, fq, req.Profile, k, plan.Options{
-			Strategy:         strat,
-			Parallelism:      req.Parallelism,
-			ParallelMinNodes: req.ParallelMinNodes,
-			Budget:           req.Budget,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer p.Release()
-		answers, err := p.ExecuteContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range answers {
-			bonus := float64(pos) // later flock members are more personalized
-			if cur, ok := best[a.Node]; !ok || a.S+bonus > cur.a.S+cur.bonus {
-				best[a.Node] = scored{a: a, bonus: bonus}
-			}
-		}
-	}
-	merged := make([]algebra.Answer, 0, len(best))
-	for _, s := range best {
-		a := s.a
-		a.S += s.bonus
-		merged = append(merged, a)
-	}
-	ranker := algebra.NewRanker(req.Profile)
-	mode := algebra.ModeForProfile(req.Profile)
-	sortAnswers(merged, ranker, mode)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return &Response{
-		EncodedQuery: flock[len(flock)-1],
-		AppliedSRs:   applied,
-		PlanShape:    fmt.Sprintf("literal flock of %d queries", len(flock)),
-		Parallelism:  e.ResolvedParallelism(&req),
-		Elapsed:      time.Since(start),
-		Results:      e.materialize(merged),
-	}, nil
-}
-
 // ResolvedParallelism reports the worker count the request resolves to
 // against this engine's document — plan.ResolveParallelism on the
-// request's Parallelism/ParallelMinNodes and the document size. The
+// request's Parallelism and the document size. The
 // serving layer folds this into its cache key (a cached response's
 // Workers/Stats metadata depends on it) and surfaces it to clients.
 func (e *Engine) ResolvedParallelism(req *Request) int {
-	return plan.ResolveParallelism(req.Parallelism, e.doc.Len(), req.ParallelMinNodes)
-}
-
-func sortAnswers(as []algebra.Answer, r *algebra.Ranker, mode algebra.Mode) {
-	// Insertion sort with the ranker comparison: answer lists here are
-	// small (k-bounded merges).
-	for i := 1; i < len(as); i++ {
-		for j := i; j > 0; j-- {
-			c := r.Compare(&as[j], &as[j-1], mode)
-			if c > 0 || (c == 0 && as[j].Node < as[j-1].Node) {
-				as[j], as[j-1] = as[j-1], as[j]
-			} else {
-				break
-			}
-		}
-	}
+	return plan.ResolveParallelism(req.Parallelism, e.doc.Len())
 }
 
 func (e *Engine) materialize(answers []algebra.Answer) []Result {

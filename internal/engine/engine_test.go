@@ -184,9 +184,7 @@ func TestStrategiesProduceSameResults(t *testing.T) {
 func TestLiteralFlockBroadensToo(t *testing.T) {
 	e := newEngine(t)
 	prof := profile.MustParseProfile(fig2Rules)
-	resp, err := e.Search(Request{
-		Query: tpq.MustParse(paperQ), Profile: prof, K: 5, LiteralRewrite: true,
-	})
+	resp, err := literalFlockSearch(e, Request{Query: tpq.MustParse(paperQ), Profile: prof, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,12 +83,13 @@ func TestTwigAccessEndToEnd(t *testing.T) {
 		Profile:  prof,
 		K:        3,
 		Strategy: plan.Push,
+		Access:   plan.AccessScan,
 	}
 	plain, err := e.Search(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.TwigAccess = true
+	req.Access = plan.AccessTwigJoin
 	twig, err := e.Search(req)
 	if err != nil {
 		t.Fatal(err)

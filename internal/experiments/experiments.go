@@ -365,7 +365,6 @@ func RunAblations(seed int64, sizeBytes, k, trials int) []AblationRow {
 		{"push/kor-worst-first", &worstFirst, plan.Options{Strategy: plan.Push}},
 		{"push/plain", base, plan.Options{Strategy: plan.Push}},
 		{"push/deep", base, plan.Options{Strategy: plan.PushDeep}},
-		{"push/twig-access", base, plan.Options{Strategy: plan.Push, TwigAccess: true}},
 		{"push/access-scan", base, plan.Options{Strategy: plan.Push, AccessPath: plan.AccessScan}},
 		{"push/access-twigjoin", base, plan.Options{Strategy: plan.Push, AccessPath: plan.AccessTwigJoin}},
 	} {

@@ -87,7 +87,7 @@ func TestPushPrunesAtScale(t *testing.T) {
 
 func TestRunAblations(t *testing.T) {
 	rows := RunAblations(42, 128*1024, 5, 1)
-	if len(rows) != 7 {
+	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	names := map[string]bool{}
@@ -97,7 +97,7 @@ func TestRunAblations(t *testing.T) {
 			t.Errorf("bad time: %+v", r)
 		}
 	}
-	for _, want := range []string{"push/kor-best-first", "push/kor-worst-first", "push/plain", "push/deep", "push/twig-access", "push/access-scan", "push/access-twigjoin"} {
+	for _, want := range []string{"push/kor-best-first", "push/kor-worst-first", "push/plain", "push/deep", "push/access-scan", "push/access-twigjoin"} {
 		if !names[want] {
 			t.Errorf("missing ablation %q", want)
 		}

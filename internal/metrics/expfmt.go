@@ -32,6 +32,10 @@ type Family struct {
 //   - histogram bucket counts are cumulative (non-decreasing in le)
 //     and the +Inf bucket equals _count.
 //
+// _sum is deliberately not checked against the buckets: by convention
+// it may lag _count under concurrent observation (the bucket add and
+// the sum update are two steps), and no reader may assume otherwise.
+//
 // It exists for tests — the exposition lint in internal/server and the
 // registry round-trip test — not for production scrape handling.
 func ParseExposition(text string) (map[string]*Family, error) {

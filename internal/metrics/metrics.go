@@ -71,13 +71,13 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Histogram is a fixed-bucket histogram of float64 observations
 // (by convention, seconds). Buckets are cumulative upper bounds; an
 // implicit +Inf bucket catches the tail. Observations are lock-free:
-// one atomic add on the bucket, one on the count, one CAS loop on the
-// float sum.
+// one atomic add on the bucket, one CAS loop on the float sum. The
+// observation count is the bucket total — there is no separate counter
+// for a concurrent scrape to catch out of step with the buckets.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; last is +Inf
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits
+	sum    atomic.Uint64  // float64 bits
 }
 
 // DefBuckets is the default latency bucket layout, in seconds: 100µs to
@@ -93,7 +93,6 @@ func (h *Histogram) Observe(v float64) {
 	// Binary search for the first bound >= v.
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		upd := math.Float64bits(math.Float64frombits(old) + v)
@@ -103,8 +102,14 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// Count returns the number of observations: the sum over all buckets.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
@@ -312,6 +317,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case "gauge":
 				fmt.Fprintf(&sb, "%s%s %d\n", f.name, renderLabels(s.labels, "", ""), s.g.Value())
 			case "histogram":
+				// _count is the cumulative total of this same pass over the
+				// buckets, so it equals the +Inf bucket by construction even
+				// while observations land mid-scrape.
 				h := s.h
 				cum := int64(0)
 				for i, b := range h.bounds {
@@ -325,7 +333,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&sb, "%s_sum%s %s\n", f.name,
 					renderLabels(s.labels, "", ""), formatFloat(h.Sum()))
 				fmt.Fprintf(&sb, "%s_count%s %d\n", f.name,
-					renderLabels(s.labels, "", ""), h.Count())
+					renderLabels(s.labels, "", ""), cum)
 			}
 		}
 	}

@@ -65,7 +65,7 @@ type JoinStats = twig.JoinStats
 // elements per distinguished candidate. The join touches each streamed
 // element O(1) times, while the scan's matcher walks tens of arena
 // nodes per candidate, so the break-even ratio is well above 1:
-// measured on XMark (see BENCH_twigjoin.json) the structure-heavy
+// measured on XMark (BenchmarkTwigJoin) the structure-heavy
 // benchmark query streams 4.3 elements per candidate and the join wins
 // 2.5–3x at every document size down to a few hundred nodes, putting
 // break-even near a ratio of ~13. The factor deliberately sits near
@@ -75,15 +75,10 @@ type JoinStats = twig.JoinStats
 // to the scan, which only visits the few candidates.
 const autoStreamFactor = 16
 
-// resolveAccess folds the legacy TwigAccess flag into AccessPath and
-// applies the auto heuristic.
+// resolveAccess applies the auto heuristic to an unset AccessPath.
 func (o Options) resolveAccess(ix *index.Index, q *tpq.Query) AccessPath {
-	a := o.AccessPath
-	if a == AccessAuto && o.TwigAccess {
-		a = AccessTwigJoin
-	}
-	if a != AccessAuto {
-		return a
+	if o.AccessPath != AccessAuto {
+		return o.AccessPath
 	}
 	required := requiredSkeleton(q)
 	skeleton, streamed := 0, 0

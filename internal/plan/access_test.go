@@ -23,7 +23,6 @@ func TestResolveAccessAuto(t *testing.T) {
 	}{
 		{"explicit scan", `//car[./color]`, Options{AccessPath: AccessScan}, AccessScan},
 		{"explicit twigjoin", `//car`, Options{AccessPath: AccessTwigJoin}, AccessTwigJoin},
-		{"legacy twig flag", `//car`, Options{TwigAccess: true}, AccessTwigJoin},
 		{"auto single node", `//car`, Options{}, AccessScan},
 		{"auto structural", `//car[./color and ./make]`, Options{}, AccessTwigJoin},
 		// dealer is a single element sitting above every car subtree: the

@@ -40,14 +40,17 @@ const minPartition = 256
 // count hid what actually ran.
 const MaxParallelism = 64
 
-// DefaultParallelMinNodes is the document size (node count) above which
-// auto-resolution (Parallelism <= 0) grants intra-query workers. The
-// threshold is read off BENCH_parallel.json: par=8 *loses* to par=1 at
-// every XMark size up to 1 MB (57,558 nodes — 528µs vs 242µs at 101KB /
-// 5,788 nodes) and first wins at 5.7 MB (324,990 nodes, 11.8ms vs
-// 12.9ms). 150,000 sits between the largest losing size and the
-// smallest winning one.
-const DefaultParallelMinNodes = 150_000
+// parallelThresholdNodes is the document size (node count) at which
+// auto-resolution (Parallelism <= 0) starts granting intra-query
+// workers. The benchmark's traced replay decides it (bench/layers.go,
+// rows plan.execute_par1_us / plan.execute_par2_us): on the 5.7 MB
+// ft_single document (324,990 nodes) two workers take 3458 µs against
+// 5944 µs sequential on a 2-core box, 1.72x, so parallelism pays above
+// the threshold; the 468 KB documents of cached_mix and live_corpus
+// (tens of thousands of nodes) sit far below it, where worker set-up
+// costs more than the partition scan saves. It is a constant, not an
+// option: no workload at hand wants a different value.
+const parallelThresholdNodes = 150_000
 
 // WorkerBudget is a non-blocking allowance for *extra* goroutines
 // beyond the one the caller already owns (implemented by sched.Budget).
@@ -67,18 +70,15 @@ type WorkerBudget interface {
 //	requested == 1  -> 1 (explicit sequential)
 //	requested >= 2  -> requested, capped at MaxParallelism (explicit
 //	                   parallel; tests force workers on small inputs)
-//	requested <= 0  -> auto: GOMAXPROCS when docNodes >= minNodes,
-//	                   else 1 — small documents lose under intra-query
-//	                   parallelism (BENCH_parallel.json), and under
+//	requested <= 0  -> auto: GOMAXPROCS when docNodes reaches
+//	                   parallelThresholdNodes, else 1 — small documents
+//	                   lose under intra-query parallelism, and under
 //	                   concurrent load extra workers are pure
 //	                   oversubscription.
 //
-// minNodes == 0 means DefaultParallelMinNodes; minNodes < 0 disables
-// the threshold entirely (auto -> GOMAXPROCS unconditionally), which is
-// the legacy behavior the load harness uses as its naive baseline.
 // The result is deterministic for a given document, so it is safe to
 // key result caches on (the serving layer does).
-func ResolveParallelism(requested, docNodes, minNodes int) int {
+func ResolveParallelism(requested, docNodes int) int {
 	if requested == 1 {
 		return 1
 	}
@@ -88,10 +88,7 @@ func ResolveParallelism(requested, docNodes, minNodes int) int {
 		}
 		return requested
 	}
-	if minNodes == 0 {
-		minNodes = DefaultParallelMinNodes
-	}
-	if minNodes > 0 && docNodes < minNodes {
+	if docNodes < parallelThresholdNodes {
 		return 1
 	}
 	n := runtime.GOMAXPROCS(0)

@@ -91,21 +91,24 @@ func TestParallelMatchesSequentialDealer(t *testing.T) {
 		q := queries[r.Intn(len(queries))]
 		prof := profiles[r.Intn(len(profiles))]
 		k := 1 + r.Intn(8)
-		twig := r.Intn(2) == 1
-		seq, err := BuildWith(ix, q, prof, k, Options{Strategy: Push, TwigAccess: twig, Parallelism: 1})
+		access := AccessAuto
+		if twig := r.Intn(2) == 1; twig {
+			access = AccessTwigJoin
+		}
+		seq, err := BuildWith(ix, q, prof, k, Options{Strategy: Push, AccessPath: access, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := seq.Execute()
 		for _, par := range []int{2, 3, 8} {
-			p, err := BuildWith(ix, q, prof, k, Options{Strategy: Push, TwigAccess: twig, Parallelism: par})
+			p, err := BuildWith(ix, q, prof, k, Options{Strategy: Push, AccessPath: access, Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := p.Execute()
 			if !sameAnswers(want, got) {
-				t.Fatalf("iter %d par=%d twig=%v: parallel disagrees\nq: %s\nwant: %s\ngot:  %s",
-					iter, par, twig, q, describe(want), describe(got))
+				t.Fatalf("iter %d par=%d access=%v: parallel disagrees\nq: %s\nwant: %s\ngot:  %s",
+					iter, par, access, q, describe(want), describe(got))
 			}
 		}
 	}

@@ -116,22 +116,14 @@ type Options struct {
 	// stream relative to the scan's candidate count, and scan
 	// otherwise. The ranked answers are identical on every path.
 	AccessPath AccessPath
-	// TwigAccess is the legacy boolean form of AccessPath: true means
-	// AccessTwigJoin when AccessPath is AccessAuto.
-	TwigAccess bool
 	// Parallelism partitions the access path's candidate list across
 	// workers at Execute time: 0 resolves by document size (sequential
-	// below ParallelMinNodes, GOMAXPROCS above — see
+	// below the node-count threshold, GOMAXPROCS above — see
 	// ResolveParallelism), 1 forces the sequential reference path,
 	// n >= 2 forces exactly n workers (capped at MaxParallelism,
 	// clamped to the candidate count). Results are identical at every
 	// setting; see DESIGN.md "Parallel execution".
 	Parallelism int
-	// ParallelMinNodes is the document node count above which
-	// Parallelism 0 grants workers: 0 means DefaultParallelMinNodes,
-	// negative disables the threshold (auto -> GOMAXPROCS always, the
-	// pre-scheduler behavior kept as the load harness's baseline).
-	ParallelMinNodes int
 	// Budget, when non-nil, gates the *extra* goroutines of a parallel
 	// Execute (the caller's own goroutine always works): each helper
 	// spawns only if Budget.TryAcquire allows. The serving layer passes
@@ -177,7 +169,7 @@ func BuildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts
 	}
 	p.distTag = q.Nodes[q.Dist].Tag
 	p.access = opts.resolveAccess(ix, q)
-	p.par = ResolveParallelism(opts.Parallelism, ix.Document().Len(), opts.ParallelMinNodes)
+	p.par = ResolveParallelism(opts.Parallelism, ix.Document().Len())
 	p.parAuto = opts.Parallelism <= 0
 	var src algebra.Operator
 	if p.access == AccessTwigJoin {

@@ -351,11 +351,11 @@ func TestTwigAccessAgreesWithScan(t *testing.T) {
 		q := queries[r.Intn(len(queries))]
 		k := 1 + r.Intn(6)
 		for _, strat := range []Strategy{Naive, Push} {
-			scan, err := BuildWith(ix, q, prof, k, Options{Strategy: strat})
+			scan, err := BuildWith(ix, q, prof, k, Options{Strategy: strat, AccessPath: AccessScan})
 			if err != nil {
 				t.Fatal(err)
 			}
-			twigP, err := BuildWith(ix, q, prof, k, Options{Strategy: strat, TwigAccess: true})
+			twigP, err := BuildWith(ix, q, prof, k, Options{Strategy: strat, AccessPath: AccessTwigJoin})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,32 +15,28 @@ import (
 
 // TestResolveParallelism pins the cost model: explicit settings are
 // honored (capped), auto goes sequential below the node threshold and
-// wide above it, and the legacy mode (minNodes < 0) is unconditional.
+// wide at and above it.
 func TestResolveParallelism(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	for _, tc := range []struct {
-		requested, docNodes, minNodes, want int
+		requested, docNodes, want int
 	}{
-		{1, 1 << 20, 0, 1},                       // explicit sequential, huge doc
-		{2, 100, 0, 2},                           // explicit parallel, tiny doc
-		{8, 100, 0, 8},                           // explicit honored as-is
-		{MaxParallelism, 100, 0, MaxParallelism}, // at the cap
-		{100, 100, 0, MaxParallelism},            // above the cap: capped
-		{1024, 100, 0, MaxParallelism},           // old server ceiling: capped
-		{0, DefaultParallelMinNodes - 1, 0, 1},   // auto, below default threshold
-		{0, DefaultParallelMinNodes, 0, 4},       // auto, at threshold -> GOMAXPROCS
-		{0, 1 << 22, 0, 4},                       // auto, far above
-		{0, 100, 50, 4},                          // custom threshold crossed
-		{0, 100, 101, 1},                         // custom threshold not crossed
-		{0, 10, -1, 4},                           // legacy: unconditional GOMAXPROCS
-		{-1, 10, 0, 1},                           // negative request behaves like 0
-		{0, DefaultParallelMinNodes - 1, -1, 4},  // legacy ignores doc size
+		{1, 1 << 20, 1},                       // explicit sequential, huge doc
+		{2, 100, 2},                           // explicit parallel, tiny doc
+		{8, 100, 8},                           // explicit honored as-is
+		{MaxParallelism, 100, MaxParallelism}, // at the cap
+		{100, 100, MaxParallelism},            // above the cap: capped
+		{1024, 100, MaxParallelism},           // old server ceiling: capped
+		{0, parallelThresholdNodes - 1, 1},    // auto, below the threshold
+		{0, parallelThresholdNodes, 4},        // auto, at threshold -> GOMAXPROCS
+		{0, 1 << 22, 4},                       // auto, far above
+		{-1, 10, 1},                           // negative request behaves like 0
 	} {
-		got := ResolveParallelism(tc.requested, tc.docNodes, tc.minNodes)
+		got := ResolveParallelism(tc.requested, tc.docNodes)
 		if got != tc.want {
-			t.Errorf("ResolveParallelism(%d, %d, %d) = %d, want %d",
-				tc.requested, tc.docNodes, tc.minNodes, got, tc.want)
+			t.Errorf("ResolveParallelism(%d, %d) = %d, want %d",
+				tc.requested, tc.docNodes, got, tc.want)
 		}
 	}
 }
@@ -50,7 +46,7 @@ func TestResolveParallelism(t *testing.T) {
 func TestResolveParallelismGOMAXPROCSCap(t *testing.T) {
 	prev := runtime.GOMAXPROCS(MaxParallelism + 8)
 	defer runtime.GOMAXPROCS(prev)
-	if got := ResolveParallelism(0, 1<<22, 0); got != MaxParallelism {
+	if got := ResolveParallelism(0, 1<<22); got != MaxParallelism {
 		t.Errorf("auto at GOMAXPROCS=%d resolved to %d, want %d",
 			MaxParallelism+8, got, MaxParallelism)
 	}
@@ -63,24 +59,17 @@ func TestPlanParallelismAccessor(t *testing.T) {
 	ix := index.Build(doc, text.Pipeline{})
 	q := workload.Fig5Query()
 	for _, tc := range []struct {
-		par, minNodes, want int
+		par, want int
 	}{
-		{0, 0, 1},    // ~6K nodes, below default threshold
-		{0, 1000, 0}, // tiny custom threshold: GOMAXPROCS (filled below)
-		{3, 0, 3},    // explicit
+		{0, 1}, // ~6K nodes, below the threshold
+		{3, 3}, // explicit
 	} {
-		want := tc.want
-		if want == 0 {
-			want = ResolveParallelism(0, ix.Document().Len(), tc.minNodes)
-		}
-		p, err := BuildWith(ix, q, nil, 5,
-			Options{Parallelism: tc.par, ParallelMinNodes: tc.minNodes})
+		p, err := BuildWith(ix, q, nil, 5, Options{Parallelism: tc.par})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.Parallelism(); got != want {
-			t.Errorf("par=%d minNodes=%d: Parallelism() = %d, want %d",
-				tc.par, tc.minNodes, got, want)
+		if got := p.Parallelism(); got != tc.want {
+			t.Errorf("par=%d: Parallelism() = %d, want %d", tc.par, got, tc.want)
 		}
 	}
 }

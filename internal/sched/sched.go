@@ -4,8 +4,9 @@
 // GOMAXPROCS), and the registry fan-out nested another GOMAXPROCS
 // semaphore on top, so N concurrent requests could run O(N·GOMAXPROCS)
 // — or, mixed with fan-out, O(GOMAXPROCS²) — runnable goroutines.
-// BENCH_parallel.json shows intra-query parallelism is a *loss* below
-// multi-megabyte documents, so under load that was pure overhead.
+// Intra-query parallelism is a *loss* below multi-megabyte documents
+// (plan.ResolveParallelism's threshold), so under load that was pure
+// overhead.
 //
 // The pool inverts the default: a bounded number of requests execute
 // concurrently, each sequential unless the plan layer's cost model

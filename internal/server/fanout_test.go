@@ -154,8 +154,8 @@ func TestFanoutDegraded(t *testing.T) {
 }
 
 // TestFanoutOptionsRejectedBeforeAdmission is the headline regression:
-// fan-out requests carrying the single-document options (twig,
-// literal, access) are 400s from request validation — before the pool
+// fan-out requests carrying the single-document access option are
+// 400s from request validation — before the pool
 // admits anything and before the single-flight cache registers a miss.
 // The check used to live inside execute, where the doomed request had
 // already occupied a pool slot and could coalesce followers onto its
@@ -163,10 +163,8 @@ func TestFanoutDegraded(t *testing.T) {
 func TestFanoutOptionsRejectedBeforeAdmission(t *testing.T) {
 	s, ts := newFanoutServer(t, Config{Shards: 3})
 	for _, req := range []SearchRequest{
-		{Doc: "*", Keywords: "good condition", Twig: true},
-		{Doc: "*", Keywords: "good condition", Literal: true},
 		{Doc: "*", Keywords: "good condition", Access: "twigjoin"},
-		{Doc: "", Keywords: "good condition", Twig: true}, // empty doc is a fan-out too
+		{Doc: "", Keywords: "good condition", Access: "scan"}, // empty doc is a fan-out too
 	} {
 		status, _, body := post(t, ts, "/search", req)
 		if status != http.StatusBadRequest {

@@ -385,7 +385,7 @@ func (m *serverMetrics) recordPlanStats(stats []algebra.OpStats) {
 // ResultCache and engine.AnalysisCache (authoritative), document count
 // in the registry. Counter totals are monotone in the sources, so Store
 // is safe here.
-func (m *serverMetrics) syncGauges(docs int, gen uint64, cs CacheStats, as engine.AnalysisCacheStats, rs registry.Stats, ss *sched.Stats) {
+func (m *serverMetrics) syncGauges(docs int, gen uint64, cs CacheStats, as engine.AnalysisCacheStats, rs registry.Stats, ss sched.Stats) {
 	m.docs.Set(int64(docs))
 	m.corpusGeneration.Set(int64(gen))
 	m.registryProfiles["names"].Set(int64(rs.Names))
@@ -406,16 +406,14 @@ func (m *serverMetrics) syncGauges(docs int, gen uint64, cs CacheStats, as engin
 			c.Store(int64(n))
 		}
 	}
-	if ss != nil {
-		m.schedAdmissions["admitted"].Store(ss.Admitted)
-		m.schedAdmissions["queued"].Store(ss.AdmittedQueued)
-		m.schedAdmissions["shed_queue_full"].Store(ss.ShedQueueFull)
-		m.schedAdmissions["shed_wait"].Store(ss.ShedWait)
-		m.schedAdmissions["abandoned"].Store(ss.Abandoned)
-		m.schedWorkers.Set(int64(ss.Workers))
-		m.schedRunning.Set(int64(ss.Running))
-		m.schedQueueDepth.Set(int64(ss.Queued))
-		m.schedQueueCap.Set(int64(ss.QueueCap))
-		m.schedBudgetUse.Set(int64(ss.BudgetInUse))
-	}
+	m.schedAdmissions["admitted"].Store(ss.Admitted)
+	m.schedAdmissions["queued"].Store(ss.AdmittedQueued)
+	m.schedAdmissions["shed_queue_full"].Store(ss.ShedQueueFull)
+	m.schedAdmissions["shed_wait"].Store(ss.ShedWait)
+	m.schedAdmissions["abandoned"].Store(ss.Abandoned)
+	m.schedWorkers.Set(int64(ss.Workers))
+	m.schedRunning.Set(int64(ss.Running))
+	m.schedQueueDepth.Set(int64(ss.Queued))
+	m.schedQueueCap.Set(int64(ss.QueueCap))
+	m.schedBudgetUse.Set(int64(ss.BudgetInUse))
 }

@@ -254,7 +254,7 @@ func TestErrorClassCounters(t *testing.T) {
 		{"wrapped deadline", fmt.Errorf("plan: %w", context.DeadlineExceeded), http.StatusGatewayTimeout, "timeout", 0, 1, 1, 0},
 		{"canceled", context.Canceled, 499, "canceled", 1, 0, 0, 1},
 		{"wrapped canceled", fmt.Errorf("scan: %w", context.Canceled), 499, "canceled", 1, 0, 0, 1},
-		{"bad request", &badRequestError{errors.New("twig is single-document")}, http.StatusBadRequest, "parse", 1, 0, 0, 0},
+		{"bad request", &badRequestError{errors.New("access is a single-document option")}, http.StatusBadRequest, "parse", 1, 0, 0, 0},
 		{"engine", errors.New("boom"), http.StatusInternalServerError, "engine", 0, 1, 0, 0},
 	}
 	for _, tc := range cases {

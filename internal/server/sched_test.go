@@ -60,7 +60,7 @@ func TestSchedQueueFullSheds(t *testing.T) {
 	if st.Shed != 1 {
 		t.Errorf("statsz shed = %d, want 1", st.Shed)
 	}
-	if st.Sched == nil || st.Sched.ShedQueueFull != 1 {
+	if st.Sched.ShedQueueFull != 1 {
 		t.Errorf("sched stats = %+v, want shed_queue_full 1", st.Sched)
 	}
 }
@@ -83,7 +83,7 @@ func TestSchedWaitBoundSheds(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil || er.Kind != "throttled" {
 		t.Errorf("error kind = %q (%v), want throttled", er.Kind, err)
 	}
-	if st := s.Snapshot(); st.Sched == nil || st.Sched.ShedWait != 1 {
+	if st := s.Snapshot(); st.Sched.ShedWait != 1 {
 		t.Errorf("sched stats = %+v, want shed_wait 1", st.Sched)
 	}
 }
@@ -101,7 +101,7 @@ func TestSchedDeadlineWhileQueued(t *testing.T) {
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d body %s, want 504", status, body)
 	}
-	if st := s.Snapshot(); st.Sched == nil || st.Sched.Abandoned != 1 {
+	if st := s.Snapshot(); st.Sched.Abandoned != 1 {
 		t.Errorf("sched stats = %+v, want abandoned 1", st.Sched)
 	}
 }
@@ -162,52 +162,43 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 // TestParallelismValidationContract: values outside [0, 64] are
-// rejected with 400 — never silently clamped — in both scheduler and
-// legacy modes, so the accepted surface matches what plan honors.
+// rejected with 400 — never silently clamped — so the accepted surface
+// matches what plan honors.
 func TestParallelismValidationContract(t *testing.T) {
-	for _, workers := range []int{0, -1} {
-		_, ts := newTestServer(t, Config{PoolWorkers: workers})
-		for _, par := range []int{-1, 65, 1024} {
-			req := searchReq()
-			req.Parallelism = par
-			status, _, body := post(t, ts, "/search", req)
-			if status != http.StatusBadRequest {
-				t.Errorf("pool=%d par=%d: status %d body %s, want 400", workers, par, status, body)
-				continue
-			}
-			var er errorResponse
-			if err := json.Unmarshal(body, &er); err != nil || er.Kind != "parse" {
-				t.Errorf("pool=%d par=%d: error kind %q, want parse", workers, par, er.Kind)
-			}
+	_, ts := newTestServer(t, Config{})
+	for _, par := range []int{-1, 65, 1024} {
+		req := searchReq()
+		req.Parallelism = par
+		status, _, body := post(t, ts, "/search", req)
+		if status != http.StatusBadRequest {
+			t.Errorf("par=%d: status %d body %s, want 400", par, status, body)
+			continue
+		}
+		var er errorResponse
+		if err := json.Unmarshal(body, &er); err != nil || er.Kind != "parse" {
+			t.Errorf("par=%d: error kind %q, want parse", par, er.Kind)
 		}
 	}
 }
 
 // TestResolvedParallelismInResponse: the response reports what actually
-// ran. Under the scheduler a 0 (auto) request on a small document
-// resolves to 1 even with GOMAXPROCS raised — the oversubscription fix —
-// while legacy mode (PoolWorkers -1) resolves 0 to GOMAXPROCS
-// unconditionally, which is exactly the baseline behavior the load
-// harness A/Bs against.
+// ran. A 0 (auto) request on a small document resolves to 1 even with
+// GOMAXPROCS raised — the oversubscription fix — and an explicit
+// request is honored.
 func TestResolvedParallelismInResponse(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
-	cases := []struct {
-		pool, par, want int
-	}{
-		{0, 0, 1},  // scheduler: auto on a small doc stays sequential
-		{0, 2, 2},  // explicit request is honored (within range)
-		{-1, 0, 4}, // legacy: auto = GOMAXPROCS regardless of size
-		{-1, 2, 2},
-	}
-	for _, tc := range cases {
-		_, ts := newTestServer(t, Config{PoolWorkers: tc.pool})
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ par, want int }{
+		{0, 1}, // auto on a small doc stays sequential
+		{2, 2}, // explicit request is honored (within range)
+	} {
 		req := searchReq()
 		req.Parallelism = tc.par
 		status, _, body := post(t, ts, "/search", req)
 		if status != http.StatusOK {
-			t.Fatalf("pool=%d par=%d: status %d body %s", tc.pool, tc.par, status, body)
+			t.Fatalf("par=%d: status %d body %s", tc.par, status, body)
 		}
 		var resp struct {
 			Parallelism int `json:"parallelism"`
@@ -216,40 +207,26 @@ func TestResolvedParallelismInResponse(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.Parallelism != tc.want {
-			t.Errorf("pool=%d par=%d: resolved parallelism %d, want %d",
-				tc.pool, tc.par, resp.Parallelism, tc.want)
+			t.Errorf("par=%d: resolved parallelism %d, want %d", tc.par, resp.Parallelism, tc.want)
 		}
 	}
 }
 
-// TestStatszSchedBlock: /statsz carries the scheduler block exactly
-// when the scheduler is on.
+// TestStatszSchedBlock: /statsz always carries the scheduler block.
 func TestStatszSchedBlock(t *testing.T) {
-	s, ts := newTestServer(t, Config{PoolWorkers: 2})
+	_, ts := newTestServer(t, Config{PoolWorkers: 2})
 	post(t, ts, "/search", searchReq())
 	_, body := get(t, ts, "/statsz")
 	var st Statsz
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Sched == nil || st.Sched.Workers != 2 {
+	if st.Sched.Workers != 2 {
 		t.Fatalf("statsz sched = %+v, want workers 2", st.Sched)
 	}
 	if st.Sched.Admitted+st.Sched.AdmittedQueued < 1 {
 		t.Errorf("statsz sched admissions = %+v, want at least one", st.Sched)
 	}
-	_ = s
-
-	sLegacy, tsLegacy := newTestServer(t, Config{PoolWorkers: -1})
-	_, body = get(t, tsLegacy, "/statsz")
-	var stLegacy Statsz
-	if err := json.Unmarshal(body, &stLegacy); err != nil {
-		t.Fatal(err)
-	}
-	if stLegacy.Sched != nil {
-		t.Errorf("legacy statsz sched = %+v, want absent", stLegacy.Sched)
-	}
-	_ = sLegacy
 }
 
 // TestSchedCacheBypass: cache hits are served without consuming a

@@ -80,11 +80,9 @@ type Config struct {
 	// it per search with the "access" field.
 	DefaultAccess plan.AccessPath
 	// PoolWorkers sizes the admission scheduler: at most this many
-	// searches execute concurrently, each sequential unless
-	// ParallelMinNodes grants plan workers. 0 means GOMAXPROCS; -1
-	// disables the scheduler entirely — every request executes
-	// immediately with the legacy unconditional-GOMAXPROCS parallelism
-	// (the load harness's naive baseline, not a production setting).
+	// searches execute concurrently, each sequential unless the document
+	// is large enough for plan.ResolveParallelism to grant workers. 0
+	// (or any non-positive value) means GOMAXPROCS.
 	PoolWorkers int
 	// PoolQueue is the admission waiting-room capacity: requests beyond
 	// it are shed with 503 + Retry-After. 0 means 64×PoolWorkers;
@@ -94,11 +92,6 @@ type Config struct {
 	// shed with 429 + Retry-After. 0 disables the bound (the request's
 	// own deadline still applies while it waits).
 	PoolMaxWait time.Duration
-	// ParallelMinNodes is the document node count above which a request
-	// with parallelism 0 is granted intra-query workers
-	// (plan.ResolveParallelism): 0 means plan.DefaultParallelMinNodes.
-	// Ignored when the scheduler is disabled (legacy resolution).
-	ParallelMinNodes int
 	// MaxDocBytes bounds a PUT /docs/{name} body (default 64 MiB);
 	// larger uploads are rejected with 413 before parsing.
 	MaxDocBytes int64
@@ -107,9 +100,10 @@ type Config struct {
 	// the buffer are told to resync.
 	WatchBuffer int
 	// Shards is the number of consistent-hash partitions fan-out
-	// searches scatter over; values below 2 keep the unsharded fan-out.
-	// Sharded and unsharded fan-outs return byte-identical bodies when
-	// no shard degrades (pinned by TestFanoutShardedDifferential).
+	// searches scatter over; below 2 the fan-out's unit of work is one
+	// document and nothing degrades. Sharded and unsharded fan-outs
+	// return byte-identical bodies when no shard degrades (pinned by
+	// TestFanoutShardedDifferential).
 	Shards int
 	// ShardDeadlineFrac is the fraction of a request's remaining
 	// deadline each shard is granted (0 means
@@ -141,8 +135,7 @@ type Server struct {
 	// shardStart is corpus.ShardOptions.ShardStart for fan-out scatter:
 	// nil in production, injected by tests to simulate a slow shard.
 	shardStart func(shard int)
-	// pool is the admission scheduler; nil when Config.PoolWorkers is -1
-	// (legacy mode: unbounded concurrent executions).
+	// pool is the admission scheduler every executing search passes.
 	pool *sched.Pool
 
 	stats   serverStats
@@ -222,20 +215,18 @@ func New(cfg Config) *Server {
 		}
 		return pv.Diags, nil
 	})
-	if cfg.PoolWorkers >= 0 {
-		s.pool = sched.New(sched.Config{
-			Workers: cfg.PoolWorkers,
-			Queue:   cfg.PoolQueue,
-			MaxWait: cfg.PoolMaxWait,
-			ObserveWait: func(d time.Duration) {
-				s.metrics.schedQueueWait.Observe(d.Seconds())
-			},
-		})
-		// One budget for every extra goroutine: registry fan-out helpers
-		// and parallel plan partitions draw from the same allowance, so
-		// their product can never exceed one machine's worth.
-		s.reg.SetBudget(s.pool.Budget())
-	}
+	s.pool = sched.New(sched.Config{
+		Workers: cfg.PoolWorkers,
+		Queue:   cfg.PoolQueue,
+		MaxWait: cfg.PoolMaxWait,
+		ObserveWait: func(d time.Duration) {
+			s.metrics.schedQueueWait.Observe(d.Seconds())
+		},
+	})
+	// One budget for every extra goroutine: registry fan-out helpers
+	// and parallel plan partitions draw from the same allowance, so
+	// their product can never exceed one machine's worth.
+	s.reg.SetBudget(s.pool.Budget())
 	if cfg.SlowQueryThreshold > 0 {
 		s.slowlog = newSlowQueryLogger(cfg.SlowQueryThreshold, cfg.SlowQueryLog,
 			s.metrics.slowTotal, s.metrics.slowDropped)
@@ -293,8 +284,7 @@ func (s *Server) Docs() []string { return s.reg.Names() }
 // Cache exposes the result cache (for stats and tests).
 func (s *Server) Cache() *ResultCache { return s.cache }
 
-// Pool exposes the admission scheduler (nil when disabled), for stats
-// and tests.
+// Pool exposes the admission scheduler (for stats and tests).
 func (s *Server) Pool() *sched.Pool { return s.pool }
 
 // AnalysisCache exposes the shared analysis-verdict cache (for stats
@@ -343,8 +333,6 @@ type SearchRequest struct {
 	// push | push-deep.
 	Strategy    string `json:"strategy"`
 	Parallelism int    `json:"parallelism"`
-	Twig        bool   `json:"twig"`
-	Literal     bool   `json:"literal"`
 	// Access selects the candidate access path: "" or "auto"
 	// (corpus-size heuristic), "scan", or "twigjoin".
 	Access string `json:"access"`
@@ -530,14 +518,14 @@ func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) 
 	if (sreq.Query == "") == (sreq.Keywords == "") {
 		return req, http.StatusBadRequest, errors.New("exactly one of query or keywords must be set")
 	}
-	// Fan-out searches do not support the per-engine extras. Rejecting
+	// Fan-out searches do not take a per-document access path. Rejecting
 	// here — with the other 400s, before admission and single-flight —
 	// keeps malformed requests from occupying a pool slot or coalescing
 	// followers onto a guaranteed failure (regression:
 	// TestFanoutOptionsRejectedBeforeAdmission; the check used to live
 	// inside execute).
-	if s.fanout(sreq) && (sreq.Twig || sreq.Literal || sreq.Access != "") {
-		return req, http.StatusBadRequest, errors.New("twig, literal and access are single-document options")
+	if s.fanout(sreq) && sreq.Access != "" {
+		return req, http.StatusBadRequest, errors.New("access is a single-document option")
 	}
 	if sreq.K < 0 {
 		return req, http.StatusBadRequest, fmt.Errorf("negative k %d", sreq.K)
@@ -589,8 +577,6 @@ func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) 
 	}
 	req.K = sreq.K
 	req.Parallelism = sreq.Parallelism
-	req.TwigAccess = sreq.Twig
-	req.LiteralRewrite = sreq.Literal
 	req.Access = s.cfg.DefaultAccess
 	if sreq.Access != "" {
 		req.Access, err = plan.ParseAccessPath(sreq.Access)
@@ -601,16 +587,8 @@ func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) 
 	// The serving layer always pays for operator timing: /metrics and
 	// the slow-query log attribute time inside the plan with it.
 	req.Timing = true
-	if s.pool != nil {
-		// Under the scheduler, parallelism 0 resolves by document size
-		// and extra goroutines come from the shared budget. With the
-		// pool disabled (PoolWorkers -1), keep the legacy unconditional
-		// GOMAXPROCS resolution — the load harness's naive baseline.
-		req.ParallelMinNodes = s.cfg.ParallelMinNodes
-		req.Budget = s.pool.Budget()
-	} else {
-		req.ParallelMinNodes = -1
-	}
+	// Extra plan goroutines come from the scheduler's shared budget.
+	req.Budget = s.pool.Budget()
 
 	if !s.fanout(sreq) {
 		if _, ok := snap.Entry(sreq.Doc); !ok {
@@ -630,9 +608,8 @@ func (s *Server) fanout(sreq *SearchRequest) bool {
 // cacheKey derives the canonical result-cache key and invalidation
 // tags for the request, entirely from the caller's snapshot. The key
 // carries the *resolved* parallelism — what the plan will actually run
-// given the document size and threshold — so requests that resolve
-// identically share an entry and a threshold change can never serve a
-// stale one (see engine.Request.CacheKey). Fingerprints are
+// given the document size — so requests that resolve identically share
+// an entry (see engine.Request.CacheKey). Fingerprints are
 // generation-stamped (corpus.Entry.Fingerprint), so a key minted here
 // can never collide with one minted against any other generation of
 // the same document. buildEngineRequest already established the
@@ -659,43 +636,28 @@ func (s *Server) execute(ctx context.Context, snap *corpus.Snapshot, sreq *Searc
 	// Admission happens here — inside the single-flight fill — so cache
 	// hits and coalesced followers never occupy a slot; only work that
 	// will actually execute competes for the pool.
-	if s.pool != nil {
-		release, err := s.pool.Acquire(ctx)
+	release, err := s.pool.Acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	var body SearchBody
+	if s.fanout(sreq) {
+		// One fan-out call whatever the shard count: below two shards its
+		// unit of work is a document and nothing can degrade.
+		resp, err := snap.SearchSharded(ctx, req.Query, req.Profile, req.K, req.Strategy,
+			corpus.ShardOptions{
+				Shards:       s.cfg.Shards,
+				DeadlineFrac: s.cfg.ShardDeadlineFrac,
+				ShardStart:   s.shardStart,
+			})
 		if err != nil {
 			return nil, err
 		}
-		defer release()
-	}
-	var body SearchBody
-	if s.fanout(sreq) {
-		// buildEngineRequest already rejected the per-engine extras
-		// (twig/literal/access) before admission.
-		var resp *corpus.Response
-		if s.cfg.Shards > 1 {
-			sresp, serr := snap.SearchSharded(ctx, req.Query, req.Profile, req.K, req.Strategy,
-				corpus.ShardOptions{
-					Shards:       s.cfg.Shards,
-					DeadlineFrac: s.cfg.ShardDeadlineFrac,
-					ShardStart:   s.shardStart,
-				})
-			if serr != nil {
-				return nil, serr
-			}
-			s.recordFanout(sresp)
-			resp = &sresp.Response
-			body.Degraded = sresp.Degraded
-			body.TimedOutShards = sresp.TimedOutShards
-		} else {
-			var err error
-			resp, err = snap.SearchContext(ctx, req.Query, req.Profile, req.K, req.Strategy)
-			if err != nil {
-				return nil, err
-			}
-		}
-		degraded, timedOut := body.Degraded, body.TimedOutShards
+		s.recordFanout(resp)
 		body = SearchBody{
-			Degraded:       degraded,
-			TimedOutShards: timedOut,
+			Degraded:       resp.Degraded,
+			TimedOutShards: resp.TimedOutShards,
 			Results:        make([]SearchResult, 0, len(resp.Results)),
 			K:              resolveK(req.K),
 			Strategy:       req.Strategy.String(),
@@ -772,8 +734,9 @@ func (s *Server) execute(ctx context.Context, snap *corpus.Snapshot, sreq *Searc
 	return cs, nil
 }
 
-// recordFanout folds one sharded scatter-gather's outcome into the
-// /statsz counters and the pimento_fanout_shards_total series.
+// recordFanout folds one fan-out's shard outcomes into the /statsz
+// counters and the pimento_fanout_shards_total series (an unsharded
+// fan-out runs no shards and adds nothing).
 func (s *Server) recordFanout(sresp *corpus.ShardedResponse) {
 	healthy := sresp.ShardsRun - len(sresp.TimedOutShards)
 	s.stats.fanoutShardsOK.Add(int64(healthy))
@@ -991,13 +954,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.stats.metricsRequests.Add(1)
 	done := s.metrics.startRequest("metrics")
 	defer done()
-	var ss *sched.Stats
-	if s.pool != nil {
-		st := s.pool.Stats()
-		ss = &st
-	}
 	snap := s.reg.Snapshot()
-	s.metrics.syncGauges(snap.Len(), snap.Generation(), s.cache.Stats(), s.analysis.Stats(), s.profiles.Stats(), ss)
+	s.metrics.syncGauges(snap.Len(), snap.Generation(), s.cache.Stats(), s.analysis.Stats(), s.profiles.Stats(), s.pool.Stats())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.reg.WritePrometheus(w)
 }
@@ -1063,9 +1021,8 @@ type Statsz struct {
 	Cache            CacheStats `json:"cache"`
 	// Analysis is the shared analysis-verdict cache's counter block.
 	Analysis engine.AnalysisCacheStats `json:"analysis"`
-	// Sched is the admission scheduler's counter block; nil when the
-	// scheduler is disabled (PoolWorkers -1).
-	Sched *sched.Stats `json:"sched,omitempty"`
+	// Sched is the admission scheduler's counter block.
+	Sched sched.Stats `json:"sched"`
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
@@ -1077,11 +1034,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 
 // Snapshot returns the current counters (the /statsz payload).
 func (s *Server) Snapshot() Statsz {
-	var ss *sched.Stats
-	if s.pool != nil {
-		st := s.pool.Stats()
-		ss = &st
-	}
 	snap := s.reg.Snapshot()
 	return Statsz{
 		Docs:       snap.Len(),
@@ -1118,7 +1070,7 @@ func (s *Server) Snapshot() Statsz {
 		WatchSubscribers: s.stats.watchSubscribers.Load(),
 		Cache:            s.cache.Stats(),
 		Analysis:         s.analysis.Stats(),
-		Sched:            ss,
+		Sched:            s.pool.Stats(),
 	}
 }
 
@@ -1211,11 +1163,9 @@ func (s *Server) writeSearchError(w http.ResponseWriter, err error) {
 		s.stats.canceled.Add(1)
 	case "overloaded", "throttled":
 		s.stats.shed.Add(1)
-		if s.pool != nil {
-			// Retry-After: the queue's estimated drain time at the pool's
-			// recent service rate.
-			w.Header().Set("Retry-After", strconv.Itoa(s.pool.RetryAfter()))
-		}
+		// Retry-After: the queue's estimated drain time at the pool's
+		// recent service rate.
+		w.Header().Set("Retry-After", strconv.Itoa(s.pool.RetryAfter()))
 	}
 	s.writeError(w, status, kind, err)
 }

@@ -372,7 +372,10 @@ func TestSearchErrors(t *testing.T) {
 		{"huge k", SearchRequest{Doc: "cars", Query: "//car", K: 101}, 400, "parse"},
 		{"bad strategy", SearchRequest{Doc: "cars", Query: "//car", Strategy: "quantum"}, 400, "parse"},
 		{"unknown doc", SearchRequest{Doc: "nope", Query: "//car"}, 404, "not_found"},
-		{"fanout twig", SearchRequest{Doc: "*", Query: "//car", Twig: true}, 400, "parse"},
+		{"fanout access", SearchRequest{Doc: "*", Query: "//car", Access: "twigjoin"}, 400, "parse"},
+		// The retired legacy toggles are plain unknown fields now.
+		{"retired twig field", `{"doc":"cars","query":"//car","twig":true}`, 400, "parse"},
+		{"retired literal field", `{"doc":"cars","query":"//car","literal":true}`, 400, "parse"},
 		{"ambiguous profile", SearchRequest{Doc: "cars", Query: "//car",
 			Profile: "vor a: x.tag = car & y.tag = car & x.color = \"red\" & y.color != \"red\" => x < y\n" +
 				"vor b: x.tag = car & y.tag = car & x.color = \"blue\" & y.color != \"blue\" => x < y\nrank K,V,S"}, 500, "engine"},

@@ -32,12 +32,12 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/cache"
 	"repro/internal/corpus"
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/profile"
-	"repro/internal/server"
 	"repro/internal/text"
 	"repro/internal/tpq"
 	"repro/internal/xmldoc"
@@ -115,7 +115,7 @@ type Engine struct {
 	e *engine.Engine
 	// cache, when non-nil (WithCache), answers repeated identical
 	// searches from an LRU with single-flight deduplication.
-	cache *server.ResultCache
+	cache *cache.Cache[*engine.Response]
 }
 
 // Options configure Open* and Search.
@@ -123,8 +123,6 @@ type options struct {
 	pipeline  text.Pipeline
 	k         int
 	strategy  Strategy
-	literal   bool
-	twig      bool
 	access    AccessPath
 	par       int
 	thesaurus *text.Thesaurus
@@ -154,16 +152,6 @@ func WithK(k int) Option { return func(o *options) { o.k = k } }
 // WithStrategy selects the physical plan (default Push).
 func WithStrategy(s Strategy) Option { return func(o *options) { o.strategy = s } }
 
-// WithLiteralRewrite evaluates the query flock by literal rewriting
-// instead of the single-plan encoding (slower; for comparison).
-func WithLiteralRewrite() Option { return func(o *options) { o.literal = true } }
-
-// WithTwigAccess uses the holistic twig structural semijoin as the
-// access path instead of scan + per-candidate matching — faster on
-// structure-heavy queries over large documents. Legacy shorthand for
-// WithAccessPath(AccessTwigJoin).
-func WithTwigAccess() Option { return func(o *options) { o.twig = true } }
-
 // AccessPath selects how a plan produces distinguished-node candidates:
 // AccessAuto (tag-statistics cost estimate, the default), AccessScan
 // (stream the tag's index list, match per candidate), or AccessTwigJoin
@@ -184,9 +172,10 @@ const (
 func WithAccessPath(a AccessPath) Option { return func(o *options) { o.access = a } }
 
 // WithParallelism sets how many workers execute the physical plan: 0
-// (the default) uses GOMAXPROCS, scaled down when the document yields
-// few candidates; 1 forces the sequential reference path; n >= 2 forces
-// n workers. The ranked answers are identical at every setting — only
+// (the default) runs small documents sequentially and large ones on
+// GOMAXPROCS workers, scaled down when the document yields few
+// candidates; 1 forces the sequential reference path; n >= 2 forces n
+// workers. The ranked answers are identical at every setting — only
 // wall-clock time changes.
 func WithParallelism(n int) Option { return func(o *options) { o.par = n } }
 
@@ -269,11 +258,11 @@ func Open(r io.Reader, opts ...Option) (*Engine, error) {
 const analysisCacheSize = 128
 
 // newCache builds the optional engine-level result cache.
-func newCache(o options) *server.ResultCache {
+func newCache(o options) *cache.Cache[*engine.Response] {
 	if o.cacheSize <= 0 {
 		return nil
 	}
-	return server.NewResultCache(o.cacheSize)
+	return cache.New[*engine.Response](o.cacheSize)
 }
 
 // OpenString indexes an XML document held in a string.
@@ -322,8 +311,6 @@ func (e *Engine) SearchContext(ctx context.Context, q *Query, prof *Profile, opt
 		Profile:         prof,
 		K:               o.k,
 		Strategy:        o.strategy,
-		LiteralRewrite:  o.literal,
-		TwigAccess:      o.twig,
 		Access:          o.access,
 		Parallelism:     o.par,
 		Thesaurus:       o.thesaurus,
@@ -333,14 +320,13 @@ func (e *Engine) SearchContext(ctx context.Context, q *Query, prof *Profile, opt
 		return e.e.SearchContext(ctx, req)
 	}
 	key := req.CacheKey(e.e.Fingerprint(), e.e.ResolvedParallelism(&req))
-	v, outcome, err := e.cache.Do(ctx, key, func() (any, error) {
+	resp, outcome, err := e.cache.DoTagged(ctx, key, nil, func() (*engine.Response, error) {
 		return e.e.SearchContext(ctx, req)
 	})
 	if err != nil {
 		return nil, err
 	}
-	resp := v.(*engine.Response)
-	if outcome != server.Miss {
+	if outcome != cache.Miss {
 		hit := *resp // shallow copy so the stored response stays unmarked
 		hit.Cached = true
 		return &hit, nil

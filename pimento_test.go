@@ -91,18 +91,6 @@ func TestPublicAPIAnalyze(t *testing.T) {
 	}
 }
 
-func TestPublicAPILiteralRewrite(t *testing.T) {
-	eng, _ := OpenString(workload.Fig1XML)
-	prof := MustParseProfile(workload.Plan1ProfileSrc)
-	resp, err := eng.Search(workload.PaperQuery(), prof, WithLiteralRewrite(), WithK(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resp.PlanShape, "flock") {
-		t.Errorf("PlanShape = %q", resp.PlanShape)
-	}
-}
-
 func TestThesaurusExpansion(t *testing.T) {
 	// Two cars: one says "good condition", the other the synonym
 	// "excellent shape". Without a thesaurus only the first matches;
@@ -222,7 +210,7 @@ func TestPublicAPIMiscOptions(t *testing.T) {
 	}
 
 	// Twig access through the public API.
-	resp, err = eng.Search(MustParseQuery(`//car[./price]`), nil, WithTwigAccess(), WithK(5))
+	resp, err = eng.Search(MustParseQuery(`//car[./price]`), nil, WithAccessPath(AccessTwigJoin), WithK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
