@@ -173,7 +173,7 @@ func TestOptionalUnitsScoreOnly(t *testing.T) {
 
 func buildPipeline(ix *index.Index, q *tpq.Query, prof *profile.Profile) (Operator, *Matcher) {
 	m := NewMatcher(ix, q)
-	var op Operator = &ScanOp{Ix: ix, Tag: q.Nodes[q.Dist].Tag}
+	var op Operator = &ListScanOp{IDs: ix.Elements(q.Nodes[q.Dist].Tag)}
 	op = &RequiredOp{In: op, Matcher: m}
 	for _, u := range m.FTUnits() {
 		op = &FTOp{In: op, Matcher: m, Unit: u}
@@ -470,7 +470,7 @@ func TestStatsNames(t *testing.T) {
 	ix := dealerIndex(t)
 	q := tpq.MustParse(`//car[./description[. ftcontains "good condition"]]`)
 	m := NewMatcher(ix, q)
-	var op Operator = &ScanOp{Ix: ix, Tag: "car"}
+	var op Operator = &ListScanOp{Name: "scan(car)", IDs: ix.Elements("car")}
 	op = &FTOp{In: op, Matcher: m, Unit: m.FTUnits()[0]}
 	drain(op)
 	if name := op.Stats().Name; !strings.Contains(name, "good condition") {

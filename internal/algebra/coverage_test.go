@@ -47,7 +47,7 @@ kor k: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 `)
 	m := NewMatcher(ix, q)
 	var ops []Operator
-	var op Operator = &ScanOp{Ix: ix, Tag: "car"}
+	var op Operator = &ListScanOp{Name: "scan(car)", IDs: ix.Elements("car")}
 	ops = append(ops, op)
 	op = &RequiredOp{In: op, Matcher: m}
 	ops = append(ops, op)

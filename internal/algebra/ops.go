@@ -55,42 +55,11 @@ func (s OpStats) Kind() string {
 	return s.Name
 }
 
-// ScanOp emits every element with the distinguished tag, in document
-// order — the index-backed source of Fig. 4's plans.
-type ScanOp struct {
-	Ix  *index.Index
-	Tag string
-	// Cancel, when non-nil, lets a context deadline or client
-	// disconnect end the scan early (nil is never checked).
-	Cancel *CancelCheck
-
-	elems []xmldoc.NodeID
-	pos   int
-	stats OpStats
-}
-
-func (s *ScanOp) Open() {
-	s.elems = s.Ix.Elements(s.Tag)
-	s.pos = 0
-	s.stats = OpStats{Name: "scan(" + s.Tag + ")"}
-}
-
-func (s *ScanOp) Next() (Answer, bool) {
-	if s.pos >= len(s.elems) || s.Cancel.Stop() {
-		return Answer{}, false
-	}
-	e := s.elems[s.pos]
-	s.pos++
-	s.stats.In++
-	s.stats.Out++
-	return Answer{Node: e}, true
-}
-
-func (s *ScanOp) Stats() OpStats { return s.stats }
-
-// ListScanOp emits a precomputed candidate list — the source operator of
-// twig-filtered plans, where a holistic structural semijoin has already
-// produced the distinguished-node bindings.
+// ListScanOp is the source operator of every plan: it emits a sorted
+// candidate list in document order. The scan access path hands it the
+// distinguished tag's index list (the index-backed source of Fig. 4's
+// plans), the twigjoin access path the join's output, and a parallel
+// Execute one partition of either.
 type ListScanOp struct {
 	Name string
 	IDs  []xmldoc.NodeID

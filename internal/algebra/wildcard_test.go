@@ -26,7 +26,7 @@ func TestWildcardMatching(t *testing.T) {
 	// whose subtree contains the phrase.
 	q := tpq.MustParse(`//article//*[. ftcontains "data mining"]`)
 	m := NewMatcher(ix, q)
-	var op Operator = &ScanOp{Ix: ix, Tag: "*"}
+	var op Operator = &ListScanOp{Name: "scan(*)", IDs: ix.Elements("*")}
 	op = &RequiredOp{In: op, Matcher: m}
 	for _, u := range m.FTUnits() {
 		op = &FTOp{In: op, Matcher: m, Unit: u}

@@ -22,9 +22,6 @@ func TestEntryAndSnapshotAccessors(t *testing.T) {
 	if len(names) != 4 {
 		t.Fatalf("snapshot names = %v", names)
 	}
-	if got := c.Names(); len(got) != 4 {
-		t.Fatalf("corpus names = %v", got)
-	}
 	// Names returns a copy: mutating it must not corrupt the snapshot.
 	names[0] = "clobbered"
 	if snap.Names()[0] == "clobbered" {
@@ -44,12 +41,8 @@ func TestEntryAndSnapshotAccessors(t *testing.T) {
 	if e.Generation() == 0 || e.Generation() > snap.Generation() {
 		t.Errorf("entry gen %d outside (0, snapshot gen %d]", e.Generation(), snap.Generation())
 	}
-
-	if idx, ok := c.Index("d1"); !ok || idx != e.Index() {
-		t.Error("Corpus.Index(d1) does not return the entry's index")
-	}
-	if _, ok := c.Index("nope"); ok {
-		t.Error("Corpus.Index(nope) = true")
+	if _, ok := snap.Entry("nope"); ok {
+		t.Error("Entry(nope) = true")
 	}
 }
 

@@ -177,13 +177,9 @@ func New(pipe text.Pipeline) *Corpus {
 
 // Snapshot returns the current immutable view. Callers that need a
 // consistent multi-step read (check existence, derive a cache key, then
-// execute) MUST resolve every step against one returned snapshot
-// rather than calling the Corpus accessors repeatedly.
+// execute) MUST resolve every step against one returned snapshot; it
+// is the only read path besides Len and the Search conveniences.
 func (c *Corpus) Snapshot() *Snapshot { return c.snap.Load() }
-
-// Generation returns the current corpus generation: 0 for an empty,
-// never-mutated corpus, bumped by one on every Commit/Delete.
-func (c *Corpus) Generation() uint64 { return c.snap.Load().gen }
 
 // Mutation describes one applied corpus mutation.
 type Mutation struct {
@@ -293,29 +289,6 @@ func (c *Corpus) AddXML(name, src string) error {
 
 // Len returns the number of documents.
 func (c *Corpus) Len() int { return c.snap.Load().Len() }
-
-// Names returns the document names in insertion order.
-func (c *Corpus) Names() []string { return c.snap.Load().Names() }
-
-// Document returns a document by name.
-func (c *Corpus) Document(name string) (*xmldoc.Document, bool) {
-	e, ok := c.snap.Load().entries[name]
-	if !ok {
-		return nil, false
-	}
-	return e.doc, true
-}
-
-// Index returns the prebuilt index of a document by name, so callers
-// layering per-document engines over a corpus (e.g. the serving layer)
-// can reuse it instead of re-indexing.
-func (c *Corpus) Index(name string) (*index.Index, bool) {
-	e, ok := c.snap.Load().entries[name]
-	if !ok {
-		return nil, false
-	}
-	return e.idx, true
-}
 
 // Result is one globally ranked answer.
 type Result struct {

@@ -39,10 +39,10 @@ func TestCorpusBasics(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	if _, ok := c.Document("d1"); !ok {
+	if _, ok := c.Snapshot().Entry("d1"); !ok {
 		t.Errorf("d1 missing")
 	}
-	if _, ok := c.Document("nope"); ok {
+	if _, ok := c.Snapshot().Entry("nope"); ok {
 		t.Errorf("phantom document")
 	}
 	if err := c.AddXML("bad", "<broken"); err == nil {

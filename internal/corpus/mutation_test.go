@@ -63,8 +63,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 
 	// The corpus view moved on.
-	if c.Len() != 4 || c.Generation() != oldGen+3 {
-		t.Fatalf("corpus: len %d gen %d, want 4 at gen %d", c.Len(), c.Generation(), oldGen+3)
+	if c.Len() != 4 || c.Snapshot().Generation() != oldGen+3 {
+		t.Fatalf("corpus: len %d gen %d, want 4 at gen %d", c.Len(), c.Snapshot().Generation(), oldGen+3)
 	}
 	newResp, err := c.SearchContext(context.Background(), q, nil, 10, plan.Push)
 	if err != nil {
@@ -120,11 +120,11 @@ func TestGenerationStampedFingerprints(t *testing.T) {
 	}
 
 	// Delete of a missing name: no-op, no generation burn.
-	gen := c.Generation()
+	gen := c.Snapshot().Generation()
 	if _, ok := c.Delete("ghost"); ok {
 		t.Fatal("Delete(ghost) = true")
 	}
-	if c.Generation() != gen {
+	if c.Snapshot().Generation() != gen {
 		t.Fatal("failed delete bumped the generation")
 	}
 }
@@ -200,8 +200,8 @@ func TestPreparedCommitSplitsWork(t *testing.T) {
 		t.Fatal("Prepared reports zero nodes")
 	}
 	// Nothing visible until Commit.
-	if c.Len() != 0 || c.Generation() != 0 {
-		t.Fatalf("Prepare mutated the corpus: len %d gen %d", c.Len(), c.Generation())
+	if c.Len() != 0 || c.Snapshot().Generation() != 0 {
+		t.Fatalf("Prepare mutated the corpus: len %d gen %d", c.Len(), c.Snapshot().Generation())
 	}
 	mut := c.Commit("p", p)
 	if mut.Gen != 1 || !mut.Created || mut.Op != "put" || mut.Nodes != p.Nodes() {

@@ -13,10 +13,11 @@ type AccessPath uint8
 
 const (
 	// AccessAuto picks the access path by a tag-statistics cost estimate:
-	// twigjoin when the query has a required structural skeleton to
-	// exploit (at least two required pattern nodes) and the total length
-	// of the lists the join would stream is small relative to the number
-	// of scan candidates, scan otherwise.
+	// twigjoin when the join covers the query (twig.Covers), the query has
+	// a required structural skeleton to exploit (at least two required
+	// pattern nodes) and the total length of the lists the join would
+	// stream is small relative to the number of scan candidates, scan
+	// otherwise.
 	AccessAuto AccessPath = iota
 	// AccessScan streams the distinguished tag's index list and enforces
 	// the skeleton per candidate (RequiredOp) — the paper's indexed
@@ -25,7 +26,8 @@ const (
 	// AccessTwigJoin computes the candidates set-at-a-time with the
 	// holistic twig join over the positional index, pruned by the strong
 	// dataguide (internal/twig); only value constraints remain for the
-	// pipeline to filter.
+	// pipeline to filter. A query the join does not cover (twig.Covers)
+	// resolves to AccessScan instead.
 	AccessTwigJoin
 )
 
@@ -75,10 +77,16 @@ type JoinStats = twig.JoinStats
 // to the scan, which only visits the few candidates.
 const autoStreamFactor = 16
 
-// resolveAccess applies the auto heuristic to an unset AccessPath.
+// resolveAccess maps the requested AccessPath to the one that runs: a
+// query the join does not cover scans whatever was asked for (so
+// Plan.Access, the plan shape and the twig metrics report what ran),
+// and AccessAuto applies the stream-length heuristic.
 func (o Options) resolveAccess(ix *index.Index, q *tpq.Query) AccessPath {
-	if o.AccessPath != AccessAuto {
-		return o.AccessPath
+	if o.AccessPath == AccessScan || !twig.Covers(q) {
+		return AccessScan
+	}
+	if o.AccessPath == AccessTwigJoin {
+		return AccessTwigJoin
 	}
 	required := requiredSkeleton(q)
 	skeleton, streamed := 0, 0

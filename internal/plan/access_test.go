@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/profile"
 	"repro/internal/text"
 	"repro/internal/tpq"
 )
 
 // TestResolveAccessAuto pins the auto heuristic's decision surface:
-// explicit choices always win; structural skeletons with cheap tag
+// explicit choices win (for queries the join covers; see
+// TestUncoveredQueryScans); structural skeletons with cheap tag
 // lists take the join; single-node queries and rare-distinguished-tag
 // queries under huge descendant lists fall back to the scan.
 func TestResolveAccessAuto(t *testing.T) {
@@ -43,5 +45,42 @@ func TestResolveAccessAuto(t *testing.T) {
 				t.Fatalf("resolveAccess(%s) = %s, want %s", tc.q, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestUncoveredQueryScans: a query the fused twig join does not cover
+// (here 65 required leaves, one past its per-leaf bitmask) takes the scan
+// access path under auto and under an explicit twigjoin alike, reports
+// it, and returns the explicit scan plan's answers.
+func TestUncoveredQueryScans(t *testing.T) {
+	ix := index.Build(genDealer(rand.New(rand.NewSource(11)), 120), text.Pipeline{})
+	q := tpq.NewQuery("car", tpq.Descendant)
+	for i := 0; i < 65; i++ {
+		q.AddChild(0, []string{"color", "make", "price"}[i%3], tpq.Child)
+	}
+	prof := profile.MustParseProfile(testProfile)
+	ref, err := BuildWith(ix, q, prof, 10, Options{AccessPath: AccessScan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Execute()
+	if len(want) == 0 {
+		t.Fatal("the reference scan plan found no answers")
+	}
+	for _, ap := range []AccessPath{AccessAuto, AccessTwigJoin} {
+		p, err := BuildWith(ix, q, prof, 10, Options{AccessPath: ap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := p.Execute()
+		if p.Access() != AccessScan || p.JoinStats() != nil {
+			t.Errorf("%s: Access() = %s, JoinStats() = %v; want scan and no join stats", ap, p.Access(), p.JoinStats())
+		}
+		if p.String() != ref.String() {
+			t.Errorf("%s: plan shape %q, want the scan plan's %q", ap, p, ref)
+		}
+		if !sameAnswers(want, got) {
+			t.Errorf("%s: answers differ from the explicit scan plan\nscan: %s\ngot:  %s", ap, describe(want), describe(got))
+		}
 	}
 }

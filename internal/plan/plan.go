@@ -80,11 +80,11 @@ type Plan struct {
 	par        int  // resolved parallelism (ResolveParallelism)
 	parAuto    bool // par came from auto-resolution (load scale-down applies)
 	m          *algebra.Matcher
-	access     AccessPath      // resolved access path (never AccessAuto)
-	eval       *twig.Evaluator // twigjoin access path; nil for scan
-	listSrc    *algebra.ListScanOp
-	sourceIDs  []xmldoc.NodeID // the access path's candidate list
-	sourceName string          // display name of the source operator
+	access     AccessPath          // resolved access path (never AccessAuto)
+	eval       *twig.Evaluator     // twigjoin access path; nil for scan
+	src        *algebra.ListScanOp // the sequential chain's source operator
+	sourceIDs  []xmldoc.NodeID     // the access path's candidate list
+	sourceName string              // display name of the source operator
 	distTag    string
 
 	// Last twigjoin execution, for the synthetic source OpStats entry
@@ -171,7 +171,8 @@ func BuildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts
 	p.access = opts.resolveAccess(ix, q)
 	p.par = ResolveParallelism(opts.Parallelism, ix.Document().Len())
 	p.parAuto = opts.Parallelism <= 0
-	var src algebra.Operator
+	// Either access path is a sorted candidate list behind the one source
+	// operator: the distinguished tag's index list, or the join's output.
 	if p.access == AccessTwigJoin {
 		// The join itself runs lazily at Execute time (ensureSource), so
 		// execution timings honestly include the access path's work; the
@@ -180,20 +181,18 @@ func BuildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts
 		p.eval = twig.NewEvaluator(ix, q)
 		p.joinIn = ix.TagCount(p.distTag)
 		p.sourceName = "twigscan(" + p.distTag + ")"
-		p.listSrc = &algebra.ListScanOp{Name: p.sourceName}
-		src = p.listSrc
 	} else {
 		p.sourceIDs = ix.Elements(p.distTag)
 		p.sourceName = "scan(" + p.distTag + ")"
-		src = &algebra.ScanOp{Ix: ix, Tag: p.distTag}
 	}
+	p.src = &algebra.ListScanOp{Name: p.sourceName, IDs: p.sourceIDs}
 	// Compiling the chain doubles as the cache pre-warm pass: the bound
 	// computations below (MaxUnitScore, MaxKORContribution) populate the
 	// index's phrase/df/max-score caches for every (tag, phrase) pair the
 	// query and profile can probe, so per-candidate evaluation — and the
 	// per-worker rebuilds of a parallel Execute — hit read-only snapshots.
 	p.cancel = algebra.NewCancelCheck(nil)
-	p.ops, p.final, p.m = p.buildChain(src, nil, p.cancel)
+	p.ops, p.final, p.m = p.buildChain(p.src, nil, p.cancel)
 	p.root = p.ops[len(p.ops)-1]
 	return p, nil
 }
@@ -205,17 +204,11 @@ func BuildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts
 // thresholds through it. cancel is the chain's cancellation probe,
 // threaded into the scan, match and prune loops (the places a
 // cooperative abort must interrupt; see DESIGN.md §10).
-func (p *Plan) buildChain(src algebra.Operator, shared *algebra.SharedBound, cancel *algebra.CancelCheck) ([]algebra.Operator, *algebra.TopKPruneOp, *algebra.Matcher) {
+func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, cancel *algebra.CancelCheck) ([]algebra.Operator, *algebra.TopKPruneOp, *algebra.Matcher) {
 	ix, q, prof, k := p.ix, p.q, p.prof, p.K
 	strat, mode, ranker := p.Strategy, p.Mode, p.ranker
 	m := algebra.NewMatcher(ix, q)
-
-	switch s := src.(type) {
-	case *algebra.ScanOp:
-		s.Cancel = cancel
-	case *algebra.ListScanOp:
-		s.Cancel = cancel
-	}
+	src.Cancel = cancel
 
 	var ops []algebra.Operator
 	push := func(op algebra.Operator) algebra.Operator {
@@ -387,7 +380,7 @@ func (p *Plan) ensureSource(ctx context.Context) error {
 		return err
 	}
 	p.sourceIDs = ids
-	p.listSrc.IDs = ids
+	p.src.IDs = ids
 	p.joinStats = &stats
 	p.joinNS = time.Since(start).Nanoseconds()
 	return nil

@@ -128,9 +128,11 @@ type serverMetrics struct {
 	registryRequests map[[2]string]*metrics.Counter // by {op, outcome}
 	registryProfiles map[string]*metrics.Gauge      // by view
 
-	// fanoutShards counts scatter-gather shard outcomes, bumped as each
+	// fanoutShards counts scatter-gather shard outcomes and
+	// fanoutDegraded the responses served partial, both bumped as each
 	// sharded fan-out completes.
-	fanoutShards map[string]*metrics.Counter // by outcome
+	fanoutShards   map[string]*metrics.Counter // by outcome
+	fanoutDegraded *metrics.Counter
 
 	// Analysis-cache mirrors (authoritative counters live in
 	// engine.AnalysisCache, synced at scrape like the result cache).
@@ -232,6 +234,8 @@ func newServerMetrics() *serverMetrics {
 			"Scatter-gather fan-out shards, by outcome: completed within the carved deadline budget (ok) vs dropped from a degraded merge (timeout).",
 			metrics.Labels{"outcome": o})
 	}
+	m.fanoutDegraded = reg.Counter("pimento_fanout_degraded_total",
+		"Fan-out responses served degraded: at least one shard was dropped from the merge.", nil)
 	m.corpusGeneration = reg.Gauge("pimento_corpus_generation",
 		"Corpus generation: applied mutations since process start.", nil)
 	m.watchSubscribers = reg.Gauge("pimento_watch_subscribers",
@@ -305,8 +309,9 @@ func newServerMetrics() *serverMetrics {
 }
 
 // startRequest records a request's arrival and returns the completion
-// callback that observes its latency. Endpoints outside endpointNames
-// would panic at registration time, so callers pass constants.
+// callback that observes its latency; Server.route wraps every handler
+// in it. An endpoint outside endpointNames has no handles and panics on
+// the first request, so route's callers pass constants.
 func (m *serverMetrics) startRequest(endpoint string) func() {
 	m.requests[endpoint].Inc()
 	m.inFlight.Add(1)

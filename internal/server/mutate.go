@@ -90,10 +90,6 @@ func (s *Server) applyDelete(name string) (corpus.Mutation, int, bool) {
 }
 
 func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
-	s.stats.docsRequests.Add(1)
-	done := s.metrics.startRequest("docs")
-	defer done()
-
 	name := r.PathValue("name")
 	if err := validateDocName(name); err != nil {
 		s.rejectMutation(w, "put", http.StatusBadRequest, "parse", err)
@@ -137,10 +133,6 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
-	s.stats.docsRequests.Add(1)
-	done := s.metrics.startRequest("docs")
-	defer done()
-
 	name := r.PathValue("name")
 	if err := validateDocName(name); err != nil {
 		s.rejectMutation(w, "delete", http.StatusBadRequest, "parse", err)
@@ -159,9 +151,6 @@ func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
-	s.stats.docsRequests.Add(1)
-	done := s.metrics.startRequest("docs")
-	defer done()
 	snap := s.reg.Snapshot()
 	names := snap.Names()
 	if names == nil {
@@ -170,14 +159,8 @@ func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, &DocsResponse{Docs: names, Gen: snap.Generation()})
 }
 
-// recordMutation counts an applied mutation in /statsz and /metrics.
+// recordMutation counts an applied mutation.
 func (s *Server) recordMutation(op string, created bool) {
-	switch op {
-	case "put":
-		s.stats.mutPuts.Add(1)
-	case "delete":
-		s.stats.mutDeletes.Add(1)
-	}
 	outcome := "replaced"
 	if op == "delete" {
 		outcome = "applied"
@@ -190,7 +173,6 @@ func (s *Server) recordMutation(op string, created bool) {
 // rejectMutation reports a refused mutation: the error response plus
 // the {op, outcome="rejected"} counter. Nothing else changed.
 func (s *Server) rejectMutation(w http.ResponseWriter, op string, status int, kind string, err error) {
-	s.stats.mutRejected.Add(1)
 	s.metrics.mutations[[2]string{op, "rejected"}].Inc()
 	s.writeError(w, status, kind, err)
 }

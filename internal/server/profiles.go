@@ -63,10 +63,6 @@ type ProfileRejection struct {
 }
 
 func (s *Server) handlePutProfile(w http.ResponseWriter, r *http.Request) {
-	s.stats.profilesRequests.Add(1)
-	done := s.metrics.startRequest("profiles")
-	defer done()
-
 	name := r.PathValue("name")
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	src, err := io.ReadAll(body)
@@ -90,11 +86,8 @@ func (s *Server) handlePutProfile(w http.ResponseWriter, r *http.Request) {
 			// diagnostics tell the client why. Count the findings exactly
 			// like /lint does for parse-time discoveries.
 			s.analysis.RecordDiagnostics(rej.Diagnostics)
-			s.stats.profileRejected.Add(1)
-			s.stats.errors4xx.Add(1)
-			s.metrics.recordError(http.StatusBadRequest)
 			s.metrics.registryRequests[[2]string{"put", "rejected"}].Inc()
-			s.writeJSON(w, http.StatusBadRequest, &ProfileRejection{
+			s.writeErrorBody(w, http.StatusBadRequest, &ProfileRejection{
 				Error:       rej.Error(),
 				Kind:        "vet",
 				Errors:      analysis.ErrorCount(rej.Diagnostics),
@@ -111,7 +104,6 @@ func (s *Server) handlePutProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.stats.profilePuts.Add(1)
 	outcome, status := "replaced", http.StatusOK
 	if created {
 		outcome, status = "created", http.StatusCreated
@@ -123,10 +115,6 @@ func (s *Server) handlePutProfile(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetProfile(w http.ResponseWriter, r *http.Request) {
-	s.stats.profilesRequests.Add(1)
-	done := s.metrics.startRequest("profiles")
-	defer done()
-
 	name := r.PathValue("name")
 	st, ok := s.profiles.Get(name)
 	if !ok {
@@ -141,10 +129,6 @@ func (s *Server) handleGetProfile(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteProfile(w http.ResponseWriter, r *http.Request) {
-	s.stats.profilesRequests.Add(1)
-	done := s.metrics.startRequest("profiles")
-	defer done()
-
 	name := r.PathValue("name")
 	st, ok := s.profiles.Delete(name)
 	if !ok {
@@ -152,16 +136,11 @@ func (s *Server) handleDeleteProfile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "not_found", fmt.Errorf("unknown profile %q", name))
 		return
 	}
-	s.stats.profileDeletes.Add(1)
 	s.metrics.registryRequests[[2]string{"delete", "applied"}].Inc()
 	s.writeJSON(w, http.StatusOK, &ProfileResponse{Name: name, Fingerprint: st.Fingerprint()})
 }
 
 func (s *Server) handleListProfiles(w http.ResponseWriter, r *http.Request) {
-	s.stats.profilesRequests.Add(1)
-	done := s.metrics.startRequest("profiles")
-	defer done()
-
 	s.metrics.registryRequests[[2]string{"list", "ok"}].Inc()
 	list := s.profiles.List()
 	if list == nil {
@@ -174,7 +153,6 @@ func (s *Server) handleListProfiles(w http.ResponseWriter, r *http.Request) {
 // vet (bad name, parse failure, oversized body): the error response
 // plus the {put, rejected} counter. Nothing changed.
 func (s *Server) rejectProfile(w http.ResponseWriter, status int, kind string, err error) {
-	s.stats.profileRejected.Add(1)
 	s.metrics.registryRequests[[2]string{"put", "rejected"}].Inc()
 	s.writeError(w, status, kind, err)
 }

@@ -1,7 +1,9 @@
 // Package server is PIMENTO's query serving layer: an HTTP JSON API
 // over a registry of indexed documents, with per-request deadlines
 // plumbed down into plan-operator loops, an LRU result cache with
-// single-flight admission, and per-endpoint counters.
+// single-flight admission, and one metrics registry that every route
+// and handler counts into — exposed as /metrics and, as a JSON view of
+// the same series, /statsz.
 //
 // Endpoints:
 //
@@ -12,12 +14,17 @@
 //	DELETE /docs/{name}  — remove a document
 //	GET    /docs         — list documents + corpus generation
 //	GET    /watch        — long-poll feed of corpus mutations
+//	POST   /lint         — vet diagnostics for a profile (and query)
+//	*      /profiles...  — the named-profile registry (profiles.go)
 //	GET    /healthz      — liveness plus document count
-//	GET    /statsz       — request/cache/timeout counters
+//	GET    /metrics      — Prometheus exposition of the registry
+//	GET    /statsz       — the same counters as JSON, plus the cache,
+//	                       analysis-cache and scheduler stats blocks
 //
 // See DESIGN.md §10 for the cache key anatomy, the cancellation
 // checkpoints and the single-flight semantics, and §15 for the
-// mutation protocol and generation-stamped invalidation.
+// mutation protocol and generation-stamped invalidation, §11 for the
+// metrics schema.
 package server
 
 import (
@@ -29,7 +36,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -138,49 +144,8 @@ type Server struct {
 	// pool is the admission scheduler every executing search passes.
 	pool *sched.Pool
 
-	stats   serverStats
 	metrics *serverMetrics
 	slowlog *slowQueryLogger // nil unless Config.SlowQueryThreshold > 0
-}
-
-// serverStats is the counter block behind /statsz. All fields are
-// atomics: handlers bump them concurrently.
-type serverStats struct {
-	searchRequests  atomic.Int64
-	explainRequests atomic.Int64
-	lintRequests    atomic.Int64
-	healthRequests  atomic.Int64
-	statsRequests   atomic.Int64
-	metricsRequests atomic.Int64
-	errors4xx       atomic.Int64
-	errors5xx       atomic.Int64
-	timeouts        atomic.Int64
-	canceled        atomic.Int64
-	// shed counts searches refused by the admission scheduler (503
-	// queue-full and 429 wait-bound sheds).
-	shed     atomic.Int64
-	inFlight atomic.Int64
-	// Mutation counters: applied puts, applied deletes, and refused
-	// mutations (bad name, parse failure, delete of a missing doc).
-	docsRequests  atomic.Int64
-	watchRequests atomic.Int64
-	mutPuts       atomic.Int64
-	mutDeletes    atomic.Int64
-	mutRejected   atomic.Int64
-	// Profile-registry counters: applied puts/deletes and vetoed
-	// registrations (vet-on-write rejections change no state).
-	profilesRequests atomic.Int64
-	profilePuts      atomic.Int64
-	profileDeletes   atomic.Int64
-	profileRejected  atomic.Int64
-	// Fan-out scatter counters: shards that completed, shards dropped
-	// for blowing their deadline budget, and responses served degraded.
-	fanoutShardsOK       atomic.Int64
-	fanoutShardsTimedOut atomic.Int64
-	fanoutDegraded       atomic.Int64
-	// watchSubscribers is the number of /watch long polls parked right
-	// now (gauge, not counter).
-	watchSubscribers atomic.Int64
 }
 
 // New returns an empty server; add documents with Add/AddXML.
@@ -231,23 +196,32 @@ func New(cfg Config) *Server {
 		s.slowlog = newSlowQueryLogger(cfg.SlowQueryThreshold, cfg.SlowQueryLog,
 			s.metrics.slowTotal, s.metrics.slowDropped)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /search", s.handleSearch)
-	mux.HandleFunc("POST /explain", s.handleExplain)
-	mux.HandleFunc("POST /lint", s.handleLint)
-	mux.HandleFunc("PUT /profiles/{name}", s.handlePutProfile)
-	mux.HandleFunc("GET /profiles/{name}", s.handleGetProfile)
-	mux.HandleFunc("DELETE /profiles/{name}", s.handleDeleteProfile)
-	mux.HandleFunc("GET /profiles", s.handleListProfiles)
-	mux.HandleFunc("PUT /docs/{name}", s.handlePutDoc)
-	mux.HandleFunc("DELETE /docs/{name}", s.handleDeleteDoc)
-	mux.HandleFunc("GET /docs", s.handleListDocs)
-	mux.HandleFunc("GET /watch", s.handleWatch)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /statsz", s.handleStatsz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux = mux
+	s.mux = http.NewServeMux()
+	s.route("POST /search", "search", s.handleSearch)
+	s.route("POST /explain", "explain", s.handleExplain)
+	s.route("POST /lint", "lint", s.handleLint)
+	s.route("PUT /profiles/{name}", "profiles", s.handlePutProfile)
+	s.route("GET /profiles/{name}", "profiles", s.handleGetProfile)
+	s.route("DELETE /profiles/{name}", "profiles", s.handleDeleteProfile)
+	s.route("GET /profiles", "profiles", s.handleListProfiles)
+	s.route("PUT /docs/{name}", "docs", s.handlePutDoc)
+	s.route("DELETE /docs/{name}", "docs", s.handleDeleteDoc)
+	s.route("GET /docs", "docs", s.handleListDocs)
+	s.route("GET /watch", "watch", s.handleWatch)
+	s.route("GET /healthz", "healthz", s.handleHealthz)
+	s.route("GET /statsz", "statsz", s.handleStatsz)
+	s.route("GET /metrics", "metrics", s.handleMetrics)
 	return s
+}
+
+// route registers h behind the bookkeeping every endpoint shares: the
+// request counter, the in-flight gauge and the latency histogram of
+// its endpoint label (one of endpointNames).
+func (s *Server) route(pattern, endpoint string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		defer s.metrics.startRequest(endpoint)()
+		h(w, r)
+	})
 }
 
 // Close releases background resources (today: the slow-query logging
@@ -279,7 +253,7 @@ func (s *Server) AddXML(name, src string) error {
 }
 
 // Docs returns the registered document names.
-func (s *Server) Docs() []string { return s.reg.Names() }
+func (s *Server) Docs() []string { return s.reg.Snapshot().Names() }
 
 // Cache exposes the result cache (for stats and tests).
 func (s *Server) Cache() *ResultCache { return s.cache }
@@ -428,13 +402,7 @@ type errorResponse struct {
 // --- handlers ---
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.stats.searchRequests.Add(1)
-	s.stats.inFlight.Add(1)
-	defer s.stats.inFlight.Add(-1)
 	start := time.Now()
-	done := s.metrics.startRequest("search")
-	defer done()
-
 	var sreq SearchRequest
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
@@ -541,6 +509,11 @@ func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) 
 	if sreq.Parallelism < 0 || sreq.Parallelism > plan.MaxParallelism {
 		return req, http.StatusBadRequest,
 			fmt.Errorf("parallelism %d out of range [0,%d]", sreq.Parallelism, plan.MaxParallelism)
+	}
+	// requestContext honours only a positive timeout_ms, so a negative one
+	// would silently mean "server default"; reject it, as /watch does.
+	if sreq.TimeoutMS < 0 {
+		return req, http.StatusBadRequest, fmt.Errorf("negative timeout_ms %d", sreq.TimeoutMS)
 	}
 	var err error
 	if sreq.Query != "" {
@@ -734,17 +707,14 @@ func (s *Server) execute(ctx context.Context, snap *corpus.Snapshot, sreq *Searc
 	return cs, nil
 }
 
-// recordFanout folds one fan-out's shard outcomes into the /statsz
-// counters and the pimento_fanout_shards_total series (an unsharded
-// fan-out runs no shards and adds nothing).
+// recordFanout folds one fan-out's shard outcomes into the
+// pimento_fanout_* series (an unsharded fan-out runs no shards and adds
+// nothing).
 func (s *Server) recordFanout(sresp *corpus.ShardedResponse) {
-	healthy := sresp.ShardsRun - len(sresp.TimedOutShards)
-	s.stats.fanoutShardsOK.Add(int64(healthy))
-	s.metrics.fanoutShards["ok"].Add(int64(healthy))
+	s.metrics.fanoutShards["ok"].Add(int64(sresp.ShardsRun - len(sresp.TimedOutShards)))
 	if sresp.Degraded {
-		s.stats.fanoutShardsTimedOut.Add(int64(len(sresp.TimedOutShards)))
 		s.metrics.fanoutShards["timeout"].Add(int64(len(sresp.TimedOutShards)))
-		s.stats.fanoutDegraded.Add(1)
+		s.metrics.fanoutDegraded.Inc()
 	}
 }
 
@@ -797,12 +767,6 @@ func lintResponse(ds []analysis.Diagnostic) *LintResponse {
 }
 
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
-	s.stats.lintRequests.Add(1)
-	s.stats.inFlight.Add(1)
-	defer s.stats.inFlight.Add(-1)
-	done := s.metrics.startRequest("lint")
-	defer done()
-
 	var lreq LintRequest
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
@@ -891,12 +855,6 @@ type ExplainResponse struct {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	s.stats.explainRequests.Add(1)
-	s.stats.inFlight.Add(1)
-	defer s.stats.inFlight.Add(-1)
-	done := s.metrics.startRequest("explain")
-	defer done()
-
 	var ereq ExplainRequest
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&ereq); err != nil {
@@ -938,9 +896,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.stats.healthRequests.Add(1)
-	done := s.metrics.startRequest("healthz")
-	defer done()
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"docs":   s.reg.Len(),
@@ -951,9 +906,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // registry totals are mirrored into the registry at scrape time (they
 // have authoritative owners elsewhere); everything else is live.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.stats.metricsRequests.Add(1)
-	done := s.metrics.startRequest("metrics")
-	defer done()
 	snap := s.reg.Snapshot()
 	s.metrics.syncGauges(snap.Len(), snap.Generation(), s.cache.Stats(), s.analysis.Stats(), s.profiles.Stats(), s.pool.Stats())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -1026,48 +978,53 @@ type Statsz struct {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	s.stats.statsRequests.Add(1)
-	done := s.metrics.startRequest("statsz")
-	defer done()
 	s.writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
-// Snapshot returns the current counters (the /statsz payload).
+// Snapshot returns the /statsz payload: a JSON view of the metrics
+// registry's request, error, mutation, registry and fan-out series plus
+// the stats blocks their owners keep (corpus, caches, scheduler). There
+// is no second set of counters behind it, so /statsz and /metrics
+// cannot disagree.
 func (s *Server) Snapshot() Statsz {
 	snap := s.reg.Snapshot()
+	m := s.metrics
+	endpoints := make(map[string]int64, len(endpointNames))
+	for _, ep := range endpointNames {
+		endpoints[ep] = m.requests[ep].Value()
+	}
+	mutation := func(op, outcome string) int64 { return m.mutations[[2]string{op, outcome}].Value() }
+	registryReq := func(op, outcome string) int64 { return m.registryRequests[[2]string{op, outcome}].Value() }
+	rs := s.profiles.Stats()
 	return Statsz{
 		Docs:       snap.Len(),
 		Generation: snap.Generation(),
-		Endpoints: map[string]int64{
-			"search":   s.stats.searchRequests.Load(),
-			"explain":  s.stats.explainRequests.Load(),
-			"lint":     s.stats.lintRequests.Load(),
-			"docs":     s.stats.docsRequests.Load(),
-			"profiles": s.stats.profilesRequests.Load(),
-			"watch":    s.stats.watchRequests.Load(),
-			"healthz":  s.stats.healthRequests.Load(),
-			"statsz":   s.stats.statsRequests.Load(),
-			"metrics":  s.stats.metricsRequests.Load(),
-		},
-		Errors4xx: s.stats.errors4xx.Load(),
-		Errors5xx: s.stats.errors5xx.Load(),
-		Timeouts:  s.stats.timeouts.Load(),
-		Canceled:  s.stats.canceled.Load(),
-		Shed:      s.stats.shed.Load(),
-		InFlight:  s.stats.inFlight.Load(),
+		Endpoints:  endpoints,
+		Errors4xx:  m.errors["4xx"].Value(),
+		Errors5xx:  m.errors["5xx"].Value(),
+		Timeouts:   m.errors["timeout"].Value(),
+		Canceled:   m.errors["canceled"].Value(),
+		Shed:       m.errors["overloaded"].Value() + m.errors["throttled"].Value(),
+		InFlight:   m.inFlight.Value(),
 		Mutation: MutationStats{
-			Puts:     s.stats.mutPuts.Load(),
-			Deletes:  s.stats.mutDeletes.Load(),
-			Rejected: s.stats.mutRejected.Load(),
+			Puts:     mutation("put", "created") + mutation("put", "replaced"),
+			Deletes:  mutation("delete", "applied"),
+			Rejected: mutation("put", "rejected") + mutation("delete", "rejected"),
 		},
-		Registry: s.registryStats(),
+		Registry: RegistryStats{
+			Names:    rs.Names,
+			Distinct: rs.Distinct,
+			Puts:     registryReq("put", "created") + registryReq("put", "replaced"),
+			Deletes:  registryReq("delete", "applied"),
+			Rejected: registryReq("put", "rejected"),
+		},
 		Fanout: FanoutStats{
 			Shards:         resolveShards(s.cfg.Shards),
-			ShardsOK:       s.stats.fanoutShardsOK.Load(),
-			ShardsTimedOut: s.stats.fanoutShardsTimedOut.Load(),
-			Degraded:       s.stats.fanoutDegraded.Load(),
+			ShardsOK:       m.fanoutShards["ok"].Value(),
+			ShardsTimedOut: m.fanoutShards["timeout"].Value(),
+			Degraded:       m.fanoutDegraded.Value(),
 		},
-		WatchSubscribers: s.stats.watchSubscribers.Load(),
+		WatchSubscribers: m.watchSubscribers.Value(),
 		Cache:            s.cache.Stats(),
 		Analysis:         s.analysis.Stats(),
 		Sched:            s.pool.Stats(),
@@ -1119,9 +1076,8 @@ func (e *uncacheableError) Error() string { return "degraded fan-out result (not
 // classifySearchError maps an execution error onto its HTTP status and
 // error kind: deadline → 504, client cancel → 499 (nginx's
 // convention), client mistakes → 400, anything else the engine
-// reports → 500. Classification is separated from counting so /statsz
-// and /metrics agree on one mapping (regression:
-// TestErrorClassCounters).
+// reports → 500. Counting happens once, by status, in
+// serverMetrics.recordError (regression: TestErrorClassCounters).
 func classifySearchError(err error) (status int, kind string) {
 	var (
 		bad *badRequestError
@@ -1150,19 +1106,11 @@ func classifySearchError(err error) (status int, kind string) {
 	}
 }
 
-// writeSearchError classifies and reports an execution error. Counting
-// rules: a 504 is a timeout AND a 5xx (the client received a server
-// error); a 499 is a cancel AND a 4xx (the client caused it); each
-// counter sees the request exactly once.
+// writeSearchError classifies and reports an execution error; a shed
+// carries Retry-After.
 func (s *Server) writeSearchError(w http.ResponseWriter, err error) {
 	status, kind := classifySearchError(err)
-	switch kind {
-	case "timeout":
-		s.stats.timeouts.Add(1)
-	case "canceled":
-		s.stats.canceled.Add(1)
-	case "overloaded", "throttled":
-		s.stats.shed.Add(1)
+	if kind == "overloaded" || kind == "throttled" {
 		// Retry-After: the queue's estimated drain time at the pool's
 		// recent service rate.
 		w.Header().Set("Retry-After", strconv.Itoa(s.pool.RetryAfter()))
@@ -1170,16 +1118,17 @@ func (s *Server) writeSearchError(w http.ResponseWriter, err error) {
 	s.writeError(w, status, kind, err)
 }
 
-// writeError reports an error response and counts it once per status
-// class in both the /statsz block and the Prometheus counters.
+// writeError reports an error response and counts it once per error
+// class (serverMetrics.recordError).
 func (s *Server) writeError(w http.ResponseWriter, status int, kind string, err error) {
-	if status >= 500 {
-		s.stats.errors5xx.Add(1)
-	} else if status >= 400 {
-		s.stats.errors4xx.Add(1)
-	}
+	s.writeErrorBody(w, status, &errorResponse{Error: err.Error(), Kind: kind})
+}
+
+// writeErrorBody is writeError for responses with a richer payload
+// than errorResponse (the vet-on-write rejection).
+func (s *Server) writeErrorBody(w http.ResponseWriter, status int, body any) {
 	s.metrics.recordError(status)
-	s.writeJSON(w, status, &errorResponse{Error: err.Error(), Kind: kind})
+	s.writeJSON(w, status, body)
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -1187,19 +1136,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
-}
-
-// registryStats merges the registry's gauges with the server's
-// request counters into the /statsz block.
-func (s *Server) registryStats() RegistryStats {
-	rs := s.profiles.Stats()
-	return RegistryStats{
-		Names:    rs.Names,
-		Distinct: rs.Distinct,
-		Puts:     s.stats.profilePuts.Load(),
-		Deletes:  s.stats.profileDeletes.Load(),
-		Rejected: s.stats.profileRejected.Load(),
-	}
 }
 
 // resolveShards normalizes the configured shard count: anything below

@@ -370,6 +370,7 @@ func TestSearchErrors(t *testing.T) {
 		{"bad profile", SearchRequest{Doc: "cars", Query: "//car", Profile: "nonsense rule"}, 400, "parse"},
 		{"negative k", SearchRequest{Doc: "cars", Query: "//car", K: -1}, 400, "parse"},
 		{"huge k", SearchRequest{Doc: "cars", Query: "//car", K: 101}, 400, "parse"},
+		{"negative timeout_ms", SearchRequest{Doc: "cars", Query: "//car", TimeoutMS: -5}, 400, "parse"},
 		{"bad strategy", SearchRequest{Doc: "cars", Query: "//car", Strategy: "quantum"}, 400, "parse"},
 		{"unknown doc", SearchRequest{Doc: "nope", Query: "//car"}, 404, "not_found"},
 		{"fanout access", SearchRequest{Doc: "*", Query: "//car", Access: "twigjoin"}, 400, "parse"},

@@ -132,10 +132,6 @@ const maxWatchWait = 55 * time.Second
 // 200 with empty events — clients distinguish "nothing happened" from
 // transport errors by status.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	s.stats.watchRequests.Add(1)
-	done := s.metrics.startRequest("watch")
-	defer done()
-
 	var since uint64
 	if raw := r.URL.Query().Get("since"); raw != "" {
 		v, err := strconv.ParseUint(raw, 10, 64)
@@ -158,12 +154,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		wait = maxWatchWait
 	}
 
-	s.stats.watchSubscribers.Add(1)
 	s.metrics.watchSubscribers.Add(1)
-	defer func() {
-		s.stats.watchSubscribers.Add(-1)
-		s.metrics.watchSubscribers.Add(-1)
-	}()
+	defer s.metrics.watchSubscribers.Add(-1)
 
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
@@ -183,8 +175,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			s.writeJSON(w, http.StatusOK, &WatchResponse{Gen: latest, Events: []WatchEvent{}})
 			return
 		case <-r.Context().Done():
-			// Client gone: count the cancel; the write is best-effort.
-			s.stats.canceled.Add(1)
+			// Client gone: the 499 counts the cancel; the write is
+			// best-effort.
 			s.writeError(w, 499, "canceled", r.Context().Err())
 			return
 		}

@@ -3,7 +3,6 @@ package twig
 import (
 	"context"
 	"errors"
-	"sort"
 
 	"repro/internal/index"
 	"repro/internal/tpq"
@@ -14,70 +13,41 @@ import (
 // Evaluator maps it back to the context's error.
 var errStopped = errors.New("twig: join stopped")
 
+// errNotCovered is returned for a query Covers rejects: the caller was
+// meant to take the scan access path.
+var errNotCovered = errors.New("twig: query outside the fused join's coverage (see Covers)")
+
 // Evaluator is the twigjoin access path for one (index, query) pair:
-// the query's required-leaf decomposition (requiredLeaves, the
-// Y-patterns) and each Y-pattern's dataguide match are computed once at
-// construction and reused across executions — a plan that re-runs its
-// join per Execute pays only for the streaming passes.
+// the query's required-leaf decomposition and each Y-pattern's
+// dataguide match are computed once at construction and reused across
+// executions — a plan that re-runs its join per Execute pays only for
+// the streaming passes.
 //
-// Queries with at most maskLeaves required leaves run as ONE fused
-// holistic join over the full pattern (holisticDistinguished): all
-// Y-patterns evaluate simultaneously with one bit per leaf, so shared
-// prefix streams — typically the biggest tag lists — are merged once
-// instead of once per branch. Wider queries fall back to one holistic
-// join per Y-pattern; there the guide's element counts order the
-// branches smallest-first so the candidate intersection shrinks (and
-// can empty-exit) as early as possible.
+// All Y-patterns evaluate simultaneously in one fused join over the
+// full pattern (holisticDistinguished), one bit per required leaf, so
+// shared prefix streams — typically the biggest tag lists — are merged
+// once instead of once per branch.
 //
 // An Evaluator is immutable after construction and safe for concurrent
 // Distinguished calls.
 type Evaluator struct {
-	ix    *index.Index
-	q     *tpq.Query
-	ys    []yJoin
-	fused *fusedQuery // non-nil: fused per-leaf join applies
-	empty bool        // some Y-pattern has no guide embedding
-}
-
-// yJoin is one memoized Y-pattern join branch.
-type yJoin struct {
-	q    *tpq.Query
-	dist int
-	emb  *guideEmb
-	est  int64 // guide element estimate; join-ordering key
+	ix     *index.Index
+	q      *tpq.Query
+	leaves int
+	fused  *fusedQuery // nil: not covered, or the guide proved the answer empty
+	empty  bool        // some Y-pattern has no guide embedding
 }
 
 // NewEvaluator decomposes q and matches each Y-pattern against the
-// index's dataguide.
+// index's dataguide. For a query Covers rejects it returns an Evaluator
+// whose Distinguished reports an error.
 func NewEvaluator(ix *index.Index, q *tpq.Query) *Evaluator {
 	e := &Evaluator{ix: ix, q: q}
-	g := ix.Guide()
-	leaves := requiredLeaves(q)
-	remaps := make([][]int, 0, len(leaves))
-	for _, leaf := range leaves {
-		y, yDist, remap := yPattern(q, leaf)
-		yj := yJoin{q: y, dist: yDist, est: int64(ix.TagCount(y.Nodes[yDist].Tag))}
-		if g != nil {
-			yj.emb = matchGuide(g, y)
-			if yj.emb.empty {
-				e.empty = true
-			}
-			yj.est = yj.emb.minCount()
-		}
-		e.ys = append(e.ys, yj)
-		remaps = append(remaps, remap)
+	leaves, ok := coveredLeaves(q)
+	if !ok {
+		return e
 	}
-	if !e.empty && len(leaves) > 0 && len(leaves) <= maskLeaves &&
-		!optionalBranch(q, q.Dist) {
-		e.fused = buildFused(q, leaves, e.ys, remaps, g)
-	}
-	sort.SliceStable(e.ys, func(i, j int) bool { return e.ys[i].est < e.ys[j].est })
-	return e
-}
-
-// buildFused assembles the fused join's per-leaf metadata; remaps runs
-// parallel to ys (one Y-pattern per leaf, pre-sort).
-func buildFused(q *tpq.Query, leaves []int, ys []yJoin, remaps [][]int, g *index.Dataguide) *fusedQuery {
+	e.leaves = len(leaves)
 	n := len(q.Nodes)
 	f := &fusedQuery{
 		leafMask: make([]uint64, n),
@@ -97,85 +67,61 @@ func buildFused(q *tpq.Query, leaves []int, ys []yJoin, remaps [][]int, g *index
 	for t := q.Dist; t != -1; t = q.Nodes[t].Parent {
 		f.onChain[t] = true
 	}
-	if g != nil {
+	if g := ix.Guide(); g != nil {
 		// Per-node stream pruning: the union of the per-Y guide matches.
 		// Sound because a node shared by several Y-patterns may bind an
 		// element for any one of them, and the bits an element contributes
 		// in the join always correspond to real element chains — a
 		// union-admitted element can never manufacture an answer.
 		f.allowed = make([][]bool, n)
-		for t := 0; t < n; t++ {
-			if optionalBranch(q, t) {
-				continue
+		for _, leaf := range leaves {
+			y, remap := yPattern(q, leaf)
+			emb := matchGuide(g, y)
+			if emb.empty {
+				e.empty = true
+				return e
 			}
-			a := make([]bool, g.Len())
-			for yi := range ys {
-				if yt := remaps[yi][t]; yt >= 0 {
-					for gn, ok := range ys[yi].emb.allowed[yt] {
-						if ok {
-							a[gn] = true
-						}
+			for t, yt := range remap {
+				if yt < 0 {
+					continue
+				}
+				if f.allowed[t] == nil {
+					f.allowed[t] = make([]bool, g.Len())
+				}
+				for gn, ok := range emb.allowed[yt] {
+					if ok {
+						f.allowed[t][gn] = true
 					}
 				}
 			}
-			f.allowed[t] = a
 		}
 	}
-	return f
+	e.fused = f
+	return e
 }
 
 // Distinguished computes the distinguished-node candidates with the
-// holistic stack join, under the same per-predicate semijoin semantics
-// as the package-level Distinguished (the two are byte-identical; the
-// differential suite pins it). It returns the join's statistics and
-// aborts cooperatively when ctx is cancelled.
+// fused stack join, under the per-predicate semijoin semantics of the
+// scan path's matcher (the differential suite pins the two element for
+// element). It returns the join's statistics and aborts cooperatively
+// when ctx is cancelled.
 func (e *Evaluator) Distinguished(ctx context.Context) ([]xmldoc.NodeID, JoinStats, error) {
-	stats := JoinStats{Leaves: len(e.ys)}
+	stats := JoinStats{Leaves: e.leaves}
 	if e.empty {
 		// The dataguide proved the skeleton embeds nowhere: no join runs.
 		stats.GuideShortCircuit = true
 		return nil, stats, nil
 	}
+	if e.fused == nil {
+		return nil, stats, errNotCovered
+	}
 	var stop func() bool
 	if ctx != nil && ctx.Done() != nil {
 		stop = func() bool { return ctx.Err() != nil }
 	}
-	if e.fused != nil {
-		ids, err := holisticDistinguished(e.ix, e.q, e.fused, &stats, stop)
-		if err != nil {
-			if errors.Is(err, errStopped) && ctx.Err() != nil {
-				return nil, stats, ctx.Err()
-			}
-			return nil, stats, err
-		}
-		return ids, stats, nil
+	ids, err := holisticDistinguished(e.ix, e.q, e.fused, &stats, stop)
+	if errors.Is(err, errStopped) {
+		return nil, stats, ctx.Err()
 	}
-	var result []xmldoc.NodeID
-	resultOwned := false
-	for i, yj := range e.ys {
-		cand, owned, err := holisticCandidates(e.ix, yj.q, yj.emb, &stats, stop)
-		if err != nil {
-			if errors.Is(err, errStopped) && ctx.Err() != nil {
-				return nil, stats, ctx.Err()
-			}
-			return nil, stats, err
-		}
-		if i == 0 {
-			result, resultOwned = cand[yj.dist], owned[yj.dist]
-		} else {
-			result, resultOwned = intersectSorted(result, resultOwned, cand[yj.dist])
-		}
-		if len(result) == 0 {
-			return nil, stats, nil
-		}
-	}
-	if len(e.ys) == 0 { // defensive: dist is always a required leaf holder
-		return Distinguished(e.ix, e.q), stats, nil
-	}
-	if !resultOwned {
-		// Callers (the plan's list scan, parallel partitioning) treat the
-		// candidate list as theirs; never leak the index's backing array.
-		result = append([]xmldoc.NodeID(nil), result...)
-	}
-	return result, stats, nil
+	return ids, stats, nil
 }

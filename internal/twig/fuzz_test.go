@@ -1,7 +1,6 @@
 package twig
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/index"
@@ -10,40 +9,17 @@ import (
 	"repro/internal/xmldoc"
 )
 
-// FuzzTwigJoin drives the scan-path and twigjoin-path evaluators with a
-// document and a tree pattern both decoded from the fuzz input, and
-// requires byte-identical results: per-node candidate sets (two-sweep vs
-// holistic stack join) and distinguished candidates (semijoin
-// decomposition vs Evaluator). The decoders accept every byte string, so
-// the fuzzer explores structure instead of fighting a parser.
+// FuzzTwigJoin drives the two-sweep oracle and the served Evaluator with
+// a document and a tree pattern both decoded from the fuzz input, and
+// requires identical distinguished-node candidates. The decoders accept
+// every byte string, so the fuzzer explores structure instead of
+// fighting a parser.
 func FuzzTwigJoin(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x80, 0x91}, []byte{0x00, 0x31, 0x42})
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0x07, 0x70}, []byte{0x14, 0x25})
 	f.Add([]byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, docBytes, qBytes []byte) {
-		ix := fuzzDoc(docBytes)
-		q := fuzzQuery(qBytes)
-		wantCand := Candidates(ix, q)
-		gotCand := HolisticCandidates(ix, q)
-		if !sameIDSets(gotCand, wantCand) {
-			t.Fatalf("candidates diverge: holistic %v vs two-sweep %v\nq: %s\ndoc: %s",
-				gotCand, wantCand, q, ix.Document().XMLString())
-		}
-		want := Distinguished(ix, q)
-		got, _, err := NewEvaluator(ix, q).Distinguished(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("distinguished diverge: twigjoin %v vs scan %v\nq: %s\ndoc: %s",
-				got, want, q, ix.Document().XMLString())
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("distinguished diverge at %d: twigjoin %v vs scan %v\nq: %s\ndoc: %s",
-					i, got, want, q, ix.Document().XMLString())
-			}
-		}
+		distinguished(t, fuzzDoc(docBytes), fuzzQuery(qBytes))
 	})
 }
 

@@ -1,11 +1,13 @@
 // Strong-dataguide pruning for twig joins.
 //
-// Before a holistic join streams a single element, the query skeleton is
-// matched against the index's strong dataguide (index.Dataguide): a
-// path summary with one node per distinct root-to-tag path. The match
-// is the same two sweeps as the element-level semijoin — bottom-up then
-// top-down — but over the guide, whose size is the number of distinct
-// paths (hundreds) rather than the number of elements (millions).
+// Before the join streams a single element, each Y-pattern of the query
+// skeleton is matched against the index's strong dataguide
+// (index.Dataguide): a path summary with one node per distinct
+// root-to-tag path. The match is two sweeps — bottom-up then top-down —
+// over the guide, whose size is the number of distinct paths (hundreds)
+// rather than the number of elements (millions). It has two uses: an
+// empty match skips the join altogether, and a non-empty one filters
+// the join's input streams.
 //
 // Soundness: every embedding of the skeleton into the document projects
 // to an embedding into the guide (elements map to their guide nodes,
@@ -15,9 +17,12 @@
 // document match — the short-circuit case. The guide over-approximates
 // (it may admit paths that no single element realizes jointly), which
 // is exactly what a pre-filter requires.
+
 package twig
 
 import (
+	"slices"
+
 	"repro/internal/index"
 	"repro/internal/tpq"
 )
@@ -28,9 +33,6 @@ type guideEmb struct {
 	// allowed[i][gn] reports whether guide node gn can bind pattern
 	// node i; nil for optional-branch nodes (never filtered).
 	allowed [][]bool
-	// counts[i] is the number of document elements on allowed paths —
-	// the join-ordering estimate (smallest stream first).
-	counts []int64
 	// empty is true when some required node has no allowed guide node:
 	// the skeleton embeds nowhere and the join can be skipped entirely.
 	empty bool
@@ -40,10 +42,7 @@ type guideEmb struct {
 func matchGuide(g *index.Dataguide, q *tpq.Query) *guideEmb {
 	ng := g.Len()
 	n := len(q.Nodes)
-	emb := &guideEmb{
-		allowed: make([][]bool, n),
-		counts:  make([]int64, n),
-	}
+	emb := &guideEmb{allowed: make([][]bool, n)}
 	skip := make([]bool, n)
 	for i := range q.Nodes {
 		skip[i] = optionalBranch(q, i)
@@ -145,33 +144,12 @@ func matchGuide(g *index.Dataguide, q *tpq.Query) *guideEmb {
 		}
 	}
 
+	// Every guide node stands for at least one element, so a required
+	// node is unbindable exactly when no guide node is left for it.
 	for i := range q.Nodes {
-		if skip[i] {
-			continue
-		}
-		for gn := 0; gn < ng; gn++ {
-			if emb.allowed[i][gn] {
-				emb.counts[i] += int64(g.Count(int32(gn)))
-			}
-		}
-		if emb.counts[i] == 0 {
+		if !skip[i] && !slices.Contains(emb.allowed[i], true) {
 			emb.empty = true
 		}
 	}
 	return emb
-}
-
-// minCount returns the smallest per-node element estimate of the
-// match — the join-ordering key (most selective Y-pattern first).
-func (e *guideEmb) minCount() int64 {
-	min := int64(-1)
-	for i, a := range e.allowed {
-		if a == nil {
-			continue
-		}
-		if min < 0 || e.counts[i] < min {
-			min = e.counts[i]
-		}
-	}
-	return min
 }

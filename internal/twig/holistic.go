@@ -1,36 +1,32 @@
-// Holistic stack-based twig join.
+// The fused holistic stack join.
 //
-// holisticCandidates computes the same per-pattern-node candidate sets
-// as the two-sweep Candidates, but streams every per-tag sorted element
-// list exactly once per pass — no per-level list copies and no repeated
-// intersection allocations. It is a TwigStack-style merge join run
-// twice:
+// holisticDistinguished is a TwigStack-style merge join run twice over
+// the per-tag sorted element lists, each streamed exactly once per
+// pass — no per-level list copies, no intersection allocations.
 //
-// Pass 1 (bottom-up survival): all required streams are merged in
-// document (pre) order. Each pattern node keeps a stack of open
-// elements; the stack invariant — every entry is a proper ancestor of
-// the one above it — holds because an arrival with pre past an entry's
-// post closes (pops) that entry first. Entries are popped innermost
-// first (increasing post across all stacks). An entry survives when
-// every required child obligation was satisfied below it, tracked as
-// two bitmasks: `down` for descendant-axis children (propagated to the
-// next outer entry of the same stack on pop — a surviving descendant of
-// an inner entry is also a descendant of every outer one) and `child`
-// for child-axis children (level-exact, never propagated). A surviving
-// pop notifies the innermost open ancestor on its parent pattern node's
-// stack; nesting guarantees that ancestor is the stack top (or the
-// entry below it, when the top is the same element streamed under two
-// pattern nodes — wildcard tags).
+// Pass 1 (bottom-up): all required streams are merged in document (pre)
+// order. Each interior pattern node keeps a stack of open elements; the
+// stack invariant — every entry is a proper ancestor of the one above
+// it — holds because an arrival with pre past an entry's post closes
+// (pops) that entry first. Entries are popped innermost first
+// (increasing post across all stacks). What an entry accumulates is a
+// bitmask with one bit per required LEAF: `down` for bits that arrived
+// over a descendant-axis edge (propagated to the next outer entry of
+// the same stack on pop — a chain below an inner entry is also below
+// every outer one) and `child` for bits that arrived over a child-axis
+// edge (level-exact, never propagated). A pop hands its bits to the
+// innermost open ancestor on its parent pattern node's stack; nesting
+// guarantees that ancestor is the stack top (or the entry below it,
+// when the top is the same element streamed under two pattern nodes —
+// wildcard tags).
 //
-// Pass 2 (top-down): the bottom-up survivors are merged again in pre
-// order; an element is emitted iff an emitted binding of its pattern
-// parent is open above it (descendant axis: any open entry; child axis:
-// the top entry exactly one level up). Emitted elements cascade by
-// being the only ones pushed.
+// Pass 2 (top-down) re-merges only the root→dist chain; see
+// holisticDistinguished.
 //
 // Per-join scratch (stacks, stream cursors, survivor bitsets) is
 // recycled through a sync.Pool, mirroring the Matcher's reused
 // navigation buffers.
+
 package twig
 
 import (
@@ -44,7 +40,8 @@ import (
 // JoinStats counts what one twigjoin access-path evaluation did; the
 // serving layer exports them as pimento_twigjoin_* counters.
 type JoinStats struct {
-	// Leaves is the number of Y-pattern joins the query decomposed into.
+	// Leaves is the number of required leaves (Y-patterns) the fused join
+	// evaluates, one bit each.
 	Leaves int
 	// GuideShortCircuit is true when the dataguide proved the skeleton
 	// embeds nowhere and no join ran at all.
@@ -55,8 +52,7 @@ type JoinStats struct {
 	// StackPushes counts pass-1 stack pushes (elements that entered the
 	// holistic merge after guide pruning).
 	StackPushes int
-	// Emitted counts candidate elements emitted by pass 2 across all
-	// pattern nodes.
+	// Emitted counts the distinguished-node candidates the join returned.
 	Emitted int
 }
 
@@ -66,14 +62,9 @@ type stkEntry struct {
 	post  int32
 	level int32
 	idx   int32  // position in the pattern node's tag stream
-	down  uint64 // satisfied descendant-axis child obligations
-	child uint64 // satisfied child-axis child obligations
+	down  uint64 // leaf bits reached over descendant-axis edges
+	child uint64 // leaf bits reached over child-axis edges
 }
-
-// maskChildren caps the required children of one pattern node the
-// bitmask survival tracking supports; wider nodes (never seen in
-// practice) fall back to the two-sweep join.
-const maskChildren = 64
 
 // stopCheckEvery is how many merge steps pass between cooperative
 // cancellation probes.
@@ -85,301 +76,16 @@ type joiner struct {
 	streams [][]xmldoc.NodeID
 	allowed [][]bool // per node: guide-admissible elements (nil = all)
 	surv    [][]uint64
-	vals    [][]uint64 // per chain node: final leaf masks (fused join)
+	vals    [][]uint64 // per chain node: final leaf masks
 	heads   []int
 	parentQ []int
 	axisD   []bool // true = descendant axis to the pattern parent
-	bit     []uint64
-	reqMask []uint64
-	depth   []int32
 }
 
 var joinerPool = sync.Pool{New: func() any { return new(joiner) }}
 
-// maskable reports whether every pattern node has few enough required
-// children for bitmask survival tracking.
-func maskable(q *tpq.Query) bool {
-	for i := range q.Nodes {
-		req := 0
-		for _, c := range q.Nodes[i].Children {
-			if !optionalBranch(q, c) {
-				req++
-			}
-		}
-		if req > maskChildren {
-			return false
-		}
-	}
-	return true
-}
-
-// HolisticCandidates is Candidates computed by the holistic stack join
-// (with dataguide pruning); the two produce identical sets for every
-// tree pattern — the differential and fuzz suites pin this.
-func HolisticCandidates(ix *index.Index, q *tpq.Query) [][]xmldoc.NodeID {
-	var emb *guideEmb
-	if g := ix.Guide(); g != nil {
-		emb = matchGuide(g, q)
-	}
-	cand, _, _ := holisticCandidates(ix, q, emb, &JoinStats{}, nil)
-	return cand
-}
-
-// holisticCandidates runs the two-pass stack join. It returns the
-// per-node candidate lists plus per-slot ownership (the fallback path
-// can alias index tag lists). stop, when non-nil, is polled
-// periodically; a true return aborts with errStopped.
-func holisticCandidates(ix *index.Index, q *tpq.Query, emb *guideEmb, stats *JoinStats, stop func() bool) ([][]xmldoc.NodeID, []bool, error) {
-	n := len(q.Nodes)
-	if emb != nil && emb.empty {
-		stats.GuideShortCircuit = true
-		return make([][]xmldoc.NodeID, n), make([]bool, n), nil
-	}
-	if !maskable(q) {
-		cand, owned := candidatesOwned(ix, q)
-		return cand, owned, nil
-	}
-	doc := ix.Document()
-	pos := doc.Pos()
-	var guide *index.Dataguide
-	if emb != nil {
-		guide = ix.Guide()
-	}
-
-	j := joinerPool.Get().(*joiner)
-	defer j.release()
-	j.reset(n)
-
-	// Per-node metadata: parent, axis, survival masks, query depth.
-	for i := 0; i < n; i++ {
-		j.parentQ[i] = q.Nodes[i].Parent
-		j.axisD[i] = q.Nodes[i].Axis == tpq.Descendant
-		if i > 0 {
-			j.depth[i] = j.depth[q.Nodes[i].Parent] + 1
-		}
-	}
-	for i := 0; i < n; i++ {
-		if optionalBranch(q, i) {
-			continue
-		}
-		j.streams[i] = ix.Elements(q.Nodes[i].Tag)
-		if emb != nil {
-			j.allowed[i] = emb.allowed[i]
-		}
-		var mask uint64
-		bit := uint64(1)
-		for _, c := range q.Nodes[i].Children {
-			if optionalBranch(q, c) {
-				continue
-			}
-			j.bit[c] = bit
-			mask |= bit
-			bit <<= 1
-		}
-		j.reqMask[i] = mask
-	}
-	rootOnly := xmldoc.InvalidNode
-	if q.Nodes[0].Axis == tpq.Child {
-		rootOnly = doc.Root()
-	}
-
-	// advance skips stream elements the guide (or the root axis) rules
-	// out, so pruned elements never enter the merge.
-	advance := func(i int) {
-		s := j.streams[i]
-		for j.heads[i] < len(s) {
-			e := s[j.heads[i]]
-			if i == 0 && rootOnly != xmldoc.InvalidNode && e != rootOnly {
-				j.heads[i]++
-				continue
-			}
-			if a := j.allowed[i]; a != nil && !a[guide.ElemGuide(e)] {
-				j.heads[i]++
-				stats.GuidePruned++
-				continue
-			}
-			return
-		}
-	}
-	for i := range j.streams {
-		if j.streams[i] != nil {
-			j.surv[i] = growBitset(j.surv[i], len(j.streams[i]))
-			j.heads[i] = 0
-			advance(i)
-		}
-	}
-
-	// popOne pops the globally innermost open entry (minimum post; the
-	// per-stack tops hold each stack's minimum because entries nest).
-	// Returns false when every open entry starts at or after threshold.
-	// Survival evaluation and parent notification run only while
-	// recording (pass 1); pass 2 pops purely to maintain the stacks.
-	recording := true
-	popOne := func(threshold int32, all bool) bool {
-		t := -1
-		var minPost int32
-		var minElem xmldoc.NodeID
-		for i := range j.stacks {
-			if m := len(j.stacks[i]); m > 0 {
-				top := &j.stacks[i][m-1]
-				// Equal posts mean nested entries (both subtrees end at
-				// the same node); the larger pre is the innermost and
-				// must pop first so its survival notification reaches
-				// the outer entries while they are still open.
-				if t < 0 || top.post < minPost ||
-					(top.post == minPost && top.elem > minElem) {
-					t, minPost, minElem = i, top.post, top.elem
-				}
-			}
-		}
-		if t < 0 || (!all && minPost >= threshold) {
-			return false
-		}
-		m := len(j.stacks[t]) - 1
-		e := j.stacks[t][m]
-		j.stacks[t] = j.stacks[t][:m]
-		if recording && (e.down|e.child)&j.reqMask[t] == j.reqMask[t] {
-			j.surv[t][e.idx>>6] |= 1 << uint(e.idx&63)
-			if t != 0 {
-				ps := j.stacks[j.parentQ[t]]
-				k := len(ps) - 1
-				// Proper ancestor / parent required: skip the top when
-				// it is the same element streamed under a wildcard
-				// pattern node (it can never be its own ancestor).
-				if k >= 0 && ps[k].elem == e.elem {
-					k--
-				}
-				if j.axisD[t] {
-					if k >= 0 {
-						ps[k].down |= j.bit[t]
-					}
-				} else if k >= 0 && ps[k].level == e.level-1 {
-					ps[k].child |= j.bit[t]
-				}
-			}
-		}
-		// Lazy propagation: obligations satisfied below e are satisfied
-		// below every outer ancestor on the same stack.
-		if m > 0 {
-			j.stacks[t][m-1].down |= e.down
-		}
-		return true
-	}
-
-	// Pass 1: merge all streams by pre, push every admitted element,
-	// decide survival at pop time.
-	steps := 0
-	for {
-		if steps++; stop != nil && steps%stopCheckEvery == 0 && stop() {
-			return nil, nil, errStopped
-		}
-		s := -1
-		var best xmldoc.NodeID
-		for i := range j.streams {
-			if j.streams[i] == nil || j.heads[i] >= len(j.streams[i]) {
-				continue
-			}
-			if e := j.streams[i][j.heads[i]]; s < 0 || e < best {
-				s, best = i, e
-			}
-		}
-		if s < 0 {
-			break
-		}
-		for popOne(int32(best), false) {
-		}
-		j.stacks[s] = append(j.stacks[s], stkEntry{
-			elem:  best,
-			post:  pos.Post[best],
-			level: pos.Level[best],
-			idx:   int32(j.heads[s]),
-		})
-		stats.StackPushes++
-		j.heads[s]++
-		advance(s)
-	}
-	for popOne(0, true) {
-	}
-
-	// Pass 2: merge the survivors by pre (parents before children on
-	// same-element ties); emit and push only elements with an emitted
-	// parent binding open above them.
-	recording = false
-	out := make([][]xmldoc.NodeID, n)
-	owned := make([]bool, n)
-	for i := range j.streams {
-		if j.streams[i] != nil {
-			owned[i] = true
-			j.heads[i] = 0
-		}
-	}
-	advSurv := func(i int) {
-		s := j.streams[i]
-		for j.heads[i] < len(s) {
-			h := j.heads[i]
-			if j.surv[i][h>>6]&(1<<uint(h&63)) != 0 {
-				return
-			}
-			j.heads[i]++
-		}
-	}
-	for i := range j.streams {
-		if j.streams[i] != nil {
-			advSurv(i)
-		}
-	}
-	for {
-		if steps++; stop != nil && steps%stopCheckEvery == 0 && stop() {
-			return nil, nil, errStopped
-		}
-		s := -1
-		var best xmldoc.NodeID
-		for i := range j.streams {
-			if j.streams[i] == nil || j.heads[i] >= len(j.streams[i]) {
-				continue
-			}
-			e := j.streams[i][j.heads[i]]
-			if s < 0 || e < best || (e == best && j.depth[i] < j.depth[s]) {
-				s, best = i, e
-			}
-		}
-		if s < 0 {
-			break
-		}
-		for popOne(int32(best), false) {
-		}
-		keep := s == 0
-		if !keep {
-			ps := j.stacks[j.parentQ[s]]
-			k := len(ps)
-			// Same-element wildcard guard, as in pass 1: the element's
-			// own entry on the parent stack is not an ancestor.
-			if k > 0 && ps[k-1].elem == best {
-				k--
-			}
-			if j.axisD[s] {
-				keep = k > 0
-			} else {
-				keep = k > 0 && ps[k-1].level == pos.Level[best]-1
-			}
-		}
-		if keep {
-			out[s] = append(out[s], best)
-			j.stacks[s] = append(j.stacks[s], stkEntry{
-				elem:  best,
-				post:  pos.Post[best],
-				level: pos.Level[best],
-			})
-			stats.Emitted++
-		}
-		j.heads[s]++
-		advSurv(s)
-	}
-	return out, owned, nil
-}
-
-// maskLeaves caps the required leaves the fused join's per-leaf bitmask
-// supports; wider queries fall back to the per-Y-pattern join loop.
+// maskLeaves caps the required leaves the join's per-leaf bitmask
+// supports; Covers sends wider queries to the scan access path.
 const maskLeaves = 64
 
 // fusedQuery is the Evaluator's precomputed metadata for the fused
@@ -397,16 +103,17 @@ type fusedQuery struct {
 // holisticDistinguished computes the distinguished-node candidates of q
 // under the per-predicate semijoin semantics in one two-pass stack join
 // over the full pattern, instead of one join per Y-pattern — every
-// per-tag element list streams exactly once per pass.
+// per-tag element list streams exactly once per pass. stop, when
+// non-nil, is polled periodically; a true return aborts with
+// errStopped.
 //
-// The difference from holisticCandidates is the bit space. There, a bit
-// is one required child edge and an entry must cover all of them before
-// it notifies its parent (conjunctive semantics). Here a bit is one
-// required LEAF and every accumulated bit propagates upward
-// unconditionally, so bits(e@t) reads "some axis-consistent element
-// chain below e reaches leaf l", for each l independently — the
-// Y-pattern decomposition evaluated simultaneously, with each leaf free
-// to pick its own chain. Leaf streams never push at all: a leaf
+// A bit is one required LEAF and every accumulated bit propagates
+// upward unconditionally (a classical conjunctive twig join would make
+// an entry cover all its child edges before notifying its parent), so
+// bits(e@t) reads "some axis-consistent element chain below e reaches
+// leaf l", for each l independently — the Y-pattern decomposition
+// evaluated simultaneously, with each leaf free to pick its own chain.
+// Leaf streams never push at all: a leaf
 // delivers its own bit to the open parent entry at arrival (its
 // ancestors are exactly the entries still open after the pop loop, and
 // a leaf has nothing to accumulate).
@@ -451,6 +158,8 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 	if q.Nodes[0].Axis == tpq.Child {
 		rootOnly = doc.Root()
 	}
+	// advance skips stream elements the guide (or the root axis) rules
+	// out, so pruned elements never enter the merge.
 	advance := func(i int) {
 		s := j.streams[i]
 		for j.heads[i] < len(s) {
@@ -478,7 +187,7 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 			if i != dist {
 				// Final bit masks, read back in pass 2. Only positions whose
 				// surv bit is set are ever read, so no zeroing is needed.
-				j.vals[i] = growVals(j.vals[i], len(j.streams[i]))
+				j.vals[i] = grow(j.vals[i], len(j.streams[i]))
 			}
 		}
 	}
@@ -502,9 +211,11 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 		}
 	}
 
-	// popOne pops the globally innermost open entry (as in
-	// holisticCandidates: minimum post; larger pre first on post ties so
-	// inner notifications land while the outer entries are open). Every
+	// popOne pops the globally innermost open entry: minimum post, where
+	// the per-stack tops hold each stack's minimum because entries nest.
+	// Equal posts mean nested entries (both subtrees end at the same
+	// node); the larger pre is the innermost and pops first, so inner
+	// notifications land while the outer entries are still open. Every
 	// pop records chain survival and propagates its accumulated bits —
 	// upward to the parent node's innermost open entry, and outward to
 	// the next entry of its own stack (descendant-axis bits only: a
@@ -733,26 +444,18 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 
 // reset prepares the pooled scratch for a join over n pattern nodes.
 func (j *joiner) reset(n int) {
-	j.stacks = growSlices(j.stacks, n)
-	j.surv = growSlices(j.surv, n)
-	j.vals = growSlices(j.vals, n)
-	for i := range j.stacks {
+	j.stacks = grow(j.stacks, n)
+	j.surv = grow(j.surv, n)
+	j.vals = grow(j.vals, n)
+	j.streams = grow(j.streams, n)
+	j.allowed = grow(j.allowed, n)
+	j.heads = grow(j.heads, n)
+	j.parentQ = grow(j.parentQ, n)
+	j.axisD = grow(j.axisD, n)
+	for i := 0; i < n; i++ {
 		j.stacks[i] = j.stacks[i][:0]
-	}
-	j.streams = growSlices(j.streams, n)
-	j.allowed = growSlices(j.allowed, n)
-	for i := 0; i < n; i++ {
 		j.streams[i], j.allowed[i] = nil, nil
-	}
-	j.heads = growInts(j.heads, n)
-	j.parentQ = growInts(j.parentQ, n)
-	j.axisD = growBools(j.axisD, n)
-	j.bit = growU64(j.bit, n)
-	j.reqMask = growU64(j.reqMask, n)
-	j.depth = growI32(j.depth, n)
-	for i := 0; i < n; i++ {
-		j.heads[i], j.bit[i], j.reqMask[i], j.depth[i] = 0, 0, 0, 0
-		j.axisD[i] = false
+		j.heads[i] = 0
 	}
 }
 
@@ -765,58 +468,19 @@ func (j *joiner) release() {
 	joinerPool.Put(j)
 }
 
-func growSlices[T any](s [][]T, n int) [][]T {
+// grow returns s resized to n elements, reusing its backing array when
+// it is large enough. Contents are left stale: every caller either
+// overwrites all n slots or (vals) reads only positions it wrote first.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([][]T, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growVals returns a mask array able to index n elements. Contents are
-// deliberately left stale: the fused join only reads positions whose
-// survivor bit was set, and those are always written first.
-func growVals(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
 // growBitset returns a zeroed bitset able to index bits elements.
 func growBitset(b []uint64, bits int) []uint64 {
-	words := (bits + 63) / 64
-	if cap(b) < words {
-		return make([]uint64, words)
-	}
-	b = b[:words]
+	b = grow(b, (bits+63)/64)
 	for i := range b {
 		b[i] = 0
 	}

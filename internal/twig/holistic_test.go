@@ -1,73 +1,96 @@
 package twig
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/index"
+	"repro/internal/text"
 	"repro/internal/tpq"
 	"repro/internal/xmldoc"
 )
 
-// sameIDSets reports per-slot equality, treating nil and empty as equal.
-func sameIDSets(a, b [][]xmldoc.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for k := range a[i] {
-			if a[i][k] != b[i][k] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// TestHolisticAgreesWithCandidates: the stack join must produce exactly
-// the two-sweep's per-pattern-node candidate sets on random documents
-// and patterns — the tentpole differential.
-func TestHolisticAgreesWithCandidates(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 1500; iter++ {
-		ix := randomDoc(r)
-		q := randomStructuralQuery(r)
-		want := Candidates(ix, q)
-		got := HolisticCandidates(ix, q)
-		if !sameIDSets(got, want) {
-			t.Fatalf("iter %d: holistic %v vs two-sweep %v\nq: %s\ndoc: %s",
-				iter, got, want, q, ix.Document().XMLString())
-		}
-	}
-}
-
-// TestEvaluatorAgreesWithDistinguished: the twigjoin access path's
-// Y-pattern decomposition must reproduce the scan path's semijoin
-// semantics element for element.
+// TestEvaluatorAgreesWithDistinguished: the fused join must reproduce
+// the two-sweep oracle's per-predicate semijoin semantics element for
+// element on random documents and patterns.
 func TestEvaluatorAgreesWithDistinguished(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 1500; iter++ {
 		ix := randomDoc(r)
-		q := randomStructuralQuery(r)
-		want := Distinguished(ix, q)
-		got, _, err := NewEvaluator(ix, q).Distinguished(context.Background())
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
+		distinguished(t, ix, randomStructuralQuery(r))
+	}
+}
+
+// wideQuery builds //a with n required b children (n required leaves).
+func wideQuery(n int) *tpq.Query {
+	q := tpq.NewQuery("a", tpq.Descendant)
+	for i := 0; i < n; i++ {
+		q.AddChild(0, "b", tpq.Child)
+	}
+	return q
+}
+
+// TestCovers: the fused join takes 1..maskLeaves required leaves and a
+// required distinguished node; an Evaluator built for anything else
+// reports an error instead of an answer.
+func TestCovers(t *testing.T) {
+	distOptional := tpq.MustParse(`//a[./b and ./c?]`)
+	distOptional.Dist = distOptional.FindByTag("c")[0]
+	allOptional := tpq.NewQuery("a", tpq.Descendant)
+	allOptional.Nodes[0].Optional = true
+	ix := buildDoc(t, `<a><b/><c/></a>`)
+	for _, c := range []struct {
+		name string
+		q    *tpq.Query
+		want bool
+	}{
+		{"single node", tpq.MustParse(`//a`), true},
+		{"optional branch off the chain", tpq.MustParse(`//a[./b and ./c?]`), true},
+		{"maskLeaves leaves", wideQuery(maskLeaves), true},
+		{"maskLeaves+1 leaves", wideQuery(maskLeaves + 1), false},
+		{"dist on an optional branch", distOptional, false},
+		{"no required node", allOptional, false},
+	} {
+		if got := Covers(c.q); got != c.want {
+			t.Errorf("%s: Covers = %v, want %v", c.name, got, c.want)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: twigjoin %v vs scan %v\nq: %s\ndoc: %s",
-				iter, got, want, q, ix.Document().XMLString())
+		ids, _, err := NewEvaluator(ix, c.q).Distinguished(context.Background())
+		if (err == nil) != c.want {
+			t.Errorf("%s: Distinguished err = %v, want covered = %v", c.name, err, c.want)
 		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("iter %d: twigjoin %v vs scan %v\nq: %s\ndoc: %s",
-					iter, got, want, q, ix.Document().XMLString())
-			}
+		if c.want && len(ids) != 1 {
+			t.Errorf("%s: candidates = %v, want the one a", c.name, ids)
 		}
 	}
+}
+
+// TestEvaluatorWithoutGuide: an index loaded from a snapshot carries no
+// dataguide; the join must run unpruned and agree with the oracle.
+func TestEvaluatorWithoutGuide(t *testing.T) {
+	built := buildDoc(t, `<a><b><c/><c/></b><d><c/></d></a>`)
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := index.Load(&buf, built.Document())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Guide() != nil {
+		t.Fatal("a loaded index is expected to have no dataguide")
+	}
+	q := tpq.MustParse(`//b//c`)
+	ev := NewEvaluator(ix, q)
+	got, stats, err := ev.Distinguished(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || stats.GuidePruned != 0 {
+		t.Fatalf("candidates = %v, stats = %+v: want the 2 c under b, nothing guide-pruned", got, stats)
+	}
+	distinguished(t, ix, q)
 }
 
 // TestGuideShortCircuit: tags that all exist but never along a common
@@ -90,9 +113,9 @@ func TestGuideShortCircuit(t *testing.T) {
 	if stats.StackPushes != 0 || stats.Emitted != 0 {
 		t.Fatalf("stats = %+v: a short-circuited join must not stream", stats)
 	}
-	// Sanity: the scan path agrees the answer is empty.
-	if d := Distinguished(ix, q); len(d) != 0 {
-		t.Fatalf("scan path disagrees: %v", d)
+	// Sanity: the oracle agrees the answer is empty.
+	if d := oracleDistinguished(ix, q); len(d) != 0 {
+		t.Fatalf("oracle disagrees: %v", d)
 	}
 }
 
@@ -114,19 +137,24 @@ func TestGuidePruneCounts(t *testing.T) {
 	}
 }
 
-// TestEvaluatorCancellation: a cancelled context aborts the join with
-// the context's error.
+// TestEvaluatorCancellation: a cancelled context aborts the join at its
+// first cancellation probe with the context's error.
 func TestEvaluatorCancellation(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	ix := randomDoc(r)
+	b := xmldoc.NewBuilder()
+	b.Start("a")
+	for i := 0; i < 3*stopCheckEvery; i++ {
+		b.Start("b")
+		b.End()
+	}
+	b.End()
+	ix := index.Build(b.MustDocument(), text.Pipeline{})
 	ev := NewEvaluator(ix, tpq.MustParse(`//a//b`))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ev.Distinguished(ctx); err != nil && err != context.Canceled {
-		t.Fatalf("err = %v", err)
+	ids, _, err := ev.Distinguished(ctx)
+	if err != context.Canceled || ids != nil {
+		t.Fatalf("ids = %d, err = %v: want no answer and context.Canceled", len(ids), err)
 	}
-	// Note: tiny documents may finish between cancellation probes; the
-	// contract is only that a returned error is the context's.
 }
 
 // TestEvaluatorConcurrent: one Evaluator must serve concurrent

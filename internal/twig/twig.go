@@ -1,145 +1,46 @@
-// Package twig implements holistic structural joins for tree pattern
-// skeletons, in the family of stack-based twig join algorithms
-// (Bruno et al.'s TwigStack lineage; the paper's related algorithms are
-// the structural joins its plans are built from — Section 6.4 uses
-// indexed nested loops, and this package provides the set-at-a-time
-// alternative used as an access path).
+// Package twig is the twigjoin access path: one holistic structural
+// join, in the family of stack-based twig join algorithms (Bruno et
+// al.'s TwigStack lineage), that computes a query's distinguished-node
+// candidates set-at-a-time. The paper's plans (Section 6.4) use indexed
+// nested loops — the scan access path, algebra.Matcher per candidate —
+// and this package is the alternative the plan layer picks when the
+// query has a structural skeleton worth exploiting.
 //
-// Given a query, Candidates computes for every required pattern node the
-// exact set of elements that participate in at least one embedding of the
-// required structural skeleton (tags + axes; predicates other than
-// structure are left to downstream operators, preserving the paper's
-// per-predicate semijoin semantics). Two implementations produce the
-// same sets: the two-sweep semijoin below (one bottom-up, one top-down
-// pass over the sorted tag lists — complete for tree-shaped patterns)
-// and the stack-based merge join in holistic.go, which streams every
-// tag list exactly once. Evaluator combines the holistic join with
-// strong-dataguide pruning (guide.go) into the plan layer's twigjoin
-// access path.
+// The semantics are the engine's per-predicate semijoin (each
+// structural obligation is enforced independently, as in the paper's
+// plans): the query decomposes into one "Y-pattern" per required leaf —
+// the root→dist chain plus the root→leaf chain sharing their prefix —
+// and a distinguished element is a candidate iff every Y-pattern embeds
+// at it. Only structure (tags + axes) is decided here; value predicates
+// stay with the downstream operators. The result equals scan +
+// Matcher.MatchRequired element for element.
 //
-// All structural predicates run on the document's flat (pre, post,
-// level) positional arrays (xmldoc.Positions): an ancestor test is one
-// interval comparison, a parent test adds a level comparison.
+// Evaluator (eval.go) matches the Y-patterns against the strong
+// dataguide (guide.go) once, then evaluates them all in ONE fused stack
+// join over the document's flat (pre, post, level) positional arrays
+// (holistic.go) — an ancestor test is one interval comparison, a parent
+// test adds a level comparison. Covers says which queries that join
+// handles; the plan layer sends every other query down the scan path.
+//
+// The two-sweep semijoin this package was first built on lives beside
+// the tests (oracle_test.go) as the differential oracle.
 package twig
 
-import (
-	"sort"
+import "repro/internal/tpq"
 
-	"repro/internal/index"
-	"repro/internal/tpq"
-	"repro/internal/xmldoc"
-)
-
-// Candidates returns, per pattern node index, the sorted element IDs
-// participating in some embedding of q's required structural skeleton.
-// Optional branches are skipped (their slots hold nil).
-//
-// The returned slices are filtered copy-on-write: a slot whose list was
-// never narrowed aliases the index's shared tag list. Callers must
-// treat every slot as read-only.
-func Candidates(ix *index.Index, q *tpq.Query) [][]xmldoc.NodeID {
-	cand, _ := candidatesOwned(ix, q)
-	return cand
+// Covers reports whether the fused join evaluates q: the query needs at
+// least one and at most maskLeaves required leaves (one bit each), and
+// a distinguished node that is itself required. The plan layer resolves
+// every other query to the scan access path.
+func Covers(q *tpq.Query) bool {
+	_, ok := coveredLeaves(q)
+	return ok
 }
 
-// candidatesOwned is Candidates plus per-slot ownership: owned[i]
-// reports whether cand[i] is private to the caller (false means it
-// aliases the index's tag list and must not be mutated).
-func candidatesOwned(ix *index.Index, q *tpq.Query) (cand [][]xmldoc.NodeID, owned []bool) {
-	doc := ix.Document()
-	pos := doc.Pos()
-	n := len(q.Nodes)
-	cand = make([][]xmldoc.NodeID, n)
-	owned = make([]bool, n)
-	skip := make([]bool, n)
-	for i := range q.Nodes {
-		skip[i] = optionalBranch(q, i)
-		if skip[i] {
-			continue
-		}
-		// Tag lists are already sorted in document order. Lazy filtering
-		// below copies only when an element is actually removed.
-		cand[i] = ix.Elements(q.Nodes[i].Tag)
-	}
-	// Root axis: an absolute pattern root must be the document root.
-	if q.Nodes[0].Axis == tpq.Child {
-		root := doc.Root()
-		cand[0], owned[0] = filterCOW(cand[0], owned[0], func(e xmldoc.NodeID) bool {
-			return e == root
-		})
-	}
-
-	// Bottom-up: postorder — a node survives if every required child
-	// subtree can embed below it.
-	post := postorder(q)
-	for _, p := range post {
-		if skip[p] {
-			continue
-		}
-		for _, c := range q.Nodes[p].Children {
-			if skip[c] {
-				continue
-			}
-			if q.Nodes[c].Axis == tpq.Child {
-				cand[p], owned[p] = keepWithChildIn(doc, pos, cand[p], owned[p], cand[c])
-			} else {
-				cand[p], owned[p] = keepWithDescendantIn(pos, cand[p], owned[p], cand[c])
-			}
-		}
-	}
-	// Top-down: preorder — a node survives if some surviving parent
-	// binding sits above it.
-	pre := q.Descendants(0)
-	for _, c := range pre {
-		if c == 0 || skip[c] {
-			continue
-		}
-		p := q.Nodes[c].Parent
-		if q.Nodes[c].Axis == tpq.Child {
-			cand[c], owned[c] = keepWithParentIn(doc, cand[c], owned[c], cand[p])
-		} else {
-			cand[c], owned[c] = keepWithAncestorIn(pos, cand[c], owned[c], cand[p])
-		}
-	}
-	return cand, owned
-}
-
-// Distinguished returns the distinguished-node candidates under the
-// engine's per-predicate semijoin semantics (each structural obligation
-// is enforced independently, as in the paper's plans): the query is
-// decomposed into one "Y-pattern" per required leaf — the root→dist
-// chain plus the root→leaf chain sharing their prefix — and the
-// per-pattern candidate lists are intersected. Within a Y-pattern the
-// conjunctive two-sweep coincides with the matcher's navigation, so the
-// result equals scan + MatchRequired exactly.
-//
-// (Candidates, by contrast, is fully conjunctive: an interior node with
-// several children must have one element satisfying all of them — a
-// stronger semantics, exposed for callers that want classical twig
-// matching.)
-func Distinguished(ix *index.Index, q *tpq.Query) []xmldoc.NodeID {
+// coveredLeaves is Covers plus the required leaves it counted.
+func coveredLeaves(q *tpq.Query) ([]int, bool) {
 	leaves := requiredLeaves(q)
-	var result []xmldoc.NodeID
-	resultOwned := false
-	first := true
-	for _, leaf := range leaves {
-		y, yDist, _ := yPattern(q, leaf)
-		cands, owned := candidatesOwned(ix, y)
-		if first {
-			result, resultOwned = cands[yDist], owned[yDist]
-			first = false
-		} else {
-			result, resultOwned = intersectSorted(result, resultOwned, cands[yDist])
-		}
-		if len(result) == 0 {
-			return nil
-		}
-	}
-	if first { // defensive: dist itself is always a required leaf holder
-		return Candidates(ix, q)[q.Dist]
-	}
-	_ = resultOwned
-	return result
+	return leaves, len(leaves) > 0 && len(leaves) <= maskLeaves && !optionalBranch(q, q.Dist)
 }
 
 // requiredLeaves returns the required pattern nodes with no required
@@ -168,16 +69,14 @@ func requiredLeaves(q *tpq.Query) []int {
 
 // yPattern builds the sub-pattern consisting of the root→dist and
 // root→leaf chains of q (sharing their common prefix) and returns it
-// with the new index of the distinguished node, plus the node remap
-// (remap[full] = index in the Y-pattern, -1 for nodes outside it).
-func yPattern(q *tpq.Query, leaf int) (*tpq.Query, int, []int) {
-	distAnc := q.Ancestors(q.Dist)
-	leafAnc := q.Ancestors(leaf)
+// with the node remap (remap[full] = index in the Y-pattern, -1 for
+// nodes outside it); the Y-pattern's Dist is the remapped q.Dist.
+func yPattern(q *tpq.Query, leaf int) (*tpq.Query, []int) {
 	include := map[int]bool{}
-	for _, n := range distAnc {
+	for _, n := range q.Ancestors(q.Dist) {
 		include[n] = true
 	}
-	for _, n := range leafAnc {
+	for _, n := range q.Ancestors(leaf) {
 		include[n] = true
 	}
 	// Rebuild in preorder so parents precede children.
@@ -199,65 +98,7 @@ func yPattern(q *tpq.Query, leaf int) (*tpq.Query, int, []int) {
 		remap[n] = y.AddChild(remap[src.Parent], src.Tag, src.Axis)
 	}
 	y.Dist = remap[q.Dist]
-	return y, y.Dist, remap
-}
-
-// filterCOW filters xs with keep (called once per element, in document
-// order) without copying until the first removal: the unfiltered
-// prefix — or the whole list, when nothing is removed — continues to
-// alias the input. It returns the filtered list and whether the caller
-// now owns its backing array (a shared input that loses no element
-// stays shared).
-func filterCOW(xs []xmldoc.NodeID, owned bool, keep func(xmldoc.NodeID) bool) ([]xmldoc.NodeID, bool) {
-	for i, x := range xs {
-		if keep(x) {
-			continue
-		}
-		// First removal: materialize the kept prefix, then filter the rest.
-		var out []xmldoc.NodeID
-		if owned {
-			out = xs[:i]
-		} else {
-			out = make([]xmldoc.NodeID, i, len(xs)-1)
-			copy(out, xs[:i])
-		}
-		for _, y := range xs[i+1:] {
-			if keep(y) {
-				out = append(out, y)
-			}
-		}
-		return out, true
-	}
-	return xs, owned
-}
-
-// intersectSorted intersects two ascending NodeID lists, reusing a's
-// backing array only when the caller owns it.
-func intersectSorted(a []xmldoc.NodeID, aOwned bool, b []xmldoc.NodeID) ([]xmldoc.NodeID, bool) {
-	var out []xmldoc.NodeID
-	if aOwned {
-		out = a[:0]
-	} else {
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		out = make([]xmldoc.NodeID, 0, n)
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out, true
+	return y, remap
 }
 
 // optionalBranch reports whether pattern node i lies on an optional
@@ -282,85 +123,4 @@ func postorder(q *tpq.Query) []int {
 	}
 	rec(0)
 	return out
-}
-
-// keepWithDescendantIn keeps parents having at least one proper
-// descendant in ds. Both lists are sorted by pre, so a single merge
-// pointer replaces per-parent binary searches; the test itself is one
-// interval comparison on the flat positional arrays.
-func keepWithDescendantIn(pos xmldoc.Positions, ps []xmldoc.NodeID, owned bool, ds []xmldoc.NodeID) ([]xmldoc.NodeID, bool) {
-	if len(ds) == 0 {
-		return nil, true
-	}
-	di := 0
-	return filterCOW(ps, owned, func(p xmldoc.NodeID) bool {
-		for di < len(ds) && ds[di] <= p {
-			di++
-		}
-		return di < len(ds) && int32(ds[di]) <= pos.Post[p]
-	})
-}
-
-// keepWithChildIn keeps parents having a direct child in cs: the
-// parents of cs (one O(1) pointer each) are sorted and merged against
-// ps.
-func keepWithChildIn(doc *xmldoc.Document, pos xmldoc.Positions, ps []xmldoc.NodeID, owned bool, cs []xmldoc.NodeID) ([]xmldoc.NodeID, bool) {
-	if len(cs) == 0 {
-		return nil, true
-	}
-	parents := make([]xmldoc.NodeID, 0, len(cs))
-	for _, c := range cs {
-		parents = append(parents, doc.Parent(c))
-	}
-	sort.Slice(parents, func(i, j int) bool { return parents[i] < parents[j] })
-	pi := 0
-	return filterCOW(ps, owned, func(p xmldoc.NodeID) bool {
-		for pi < len(parents) && parents[pi] < p {
-			pi++
-		}
-		return pi < len(parents) && parents[pi] == p
-	})
-}
-
-// keepWithParentIn keeps children whose parent is in ps (sorted).
-func keepWithParentIn(doc *xmldoc.Document, cs []xmldoc.NodeID, owned bool, ps []xmldoc.NodeID) ([]xmldoc.NodeID, bool) {
-	if len(ps) == 0 {
-		return nil, true
-	}
-	return filterCOW(cs, owned, func(c xmldoc.NodeID) bool {
-		p := doc.Parent(c)
-		if p == xmldoc.InvalidNode {
-			return false
-		}
-		i := sort.Search(len(ps), func(i int) bool { return ps[i] >= p })
-		return i < len(ps) && ps[i] == p
-	})
-}
-
-// keepWithAncestorIn keeps descendants having a proper ancestor in as,
-// via a single merge with a stack of active ancestor intervals over the
-// flat positional arrays.
-func keepWithAncestorIn(pos xmldoc.Positions, ds []xmldoc.NodeID, owned bool, as []xmldoc.NodeID) ([]xmldoc.NodeID, bool) {
-	if len(as) == 0 {
-		return nil, true
-	}
-	var stack []int32 // post positions of active ancestors
-	ai := 0
-	return filterCOW(ds, owned, func(d xmldoc.NodeID) bool {
-		// Push ancestors starting before d.
-		for ai < len(as) && as[ai] < d {
-			aPost := pos.Post[as[ai]]
-			// Pop finished intervals first.
-			for len(stack) > 0 && stack[len(stack)-1] < int32(as[ai]) {
-				stack = stack[:len(stack)-1]
-			}
-			stack = append(stack, aPost)
-			ai++
-		}
-		// Pop ancestors that end before d starts.
-		for len(stack) > 0 && stack[len(stack)-1] < int32(d) {
-			stack = stack[:len(stack)-1]
-		}
-		return len(stack) > 0
-	})
 }

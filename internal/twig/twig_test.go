@@ -1,7 +1,9 @@
 package twig
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -20,6 +22,28 @@ func buildDoc(t testing.TB, src string) *index.Index {
 	return index.Build(doc, text.Pipeline{})
 }
 
+// served runs q through the Evaluator, the one join the plan layer
+// calls.
+func served(t testing.TB, ix *index.Index, q *tpq.Query) []xmldoc.NodeID {
+	t.Helper()
+	got, _, err := NewEvaluator(ix, q).Distinguished(context.Background())
+	if err != nil {
+		t.Fatalf("evaluator on %s: %v", q, err)
+	}
+	return got
+}
+
+// distinguished runs q through the two-sweep oracle and the served join
+// alike, fails on any disagreement, and returns the common answer.
+func distinguished(t testing.TB, ix *index.Index, q *tpq.Query) []xmldoc.NodeID {
+	t.Helper()
+	want, got := oracleDistinguished(ix, q), served(t, ix, q)
+	if !slices.Equal(got, want) {
+		t.Fatalf("twigjoin %v vs oracle %v\nq: %s\ndoc: %s", got, want, q, ix.Document().XMLString())
+	}
+	return got
+}
+
 func TestDistinguishedBasic(t *testing.T) {
 	ix := buildDoc(t, `
 <site>
@@ -30,7 +54,7 @@ func TestDistinguishedBasic(t *testing.T) {
   </people>
 </site>`)
 	q := tpq.MustParse(`//person(*)[.//business]`)
-	got := Distinguished(ix, q)
+	got := distinguished(t, ix, q)
 	if len(got) != 1 {
 		t.Fatalf("candidates = %v", got)
 	}
@@ -42,12 +66,12 @@ func TestDistinguishedBasic(t *testing.T) {
 func TestPCvsAD(t *testing.T) {
 	ix := buildDoc(t, `<a><b><c/></b><c/></a>`)
 	// pc: only the direct c child of a.
-	pc := Distinguished(ix, tpq.MustParse(`//a/c`))
+	pc := distinguished(t, ix, tpq.MustParse(`//a/c`))
 	if len(pc) != 1 {
 		t.Fatalf("pc candidates = %v", pc)
 	}
 	// ad: both c elements.
-	ad := Distinguished(ix, tpq.MustParse(`//a//c`))
+	ad := distinguished(t, ix, tpq.MustParse(`//a//c`))
 	if len(ad) != 2 {
 		t.Fatalf("ad candidates = %v", ad)
 	}
@@ -55,20 +79,20 @@ func TestPCvsAD(t *testing.T) {
 
 func TestAbsoluteRoot(t *testing.T) {
 	ix := buildDoc(t, `<a><a><b/></a></a>`)
-	abs := Distinguished(ix, tpq.MustParse(`/a/a`))
+	abs := distinguished(t, ix, tpq.MustParse(`/a/a`))
 	if len(abs) != 1 {
 		t.Fatalf("abs = %v", abs)
 	}
-	rel := Candidates(ix, tpq.MustParse(`//a`))
-	if len(rel[0]) != 2 {
-		t.Fatalf("rel = %v", rel[0])
+	rel := distinguished(t, ix, tpq.MustParse(`//a`))
+	if len(rel) != 2 {
+		t.Fatalf("rel = %v", rel)
 	}
 }
 
 func TestOptionalBranchesIgnored(t *testing.T) {
 	ix := buildDoc(t, `<a><b/></a>`)
 	q := tpq.MustParse(`//a[./b and ./missing?]`)
-	got := Distinguished(ix, q)
+	got := distinguished(t, ix, q)
 	if len(got) != 1 {
 		t.Fatalf("optional branch must not filter: %v", got)
 	}
@@ -76,11 +100,11 @@ func TestOptionalBranchesIgnored(t *testing.T) {
 
 func TestWildcardCandidates(t *testing.T) {
 	ix := buildDoc(t, `<a><b><c/></b><d/></a>`)
-	got := Distinguished(ix, tpq.MustParse(`//a//*`))
+	got := distinguished(t, ix, tpq.MustParse(`//a//*`))
 	if len(got) != 3 { // b, c, d (a is the required ancestor)
 		t.Fatalf("wildcard candidates = %v", got)
 	}
-	got = Distinguished(ix, tpq.MustParse(`//a/*[./c]`))
+	got = distinguished(t, ix, tpq.MustParse(`//a/*[./c]`))
 	if len(got) != 1 || ix.Document().Tag(got[0]) != "b" {
 		t.Fatalf("constrained wildcard = %v", got)
 	}
@@ -88,10 +112,10 @@ func TestWildcardCandidates(t *testing.T) {
 
 func TestEmptyWhenTagMissing(t *testing.T) {
 	ix := buildDoc(t, `<a><b/></a>`)
-	if got := Distinguished(ix, tpq.MustParse(`//a[./zzz]`)); len(got) != 0 {
+	if got := distinguished(t, ix, tpq.MustParse(`//a[./zzz]`)); len(got) != 0 {
 		t.Fatalf("got %v", got)
 	}
-	if got := Distinguished(ix, tpq.MustParse(`//zzz`)); len(got) != 0 {
+	if got := distinguished(t, ix, tpq.MustParse(`//zzz`)); len(got) != 0 {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -133,36 +157,33 @@ func randomDoc(r *rand.Rand) *index.Index {
 	return index.Build(b.MustDocument(), text.Pipeline{})
 }
 
-// TestPropertyAgreesWithMatcher: the twig filter must accept exactly the
-// elements the per-candidate matcher accepts, over random documents and
-// structural patterns.
+// TestPropertyAgreesWithMatcher: the served join and the oracle must
+// each accept exactly the elements the scan path's per-candidate matcher
+// accepts, over random documents and structural patterns.
 func TestPropertyAgreesWithMatcher(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
 	for iter := 0; iter < 800; iter++ {
 		ix := randomDoc(r)
 		q := randomStructuralQuery(r)
 		m := algebra.NewMatcher(ix, q)
-		want := map[xmldoc.NodeID]bool{}
+		// The tag list is in document order, so want is sorted and
+		// element-wise equality also pins the subjects' output order.
+		var want []xmldoc.NodeID
 		for _, e := range ix.Elements(q.Nodes[q.Dist].Tag) {
 			if m.MatchRequired(e) {
-				want[e] = true
+				want = append(want, e)
 			}
 		}
-		got := Distinguished(ix, q)
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: twig %d vs matcher %d\nq: %s\ndoc: %s\ntwig: %v",
-				iter, len(got), len(want), q, ix.Document().XMLString(), got)
-		}
-		for _, e := range got {
-			if !want[e] {
-				t.Fatalf("iter %d: twig accepted %d, matcher rejects\nq: %s\ndoc: %s",
-					iter, e, q, ix.Document().XMLString())
-			}
-		}
-		// Sorted output.
-		for i := 1; i < len(got); i++ {
-			if got[i-1] >= got[i] {
-				t.Fatalf("iter %d: candidates not sorted: %v", iter, got)
+		for _, subject := range []struct {
+			name string
+			got  []xmldoc.NodeID
+		}{
+			{"evaluator", served(t, ix, q)},
+			{"oracle", oracleDistinguished(ix, q)},
+		} {
+			if !slices.Equal(subject.got, want) {
+				t.Fatalf("iter %d: %s %v vs matcher %v\nq: %s\ndoc: %s",
+					iter, subject.name, subject.got, want, q, ix.Document().XMLString())
 			}
 		}
 	}
@@ -192,8 +213,11 @@ func BenchmarkTwigVsMatcher(b *testing.B) {
 
 	b.Run("twig", func(b *testing.B) {
 		b.ReportAllocs()
+		ev := NewEvaluator(ix, q)
 		for i := 0; i < b.N; i++ {
-			Distinguished(ix, q)
+			if _, _, err := ev.Distinguished(context.Background()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("matcher", func(b *testing.B) {

@@ -12,9 +12,9 @@
 // loaded *Snapshot as a parameter instead of re-reading.
 //
 // A "load" is any call of the snapshot-reading accessors on the corpus
-// type (Snapshot, Generation, Len, Names, Document, Index, Search,
-// SearchContext) — each performs its own atomic load, so two of them
-// in one function can observe different generations.
+// type (Snapshot, Len, Search, SearchContext) — each performs its own
+// atomic load, so two of them in one function can observe different
+// generations.
 package snapshotonce
 
 import (
@@ -29,11 +29,7 @@ import (
 // snapshot load.
 var loadMethods = map[string]bool{
 	"Snapshot":      true,
-	"Generation":    true,
 	"Len":           true,
-	"Names":         true,
-	"Document":      true,
-	"Index":         true,
 	"Search":        true,
 	"SearchContext": true,
 }

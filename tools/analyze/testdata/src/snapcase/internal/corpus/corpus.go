@@ -5,10 +5,10 @@ package corpus
 
 type Snapshot struct{ docs []string }
 
-func (s *Snapshot) Len() int { return len(s.docs) }
+func (s *Snapshot) Len() int           { return len(s.docs) }
+func (s *Snapshot) Generation() uint64 { return 0 }
 
 type Corpus struct{ snap *Snapshot }
 
 func (c *Corpus) Snapshot() *Snapshot { return c.snap }
-func (c *Corpus) Generation() uint64  { return 0 }
 func (c *Corpus) Len() int            { return 0 }

@@ -8,7 +8,7 @@ import "snapcase/internal/corpus"
 // the values straddle generations.
 func handleBad(c *corpus.Corpus) int {
 	n := c.Len()
-	g := c.Generation() // want snapshotonce "loads the corpus snapshot again"
+	g := c.Snapshot().Generation() // want snapshotonce "loads the corpus snapshot again"
 	return n + int(g)
 }
 
@@ -24,6 +24,6 @@ func helper(s *corpus.Snapshot) int { return s.Len() }
 func handleAllowed(c *corpus.Corpus) uint64 {
 	n := c.Len()
 	//pimento:allow snapshotonce fixture: advisory stats endpoint, generation skew between the two reads is harmless
-	g := c.Generation()
+	g := c.Snapshot().Generation()
 	return g + uint64(n)
 }
