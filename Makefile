@@ -1,12 +1,14 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
-# build, tests (including -race), coverage floors, and the concurrency
-# smoke suite (parallel-equivalence + server stress).
+# build, tests (plain, and under -race at three processor counts),
+# coverage floors, the invariant analyzers and the benchmark's smoke.
+# Every test runs in `test` and `race`; there are no -run subsets to
+# keep in step with the suites.
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race smoke cover loc fuzz-smoke mutation-smoke registry-smoke bench-test serving-smoke metrics-lint profile vet-profiles analyze analyze-build analyze-test analyze-baseline analyze-fix-list
+.PHONY: ci fmt-check vet build test race cover loc fuzz-smoke bench-test serving-smoke profile vet-profiles analyze analyze-build analyze-test analyze-baseline analyze-fix-list
 
-ci: fmt-check vet build test race smoke cover metrics-lint analyze analyze-test vet-profiles bench-test serving-smoke mutation-smoke registry-smoke
+ci: fmt-check vet build test race cover analyze analyze-test vet-profiles bench-test serving-smoke
 
 fmt-check:
 	@files="$$(gofmt -l .)"; \
@@ -59,20 +61,6 @@ test:
 race:
 	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race ./... || exit 1; done
 
-# The headline correctness properties under the race detector: identical
-# ranked answers at every parallelism level, the engine-level concurrent
-# stress run, and the serving layer's mixed-traffic stress (shared
-# cache, mid-flight deadline expiry, goroutine-leak check) plus the
-# live-corpus stress (concurrent searchers, mutators, /watch pollers —
-# every answer must match some reachable corpus state).
-smoke:
-	$(GO) test -race -run 'TestParallelMatchesSequential|TestConcurrentSearches|TestAnalysisCacheStress' \
-		./internal/plan/ ./internal/engine/ -count=1
-	$(GO) test -race -run 'TestCacheSingleFlight|TestCacheFollowerOutlivesFailedLeader|TestCachePoisonedFlight' \
-		./internal/cache/ -count=2
-	$(GO) test -race -run 'TestServerStress|TestCacheEquivalenceProperty|TestMutationStress' \
-		./internal/server/ -count=2
-
 # Coverage floors on the layers the serving path leans on. The floor is
 # a gate, not a target: new handlers and cache paths ship with tests.
 COVER_FLOOR := 80
@@ -106,13 +94,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzVetProfile -fuzztime $(FUZZTIME) -run '^$$' ./internal/analysis/
 	$(GO) test -fuzz FuzzTwigJoin -fuzztime $(FUZZTIME) -run '^$$' ./internal/twig/
 
-# Metrics hygiene: the /metrics exposition must parse cleanly and every
-# label value must come from a compile-time-enumerable set (no dynamic
-# cardinality minted from request content). See DESIGN.md §11.
-metrics-lint:
-	$(GO) test -run 'TestMetricsEndpoint|TestMetricsLabelLint|TestExpositionFormat' \
-		./internal/server/ ./internal/metrics/ -count=1
-
 # Vets every example profile: *.bad.profile files must be rejected,
 # everything else must come back clean. Guards the shipped examples and
 # the vet CLI's exit-status contract in one pass.
@@ -131,26 +112,6 @@ bench-test:
 # exits non-zero. Catches scheduler deadlocks and answer drift, not perf.
 serving-smoke:
 	bash bench/run.sh --workload cached_mix --seed 1 --seconds 2
-
-# Fixed-seed live-corpus gate for CI: the differential equivalence
-# suites — "mutate then query" answers byte-identical to "rebuild from
-# scratch then query" on both access paths — plus the cache-precision
-# property (untouched docs keep their entries, touched docs never serve
-# stale bytes) and the watch replay/resync contract. Deterministic
-# seeds; see DESIGN.md §15.
-mutation-smoke:
-	$(GO) test -run 'TestMutateThenQueryEquivalence|TestMutationCachePrecision|TestPutDeleteDocContract|TestWatch' \
-		./internal/server/ -count=1
-	$(GO) test -run 'TestCorpusMutateEquivalence|TestSnapshotIsolation|TestGenerationStampedFingerprints' \
-		./internal/corpus/ -count=1
-
-# Fixed-seed registry gate for CI: the concurrent
-# register/search-by-name/delete walk under the race detector (every
-# response a clean, classified outcome; no goroutine leaks) plus the
-# degraded-fan-out and dedup contracts. See DESIGN.md §16.
-registry-smoke:
-	$(GO) test -race -run 'TestRegistryStress|TestFanoutDegraded|TestProfileDedupSharesVerdictAndCache' \
-		./internal/server/ -count=1
 
 # Profiles pimentod under a Fig. 7-style workload: starts the daemon
 # with pprof enabled on -debug-addr, drives repeated personalized

@@ -88,8 +88,10 @@ func main() {
 
 	accessPath, err := plan.ParseAccessPath(*access)
 	fatal("access", err)
+	strategy, err := plan.ParseStrategy(*strat)
+	fatal("plan", err)
 	resp, err := eng.Search(q, prof, pimento.WithK(*k),
-		pimento.WithStrategy(parseStrategy(*strat)), pimento.WithAccessPath(accessPath))
+		pimento.WithStrategy(strategy), pimento.WithAccessPath(accessPath))
 	fatal("search", err)
 
 	if len(resp.AppliedSRs) > 0 {
@@ -106,23 +108,6 @@ func main() {
 			fmt.Printf("  %-45s in=%-6d out=%-6d pruned=%d\n", s.Name, s.In, s.Out, s.Pruned)
 		}
 	}
-}
-
-func parseStrategy(s string) pimento.Strategy {
-	switch s {
-	case "naive":
-		return pimento.Naive
-	case "interleave":
-		return pimento.InterleaveNoSort
-	case "interleave-sort":
-		return pimento.InterleaveSort
-	case "push-deep":
-		return pimento.PushDeep
-	case "push", "":
-		return pimento.Push
-	}
-	fatal("plan", fmt.Errorf("unknown plan %q", s))
-	return plan.Push
 }
 
 func fatal(what string, err error) {

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	pimento "repro"
 	"repro/internal/analysis"
@@ -49,15 +48,8 @@ func runVet(args []string) {
 	var ds []analysis.Diagnostic
 	prof, perr := pimento.ParseProfile(string(src))
 	if perr != nil {
-		// A duplicate rule identifier is a finding, not a usage mistake:
-		// report it as the P001 diagnostic the parser's error cites.
-		if strings.Contains(perr.Error(), "["+analysis.DiagDuplicateName+"]") {
-			ds = []analysis.Diagnostic{{
-				ID:       analysis.DiagDuplicateName,
-				Severity: analysis.SevError,
-				Message:  perr.Error(),
-			}}
-		} else {
+		// A duplicate rule identifier is a finding, not a usage mistake.
+		if ds = analysis.ParseDiagnostics(perr); ds == nil {
 			fmt.Fprintf(os.Stderr, "pimento vet: %v\n", perr)
 			os.Exit(2)
 		}

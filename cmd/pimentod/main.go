@@ -17,10 +17,10 @@
 // Per-request deadlines come from the request's timeout_ms field,
 // bounded by -timeout; repeated identical requests are answered from a
 // single-flight LRU result cache, and profile/query analysis verdicts
-// from a shared memoized analysis cache (-analysis-cache). Fresh
-// executions are admitted through a bounded worker pool (-pool,
-// -pool-queue, -pool-max-wait; DESIGN.md §14) that sheds overload with
-// 503/429 + Retry-After instead of oversubscribing the CPU.
+// from a shared memoized analysis cache. Fresh executions are admitted
+// through a bounded worker pool (-pool, -pool-queue, -pool-max-wait;
+// DESIGN.md §14) that sheds overload with 503/429 + Retry-After instead
+// of oversubscribing the CPU.
 // -slow-query enables the slow-query log; -debug-addr serves
 // net/http/pprof on a separate listener for profiling (see `make
 // profile`). SIGINT/SIGTERM drain in-flight requests before exit
@@ -63,7 +63,6 @@ func main() {
 	xmarkSize := flag.String("xmark", "", "additionally serve a generated XMark document of ~this size (e.g. 512K, 4M) under the name \"xmark\"")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline (0 disables)")
 	cacheSize := flag.Int("cache", 512, "result cache capacity in entries")
-	analysisCacheSize := flag.Int("analysis-cache", 256, "profile/query analysis verdict cache capacity in entries")
 	stem := flag.Bool("stem", true, "apply Porter stemming while indexing")
 	stopwords := flag.Bool("stopwords", false, "drop English stopwords while indexing")
 	access := flag.String("access", "auto", "default candidate access path: auto, scan, or twigjoin (requests override with their \"access\" field)")
@@ -105,7 +104,6 @@ func main() {
 	srv := server.New(server.Config{
 		Pipeline:           text.Pipeline{Stem: *stem, DropStopwords: *stopwords},
 		CacheSize:          *cacheSize,
-		AnalysisCacheSize:  *analysisCacheSize,
 		DefaultTimeout:     *timeout,
 		SlowQueryThreshold: *slowQuery,
 		DefaultAccess:      accessPath,

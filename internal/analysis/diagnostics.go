@@ -17,9 +17,12 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/profile"
 )
 
 // Severity grades a diagnostic. Error means engine.Search rejects the
@@ -70,7 +73,8 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 // renumbered, only appended.
 const (
 	// DiagDuplicateName: two rules share one identifier. ParseProfile
-	// rejects this at load time; the ID appears in its error message.
+	// rejects this at load time; ParseDiagnostics turns its error into
+	// the finding.
 	DiagDuplicateName = "P001"
 	// DiagDuplicateRule: two rules of the same kind have identical
 	// bodies under different names (the later one double-applies).
@@ -133,6 +137,19 @@ func DiagnosticIDs() []string {
 		DiagVORDead, DiagVORNoMatch,
 		DiagKORNoMatch, DiagKORDupPhrase,
 	}
+}
+
+// ParseDiagnostics reports a profile.ParseProfile failure that is a vet
+// *finding* rather than malformed input: a duplicate rule identifier
+// comes back as its P001 diagnostic, any other parse error as nil. It
+// matches the parser's typed error, never the message — parse errors
+// quote user input, so a profile can spell "[P001]" itself.
+func ParseDiagnostics(err error) []Diagnostic {
+	var dup *profile.DuplicateNameError
+	if !errors.As(err, &dup) {
+		return nil
+	}
+	return []Diagnostic{{ID: DiagDuplicateName, Severity: SevError, Message: err.Error()}}
 }
 
 // RuleRef points at one affected rule: its kind ("sr", "vor", "kor"),

@@ -1,8 +1,11 @@
 // Package corpus searches collections of XML documents — the setting of
 // the paper's INEX study (a collection of IEEE articles). Each document
-// gets its own index; queries fan out across documents in parallel and
-// the per-document top-k lists are merged under the profile's rank order
-// into a global top k.
+// gets its own index. A search is the request path's three steps, each
+// written once elsewhere and called here: the query passes the Section 5
+// gate and is flock-encoded once (engine.Personalize — the rewriting is
+// document-independent), the per-document plans run as the units of one
+// budgeted drain (plan.Drain), and the per-document top-k lists are
+// merged under the profile's rank order into a global top k.
 //
 // The corpus is *live*: documents can be added, replaced and deleted
 // while searches are in flight. All reads go through an immutable
@@ -29,7 +32,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -38,7 +40,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/algebra"
-	"repro/internal/analysis"
+	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/profile"
@@ -150,8 +152,12 @@ type Corpus struct {
 
 	// budget, when set via SetBudget, gates the fan-out's helper
 	// goroutines. Nil falls back to a private per-call allowance of
-	// GOMAXPROCS-1 helpers (the library default).
+	// GOMAXPROCS-1 helpers (the library default; see plan.Drain).
 	budget plan.WorkerBudget
+
+	// ac, when set via UseAnalysisCache, memoizes engine.Personalize, the
+	// fan-out's document-independent step.
+	ac *engine.AnalysisCache
 
 	// wmu serializes writers; readers never take it. The snapshot
 	// pointer is the only shared mutable state.
@@ -167,6 +173,12 @@ type Corpus struct {
 // semaphore allowed exactly that). Call before serving traffic; the
 // budget is read without synchronization.
 func (c *Corpus) SetBudget(b plan.WorkerBudget) { c.budget = b }
+
+// UseAnalysisCache attaches a (possibly shared) analysis cache, as
+// Engine.UseAnalysisCache does for one document; the serving layer
+// passes the one its single-document searches use. Call before serving
+// traffic; the field is read without synchronization.
+func (c *Corpus) UseAnalysisCache(ac *engine.AnalysisCache) { c.ac = ac }
 
 // New creates an empty corpus with the given text pipeline.
 func New(pipe text.Pipeline) *Corpus {
@@ -361,18 +373,13 @@ type unit struct {
 // returns ctx's error — never a partial merge. unitStart, when non-nil,
 // runs at the start of each unit (ShardOptions.ShardStart).
 func (s *Snapshot) fanOut(ctx context.Context, q *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy, units []unit, carve float64, unitStart func(id int)) (*ShardedResponse, error) {
-	if q == nil {
-		return nil, fmt.Errorf("corpus: nil query")
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("corpus: negative k %d (use 0 for the default of 10)", k)
-	}
-	if k == 0 {
-		k = 10
+	k, err := (&engine.Request{Query: q, K: k}).Validate()
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 
-	encoded, applied, err := s.encodeForSearch(q, prof)
+	encoded, applied, err := engine.Personalize(ctx, s.c.ac, prof, q)
 	if err != nil {
 		return nil, err
 	}
@@ -383,8 +390,11 @@ func (s *Snapshot) fanOut(ctx context.Context, q *tpq.Query, prof *profile.Profi
 		err      error
 	}
 	results := make([]unitResult, len(units))
-	runUnit := func(u unit, res *unitResult) {
-		uctx := ctx
+	plan.Drain(s.c.budget, len(units), func(j int) {
+		if algebra.ContextErr(ctx) != nil {
+			return // fan-out aborted before this unit's turn
+		}
+		u, res, uctx := units[j], &results[j], ctx
 		if carve > 0 {
 			var cancel context.CancelFunc
 			uctx, cancel = shardContext(ctx, carve)
@@ -424,44 +434,7 @@ func (s *Snapshot) fanOut(ctx context.Context, q *tpq.Query, prof *profile.Profi
 			// top k.
 			res.hits = rankHits(res.hits, prof, k)
 		}
-	}
-	var next atomic.Int64
-	drain := func() {
-		for {
-			j := int(next.Add(1)) - 1
-			if j >= len(units) {
-				return
-			}
-			if algebra.ContextErr(ctx) != nil {
-				return // fan-out aborted before this unit's turn
-			}
-			runUnit(units[j], &results[j])
-		}
-	}
-	// The caller's goroutine always works; helpers join only while the
-	// budget grants tokens. With no shared budget (library use), allow a
-	// private machine's worth per call.
-	budget := s.c.budget
-	maxHelpers := len(units) - 1
-	if budget == nil && maxHelpers > runtime.GOMAXPROCS(0)-1 {
-		maxHelpers = runtime.GOMAXPROCS(0) - 1
-	}
-	var wg sync.WaitGroup
-	for h := 0; h < maxHelpers; h++ {
-		if budget != nil && !budget.TryAcquire() {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if budget != nil {
-				defer budget.Release()
-			}
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
+	})
 
 	if err := algebra.ContextErr(ctx); err != nil {
 		return nil, err
@@ -495,19 +468,6 @@ func (s *Snapshot) fanOut(ctx context.Context, q *tpq.Query, prof *profile.Profi
 type docHit struct {
 	doc string
 	a   algebra.Answer
-}
-
-// encodeForSearch runs the document-independent half of a fan-out
-// once: the Section 5.2 ambiguity gate and the flock encoding of the
-// profile's scoping rules into a single query.
-func (s *Snapshot) encodeForSearch(q *tpq.Query, prof *profile.Profile) (*tpq.Query, []string, error) {
-	if prof == nil {
-		return q, nil, nil
-	}
-	if rep := analysis.DetectAmbiguityPrioritized(prof.VORs); rep.Ambiguous {
-		return nil, nil, fmt.Errorf("corpus: ambiguous ordering rules: %s", rep.Suggestion)
-	}
-	return analysis.EncodeFlock(prof.SRs, q)
 }
 
 // rankHits sorts hits under the profile's total rank order — rank,

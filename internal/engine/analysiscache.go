@@ -11,6 +11,9 @@
 // ambiguous, so recomputing the rejection per request would defeat the
 // cache. The only error do() itself can return is a follower's context
 // expiring while another caller's fill is in flight.
+//
+// Personalize is the only consumer of the verdicts' gate half; every
+// search — one document or a fan-out, memoized or not — goes through it.
 package engine
 
 import (
@@ -35,13 +38,53 @@ func ProfileFingerprint(p *profile.Profile) string {
 	return hex.EncodeToString(sum[:8])
 }
 
+// Rejection is the Section 5 gate refusing a profile: its value-based
+// ordering rules are ambiguous under priorities (5.2) or its scoping
+// rules form a conflict cycle on the query (5.1). Check is the ID of the
+// error-severity vet diagnostic the same analysis produces, so "error
+// diagnostic ⇔ Search rejects" travels on the error itself.
+type Rejection struct {
+	Check string // analysis.DiagVORAmbiguous or analysis.DiagSRConflictCycle
+	msg   string
+}
+
+func (r *Rejection) Error() string { return r.msg }
+
+// Personalize is the document-independent step between (query, profile)
+// and a runnable plan: the Section 5 gate rejects the profile
+// (*Rejection), or q comes back with the scoping rules flock-encoded
+// into it (Section 6.2) plus the names of the rules applied. A nil
+// profile passes q through; a nil ac computes the same verdicts
+// un-memoized. The only other error is ctx expiring during another
+// caller's fill. The encoded query is shared: treat it as immutable.
+func Personalize(ctx context.Context, ac *AnalysisCache, prof *profile.Profile, q *tpq.Query) (encoded *tpq.Query, applied []string, err error) {
+	if prof == nil {
+		return q, nil, nil
+	}
+	pv, err := ac.ProfileVerdict(ctx, prof)
+	if err != nil {
+		return nil, nil, err
+	}
+	if pv.AmbiguityErr != nil {
+		return nil, nil, pv.AmbiguityErr
+	}
+	qv, err := ac.QueryVerdict(ctx, prof, q)
+	if err != nil {
+		return nil, nil, err
+	}
+	if qv.ConflictErr != nil {
+		return nil, nil, qv.ConflictErr
+	}
+	return qv.Encoded, qv.Applied, nil
+}
+
 // ProfileVerdict is the cached outcome of the profile-scoped analyses:
 // the vet diagnostics and the Section 5.2 ambiguity gate.
 type ProfileVerdict struct {
 	Fingerprint string
 	// Diags is VetProfile's output (sorted, canonical witnesses).
 	Diags []analysis.Diagnostic
-	// AmbiguityErr is the Search-blocking rejection, nil when the VOR
+	// AmbiguityErr is the Search-blocking *Rejection, nil when the VOR
 	// set is unambiguous under priorities.
 	AmbiguityErr error
 }
@@ -57,7 +100,7 @@ type QueryVerdict struct {
 	Applied []string
 	// Diags is VetQuery's output.
 	Diags []analysis.Diagnostic
-	// ConflictErr is the Section 5.1 rejection (conflict cycle), nil
+	// ConflictErr is the Section 5.1 *Rejection (conflict cycle), nil
 	// when an application order exists.
 	ConflictErr error
 }
@@ -99,15 +142,14 @@ func NewAnalysisCache(capacity int) *AnalysisCache {
 // is still running; analysis rejections live in the verdict itself.
 func (c *AnalysisCache) ProfileVerdict(ctx context.Context, p *profile.Profile) (*ProfileVerdict, error) {
 	fp := ProfileFingerprint(p)
-	v, err := c.do(ctx, "p\x1f"+fp, func() any {
+	v, err := c.do(ctx, "p\x1f"+fp, func() (any, []analysis.Diagnostic) {
 		pv := &ProfileVerdict{Fingerprint: fp, Diags: analysis.VetProfile(p)}
 		if rep := analysis.DetectAmbiguityPrioritized(p.VORs); rep.Ambiguous {
-			pv.AmbiguityErr = fmt.Errorf(
+			pv.AmbiguityErr = &Rejection{Check: analysis.DiagVORAmbiguous, msg: fmt.Sprintf(
 				"engine: ambiguous value-based ordering rules (cycle %v): %s",
-				rep.Cycle, rep.Suggestion)
+				rep.Cycle, rep.Suggestion)}
 		}
-		c.countDiags(pv.Diags)
-		return pv
+		return pv, pv.Diags
 	})
 	if err != nil {
 		return nil, err
@@ -119,11 +161,13 @@ func (c *AnalysisCache) ProfileVerdict(ctx context.Context, p *profile.Profile) 
 // single-plan flock encoding plus query-scoped diagnostics.
 func (c *AnalysisCache) QueryVerdict(ctx context.Context, p *profile.Profile, q *tpq.Query) (*QueryVerdict, error) {
 	key := "q\x1f" + ProfileFingerprint(p) + "\x1f" + q.String()
-	v, err := c.do(ctx, key, func() any {
+	v, err := c.do(ctx, key, func() (any, []analysis.Diagnostic) {
 		qv := &QueryVerdict{Diags: analysis.VetQuery(p, q)}
-		qv.Encoded, qv.Applied, qv.ConflictErr = analysis.EncodeFlock(p.SRs, q)
-		c.countDiags(qv.Diags)
-		return qv
+		var err error
+		if qv.Encoded, qv.Applied, err = analysis.EncodeFlock(p.SRs, q); err != nil {
+			qv.ConflictErr = &Rejection{Check: analysis.DiagSRConflictCycle, msg: err.Error()}
+		}
+		return qv, qv.Diags
 	})
 	if err != nil {
 		return nil, err
@@ -131,22 +175,30 @@ func (c *AnalysisCache) QueryVerdict(ctx context.Context, p *profile.Profile, q 
 	return v.(*QueryVerdict), nil
 }
 
-// do is the single-flight LRU lookup. The fill runs inline on the
+// do is the single-flight LRU lookup; fill returns the verdict and the
+// diagnostics to count, once per fill. The fill runs inline on the
 // leader and takes no context (the analyses are pure and cost tens of
 // microseconds), so the caller that triggered a fill giving up cannot
 // abort it: every waiter with a live context still receives the value.
-func (c *AnalysisCache) do(ctx context.Context, key string, fill func() any) (any, error) {
-	v, _, err := c.lru.DoTagged(ctx, key, nil, func() (any, error) { return fill(), nil })
+// A nil cache is the un-memoized case: the same fill, counted nowhere.
+func (c *AnalysisCache) do(ctx context.Context, key string, fill func() (any, []analysis.Diagnostic)) (any, error) {
+	if c == nil {
+		v, _ := fill()
+		return v, nil
+	}
+	v, _, err := c.lru.DoTagged(ctx, key, nil, func() (any, error) {
+		v, ds := fill()
+		c.RecordDiagnostics(ds)
+		return v, nil
+	})
 	return v, err
 }
 
-// RecordDiagnostics folds externally-produced diagnostics into the
-// per-class counters — the serving layer uses it for findings that
-// never reach a fill (e.g. a duplicate-identifier rejection raised
-// during profile parsing, before analysis can run).
-func (c *AnalysisCache) RecordDiagnostics(ds []analysis.Diagnostic) { c.countDiags(ds) }
-
-func (c *AnalysisCache) countDiags(ds []analysis.Diagnostic) {
+// RecordDiagnostics folds diagnostics into the per-class counters: each
+// fill's, and — from the serving layer — findings that never reach a
+// fill (e.g. a duplicate-identifier rejection raised during profile
+// parsing, before analysis can run).
+func (c *AnalysisCache) RecordDiagnostics(ds []analysis.Diagnostic) {
 	c.mu.Lock()
 	for _, d := range ds {
 		c.diagCounts[d.ID]++

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -148,10 +150,10 @@ func TestAnalysisCacheFollowerOutlivesLeader(t *testing.T) {
 		defer close(leaderDone)
 		// The fill takes no context, so the leader finishes it whatever
 		// its own context does.
-		if v, err := c.do(leaderCtx, "k", func() any {
+		if v, err := c.do(leaderCtx, "k", func() (any, []analysis.Diagnostic) {
 			close(started)
 			<-release
-			return "value"
+			return "value", nil
 		}); err != nil || v != "value" {
 			t.Errorf("leader = (%v, %v), want (value, nil)", v, err)
 		}
@@ -162,9 +164,9 @@ func TestAnalysisCacheFollowerOutlivesLeader(t *testing.T) {
 	// Follower joins the (still running) fill with a live context.
 	followerDone := make(chan any, 1)
 	go func() {
-		v, err := c.do(context.Background(), "k", func() any {
+		v, err := c.do(context.Background(), "k", func() (any, []analysis.Diagnostic) {
 			t.Error("follower must coalesce, not refill")
-			return nil
+			return nil, nil
 		})
 		if err != nil {
 			t.Error(err)
@@ -187,9 +189,9 @@ func TestAnalysisCacheFollowerOutlivesLeader(t *testing.T) {
 		t.Fatalf("follower got %v", v)
 	}
 	<-leaderDone
-	if _, err := c.do(context.Background(), "k", func() any {
+	if _, err := c.do(context.Background(), "k", func() (any, []analysis.Diagnostic) {
 		t.Error("value must be cached after the fill")
-		return nil
+		return nil, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -250,45 +252,58 @@ func TestSearchUsesAnalysisCache(t *testing.T) {
 	}
 }
 
-// TestVetVerdictMatchesSearch is the property test behind `pimento vet`:
-// a profile with no error-severity diagnostics is accepted by Search,
-// and a profile with an error diagnostic is rejected — under both the
-// cached and the inline analysis paths.
-func TestVetVerdictMatchesSearch(t *testing.T) {
-	srSets := []string{
-		"",
-		"sr p1 priority 1: if pc(car, description) & ftcontains(description, \"low mileage\") then remove ftcontains(description, \"good condition\")\n",
-		cyclicSRs,
-		"sr u: if pc(car, d) & d.p < 1 & d.p > 2 then add ftcontains(d, \"z\")\n", // warn only
+// TestPersonalizeMemoizedEqualsDirect: the gate is one function whose
+// cache is an input — a nil cache and a fresh one agree on the encoded
+// query, the applied rules and the rejection (type, check ID and text),
+// on the first call and on the memoized second.
+func TestPersonalizeMemoizedEqualsDirect(t *testing.T) {
+	ctx := context.Background()
+	profiles := map[string]*profile.Profile{
+		"fig2":      profile.MustParseProfile(fig2Rules),
+		"ambiguous": profile.MustParseProfile(ambiguousVORs),
+		"cyclic":    profile.MustParseProfile(cyclicSRs),
+		"none":      nil,
 	}
-	vorSets := []string{
-		"",
-		ambiguousVORs,
-		"vor w1 priority 2: x.tag = car & y.tag = car & x.color = \"red\" & y.color != \"red\" => x < y\nvor w2 priority 1: x.tag = car & y.tag = car & x.mileage < y.mileage => x < y\n",
-		"vor d: x.tag = car & y.tag = car & x.hp < 100 & x.hp > 200 & x.m < y.m => x < y\n", // warn only
-	}
-	queries := []string{
-		paperQ,
-		`//car[./description[. ftcontains "good condition"]]`,
-	}
-
-	cached := newEngine(t)
-	cached.UseAnalysisCache(NewAnalysisCache(64))
-	inline := newEngine(t)
-
-	for _, srs := range srSets {
-		for _, vors := range vorSets {
-			src := srs + vors + "rank K,V,S\n"
-			p := profile.MustParseProfile(src)
-			for _, qs := range queries {
-				q := tpq.MustParse(qs)
-				wantClean := analysis.ErrorCount(analysis.Vet(p, q)) == 0
-				for name, e := range map[string]*Engine{"cached": cached, "inline": inline} {
-					_, err := e.Search(Request{Query: tpq.MustParse(qs), Profile: p, K: 3})
-					if accepted := err == nil; accepted != wantClean {
-						t.Errorf("%s engine: vet clean=%v but Search err=%v\nprofile:\n%s\nquery: %s",
-							name, wantClean, err, src, qs)
+	for name, prof := range profiles {
+		for _, qs := range []string{paperQ, `//car[./description[. ftcontains "good condition"]]`} {
+			// The check the direct call must reject with ("" = accept):
+			// cyclicSRs conflict only on a query carrying both phrases.
+			wantCheck := ""
+			switch {
+			case name == "ambiguous":
+				wantCheck = analysis.DiagVORAmbiguous
+			case name == "cyclic" && qs == paperQ:
+				wantCheck = analysis.DiagSRConflictCycle
+			}
+			q := tpq.MustParse(qs)
+			ac := NewAnalysisCache(8)
+			dEnc, dApplied, dErr := Personalize(ctx, nil, prof, q)
+			var dRej *Rejection
+			if dErr != nil && !errors.As(dErr, &dRej) {
+				t.Fatalf("%s / %s: direct rejection is a %T, want *Rejection", name, qs, dErr)
+			}
+			if (dErr != nil) != (wantCheck != "") || (dRej != nil && dRej.Check != wantCheck) {
+				t.Fatalf("%s / %s: err = %v, want check %q", name, qs, dErr, wantCheck)
+			}
+			for round := 0; round < 2; round++ {
+				mEnc, mApplied, mErr := Personalize(ctx, ac, prof, q)
+				if (dErr == nil) != (mErr == nil) {
+					t.Fatalf("%s / %s: direct err %v, memoized err %v", name, qs, dErr, mErr)
+				}
+				if dErr != nil {
+					var mRej *Rejection
+					if !errors.As(mErr, &mRej) {
+						t.Fatalf("%s / %s: memoized rejection is a %T, want *Rejection", name, qs, mErr)
 					}
+					if dRej.Check != mRej.Check || dRej.Error() != mRej.Error() {
+						t.Errorf("%s / %s: direct rejection (%s) %q, memoized (%s) %q",
+							name, qs, dRej.Check, dRej, mRej.Check, mRej)
+					}
+					continue
+				}
+				if dEnc.String() != mEnc.String() || !reflect.DeepEqual(dApplied, mApplied) {
+					t.Errorf("%s / %s: direct (%s, %v), memoized (%s, %v)",
+						name, qs, dEnc, dApplied, mEnc, mApplied)
 				}
 			}
 		}

@@ -60,10 +60,7 @@ func (e *Engine) SetFingerprint(fp string) {
 // that resolve differently (0 on a small and on a large document's
 // worth of GOMAXPROCS) would share metadata only one of them ran with.
 func (req *Request) CacheKey(fingerprint string, resolvedPar int) string {
-	k := req.K
-	if k == 0 {
-		k = 10
-	}
+	k, _ := req.Validate() // a request Validate refuses has no response to key
 	var sb strings.Builder
 	sb.Grow(256)
 	fmt.Fprintf(&sb, "doc=%s\x1fq=%s\x1fk=%d\x1fstrat=%s\x1faccess=%s\x1fpar=%d",

@@ -1,14 +1,16 @@
-// Package engine is PIMENTO's personalization driver: it runs the static
-// analyses of Section 5 (scoping-rule conflicts, ordering-rule
-// ambiguity), enforces the profile by encoding the query flock into a
-// single plan (Section 6), executes it with OR-aware top-k pruning, and
-// reports results with per-operator statistics.
+// Package engine is PIMENTO's personalization driver. Personalize runs
+// the static analyses of Section 5 (scoping-rule conflicts, ordering-rule
+// ambiguity) and either rejects the profile or encodes the query flock
+// into a single query (Section 6.2), memoized when handed an
+// AnalysisCache. Engine.SearchContext is that step plus one document's
+// plan: build, execute with OR-aware top-k pruning, materialize, report
+// per-operator statistics; the corpus fan-out shares the first step.
 package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -33,9 +35,9 @@ type Engine struct {
 	fpOnce sync.Once
 	fp     string
 
-	// ac, when set via UseAnalysisCache, memoizes profile/query analysis
-	// so repeated requests with the same profile skip re-running the
-	// Section 5 checks and flock encoding.
+	// ac, when set via UseAnalysisCache, memoizes Personalize so repeated
+	// requests with the same profile skip re-running the Section 5 checks
+	// and flock encoding; nil analyzes every request afresh.
 	ac *AnalysisCache
 }
 
@@ -54,15 +56,6 @@ func New(doc *xmldoc.Document, pipe text.Pipeline) *Engine {
 // on top of a corpus entry.
 func FromParts(doc *xmldoc.Document, ix *index.Index) *Engine {
 	return &Engine{doc: doc, ix: ix}
-}
-
-// FromXML parses and indexes an XML document.
-func FromXML(r io.Reader, pipe text.Pipeline) (*Engine, error) {
-	doc, err := xmldoc.Parse(r)
-	if err != nil {
-		return nil, err
-	}
-	return New(doc, pipe), nil
 }
 
 // Document returns the engine's document.
@@ -109,6 +102,25 @@ type Request struct {
 	Timing bool
 }
 
+// defaultK is the result size of a request that leaves K zero.
+const defaultK = 10
+
+// Validate is the entry check every search shares (one document, the
+// corpus fan-out, the cache key, the serving layer): it refuses a nil
+// query and a negative K and returns the effective result size.
+func (req *Request) Validate() (k int, err error) {
+	if req.Query == nil {
+		return 0, errors.New("engine: nil query")
+	}
+	if req.K < 0 {
+		return 0, fmt.Errorf("engine: negative K %d (use 0 or omit K for the default of %d)", req.K, defaultK)
+	}
+	if req.K == 0 {
+		return defaultK, nil
+	}
+	return req.K, nil
+}
+
 // Result is one ranked answer.
 type Result struct {
 	Node    xmldoc.NodeID
@@ -147,10 +159,11 @@ type Response struct {
 	Cached bool
 }
 
-// Search personalizes and evaluates the request. It fails when the
-// profile's value-based ORs are ambiguous (Section 5.2 requires the user
-// to resolve ambiguity with priorities before the profile is enforced)
-// or when its scoping rules have unresolvable conflict cycles.
+// Search personalizes and evaluates the request. It fails with a
+// *Rejection when the profile's value-based ORs are ambiguous (Section
+// 5.2 requires the user to resolve ambiguity with priorities before the
+// profile is enforced) or when its scoping rules have unresolvable
+// conflict cycles.
 func (e *Engine) Search(req Request) (*Response, error) {
 	//pimento:allow ctxbg context-free public entry point whose contract is run-to-completion; cancellable callers use SearchContext
 	return e.SearchContext(context.Background(), req)
@@ -161,57 +174,20 @@ func (e *Engine) Search(req Request) (*Response, error) {
 // prune loops all carry checkpoints) and SearchContext returns ctx's
 // error — never a silently truncated top k.
 func (e *Engine) SearchContext(ctx context.Context, req Request) (*Response, error) {
-	if req.Query == nil {
-		return nil, fmt.Errorf("engine: nil query")
+	k, err := req.Validate()
+	if err != nil {
+		return nil, err
 	}
-	if req.K < 0 {
-		return nil, fmt.Errorf("engine: negative K %d (use 0 or omit K for the default of 10)", req.K)
-	}
-	k := req.K
-	if k == 0 {
-		k = 10
-	}
-	strat := req.Strategy // plan.Default resolves to Push inside Build
 
 	start := time.Now()
 	tr := metrics.NewTrace()
-	q := req.Query
-	var applied []string
+	q, applied := req.Query, []string(nil)
 	if req.Profile != nil {
 		endAnalyze := tr.Start("analyze")
-		if e.ac != nil {
-			// Memoized path: the ambiguity gate, flock encoding and vet
-			// diagnostics come from the shared analysis cache; only the
-			// first request per profile (and per profile+query) pays for
-			// analysis.
-			pv, err := e.ac.ProfileVerdict(ctx, req.Profile)
-			if err != nil {
-				return nil, err
-			}
-			if pv.AmbiguityErr != nil {
-				return nil, pv.AmbiguityErr
-			}
-			qv, err := e.ac.QueryVerdict(ctx, req.Profile, req.Query)
-			endAnalyze()
-			if err != nil {
-				return nil, err
-			}
-			if qv.ConflictErr != nil {
-				return nil, qv.ConflictErr
-			}
-			q, applied = qv.Encoded, qv.Applied
-		} else {
-			if rep := analysis.DetectAmbiguityPrioritized(req.Profile.VORs); rep.Ambiguous {
-				return nil, fmt.Errorf(
-					"engine: ambiguous value-based ordering rules (cycle %v): %s",
-					rep.Cycle, rep.Suggestion)
-			}
-			var err error
-			q, applied, err = analysis.EncodeFlock(req.Profile.SRs, req.Query)
-			endAnalyze()
-			if err != nil {
-				return nil, err
-			}
+		q, applied, err = Personalize(ctx, e.ac, req.Profile, req.Query)
+		endAnalyze()
+		if err != nil {
+			return nil, err
 		}
 	}
 	if req.Thesaurus != nil && req.Thesaurus.Len() > 0 {
@@ -226,7 +202,7 @@ func (e *Engine) SearchContext(ctx context.Context, req Request) (*Response, err
 
 	endBuild := tr.Start("build")
 	p, err := plan.BuildWith(e.ix, q, req.Profile, k, plan.Options{
-		Strategy:    strat,
+		Strategy:    req.Strategy, // plan.Default resolves to Push inside Build
 		AccessPath:  req.Access,
 		Parallelism: req.Parallelism,
 		Budget:      req.Budget,
@@ -306,8 +282,7 @@ func snippet(s string, max int) string {
 	return cut + "…"
 }
 
-// AnalyzeProfile runs the Section 5 static analyses for a profile against
-// a query without executing anything — the "explain" entry point.
+// ProfileAnalysis is AnalyzeProfile's report.
 type ProfileAnalysis struct {
 	Conflicts   *analysis.ConflictReport
 	ConflictErr error
@@ -319,8 +294,10 @@ type ProfileAnalysis struct {
 	Trace []metrics.Span
 }
 
-// AnalyzeProfile reports rule applicability, conflicts, the application
-// order, the resulting flock, and VOR ambiguity.
+// AnalyzeProfile runs the Section 5 static analyses for a profile against
+// a query without executing anything — the "explain" entry point: rule
+// applicability, conflicts, the application order, the resulting flock,
+// and VOR ambiguity.
 func AnalyzeProfile(prof *profile.Profile, q *tpq.Query) *ProfileAnalysis {
 	pa := &ProfileAnalysis{}
 	tr := metrics.NewTrace()

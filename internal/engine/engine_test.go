@@ -220,22 +220,18 @@ func TestSearchValidation(t *testing.T) {
 	}
 }
 
-func TestFromXML(t *testing.T) {
-	e, err := FromXML(strings.NewReader(fig1XML), text.DefaultPipeline)
+func TestSearchStemmedPipeline(t *testing.T) {
+	doc, err := xmldoc.ParseString(fig1XML)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Stemming on: "conditions" would match too; basic smoke check.
-	resp, err := e.Search(Request{Query: tpq.MustParse(`//car[. ftcontains "good condition"]`), K: 10})
+	resp, err := New(doc, text.DefaultPipeline).Search(Request{Query: tpq.MustParse(`//car[. ftcontains "good condition"]`), K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Results) != 3 {
 		t.Errorf("all cars mention good condition: %+v", resp.Results)
-	}
-
-	if _, err := FromXML(strings.NewReader("<broken"), text.DefaultPipeline); err == nil {
-		t.Errorf("broken XML must fail")
 	}
 }
 

@@ -6,16 +6,18 @@ import (
 
 	"repro/internal/text"
 	"repro/internal/tpq"
+	"repro/internal/xmldoc"
 )
 
 // TestNegativeKRejected pins the API-boundary contract: K == 0 means
 // "default of 10", but an explicitly negative K is a caller bug and
 // must be an error, not a silent default.
 func TestNegativeKRejected(t *testing.T) {
-	e, err := FromXML(strings.NewReader(fig1XML), text.Pipeline{Stem: true})
+	doc, err := xmldoc.ParseString(fig1XML)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := New(doc, text.Pipeline{Stem: true})
 	q, err := tpq.Parse(`//car[price < 2000]`)
 	if err != nil {
 		t.Fatal(err)

@@ -80,20 +80,3 @@ func TestExecuteContextCancelled(t *testing.T) {
 		})
 	}
 }
-
-// TestExecuteNilContextOption covers the Execute() compatibility path:
-// Options.Context is optional and nil means background.
-func TestExecuteNilContextOption(t *testing.T) {
-	ix := bigDoc(t, 50)
-	q, err := tpq.Parse(`//item`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := BuildWith(ix, q, nil, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Execute(); len(got) != 3 {
-		t.Fatalf("Execute returned %d answers, want 3", len(got))
-	}
-}

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/algebra"
+	"repro/internal/sched"
 )
 
 // minPartition is the smallest candidate partition worth a dedicated
@@ -54,13 +55,43 @@ const parallelThresholdNodes = 150_000
 
 // WorkerBudget is a non-blocking allowance for *extra* goroutines
 // beyond the one the caller already owns (implemented by sched.Budget).
-// A nil budget means "unbudgeted": spawn freely, the pre-scheduler
-// library behavior. Execution never blocks on the budget and results
-// are identical whether a token is granted or not — a denied token just
-// runs that partition in the caller's goroutine.
+// Execution never blocks on the budget and results are identical
+// whether a token is granted or not — a denied token just runs that
+// piece of work in the caller's goroutine.
 type WorkerBudget interface {
 	TryAcquire() bool
 	Release()
+}
+
+// Drain runs run(0) … run(n-1), each index exactly once, and returns
+// when all have finished. It is the one place the request path spawns
+// goroutines: the caller's goroutine always works, and up to n-1
+// helpers join it — pulling indices off the same atomic queue — only
+// while budget grants tokens. Parallel plan partitions and the corpus
+// fan-out's units are both its indices, so under one scheduler budget
+// their product cannot oversubscribe the machine. A nil budget (library
+// use, no scheduler) is a private GOMAXPROCS-1 tokens for this call.
+func Drain(budget WorkerBudget, n int, run func(i int)) {
+	if budget == nil {
+		budget = sched.NewBudget(runtime.GOMAXPROCS(0) - 1)
+	}
+	var next atomic.Int64
+	drain := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			run(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for h := 1; h < n && budget.TryAcquire(); h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer budget.Release()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
 }
 
 // ResolveParallelism is the cost model behind the Parallelism knob,
@@ -126,14 +157,12 @@ func (p *Plan) effectiveWorkers() int {
 // executeParallel runs the plan as w scan-partitioned partitions and
 // k-merges their results deterministically. The partition *count* is
 // fixed at w — that is what makes the result and the reported Workers()
-// deterministic — but the *goroutine* count is not: the caller's
-// goroutine drains partitions off an atomic work queue, and up to w-1
-// helper goroutines join only while Options.Budget grants tokens. Under
-// a saturated scheduler the helpers simply don't materialize and the
-// caller runs every partition itself; with a nil budget (library use)
-// all w-1 helpers spawn, the original behavior. Each partition chain
-// carries its own cancellation probe bound to ctx, so a deadline or
-// client disconnect aborts every partition cooperatively.
+// deterministic — but the *goroutine* count is not: the partitions are
+// the indices of one Drain under Options.Budget, so under a saturated
+// scheduler the helpers simply don't materialize and the caller runs
+// every partition itself. Each partition chain carries its own
+// cancellation probe bound to ctx, so a deadline or client disconnect
+// aborts every partition cooperatively.
 func (p *Plan) executeParallel(ctx context.Context, w int) ([]algebra.Answer, error) {
 	ids := p.sourceIDs
 	shared := algebra.NewSharedBound()
@@ -142,8 +171,7 @@ func (p *Plan) executeParallel(ctx context.Context, w int) ([]algebra.Answer, er
 		stats []algebra.OpStats
 	}
 	outs := make([]workerOut, w)
-	var next atomic.Int64
-	runPartition := func(i int) {
+	Drain(p.opts.Budget, w, func(i int) {
 		lo, hi := i*len(ids)/w, (i+1)*len(ids)/w
 		src := &algebra.ListScanOp{Name: p.sourceName, IDs: ids[lo:hi]}
 		ops, final, m := p.buildChain(src, shared, algebra.NewCancelCheck(ctx))
@@ -163,32 +191,7 @@ func (p *Plan) executeParallel(ctx context.Context, w int) ([]algebra.Answer, er
 		// the next partition (or the next request) skips the allocations.
 		algebra.ReleaseChainScratch(ops)
 		m.ReleaseScratch()
-	}
-	drain := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= w {
-				return
-			}
-			runPartition(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for h := 0; h < w-1; h++ {
-		if p.opts.Budget != nil && !p.opts.Budget.TryAcquire() {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if p.opts.Budget != nil {
-				defer p.opts.Budget.Release()
-			}
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
+	})
 	p.lastWorkers = w
 	if err := algebra.ContextErr(ctx); err != nil {
 		// At least one worker may have stopped mid-partition; its top-k

@@ -3,7 +3,9 @@
 // after each keyword-based OR, with or without sorting), and
 // PushtopKPrune (pruning pushed all the way down the plan), plus the
 // score-bound bookkeeping (query-scorebound, kor-scorebound) that keeps
-// every prune sound.
+// every prune sound. A plan runs sequentially or scan-partitioned
+// (parallel.go); Drain, which runs the partitions, is the request
+// path's one budgeted goroutine fan-out and also runs the corpus's.
 package plan
 
 import (
@@ -62,6 +64,24 @@ func (s Strategy) String() string {
 
 // Strategies lists the four plans Fig. 7 compares, in the paper's order.
 var Strategies = []Strategy{Naive, InterleaveNoSort, InterleaveSort, Push}
+
+// ParseStrategy parses a plan-strategy name as used by the -plan flag
+// and the serving API. The empty string means Push, the default.
+func ParseStrategy(s string) (Strategy, error) {
+	switch s {
+	case "", "push", "default":
+		return Push, nil
+	case "naive":
+		return Naive, nil
+	case "interleave", "interleave-nosort":
+		return InterleaveNoSort, nil
+	case "interleave-sort":
+		return InterleaveSort, nil
+	case "push-deep":
+		return PushDeep, nil
+	}
+	return Default, fmt.Errorf("plan: unknown strategy %q (want naive, interleave, interleave-sort, push or push-deep)", s)
+}
 
 // Plan is an executable physical plan.
 type Plan struct {
@@ -131,10 +151,6 @@ type Options struct {
 	// total execution goroutines machine-wide. Results do not depend on
 	// how many tokens are granted.
 	Budget WorkerBudget
-	// Context, when non-nil, is the default execution context: Execute
-	// aborts cooperatively once it is cancelled or past its deadline.
-	// ExecuteContext overrides it per call.
-	Context context.Context
 	// Timing wraps every operator so Stats() report per-operator wall
 	// time (OpStats.WallNS) at the cost of two clock reads per pull.
 	// The serving layer and the Fig. 6/7 harnesses enable it; the bare
@@ -324,14 +340,14 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 // Execute runs the plan to completion and returns the top-k answers,
 // best first. With Options.Parallelism != 1 (and enough candidates) the
 // access path is partitioned across workers; the answer list is
-// identical to the sequential path's at every parallelism level.
-// Cancellation of Options.Context surfaces as a truncated result here;
-// use ExecuteContext to distinguish aborts from completions.
+// identical to the sequential path's at every parallelism level. It
+// runs under no context — to completion; cancellable callers use
+// ExecuteContext.
 func (p *Plan) Execute() []algebra.Answer {
-	// A nil Options.Context threads through as-is: every layer below
-	// (CancelCheck, ContextErr, the twig stop probes) treats nil as
-	// "never cancelled", so no context is fabricated mid-stack.
-	answers, _ := p.ExecuteContext(p.opts.Context)
+	// Every layer below (CancelCheck, ContextErr, the twig stop probes)
+	// treats a nil context as "never cancelled", so none is fabricated
+	// mid-stack and the error can only be nil.
+	answers, _ := p.ExecuteContext(nil)
 	return answers
 }
 
@@ -490,16 +506,4 @@ func (p *Plan) String() string {
 		s += st.Name
 	}
 	return s
-}
-
-// Evaluate is the naive reference evaluator: score every candidate fully,
-// sort by the profile's rank order, return the top k. It is the ground
-// truth the pruning plans are tested against and the evaluator used by
-// the effectiveness experiments (where pruning is not under study).
-func Evaluate(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int) ([]algebra.Answer, error) {
-	p, err := Build(ix, q, prof, k, Naive)
-	if err != nil {
-		return nil, err
-	}
-	return p.Execute(), nil
 }

@@ -57,6 +57,17 @@ kor w5: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 rank K,V,S
 `
 
+// Evaluate is the naive reference evaluator: score every candidate fully,
+// sort by the profile's rank order, return the top k — the ground truth
+// the pruning plans are tested against.
+func Evaluate(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int) ([]algebra.Answer, error) {
+	p, err := Build(ix, q, prof, k, Naive)
+	if err != nil {
+		return nil, err
+	}
+	return p.Execute(), nil
+}
+
 func TestAllStrategiesAgreeWithNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	prof := profile.MustParseProfile(testProfile)
@@ -412,5 +423,22 @@ kor k3 priority 3: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 					iter, strat, q, describe(ref), describe(got), p)
 			}
 		}
+	}
+}
+
+// TestParseStrategy pins the one name table the -plan flag and the
+// /search "strategy" field share.
+func TestParseStrategy(t *testing.T) {
+	for name, want := range map[string]Strategy{
+		"": Push, "push": Push, "default": Push, "naive": Naive,
+		"interleave": InterleaveNoSort, "interleave-nosort": InterleaveNoSort,
+		"interleave-sort": InterleaveSort, "push-deep": PushDeep,
+	} {
+		if got, err := ParseStrategy(name); err != nil || got != want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseStrategy("quantum"); err == nil {
+		t.Error("unknown strategy accepted")
 	}
 }

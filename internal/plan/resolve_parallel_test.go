@@ -97,6 +97,37 @@ func (b *countingBudget) TryAcquire() bool {
 
 func (b *countingBudget) Release() { b.held.Add(-1) }
 
+// TestDrain pins the one drain's contract for every budget shape: each
+// index runs exactly once, helpers never exceed what the budget grants
+// (a helper spawns only on a granted token, so a peak of zero under the
+// zero-token budget means the caller ran everything), and every
+// acquired token is handed back.
+func TestDrain(t *testing.T) {
+	for _, n := range []int{0, 1, 7} {
+		for _, tokens := range []int64{-1, 0, 64} { // -1: the nil WorkerBudget
+			var budget WorkerBudget
+			cb := &countingBudget{cap: tokens}
+			if tokens >= 0 {
+				budget = cb
+			}
+			ran := make([]atomic.Int64, n)
+			Drain(budget, n, func(i int) { ran[i].Add(1) })
+			for i := range ran {
+				if got := ran[i].Load(); got != 1 {
+					t.Errorf("n=%d tokens=%d: index %d ran %d times", n, tokens, i, got)
+				}
+			}
+			if held := cb.held.Load(); held != 0 {
+				t.Errorf("n=%d tokens=%d: %d tokens leaked", n, tokens, held)
+			}
+			maxHelpers := min(max(tokens, 0), max(int64(n)-1, 0))
+			if peak := cb.peak.Load(); peak > maxHelpers {
+				t.Errorf("n=%d tokens=%d: peak helpers %d, want <= %d", n, tokens, peak, maxHelpers)
+			}
+		}
+	}
+}
+
 // TestParallelBudget: a budget caps helper goroutines but never changes
 // the answer — even a zero budget (caller drains every partition) must
 // report the full worker count and match the sequential reference.

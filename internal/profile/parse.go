@@ -78,16 +78,28 @@ func cutWord(s string) (word, rest string) {
 	return s[:i], strings.TrimSpace(s[i:])
 }
 
+// DuplicateNameError is the parse failure for a rule identifier already
+// taken by another sr, vor or kor. It is a type, not a marker in the
+// message, because parse errors quote user input: callers that report
+// the collision as vet finding P001 match it with errors.As.
+type DuplicateNameError struct {
+	Kind, Name string // the offending declaration
+	OtherKind  string // the kind of rule that already holds Name
+}
+
+func (e *DuplicateNameError) Error() string {
+	if e.Kind == e.OtherKind {
+		return fmt.Sprintf("%s %s: duplicate rule identifier [P001]", e.Kind, e.Name)
+	}
+	return fmt.Sprintf("%s %s: rule identifier already used by a %s [P001]", e.Kind, e.Name, e.OtherKind)
+}
+
 // checkRuleName rejects a rule identifier already taken by any sr, vor
 // or kor: rules share one namespace (diagnostics and witnesses refer to
-// them by name), so a collision would make every report ambiguous. The
-// error carries the vet check ID P001.
+// them by name), so a collision would make every report ambiguous.
 func checkRuleName(p *Profile, kind, name string) error {
 	clash := func(otherKind string) error {
-		if kind == otherKind {
-			return fmt.Errorf("%s %s: duplicate rule identifier [P001]", kind, name)
-		}
-		return fmt.Errorf("%s %s: rule identifier already used by a %s [P001]", kind, name, otherKind)
+		return &DuplicateNameError{Kind: kind, Name: name, OtherKind: otherKind}
 	}
 	for _, sr := range p.SRs {
 		if sr.Name == name {

@@ -138,15 +138,10 @@ func (r *Registry) Put(ctx context.Context, name, source string) (*Stored, bool,
 	prof, err := profile.ParseProfile(source)
 	if err != nil {
 		// A duplicate rule identifier is a finding, not a malformed
-		// request: surface it as the P001 diagnostic the parser's error
-		// cites (mirroring POST /lint). Anything else is a plain parse
+		// request (as in POST /lint); anything else is a plain parse
 		// failure.
-		if strings.Contains(err.Error(), "["+analysis.DiagDuplicateName+"]") {
-			return nil, false, &Rejection{Diagnostics: []analysis.Diagnostic{{
-				ID:       analysis.DiagDuplicateName,
-				Severity: analysis.SevError,
-				Message:  err.Error(),
-			}}}
+		if ds := analysis.ParseDiagnostics(err); ds != nil {
+			return nil, false, &Rejection{Diagnostics: ds}
 		}
 		return nil, false, &Rejection{Err: err}
 	}

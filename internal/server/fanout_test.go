@@ -1,15 +1,13 @@
 // Sharded fan-out tests: the degraded-response contract (slow shard →
 // 200 with "degraded": true, healthy results intact, never cached),
-// the sharded-vs-unsharded byte-identity differential, and the
-// regression pins for the pre-admission option rejection and the
-// execute-path 404.
+// the sharded-vs-unsharded byte-identity differential, the fan-out's
+// use of the shared analysis cache, and the regression pin for the
+// pre-admission option rejection.
 package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -44,6 +42,30 @@ func newFanoutServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Cleanup(ts.Close)
 	t.Cleanup(s.Close)
 	return s, ts
+}
+
+// TestFanoutUsesAnalysisCache: the fan-out passes the same memoized gate
+// a single-document search does. N identical-profile fan-outs that
+// bypass the result cache cost one profile verdict and one query
+// verdict in total — 2 misses, then 2 hits per repeat — where the
+// fan-out used to re-derive the encoding on every request and never
+// touch the cache (0 and 0).
+func TestFanoutUsesAnalysisCache(t *testing.T) {
+	s, ts := newFanoutServer(t, Config{})
+	const n = 5
+	before := s.AnalysisCache().Stats()
+	for i := 0; i < n; i++ {
+		status, _, body := post(t, ts, "/search", SearchRequest{
+			Doc: "*", Query: carsQuery, Profile: carsProfile, K: 3, NoCache: true,
+		})
+		if status != http.StatusOK {
+			t.Fatalf("fan-out %d = %d, body %s", i, status, body)
+		}
+	}
+	after := s.AnalysisCache().Stats()
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 2 || hits != 2*(n-1) {
+		t.Errorf("%d fan-outs took %d analysis-cache misses and %d hits, want 2 and %d", n, misses, hits, 2*(n-1))
+	}
 }
 
 // TestFanoutShardedDifferential: a sharded server and an unsharded
@@ -177,62 +199,5 @@ func TestFanoutOptionsRejectedBeforeAdmission(t *testing.T) {
 	}
 	if cs := s.Cache().Stats(); cs.Misses != 0 || cs.Hits != 0 || cs.Coalesced != 0 {
 		t.Errorf("rejected requests touched the result cache: %+v", cs)
-	}
-}
-
-// TestExecuteUnknownDoc pins the unknown-document status unification:
-// both the validation path and the (theoretically unreachable)
-// execute-path recheck classify an unknown document as 404/not_found —
-// the execute path used to produce a 400.
-func TestExecuteUnknownDoc(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-
-	// The validation path, over HTTP.
-	status, _, body := post(t, ts, "/search", SearchRequest{Doc: "ghost", Keywords: "x"})
-	if status != http.StatusNotFound {
-		t.Fatalf("unknown doc over HTTP = %d, body %s", status, body)
-	}
-	var e errorResponse
-	if json.Unmarshal(body, &e) != nil || e.Kind != "not_found" {
-		t.Fatalf("error body = %s, want kind not_found", body)
-	}
-
-	// The execute-path recheck, driven directly: build a valid request,
-	// then swap the document name out from under it.
-	snap := s.reg.Snapshot()
-	sreq := SearchRequest{Doc: "cars", Keywords: "good condition", K: 3}
-	req, status, err := s.buildEngineRequest(snap, &sreq)
-	if err != nil {
-		t.Fatalf("buildEngineRequest: %d %v", status, err)
-	}
-	sreq.Doc = "ghost"
-	_, err = s.execute(context.Background(), snap, &sreq, req)
-	var nf *notFoundError
-	if !errors.As(err, &nf) {
-		t.Fatalf("execute on unknown doc = %v, want *notFoundError", err)
-	}
-	if st, kind := classifySearchError(err); st != http.StatusNotFound || kind != "not_found" {
-		t.Fatalf("classified as %d/%s, want 404/not_found", st, kind)
-	}
-}
-
-// TestClassifySearchErrors table-tests the error classifier over the
-// typed errors the search path produces.
-func TestClassifySearchErrors(t *testing.T) {
-	cases := []struct {
-		err    error
-		status int
-		kind   string
-	}{
-		{&notFoundError{errors.New("unknown document")}, http.StatusNotFound, "not_found"},
-		{fmt.Errorf("wrapped: %w", &notFoundError{errors.New("gone")}), http.StatusNotFound, "not_found"},
-		{context.DeadlineExceeded, http.StatusGatewayTimeout, "timeout"},
-		{context.Canceled, 499, "canceled"},
-		{errors.New("plain engine failure"), http.StatusInternalServerError, "engine"},
-	}
-	for _, tc := range cases {
-		if st, kind := classifySearchError(tc.err); st != tc.status || kind != tc.kind {
-			t.Errorf("classify(%v) = %d/%s, want %d/%s", tc.err, st, kind, tc.status, tc.kind)
-		}
 	}
 }

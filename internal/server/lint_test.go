@@ -89,10 +89,14 @@ sr a: if pc(car, d) then remove ftcontains(d, "x")`})
 	if lr.Clean || len(lr.Diagnostics) != 1 || lr.Diagnostics[0].ID != analysis.DiagDuplicateName {
 		t.Fatalf("want a single P001: %s", body)
 	}
-	// Genuinely malformed profiles are still 400s.
-	code, _, _ = post(t, ts, "/lint", LintRequest{Profile: "sr ???"})
-	if code != http.StatusBadRequest {
-		t.Errorf("malformed profile status = %d", code)
+	// Genuinely malformed profiles are still 400s — including one that
+	// spells the check ID itself: parse errors quote user input, so the
+	// finding is recognized by the parser's error type, never its text.
+	for _, src := range []string{"sr ???", "[P001] nonsense"} {
+		code, _, body = post(t, ts, "/lint", LintRequest{Profile: src})
+		if code != http.StatusBadRequest {
+			t.Errorf("malformed profile %q: status = %d, body %s", src, code, body)
+		}
 	}
 	// Missing profile too.
 	code, _, _ = post(t, ts, "/lint", LintRequest{Query: carsQuery})

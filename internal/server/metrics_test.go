@@ -15,7 +15,10 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/engine"
 	"repro/internal/metrics"
+	"repro/internal/profile"
+	"repro/internal/tpq"
 )
 
 // scrape fetches and parses /metrics, failing on any exposition-format
@@ -240,6 +243,9 @@ func TestMetricsLabelLint(t *testing.T) {
 // dimension sees the request exactly once — in particular a 504 is a timeout AND a 5xx, and a 499 is a cancel
 // AND a 4xx, never double-counted within a dimension.
 func TestErrorClassCounters(t *testing.T) {
+	// A real gate rejection, un-memoized.
+	_, _, rejection := engine.Personalize(context.Background(), nil,
+		profile.MustParseProfile(ambiguousProfile), tpq.MustParse("//car"))
 	cases := []struct {
 		name       string
 		err        error
@@ -253,7 +259,8 @@ func TestErrorClassCounters(t *testing.T) {
 		{"wrapped deadline", fmt.Errorf("plan: %w", context.DeadlineExceeded), http.StatusGatewayTimeout, "timeout", 0, 1, 1, 0},
 		{"canceled", context.Canceled, 499, "canceled", 1, 0, 0, 1},
 		{"wrapped canceled", fmt.Errorf("scan: %w", context.Canceled), 499, "canceled", 1, 0, 0, 1},
-		{"bad request", &badRequestError{errors.New("access is a single-document option")}, http.StatusBadRequest, "parse", 1, 0, 0, 0},
+		{"gate rejection", rejection, http.StatusBadRequest, "vet", 1, 0, 0, 0},
+		{"wrapped gate rejection", fmt.Errorf("fan-out: %w", rejection), http.StatusBadRequest, "vet", 1, 0, 0, 0},
 		{"engine", errors.New("boom"), http.StatusInternalServerError, "engine", 0, 1, 0, 0},
 	}
 	for _, tc := range cases {

@@ -16,9 +16,7 @@
 package server
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -95,17 +93,9 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		s.rejectMutation(w, "put", http.StatusBadRequest, "parse", err)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxDocBytes)
-	src, err := io.ReadAll(body)
+	src, code, err := readBody(w, r, s.cfg.MaxDocBytes, "document")
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.rejectMutation(w, "put", http.StatusRequestEntityTooLarge, "parse",
-				fmt.Errorf("document body exceeds the %d-byte limit", tooBig.Limit))
-			return
-		}
-		s.rejectMutation(w, "put", http.StatusBadRequest, "parse",
-			fmt.Errorf("reading document body: %w", err))
+		s.rejectMutation(w, "put", code, "parse", err)
 		return
 	}
 	doc, err := xmldoc.ParseString(string(src))

@@ -22,7 +22,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/analysis"
@@ -64,17 +63,9 @@ type ProfileRejection struct {
 
 func (s *Server) handlePutProfile(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	src, err := io.ReadAll(body)
+	src, code, err := readBody(w, r, maxBodyBytes, "profile")
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.rejectProfile(w, http.StatusRequestEntityTooLarge, "parse",
-				fmt.Errorf("profile body exceeds the %d-byte limit", tooBig.Limit))
-			return
-		}
-		s.rejectProfile(w, http.StatusBadRequest, "parse",
-			fmt.Errorf("reading profile body: %w", err))
+		s.rejectProfile(w, code, "parse", err)
 		return
 	}
 

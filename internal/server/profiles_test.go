@@ -2,7 +2,7 @@
 // fingerprint-dedup acceptance criterion (N names over one body share
 // one stored profile, one analysis verdict and one result-cache key
 // space), and a fixed-seed concurrent register/search/delete stress
-// walk (the `make registry-smoke` gate — run it under -race).
+// walk (gated by `make race`).
 package server
 
 import (
@@ -133,17 +133,25 @@ func TestProfilePutRejections(t *testing.T) {
 		profName   string
 		source     string
 		wantStatus int
+		wantKind   string
 	}{
-		{"reserved name", "*", carsProfile, http.StatusBadRequest},
-		{"malformed source", "ok", "sr ???", http.StatusBadRequest},
-		{"vet rejection", "ok", ambiguousProfile, http.StatusBadRequest},
-		{"oversized body", "ok", "# " + strings.Repeat("x", maxBodyBytes) + "\n" + carsProfile, http.StatusRequestEntityTooLarge},
+		{"reserved name", "*", carsProfile, http.StatusBadRequest, "parse"},
+		{"malformed source", "ok", "sr ???", http.StatusBadRequest, "parse"},
+		// A parse failure that quotes the user's own "[P001]" is still a
+		// parse failure, not the duplicate-identifier veto.
+		{"malformed source citing P001", "ok", "[P001] nonsense", http.StatusBadRequest, "parse"},
+		{"vet rejection", "ok", ambiguousProfile, http.StatusBadRequest, "vet"},
+		{"oversized body", "ok", "# " + strings.Repeat("x", maxBodyBytes) + "\n" + carsProfile, http.StatusRequestEntityTooLarge, "parse"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			status, body := putProfile(t, ts, tc.profName, tc.source)
 			if status != tc.wantStatus {
 				t.Fatalf("status = %d, want %d; body %s", status, tc.wantStatus, body)
+			}
+			var er errorResponse
+			if err := json.Unmarshal(body, &er); err != nil || er.Kind != tc.wantKind {
+				t.Errorf("kind = %q (err %v), want %q; body %s", er.Kind, err, tc.wantKind, body)
 			}
 			if s.Profiles().Len() != 0 {
 				t.Fatalf("rejected put registered a name: %d bindings", s.Profiles().Len())
@@ -307,7 +315,7 @@ rank K,V,S
 	}
 }
 
-// TestRegistryStress is the `make registry-smoke` gate: a fixed-seed
+// TestRegistryStress (gated by `make race`) is a fixed-seed
 // concurrent register/search-by-name/delete walk. Every response must
 // be a clean, classified outcome (no 5xx), and no goroutines may leak
 // once the traffic stops. Run it under -race; that is the point.

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -55,6 +56,11 @@ import (
 // allocation.
 const maxBodyBytes = 1 << 20
 
+// analysisCacheEntries is the capacity of the analysis-verdict cache
+// searches, /lint and profile registration share. A constant, not an
+// option: no workload at hand wants a different value.
+const analysisCacheEntries = 256
+
 // Config tunes a Server.
 type Config struct {
 	// Pipeline is the text pipeline documents are indexed under.
@@ -76,11 +82,6 @@ type Config struct {
 	// SlowQueryLog overrides the slow-query sink (default: the standard
 	// logger). Tests inject a capture function here.
 	SlowQueryLog func(format string, args ...any)
-	// AnalysisCacheSize is the analysis-verdict cache capacity in
-	// entries (default 256). The cache is shared across every engine:
-	// profile analysis is document-independent, so a profile analyzed
-	// for one document is warm for all of them.
-	AnalysisCacheSize int
 	// DefaultAccess is the candidate access path used when a request
 	// does not name one (zero value: plan.AccessAuto). Requests override
 	// it per search with the "access" field.
@@ -156,9 +157,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxK == 0 {
 		cfg.MaxK = 10000
 	}
-	if cfg.AnalysisCacheSize == 0 {
-		cfg.AnalysisCacheSize = 256
-	}
 	if cfg.MaxDocBytes == 0 {
 		cfg.MaxDocBytes = 64 << 20
 	}
@@ -167,7 +165,7 @@ func New(cfg Config) *Server {
 		reg:      corpus.New(cfg.Pipeline),
 		watch:    newWatchHub(cfg.WatchBuffer),
 		cache:    NewResultCache(cfg.CacheSize),
-		analysis: engine.NewAnalysisCache(cfg.AnalysisCacheSize),
+		analysis: engine.NewAnalysisCache(analysisCacheEntries),
 		metrics:  newServerMetrics(),
 	}
 	// Registration vets through the shared analysis cache: the verdict
@@ -190,8 +188,10 @@ func New(cfg Config) *Server {
 	})
 	// One budget for every extra goroutine: registry fan-out helpers
 	// and parallel plan partitions draw from the same allowance, so
-	// their product can never exceed one machine's worth.
+	// their product can never exceed one machine's worth. And one
+	// analysis cache: fan-outs pass the same memoized gate.
 	s.reg.SetBudget(s.pool.Budget())
+	s.reg.UseAnalysisCache(s.analysis)
 	if cfg.SlowQueryThreshold > 0 {
 		s.slowlog = newSlowQueryLogger(cfg.SlowQueryThreshold, cfg.SlowQueryLog,
 			s.metrics.slowTotal, s.metrics.slowDropped)
@@ -270,18 +270,6 @@ func (s *Server) Profiles() *registry.Registry { return s.profiles }
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// engineForEntry layers a per-request engine over one snapshot entry.
-// The wrapper is cheap (the entry's index is reused, never rebuilt) and
-// carries the entry's generation-stamped fingerprint, so every cache
-// key derived through it is pinned to the snapshot the caller loaded —
-// a swap between key derivation and execution cannot mix generations.
-func (s *Server) engineForEntry(e *corpus.Entry) *engine.Engine {
-	eng := engine.FromParts(e.Document(), e.Index())
-	eng.SetFingerprint(e.Fingerprint())
-	eng.UseAnalysisCache(s.analysis)
-	return eng
-}
 
 // --- request / response wire types ---
 
@@ -396,7 +384,7 @@ func spliceVolatile(body []byte, elapsedUS, ageMS int64) []byte {
 
 type errorResponse struct {
 	Error string `json:"error"`
-	Kind  string `json:"kind"` // parse | not_found | timeout | canceled | engine
+	Kind  string `json:"kind"` // parse | vet | not_found | timeout | canceled | overloaded | throttled | engine
 }
 
 // --- handlers ---
@@ -404,11 +392,7 @@ type errorResponse struct {
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var sreq SearchRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sreq); err != nil {
-		s.writeError(w, http.StatusBadRequest, "parse", fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &sreq) {
 		return
 	}
 
@@ -419,7 +403,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// nor tear a fan-out (every per-document read sees one view).
 	snap := s.reg.Snapshot()
 
-	req, status, err := s.buildEngineRequest(snap, &sreq)
+	req, entry, status, err := s.buildEngineRequest(snap, &sreq)
 	if err != nil {
 		kind := "parse"
 		if status == http.StatusNotFound {
@@ -432,7 +416,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, sreq.TimeoutMS)
 	defer cancel()
 
-	fill := func() (any, error) { return s.execute(ctx, snap, &sreq, req) }
+	fill := func() (any, error) { return s.execute(ctx, snap, entry, &sreq, req) }
 
 	var payload any
 	outcome := Miss
@@ -441,7 +425,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// so no X-Cache header is set.
 		payload, err = fill()
 	} else {
-		key, tags := s.cacheKey(snap, &sreq, req)
+		key, tags := s.cacheKey(snap, entry, req)
 		payload, outcome, err = s.cache.DoTagged(ctx, key, tags, fill)
 		if err == nil {
 			w.Header().Set("X-Cache", strings.ToUpper(outcome.String()))
@@ -479,12 +463,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildEngineRequest validates and compiles the wire request into an
-// engine request, resolving document existence against the caller's
-// snapshot. It returns the HTTP status to use on error.
-func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) (engine.Request, int, error) {
+// engine request and resolves its target against the caller's snapshot,
+// once: entry is the document to search, nil for a fan-out. On error it
+// returns the HTTP status to use.
+func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) (engine.Request, *corpus.Entry, int, error) {
 	var req engine.Request
+	fanout := sreq.Doc == "" || sreq.Doc == "*" // the whole registry
 	if (sreq.Query == "") == (sreq.Keywords == "") {
-		return req, http.StatusBadRequest, errors.New("exactly one of query or keywords must be set")
+		return req, nil, http.StatusBadRequest, errors.New("exactly one of query or keywords must be set")
 	}
 	// Fan-out searches do not take a per-document access path. Rejecting
 	// here — with the other 400s, before admission and single-flight —
@@ -492,14 +478,11 @@ func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) 
 	// followers onto a guaranteed failure (regression:
 	// TestFanoutOptionsRejectedBeforeAdmission; the check used to live
 	// inside execute).
-	if s.fanout(sreq) && sreq.Access != "" {
-		return req, http.StatusBadRequest, errors.New("access is a single-document option")
-	}
-	if sreq.K < 0 {
-		return req, http.StatusBadRequest, fmt.Errorf("negative k %d", sreq.K)
+	if fanout && sreq.Access != "" {
+		return req, nil, http.StatusBadRequest, errors.New("access is a single-document option")
 	}
 	if sreq.K > s.cfg.MaxK {
-		return req, http.StatusBadRequest, fmt.Errorf("k %d exceeds the maximum of %d", sreq.K, s.cfg.MaxK)
+		return req, nil, http.StatusBadRequest, fmt.Errorf("k %d exceeds the maximum of %d", sreq.K, s.cfg.MaxK)
 	}
 	// The contract matches what the plan layer will actually run:
 	// [0, plan.MaxParallelism], rejected — not silently clamped — above
@@ -507,13 +490,12 @@ func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) 
 	// down to the candidate count; the response's "parallelism" field
 	// now reports the resolved value so clients can see what ran.)
 	if sreq.Parallelism < 0 || sreq.Parallelism > plan.MaxParallelism {
-		return req, http.StatusBadRequest,
-			fmt.Errorf("parallelism %d out of range [0,%d]", sreq.Parallelism, plan.MaxParallelism)
+		return req, nil, http.StatusBadRequest, fmt.Errorf("parallelism %d out of range [0,%d]", sreq.Parallelism, plan.MaxParallelism)
 	}
 	// requestContext honours only a positive timeout_ms, so a negative one
 	// would silently mean "server default"; reject it, as /watch does.
 	if sreq.TimeoutMS < 0 {
-		return req, http.StatusBadRequest, fmt.Errorf("negative timeout_ms %d", sreq.TimeoutMS)
+		return req, nil, http.StatusBadRequest, fmt.Errorf("negative timeout_ms %d", sreq.TimeoutMS)
 	}
 	var err error
 	if sreq.Query != "" {
@@ -522,21 +504,21 @@ func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) 
 		req.Query, err = keywordQuery(sreq.Keywords)
 	}
 	if err != nil {
-		return req, http.StatusBadRequest, err
+		return req, nil, http.StatusBadRequest, err
 	}
 	if sreq.Profile != "" && sreq.ProfileName != "" {
-		return req, http.StatusBadRequest, errors.New("profile and profile_name are mutually exclusive")
+		return req, nil, http.StatusBadRequest, errors.New("profile and profile_name are mutually exclusive")
 	}
 	if sreq.Profile != "" {
 		req.Profile, err = profile.ParseProfile(sreq.Profile)
 		if err != nil {
-			return req, http.StatusBadRequest, err
+			return req, nil, http.StatusBadRequest, err
 		}
 	}
 	if sreq.ProfileName != "" {
 		st, ok := s.profiles.Get(sreq.ProfileName)
 		if !ok {
-			return req, http.StatusNotFound, fmt.Errorf("unknown profile %q", sreq.ProfileName)
+			return req, nil, http.StatusNotFound, fmt.Errorf("unknown profile %q", sreq.ProfileName)
 		}
 		// The resolved body flows into the engine request exactly as an
 		// inline profile would, so the cache key (which folds the
@@ -544,17 +526,21 @@ func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) 
 		// never reaches it.
 		req.Profile = st.Profile()
 	}
-	req.Strategy, err = parseStrategy(sreq.Strategy)
+	req.Strategy, err = plan.ParseStrategy(sreq.Strategy)
 	if err != nil {
-		return req, http.StatusBadRequest, err
+		return req, nil, http.StatusBadRequest, err
 	}
+	// From here on req.K is the effective result size.
 	req.K = sreq.K
+	if req.K, err = req.Validate(); err != nil {
+		return req, nil, http.StatusBadRequest, err
+	}
 	req.Parallelism = sreq.Parallelism
 	req.Access = s.cfg.DefaultAccess
 	if sreq.Access != "" {
 		req.Access, err = plan.ParseAccessPath(sreq.Access)
 		if err != nil {
-			return req, http.StatusBadRequest, err
+			return req, nil, http.StatusBadRequest, err
 		}
 	}
 	// The serving layer always pays for operator timing: /metrics and
@@ -563,40 +549,36 @@ func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) 
 	// Extra plan goroutines come from the scheduler's shared budget.
 	req.Budget = s.pool.Budget()
 
-	if !s.fanout(sreq) {
-		if _, ok := snap.Entry(sreq.Doc); !ok {
-			return req, http.StatusNotFound, fmt.Errorf("unknown document %q", sreq.Doc)
+	if fanout {
+		if snap.Len() == 0 {
+			return req, nil, http.StatusNotFound, errors.New("no documents registered")
 		}
-	} else if snap.Len() == 0 {
-		return req, http.StatusNotFound, errors.New("no documents registered")
+		return req, nil, 0, nil
 	}
-	return req, 0, nil
-}
-
-// fanout reports whether the request targets the whole registry.
-func (s *Server) fanout(sreq *SearchRequest) bool {
-	return sreq.Doc == "" || sreq.Doc == "*"
+	entry, ok := snap.Entry(sreq.Doc)
+	if !ok {
+		return req, nil, http.StatusNotFound, fmt.Errorf("unknown document %q", sreq.Doc)
+	}
+	return req, entry, 0, nil
 }
 
 // cacheKey derives the canonical result-cache key and invalidation
-// tags for the request, entirely from the caller's snapshot. The key
-// carries the *resolved* parallelism — what the plan will actually run
-// given the document size — so requests that resolve identically share
-// an entry (see engine.Request.CacheKey). Fingerprints are
-// generation-stamped (corpus.Entry.Fingerprint), so a key minted here
-// can never collide with one minted against any other generation of
-// the same document. buildEngineRequest already established the
-// document exists in this snapshot.
-func (s *Server) cacheKey(snap *corpus.Snapshot, sreq *SearchRequest, req engine.Request) (string, []string) {
-	if s.fanout(sreq) {
+// tags for the request against the target buildEngineRequest resolved
+// (entry, or the whole snapshot when nil). The key carries the
+// *resolved* parallelism — what the plan will actually run given the
+// document size — so requests that resolve identically share an entry
+// (see engine.Request.CacheKey). Fingerprints are generation-stamped
+// (corpus.Entry.Fingerprint), so a key minted here can never collide
+// with one minted against any other generation of the same document.
+func (s *Server) cacheKey(snap *corpus.Snapshot, entry *corpus.Entry, req engine.Request) (string, []string) {
+	if entry == nil {
 		// Fan-out per-document plans always run sequentially (the
 		// fan-out itself is the parallelism); the result depends on
 		// every document, so any mutation invalidates it (TagAll).
 		return req.CacheKey(snap.Fingerprint(), 1), []string{TagAll}
 	}
-	entry, _ := snap.Entry(sreq.Doc)
-	e := s.engineForEntry(entry)
-	return req.CacheKey(e.Fingerprint(), e.ResolvedParallelism(&req)), []string{sreq.Doc}
+	par := plan.ResolveParallelism(req.Parallelism, entry.Document().Len())
+	return req.CacheKey(entry.Fingerprint(), par), []string{entry.Name()}
 }
 
 // execute runs the search (single document or fan-out) against the
@@ -605,7 +587,7 @@ func (s *Server) cacheKey(snap *corpus.Snapshot, sreq *SearchRequest, req engine
 // slow-query log, and marshals the cacheable body. It runs at most
 // once per cache key — inside the single-flight fill — so cache hits
 // neither re-record operator metrics nor re-trip the slow-query log.
-func (s *Server) execute(ctx context.Context, snap *corpus.Snapshot, sreq *SearchRequest, req engine.Request) (*cachedSearch, error) {
+func (s *Server) execute(ctx context.Context, snap *corpus.Snapshot, entry *corpus.Entry, sreq *SearchRequest, req engine.Request) (*cachedSearch, error) {
 	// Admission happens here — inside the single-flight fill — so cache
 	// hits and coalesced followers never occupy a slot; only work that
 	// will actually execute competes for the pool.
@@ -614,8 +596,12 @@ func (s *Server) execute(ctx context.Context, snap *corpus.Snapshot, sreq *Searc
 		return nil, err
 	}
 	defer release()
-	var body SearchBody
-	if s.fanout(sreq) {
+	// One body, one slow-log record: each kind of search fills in the
+	// fields it has.
+	body := SearchBody{K: req.K, Strategy: req.Strategy.String()}
+	slow := slowQuery{Doc: sreq.Doc, Query: querySource(sreq)}
+	var elapsed time.Duration
+	if entry == nil {
 		// One fan-out call whatever the shard count: below two shards its
 		// unit of work is a document and nothing can degrade.
 		resp, err := snap.SearchSharded(ctx, req.Query, req.Profile, req.K, req.Strategy,
@@ -628,69 +614,39 @@ func (s *Server) execute(ctx context.Context, snap *corpus.Snapshot, sreq *Searc
 			return nil, err
 		}
 		s.recordFanout(resp)
-		body = SearchBody{
-			Degraded:       resp.Degraded,
-			TimedOutShards: resp.TimedOutShards,
-			Results:        make([]SearchResult, 0, len(resp.Results)),
-			K:              resolveK(req.K),
-			Strategy:       req.Strategy.String(),
-			AppliedSRs:     resp.AppliedSRs,
-			Parallelism:    1,
-			DocsSearched:   resp.DocsSearched,
-			ExecUS:         resp.Elapsed.Microseconds(),
-		}
+		body.Degraded, body.TimedOutShards = resp.Degraded, resp.TimedOutShards
+		body.AppliedSRs, body.Parallelism, body.DocsSearched = resp.AppliedSRs, 1, resp.DocsSearched
+		body.Results = make([]SearchResult, 0, len(resp.Results))
 		for _, res := range resp.Results {
 			body.Results = append(body.Results, SearchResult{
 				Doc: res.DocName, Node: uint32(res.Node), Path: res.Path,
 				S: res.S, K: res.K, Snippet: res.Snippet,
 			})
 		}
-		if s.slowlog != nil {
-			s.slowlog.observe(slowQuery{
-				Doc: sreq.Doc, Query: querySource(sreq), Elapsed: resp.Elapsed,
-				Plan: fmt.Sprintf("fan-out over %d docs", resp.DocsSearched),
-			})
-		}
+		elapsed, slow.Plan = resp.Elapsed, fmt.Sprintf("fan-out over %d docs", resp.DocsSearched)
 	} else {
-		entry, ok := snap.Entry(sreq.Doc)
-		if !ok {
-			// Theoretically unreachable: buildEngineRequest verified the
-			// name against the same snapshot this execution resolves.
-			// Kept panic-free and classified as 404 — matching
-			// buildEngineRequest's status for the identical condition (it
-			// used to return 400 here; regression: TestExecuteUnknownDoc).
-			return nil, &notFoundError{fmt.Errorf("unknown document %q", sreq.Doc)}
-		}
-		resp, err := s.engineForEntry(entry).SearchContext(ctx, req)
+		eng := engine.FromParts(entry.Document(), entry.Index())
+		eng.UseAnalysisCache(s.analysis)
+		resp, err := eng.SearchContext(ctx, req)
 		if err != nil {
 			return nil, err
 		}
-		body = SearchBody{
-			Results:      make([]SearchResult, 0, len(resp.Results)),
-			K:            resolveK(req.K),
-			Strategy:     req.Strategy.String(),
-			AppliedSRs:   resp.AppliedSRs,
-			PlanShape:    resp.PlanShape,
-			Workers:      resp.Workers,
-			Parallelism:  resp.Parallelism,
-			TotalPruned:  resp.TotalPruned,
-			DocsSearched: 1,
-			ExecUS:       resp.Elapsed.Microseconds(),
-			Trace:        resp.Trace,
-		}
+		s.metrics.recordSearch(resp)
+		body.AppliedSRs, body.Parallelism, body.DocsSearched = resp.AppliedSRs, resp.Parallelism, 1
+		body.PlanShape, body.Workers, body.TotalPruned, body.Trace = resp.PlanShape, resp.Workers, resp.TotalPruned, resp.Trace
+		body.Results = make([]SearchResult, 0, len(resp.Results))
 		for _, res := range resp.Results {
 			body.Results = append(body.Results, SearchResult{
 				Doc: sreq.Doc, Node: uint32(res.Node), Path: res.Path,
 				S: res.S, K: res.K, Snippet: res.Snippet,
 			})
 		}
-		s.metrics.recordSearch(resp)
-		if s.slowlog != nil {
-			s.slowlog.observe(slowQuery{
-				Doc: sreq.Doc, Query: querySource(sreq), Elapsed: resp.Elapsed,
-				Plan: resp.PlanShape, Stats: resp.Stats,
-			})
-		}
+		elapsed, slow.Plan, slow.Stats = resp.Elapsed, resp.PlanShape, resp.Stats
+	}
+	body.ExecUS = elapsed.Microseconds()
+	if s.slowlog != nil {
+		slow.Elapsed = elapsed
+		s.slowlog.observe(slow)
 	}
 	b, err := json.Marshal(&body)
 	if err != nil {
@@ -768,11 +724,7 @@ func lintResponse(ds []analysis.Diagnostic) *LintResponse {
 
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	var lreq LintRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&lreq); err != nil {
-		s.writeError(w, http.StatusBadRequest, "parse", fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &lreq) {
 		return
 	}
 	if lreq.Profile == "" {
@@ -782,14 +734,8 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	prof, err := profile.ParseProfile(lreq.Profile)
 	if err != nil {
 		// A duplicate rule identifier is a *finding*, not a malformed
-		// request: report it as the P001 diagnostic the parser's error
-		// cites. Anything else is a plain parse failure.
-		if strings.Contains(err.Error(), "["+analysis.DiagDuplicateName+"]") {
-			ds := []analysis.Diagnostic{{
-				ID:       analysis.DiagDuplicateName,
-				Severity: analysis.SevError,
-				Message:  err.Error(),
-			}}
+		// request; anything else is a plain parse failure.
+		if ds := analysis.ParseDiagnostics(err); ds != nil {
 			s.analysis.RecordDiagnostics(ds)
 			s.writeJSON(w, http.StatusOK, lintResponse(ds))
 			return
@@ -856,9 +802,7 @@ type ExplainResponse struct {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var ereq ExplainRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&ereq); err != nil {
-		s.writeError(w, http.StatusBadRequest, "parse", fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &ereq) {
 		return
 	}
 	if ereq.Query == "" || ereq.Profile == "" {
@@ -1033,6 +977,33 @@ func (s *Server) Snapshot() Statsz {
 
 // --- plumbing ---
 
+// decodeJSON reads a JSON request body of at most maxBodyBytes into v,
+// rejecting unknown fields; on failure it writes the 400 and returns false.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		s.writeError(w, http.StatusBadRequest, "parse", fmt.Errorf("bad request body: %w", err))
+		return false
+	}
+	return true
+}
+
+// readBody reads a raw request body (what: "document", "profile") of at
+// most limit bytes. A failure comes back with its status — 413 when
+// oversized, else 400 — for the caller's own rejection counter.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) (src []byte, status int, err error) {
+	src, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		return src, 0, nil
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("%s body exceeds the %d-byte limit", what, tooBig.Limit)
+	}
+	return nil, http.StatusBadRequest, fmt.Errorf("reading %s body: %w", what, err)
+}
+
 // requestContext derives the execution context: the client's context
 // (cancelled on disconnect) bounded by the tighter of the server
 // default timeout and the request's timeout_ms.
@@ -1051,21 +1022,6 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context
 	return context.WithCancel(ctx)
 }
 
-// badRequestError marks an error discovered during execution that is
-// nonetheless the client's fault.
-type badRequestError struct{ err error }
-
-func (e *badRequestError) Error() string { return e.err.Error() }
-func (e *badRequestError) Unwrap() error { return e.err }
-
-// notFoundError marks an execution-time lookup miss that maps to 404 —
-// the same status buildEngineRequest gives the condition before
-// execution, so the two paths can never disagree.
-type notFoundError struct{ err error }
-
-func (e *notFoundError) Error() string { return e.err.Error() }
-func (e *notFoundError) Unwrap() error { return e.err }
-
 // uncacheableError smuggles a successful-but-degraded payload out of
 // the single-flight fill: fill errors are never cached, and the
 // handler unwraps the payload and serves it with 200.
@@ -1075,14 +1031,12 @@ func (e *uncacheableError) Error() string { return "degraded fan-out result (not
 
 // classifySearchError maps an execution error onto its HTTP status and
 // error kind: deadline → 504, client cancel → 499 (nginx's
-// convention), client mistakes → 400, anything else the engine
+// convention), a profile the Section 5 gate rejects → 400 "vet" (what
+// PUT /profiles answers the same body with), anything else the engine
 // reports → 500. Counting happens once, by status, in
 // serverMetrics.recordError (regression: TestErrorClassCounters).
 func classifySearchError(err error) (status int, kind string) {
-	var (
-		bad *badRequestError
-		nf  *notFoundError
-	)
+	var rej *engine.Rejection
 	switch {
 	case errors.Is(err, sched.ErrQueueFull):
 		// The admission queue is full: genuine overload, shed with 503
@@ -1097,10 +1051,8 @@ func classifySearchError(err error) (status int, kind string) {
 		// 499: the client went away; the write is best-effort. A client
 		// that disconnects while queued for admission lands here too.
 		return 499, "canceled"
-	case errors.As(err, &bad):
-		return http.StatusBadRequest, "parse"
-	case errors.As(err, &nf):
-		return http.StatusNotFound, "not_found"
+	case errors.As(err, &rej):
+		return http.StatusBadRequest, "vet"
 	default:
 		return http.StatusInternalServerError, "engine"
 	}
@@ -1145,32 +1097,6 @@ func resolveShards(n int) int {
 		return 1
 	}
 	return n
-}
-
-// resolveK mirrors the engine's K default.
-func resolveK(k int) int {
-	if k == 0 {
-		return 10
-	}
-	return k
-}
-
-// parseStrategy maps the wire strategy names onto plan strategies,
-// mirroring cmd/pimento's flag values.
-func parseStrategy(s string) (plan.Strategy, error) {
-	switch s {
-	case "", "push", "default":
-		return plan.Push, nil
-	case "naive":
-		return plan.Naive, nil
-	case "interleave", "interleave-nosort":
-		return plan.InterleaveNoSort, nil
-	case "interleave-sort":
-		return plan.InterleaveSort, nil
-	case "push-deep":
-		return plan.PushDeep, nil
-	}
-	return plan.Default, fmt.Errorf("unknown strategy %q", s)
 }
 
 // keywordQuery builds the content-only query form (any element whose

@@ -355,7 +355,17 @@ func TestSearchOptionChangesMiss(t *testing.T) {
 }
 
 func TestSearchErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxK: 100})
+	s, ts := newTestServer(t, Config{MaxK: 100})
+	// Profiles the Section 5 gate rejects: PUT /profiles answers them
+	// with 400 "vet", and so must /search — for one document and for the
+	// fan-out, which pass the same engine.Personalize.
+	const (
+		// Each rule removes the predicate the other's condition needs
+		// (the cyclicSRs fixture of engine/analysiscache_test.go).
+		cyclic = "sr p1: if pc(car, description) & ftcontains(description, \"low mileage\") then remove ftcontains(description, \"good condition\")\n" +
+			"sr p3: if pc(car, description) & ftcontains(description, \"good condition\") then remove ftcontains(description, \"low mileage\")\n"
+		bothPhrases = `//car[./description[. ftcontains "good condition" and . ftcontains "low mileage"]]`
+	)
 	cases := []struct {
 		name   string
 		body   any
@@ -377,15 +387,22 @@ func TestSearchErrors(t *testing.T) {
 		// The retired legacy toggles are plain unknown fields now.
 		{"retired twig field", `{"doc":"cars","query":"//car","twig":true}`, 400, "parse"},
 		{"retired literal field", `{"doc":"cars","query":"//car","literal":true}`, 400, "parse"},
-		{"ambiguous profile", SearchRequest{Doc: "cars", Query: "//car",
-			Profile: "vor a: x.tag = car & y.tag = car & x.color = \"red\" & y.color != \"red\" => x < y\n" +
-				"vor b: x.tag = car & y.tag = car & x.color = \"blue\" & y.color != \"blue\" => x < y\nrank K,V,S"}, 500, "engine"},
+		{"ambiguous profile", SearchRequest{Doc: "cars", Query: "//car", Profile: ambiguousProfile}, 400, "vet"},
+		{"ambiguous profile, fan-out", SearchRequest{Doc: "*", Query: "//car", Profile: ambiguousProfile}, 400, "vet"},
+		{"conflict cycle", SearchRequest{Doc: "cars", Query: bothPhrases, Profile: cyclic}, 400, "vet"},
+		{"conflict cycle, fan-out", SearchRequest{Doc: "*", Query: bothPhrases, Profile: cyclic}, 400, "vet"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			before := s.Snapshot()
 			status, _, body := post(t, ts, "/search", tc.body)
 			if status != tc.status {
 				t.Fatalf("status = %d, want %d (body %s)", status, tc.status, body)
+			}
+			// Every row is the client's mistake: one 4xx, never a 5xx.
+			after := s.Snapshot()
+			if d4, d5 := after.Errors4xx-before.Errors4xx, after.Errors5xx-before.Errors5xx; d4 != 1 || d5 != 0 {
+				t.Errorf("errors_4xx moved by %d and errors_5xx by %d, want 1 and 0", d4, d5)
 			}
 			var er errorResponse
 			if err := json.Unmarshal(body, &er); err != nil {
@@ -528,6 +545,9 @@ func TestExplainParseErrors(t *testing.T) {
 		"bad json":    `{"query": }`,
 		"bad query":   ExplainRequest{Query: "//[", Profile: carsProfile},
 		"bad profile": ExplainRequest{Query: "//car", Profile: "gibberish"},
+		// Strict like /search and /lint: a misspelt field is an error,
+		// not a silently ignored one.
+		"unknown field": `{"query":"//car","profile":"rank K,V,S","bogus":1}`,
 	} {
 		status, _, data := post(t, ts, "/explain", body)
 		if status != 400 {

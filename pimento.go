@@ -240,21 +240,17 @@ func collect(opts []Option) options {
 
 // Open parses and indexes an XML document from r.
 func Open(r io.Reader, opts ...Option) (*Engine, error) {
-	o := collect(opts)
-	e, err := engine.FromXML(r, o.pipeline)
+	doc, err := xmldoc.Parse(r)
 	if err != nil {
 		return nil, err
 	}
-	if o.scorer != nil {
-		e.Index().SetScorer(o.scorer)
-	}
-	e.UseAnalysisCache(engine.NewAnalysisCache(analysisCacheSize))
-	return &Engine{e: e, cache: newCache(o)}, nil
+	return OpenDocument(doc, opts...), nil
 }
 
-// analysisCacheSize is the per-engine analysis-verdict cache capacity:
-// profile/query analysis verdicts are small, so repeated searches with
-// the same profile skip the Section 5 analyses and flock encoding.
+// analysisCacheSize is the per-engine (and per-corpus) analysis-verdict
+// cache capacity: profile/query analysis verdicts are small, so repeated
+// searches with the same profile skip the Section 5 analyses and flock
+// encoding.
 const analysisCacheSize = 128
 
 // newCache builds the optional engine-level result cache.
@@ -316,8 +312,8 @@ func (e *Engine) SearchContext(ctx context.Context, q *Query, prof *Profile, opt
 		Thesaurus:       o.thesaurus,
 		ThesaurusWeight: o.thWeight,
 	}
-	if e.cache == nil || q == nil || o.k < 0 {
-		return e.e.SearchContext(ctx, req)
+	if _, err := req.Validate(); e.cache == nil || err != nil {
+		return e.e.SearchContext(ctx, req) // uncached, or refused: nothing to key
 	}
 	key := req.CacheKey(e.e.Fingerprint(), e.e.ResolvedParallelism(&req))
 	resp, outcome, err := e.cache.DoTagged(ctx, key, nil, func() (*engine.Response, error) {
@@ -385,7 +381,9 @@ type Corpus struct {
 // (WithStemming, WithStopwords) apply to every document added.
 func NewCorpus(opts ...Option) *Corpus {
 	o := collect(opts)
-	return &Corpus{c: corpus.New(o.pipeline)}
+	c := corpus.New(o.pipeline)
+	c.UseAnalysisCache(engine.NewAnalysisCache(analysisCacheSize))
+	return &Corpus{c: c}
 }
 
 // Add indexes doc under name (replacing any previous document with that
