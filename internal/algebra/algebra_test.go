@@ -180,25 +180,28 @@ func buildPipeline(ix *index.Index, q *tpq.Query, prof *profile.Profile) (Operat
 	}
 	op = &BonusOp{In: op, Matcher: m, Units: m.OptionalBonusUnits()}
 	if prof != nil && len(prof.VORs) > 0 {
-		op = &VOROp{In: op, Doc: ix.Document(), Prof: prof}
+		op = NewVOROp(op, ix, prof)
 	}
 	if prof != nil {
 		for _, kor := range prof.SortKORsByPriority() {
-			op = &KOROp{In: op, Ix: ix, Kor: kor}
+			op = NewKOROp(op, ix, kor)
 		}
 	}
 	return op, m
 }
 
+// drain opens op and collects its whole stream, pulling batches of 7 so
+// batch boundaries fall inside even the small test inputs.
 func drain(op Operator) []Answer {
 	op.Open()
 	var out []Answer
+	buf := make([]Answer, 7)
 	for {
-		a, ok := op.Next()
-		if !ok {
+		n := op.NextBatch(buf)
+		if n == 0 {
 			return out
 		}
-		out = append(out, a)
+		out = append(out, buf[:n]...)
 	}
 }
 
@@ -301,14 +304,11 @@ type sliceOp struct {
 
 func (s *sliceOp) Open()          { s.pos = 0; s.stats = OpStats{Name: "slice"} }
 func (s *sliceOp) Stats() OpStats { return s.stats }
-func (s *sliceOp) Next() (Answer, bool) {
-	if s.pos >= len(s.answers) {
-		return Answer{}, false
-	}
-	a := s.answers[s.pos]
-	s.pos++
-	s.stats.Out++
-	return a, true
+func (s *sliceOp) NextBatch(dst []Answer) int {
+	n := copy(dst, s.answers[s.pos:])
+	s.pos += n
+	s.stats.Out += n
+	return n
 }
 
 func TestTopKPruneAlg1(t *testing.T) {
@@ -494,12 +494,7 @@ func ExampleTopKPruneOp() {
 	r := &Ranker{}
 	answers := []Answer{{Node: 1, S: 0.3}, {Node: 2, S: 0.8}, {Node: 3, S: 0.6}}
 	op := &TopKPruneOp{In: &sliceOp{answers: answers}, K: 2, Mode: ModeS, Ranker: r}
-	op.Open()
-	for {
-		if _, ok := op.Next(); !ok {
-			break
-		}
-	}
+	Run(op, 2)
 	for _, a := range op.TopK() {
 		fmt.Printf("node %d score %.1f\n", a.Node, a.S)
 	}

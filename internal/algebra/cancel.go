@@ -5,27 +5,20 @@ import (
 	"time"
 )
 
-// cancelStride is how many checkpoint probes elapse between context
-// polls. Polling ctx.Err() is an atomic load plus an interface call;
-// amortizing it keeps the per-candidate overhead unmeasurable while
-// still bounding abort latency to a few dozen candidates.
-const cancelStride = 64
-
 // CancelCheck is a cooperative cancellation probe threaded through a
-// plan's operator chain. The pull-based pipelines of Fig. 4 move every
-// candidate through the source operator exactly once and through each
-// prune loop at most once, so placing checkpoints there lets a
-// context deadline or client disconnect abort an execution after a
-// bounded amount of extra work instead of burning a worker on a scan
-// nobody is waiting for.
+// plan's operator chain. Operators move answers a batch at a time, every
+// candidate passes through the source operator exactly once and through
+// each prune loop at most once, so probing there once per batch lets a
+// context deadline or client disconnect abort an execution within one
+// batch of extra work instead of burning a worker on a scan nobody is
+// waiting for. A probe is one context poll and, under a deadline, one
+// clock read — per batch, so it needs no stride of its own.
 //
-// A CancelCheck is owned by a single operator chain (one goroutine);
-// the probe counter is deliberately unsynchronized.
+// A CancelCheck is owned by a single operator chain (one goroutine).
 type CancelCheck struct {
 	ctx      context.Context
 	deadline time.Time
 	hasDl    bool
-	n        int
 	done     bool
 }
 
@@ -41,7 +34,6 @@ func NewCancelCheck(ctx context.Context) *CancelCheck {
 // plan built once can be executed under successive contexts.
 func (c *CancelCheck) Reset(ctx context.Context) {
 	c.ctx = ctx
-	c.n = 0
 	c.done = false
 	c.deadline, c.hasDl = time.Time{}, false
 	if ctx != nil {
@@ -49,9 +41,9 @@ func (c *CancelCheck) Reset(ctx context.Context) {
 	}
 }
 
-// Stop reports whether the chain should abort. It polls the context
-// every cancelStride calls; once the context is done Stop latches true
-// so every downstream operator observes the abort immediately. Nil
+// Stop reports whether the chain should abort. It polls the context on
+// every call; once the context is done Stop latches true so every
+// downstream operator observes the abort immediately. Nil
 // receivers (operators outside any cancellable execution) never stop.
 //
 // Expired deadlines are detected against the clock, not just via
@@ -65,11 +57,6 @@ func (c *CancelCheck) Stop() bool {
 	if c.done {
 		return true
 	}
-	c.n++
-	if c.n < cancelStride {
-		return false
-	}
-	c.n = 0
 	if c.ctx.Err() != nil || (c.hasDl && !time.Now().Before(c.deadline)) {
 		c.done = true
 		return true

@@ -33,7 +33,7 @@ func TestListScanAndUnitFilter(t *testing.T) {
 	if named.Stats().Name != "twigscan(car)" {
 		t.Errorf("named = %q", named.Stats().Name)
 	}
-	if _, ok := named.Next(); ok {
+	if n := named.NextBatch(make([]Answer, 4)); n != 0 {
 		t.Errorf("empty list scan must end immediately")
 	}
 }
@@ -58,9 +58,9 @@ kor k: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 	bonus := &BonusOp{In: op, Matcher: m, Units: m.OptionalBonusUnits()}
 	op = bonus
 	ops = append(ops, op)
-	op = &VOROp{In: op, Doc: ix.Document(), Prof: prof}
+	op = NewVOROp(op, ix, prof)
 	ops = append(ops, op)
-	op = &KOROp{In: op, Ix: ix, Kor: prof.KORs[0]}
+	op = NewKOROp(op, ix, prof.KORs[0])
 	ops = append(ops, op)
 	sortOp := &SortOp{In: op, Ranker: &Ranker{Prof: prof}, Mode: ModeKVS}
 	op = sortOp
@@ -91,7 +91,7 @@ kor k: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 func TestMaxKORContributionTightBound(t *testing.T) {
 	ix := dealerIndex(t)
 	kor := &profile.KOR{Name: "k", Tag: "car", Phrases: []string{"best bid", "NYC"}}
-	bound := MaxKORContribution(ix, kor)
+	bound := MaxKORScore(ix, kor)
 	if bound <= 0 || bound > 2 {
 		t.Fatalf("bound = %v", bound)
 	}
@@ -103,7 +103,7 @@ func TestMaxKORContributionTightBound(t *testing.T) {
 	}
 	// Weighted rule scales the bound.
 	w := &profile.KOR{Name: "k", Tag: "car", Phrases: []string{"best bid"}, Weight: 3}
-	if b1, b3 := MaxKORContribution(ix, kor), MaxKORContribution(ix, w); b3 <= b1/2 {
+	if b1, b3 := MaxKORScore(ix, kor), MaxKORScore(ix, w); b3 <= b1/2 {
 		t.Errorf("weight must scale the bound: %v vs %v", b1, b3)
 	}
 }

@@ -3,6 +3,16 @@
 // and full-text semijoins, the vor and kor operators, parametric sort,
 // and the three OR-aware topkPrune algorithms of Section 6.3.
 //
+// The operator protocol is batch-at-a-time (Operator.NextBatch): a pull
+// moves up to a caller-sized slice of answers through the chain in
+// place. The source emits candidates in document order, so the keyword
+// joins (ftjoin, kor), the vor operator's attribute lookups and the
+// Matcher's descendant steps are merge joins — forward cursors over
+// sorted index lists resolved once per plan (index.PhraseList,
+// index.SeekGE) that fall back to binary search when a probe is behind
+// the cursor — and per-operator timing and cancellation cost one clock
+// pair and one context poll per batch, not per answer.
+//
 // Plans pipeline bindings of the distinguished pattern node ("we wanted
 // to choose plans which ... allow the distinguished node bindings to be
 // pipelined throughout"). Every other predicate of the extended TPQ is
@@ -13,8 +23,6 @@
 package algebra
 
 import (
-	"sort"
-
 	"repro/internal/index"
 	"repro/internal/profile"
 	"repro/internal/tpq"
@@ -57,24 +65,35 @@ type Matcher struct {
 	q     *tpq.Query
 	paths [][]step // per pattern node: steps from the distinguished node
 	units []Unit
+	// lists[i] is FT unit i's resolved (tag, phrase) list; other kinds
+	// leave their entry zero.
+	lists []index.PhraseList
+	// The unit partitions plans ask for, computed once (MatchRequired
+	// reads required per candidate).
+	required, ft, requiredConstraint, optionalBonus []int
 
-	bufA, bufB []xmldoc.NodeID // navigation scratch, swapped per step
+	bufA, bufB []xmldoc.NodeID  // navigation scratch, swapped per step
+	self       [1]xmldoc.NodeID // the candidate as its own binding set
 }
 
 // step is one navigation step of a pattern path. tag is the target
-// pattern node's tag; both directions filter on it.
+// pattern node's tag; both directions filter on it. A descendant step
+// walks elems, the tag's index list, from a forward cursor.
 type step struct {
-	down bool
-	axis tpq.Axis
-	tag  string
+	down  bool
+	axis  tpq.Axis
+	tag   string
+	elems []xmldoc.NodeID
+	cur   int
 }
 
 // NewMatcher prepares unit evaluation for q against the index.
 func NewMatcher(ix *index.Index, q *tpq.Query) *Matcher {
 	m := &Matcher{ix: ix, doc: ix.Document(), pos: ix.Document().Pos(), q: q}
 	m.paths = make([][]step, len(q.Nodes))
+	distAnc := q.Ancestors(q.Dist)
 	for i := range q.Nodes {
-		m.paths[i] = m.pathFromDist(i)
+		m.paths[i] = m.pathFromDist(distAnc, i)
 	}
 	m.buildUnits()
 	return m
@@ -82,26 +101,19 @@ func NewMatcher(ix *index.Index, q *tpq.Query) *Matcher {
 
 // pathFromDist computes the navigation steps from the distinguished node
 // to pattern node pn: up to the lowest common ancestor, then down.
-func (m *Matcher) pathFromDist(pn int) []step {
-	distAnc := m.q.Ancestors(m.q.Dist) // root..dist
-	pnAnc := m.q.Ancestors(pn)         // root..pn
-	onDist := make(map[int]int, len(distAnc))
-	for i, n := range distAnc {
-		onDist[n] = i
-	}
-	lcaIdx := 0
-	var lcaPn int
-	for i, n := range pnAnc {
-		if j, ok := onDist[n]; ok {
-			lcaIdx, lcaPn = j, i
-		} else {
-			break
-		}
+// distAnc is the distinguished node's ancestor path, root first.
+func (m *Matcher) pathFromDist(distAnc []int, pn int) []step {
+	pnAnc := m.q.Ancestors(pn) // root..pn
+	// Both paths start at the pattern root, so the LCA ends their common
+	// prefix.
+	lca := 0
+	for lca+1 < len(distAnc) && lca+1 < len(pnAnc) && distAnc[lca+1] == pnAnc[lca+1] {
+		lca++
 	}
 	var steps []step
 	// Up from dist to the LCA: each hop crosses the edge above distAnc[i]
 	// and must land on an element tagged like the target pattern node.
-	for i := len(distAnc) - 1; i > lcaIdx; i-- {
+	for i := len(distAnc) - 1; i > lca; i-- {
 		steps = append(steps, step{
 			down: false,
 			axis: m.q.Nodes[distAnc[i]].Axis,
@@ -109,9 +121,12 @@ func (m *Matcher) pathFromDist(pn int) []step {
 		})
 	}
 	// Down from the LCA to pn.
-	for i := lcaPn + 1; i < len(pnAnc); i++ {
+	for i := lca + 1; i < len(pnAnc); i++ {
 		n := pnAnc[i]
-		steps = append(steps, step{down: true, axis: m.q.Nodes[n].Axis, tag: m.q.Nodes[n].Tag})
+		steps = append(steps, step{
+			down: true, axis: m.q.Nodes[n].Axis, tag: m.q.Nodes[n].Tag,
+			elems: m.ix.Elements(m.q.Nodes[n].Tag),
+		})
 	}
 	return steps
 }
@@ -145,6 +160,27 @@ func (m *Matcher) buildUnits() {
 			})
 		}
 	}
+	m.lists = make([]index.PhraseList, len(m.units))
+	var optFT []int
+	for i, u := range m.units {
+		switch {
+		case u.Kind == UnitFT:
+			m.lists[i] = m.ix.Phrase(m.q.Nodes[u.Node].Tag, u.F.Phrase)
+			if u.Optional {
+				optFT = append(optFT, i)
+			} else {
+				m.ft = append(m.ft, i)
+			}
+		case !u.Optional:
+			m.required = append(m.required, i)
+			if u.Kind == UnitConstraint {
+				m.requiredConstraint = append(m.requiredConstraint, i)
+			}
+		case u.Weight > 0:
+			m.optionalBonus = append(m.optionalBonus, i)
+		}
+	}
+	m.ft = append(m.ft, optFT...)
 }
 
 // effectivelyOptional reports whether pn sits on an optional branch
@@ -159,63 +195,26 @@ func (m *Matcher) effectivelyOptional(pn int) bool {
 }
 
 // Units returns the query's semijoin units. Callers must not modify the
-// returned slice.
+// returned slice, nor those of the four partitions below.
 func (m *Matcher) Units() []Unit { return m.units }
 
 // RequiredUnits returns the indices of filtering units (skeleton +
 // required constraints); FT units are excluded — plans enforce those with
 // dedicated score-contributing operators.
-func (m *Matcher) RequiredUnits() []int {
-	var out []int
-	for i, u := range m.units {
-		if !u.Optional && u.Kind != UnitFT {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (m *Matcher) RequiredUnits() []int { return m.required }
 
 // FTUnits returns the indices of full-text units, required first
 // (the score-contributing joins of Fig. 4).
-func (m *Matcher) FTUnits() []int {
-	var req, opt []int
-	for i, u := range m.units {
-		if u.Kind != UnitFT {
-			continue
-		}
-		if u.Optional {
-			opt = append(opt, i)
-		} else {
-			req = append(req, i)
-		}
-	}
-	return append(req, opt...)
-}
+func (m *Matcher) FTUnits() []int { return m.ft }
 
 // RequiredConstraintUnits returns the required constraint units only —
 // what remains to filter when a structural access path (the twig
 // semijoin) has already guaranteed the skeleton.
-func (m *Matcher) RequiredConstraintUnits() []int {
-	var out []int
-	for i, u := range m.units {
-		if !u.Optional && u.Kind == UnitConstraint {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (m *Matcher) RequiredConstraintUnits() []int { return m.requiredConstraint }
 
 // OptionalBonusUnits returns optional non-FT units (existence and
 // constraint bonuses from encoded scoping rules).
-func (m *Matcher) OptionalBonusUnits() []int {
-	var out []int
-	for i, u := range m.units {
-		if u.Optional && u.Kind != UnitFT && u.Weight > 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (m *Matcher) OptionalBonusUnits() []int { return m.optionalBonus }
 
 // Bindings returns the elements pattern node pn can bind to for candidate
 // e, following only the tag/axis skeleton along the dist→pn path. The
@@ -227,12 +226,13 @@ func (m *Matcher) Bindings(pn int, e xmldoc.NodeID) []xmldoc.NodeID {
 	}
 	cur := append(m.bufA[:0], e)
 	next := m.bufB[:0]
-	for _, s := range m.paths[pn] {
+	for i := range m.paths[pn] {
+		s := &m.paths[pn][i]
 		if len(cur) == 0 {
 			return nil
 		}
 		if s.down {
-			next = m.down(next, cur, s.tag, s.axis)
+			next = m.down(next, cur, s)
 		} else {
 			next = m.up(next, cur, s.tag, s.axis)
 		}
@@ -286,11 +286,11 @@ func (m *Matcher) up(out, set []xmldoc.NodeID, tag string, axis tpq.Axis) []xmld
 	return out
 }
 
-func (m *Matcher) down(out, set []xmldoc.NodeID, tag string, axis tpq.Axis) []xmldoc.NodeID {
-	if axis == tpq.Child {
+func (m *Matcher) down(out, set []xmldoc.NodeID, s *step) []xmldoc.NodeID {
+	if s.axis == tpq.Child {
 		for _, e := range set {
 			for c := m.doc.Node(e).First; c != xmldoc.InvalidNode; c = m.doc.Node(c).Next {
-				if m.doc.Kind(c) == xmldoc.Element && (tag == "*" || m.doc.Tag(c) == tag) {
+				if m.doc.Kind(c) == xmldoc.Element && (s.tag == "*" || m.doc.Tag(c) == s.tag) {
 					out = appendUnique(out, c)
 				}
 			}
@@ -298,14 +298,15 @@ func (m *Matcher) down(out, set []xmldoc.NodeID, tag string, axis tpq.Axis) []xm
 		return out
 	}
 	// Descendant axis: the tag index is preorder-sorted, so e's
-	// descendants are the contiguous run (e, post(e)] — found by one
-	// binary search, then walked with O(1) flat-array position tests (no
-	// Node struct loads on this hot path).
-	tagged := m.ix.Elements(tag)
+	// descendants are the contiguous run (e, post(e)] — found from the
+	// step's cursor (candidates arrive in document order), then walked
+	// with O(1) flat-array position tests (no Node struct loads on this
+	// hot path).
+	tagged := s.elems
 	for _, e := range set {
 		post := m.pos.Post[e]
-		lo := sort.Search(len(tagged), func(i int) bool { return tagged[i] > e })
-		for i := lo; i < len(tagged); i++ {
+		s.cur = index.SeekGE(tagged, s.cur, e+1)
+		for i := s.cur; i < len(tagged); i++ {
 			d := tagged[i]
 			if int32(d) > post {
 				break
@@ -323,7 +324,8 @@ func (m *Matcher) matchesUpward(e xmldoc.NodeID) bool {
 	root := 0
 	bindings := m.Bindings(root, e)
 	if m.q.Dist == root {
-		bindings = []xmldoc.NodeID{e}
+		m.self[0] = e
+		bindings = m.self[:]
 	}
 	if len(bindings) == 0 {
 		return false
@@ -369,7 +371,7 @@ func (m *Matcher) EvalUnit(idx int, e xmldoc.NodeID) (sat bool, score float64) {
 		best := 0.0
 		found := false
 		for _, b := range m.bindingsOrSelf(u.Node, e) {
-			if s := m.ix.Score(b, u.F.Phrase); s > 0 {
+			if s := m.lists[idx].Score(b); s > 0 {
 				found = true
 				if s > best {
 					best = s
@@ -386,7 +388,8 @@ func (m *Matcher) EvalUnit(idx int, e xmldoc.NodeID) (sat bool, score float64) {
 
 func (m *Matcher) bindingsOrSelf(pn int, e xmldoc.NodeID) []xmldoc.NodeID {
 	if pn == m.q.Dist {
-		return []xmldoc.NodeID{e}
+		m.self[0] = e
+		return m.self[:]
 	}
 	return m.Bindings(pn, e)
 }
@@ -419,7 +422,7 @@ func (m *Matcher) MatchRequired(e xmldoc.NodeID) bool {
 	if !m.matchesUpward(e) {
 		return false
 	}
-	for _, i := range m.RequiredUnits() {
+	for _, i := range m.required {
 		if sat, _ := m.EvalUnit(i, e); !sat {
 			return false
 		}
@@ -445,10 +448,10 @@ func (m *Matcher) MaxUnitScore(idx int) float64 {
 	return 0
 }
 
-// MaxKORContribution returns the largest K increment a keyword-based OR
-// can add to any answer under this index — Algorithm 3's kor-scorebound
-// summand, tightened with the index's per-(tag, phrase) maxima.
-func MaxKORContribution(ix *index.Index, kor *profile.KOR) float64 {
+// MaxKORScore returns the largest K increment a keyword-based OR can add
+// to any answer under this index — Algorithm 3's kor-scorebound summand,
+// tightened with the index's per-(tag, phrase) maxima.
+func MaxKORScore(ix *index.Index, kor *profile.KOR) float64 {
 	total := 0.0
 	for _, p := range kor.Phrases {
 		total += kor.EffectiveWeight() * ix.MaxPhraseScore(kor.Tag, p)

@@ -1,7 +1,7 @@
 package algebra
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/index"
@@ -20,27 +20,47 @@ type Answer struct {
 	VKeys []profile.Key
 }
 
-// Operator is a pull-based (pipelined) plan operator.
+// Operator is a pull-based (pipelined) plan operator that moves answers
+// a batch at a time. Operators only ever feed forward — each one's state
+// depends on nothing but the sequence of answers it has seen — so a
+// sequential chain does the same work in the same order, and reports
+// the same counters, at every batch size (DESIGN.md §6).
 type Operator interface {
 	// Open prepares the operator (and its inputs) for iteration.
 	Open()
-	// Next produces the next answer; ok is false at end of stream.
-	Next() (Answer, bool)
+	// NextBatch fills a prefix of dst (len(dst) >= 1) with the next
+	// answers, in stream order, and returns how many; 0 is end of
+	// stream. An operator pulls its input into dst and works on it in
+	// place, so one buffer serves a whole chain.
+	NextBatch(dst []Answer) int
 	// Stats returns the operator's counters for experiment reporting.
 	Stats() OpStats
 }
 
-// OpStats counts an operator's traffic.
+// Run opens the chain ending in root and drains it through one pooled
+// buffer of batch answers. What the chain computed stays in its
+// operators (the final prune's TopK, every Stats).
+func Run(root Operator, batch int) {
+	buf := slices.Grow(getAnswerBuf(), batch)[:batch]
+	defer putAnswerBuf(buf)
+	root.Open()
+	for root.NextBatch(buf) > 0 {
+	}
+}
+
+// OpStats counts an operator's traffic. Name is the operator's display
+// name, which only Stats readers want: operators build it on the first
+// Stats call, not per Open.
 type OpStats struct {
 	Name   string
 	In     int // answers consumed
 	Out    int // answers emitted
 	Pruned int // answers dropped
 	// WallNS is cumulative wall-clock nanoseconds spent inside this
-	// operator's Open and Next calls, *inclusive* of its upstream chain
-	// (a pull-based Next recurses into its input). Self time is
+	// operator's Open and NextBatch calls, *inclusive* of its upstream
+	// chain (a pull recurses into its input). Self time is
 	// WallNS minus the input operator's WallNS. Zero unless the chain
-	// was built with timing enabled (see WithTiming / plan.Options).
+	// was built with timing enabled (see Timer / plan.Options).
 	WallNS int64
 }
 
@@ -73,25 +93,57 @@ type ListScanOp struct {
 
 func (s *ListScanOp) Open() {
 	s.pos = 0
-	name := s.Name
-	if name == "" {
-		name = "listscan"
-	}
-	s.stats = OpStats{Name: name}
+	s.stats = OpStats{}
 }
 
-func (s *ListScanOp) Next() (Answer, bool) {
-	if s.pos >= len(s.IDs) || s.Cancel.Stop() {
-		return Answer{}, false
+func (s *ListScanOp) NextBatch(dst []Answer) int {
+	if s.Cancel.Stop() {
+		return 0
 	}
-	e := s.IDs[s.pos]
-	s.pos++
-	s.stats.In++
-	s.stats.Out++
-	return Answer{Node: e}, true
+	n := min(len(dst), len(s.IDs)-s.pos)
+	for i, e := range s.IDs[s.pos : s.pos+n] {
+		dst[i] = Answer{Node: e}
+	}
+	s.pos += n
+	s.stats.In += n
+	s.stats.Out += n
+	return n
 }
 
-func (s *ListScanOp) Stats() OpStats { return s.stats }
+func (s *ListScanOp) Stats() OpStats {
+	st := s.stats
+	st.Name = s.Name
+	if st.Name == "" {
+		st.Name = "listscan"
+	}
+	return st
+}
+
+// filterBatches is the pull loop every filtering operator shares: pull
+// a batch, keep the answers keep accepts (compacting dst in place), and
+// pull again while a whole batch was dropped, so 0 still means end of
+// stream.
+func filterBatches(in Operator, dst []Answer, stats *OpStats, keep func(a *Answer) bool) int {
+	for {
+		n := in.NextBatch(dst)
+		if n == 0 {
+			return 0
+		}
+		kept := 0
+		for i := range dst[:n] {
+			if keep(&dst[i]) {
+				dst[kept] = dst[i]
+				kept++
+			}
+		}
+		stats.In += n
+		stats.Out += kept
+		stats.Pruned += n - kept
+		if kept > 0 {
+			return kept
+		}
+	}
+}
 
 // UnitFilterOp drops answers failing any of the given (required) units;
 // it is the constraint-only residue of RequiredOp in twig plans.
@@ -108,27 +160,15 @@ func (o *UnitFilterOp) Open() {
 	o.stats = OpStats{Name: "unitfilter"}
 }
 
-func (o *UnitFilterOp) Next() (Answer, bool) {
-	for {
-		a, ok := o.In.Next()
-		if !ok {
-			return Answer{}, false
-		}
-		o.stats.In++
-		keep := true
+func (o *UnitFilterOp) NextBatch(dst []Answer) int {
+	return filterBatches(o.In, dst, &o.stats, func(a *Answer) bool {
 		for _, u := range o.Units {
 			if sat, _ := o.Matcher.EvalUnit(u, a.Node); !sat {
-				keep = false
-				break
+				return false
 			}
 		}
-		if !keep {
-			o.stats.Pruned++
-			continue
-		}
-		o.stats.Out++
-		return a, true
-	}
+		return true
+	})
 }
 
 func (o *UnitFilterOp) Stats() OpStats { return o.stats }
@@ -139,11 +179,6 @@ func (o *UnitFilterOp) Stats() OpStats { return o.stats }
 type RequiredOp struct {
 	In      Operator
 	Matcher *Matcher
-	// Cancel, when non-nil, aborts the per-candidate match loop early:
-	// structural matching is the dominant per-candidate cost, so the
-	// checkpoint here bounds abort latency even when the source's
-	// stride has not elapsed yet.
-	Cancel *CancelCheck
 
 	stats OpStats
 }
@@ -153,27 +188,18 @@ func (o *RequiredOp) Open() {
 	o.stats = OpStats{Name: "required"}
 }
 
-func (o *RequiredOp) Next() (Answer, bool) {
-	for {
-		a, ok := o.In.Next()
-		if !ok || o.Cancel.Stop() {
-			return Answer{}, false
-		}
-		o.stats.In++
-		if !o.Matcher.MatchRequired(a.Node) {
-			o.stats.Pruned++
-			continue
-		}
-		o.stats.Out++
-		return a, true
-	}
+func (o *RequiredOp) NextBatch(dst []Answer) int {
+	return filterBatches(o.In, dst, &o.stats, func(a *Answer) bool {
+		return o.Matcher.MatchRequired(a.Node)
+	})
 }
 
 func (o *RequiredOp) Stats() OpStats { return o.stats }
 
-// FTOp enforces one full-text unit: a keyword join. Required units
-// filter and contribute score; optional units (outer-joins from encoded
-// scoping rules) only contribute score.
+// FTOp enforces one full-text unit: a keyword join of the batch against
+// the unit's resolved phrase list. Required units filter and contribute
+// score; optional units (outer-joins from encoded scoping rules) only
+// contribute score.
 type FTOp struct {
 	In      Operator
 	Matcher *Matcher
@@ -184,34 +210,28 @@ type FTOp struct {
 
 func (o *FTOp) Open() {
 	o.In.Open()
-	u := o.Matcher.Units()[o.Unit]
-	name := "ftjoin(" + u.F.Phrase + ")"
-	if u.Optional {
-		name = "ftouterjoin(" + u.F.Phrase + ")"
-	}
-	o.stats = OpStats{Name: name}
+	o.stats = OpStats{Name: o.stats.Name}
 }
 
-func (o *FTOp) Next() (Answer, bool) {
-	u := o.Matcher.Units()[o.Unit]
-	for {
-		a, ok := o.In.Next()
-		if !ok {
-			return Answer{}, false
-		}
-		o.stats.In++
+func (o *FTOp) NextBatch(dst []Answer) int {
+	optional := o.Matcher.Units()[o.Unit].Optional
+	return filterBatches(o.In, dst, &o.stats, func(a *Answer) bool {
 		sat, score := o.Matcher.EvalUnit(o.Unit, a.Node)
-		if !sat && !u.Optional {
-			o.stats.Pruned++
-			continue
-		}
 		a.S += score
-		o.stats.Out++
-		return a, true
-	}
+		return sat || optional
+	})
 }
 
-func (o *FTOp) Stats() OpStats { return o.stats }
+func (o *FTOp) Stats() OpStats {
+	if o.stats.Name == "" {
+		u := o.Matcher.Units()[o.Unit]
+		o.stats.Name = "ftjoin(" + u.F.Phrase + ")"
+		if u.Optional {
+			o.stats.Name = "ftouterjoin(" + u.F.Phrase + ")"
+		}
+	}
+	return o.stats
+}
 
 // MaxScore returns the operator's maximal S contribution, a summand of
 // query-scorebound.
@@ -232,19 +252,18 @@ func (o *BonusOp) Open() {
 	o.stats = OpStats{Name: "bonus"}
 }
 
-func (o *BonusOp) Next() (Answer, bool) {
-	a, ok := o.In.Next()
-	if !ok {
-		return Answer{}, false
-	}
-	o.stats.In++
-	for _, u := range o.Units {
-		if sat, score := o.Matcher.EvalUnit(u, a.Node); sat {
-			a.S += score
+func (o *BonusOp) NextBatch(dst []Answer) int {
+	n := o.In.NextBatch(dst)
+	for i := range dst[:n] {
+		for _, u := range o.Units {
+			if sat, score := o.Matcher.EvalUnit(u, dst[i].Node); sat {
+				dst[i].S += score
+			}
 		}
 	}
-	o.stats.Out++
-	return a, true
+	o.stats.In += n
+	o.stats.Out += n
+	return n
 }
 
 func (o *BonusOp) Stats() OpStats { return o.stats }
@@ -259,13 +278,72 @@ func (o *BonusOp) MaxScore() float64 {
 }
 
 // VOROp is Fig. 3's vor operator: it augments answers with their OR
-// values (the per-rule keys used by ≺_V comparisons downstream).
+// values (the per-rule keys used by ≺_V comparisons downstream). It works
+// a batch column by column: for each attribute the rules read it first
+// finds, for every answer, the element holding x.attr — through the tag
+// index with a forward cursor, not a subtree walk — then reads the
+// values, then builds the keys into one arena slice per batch. Each pass
+// is a short loop of independent iterations, so the cache misses of one
+// answer overlap the next's instead of queueing behind a key build.
 type VOROp struct {
 	In   Operator
-	Doc  *xmldoc.Document
+	Ix   *index.Index
 	Prof *profile.Profile
 
-	stats OpStats
+	cols   []attrColumn                // one per attribute name the rules read
+	row    int                         // the batch row lookup currently answers for
+	lookup func(string) (string, bool) // x.attr of row; built once, not per answer
+	stats  OpStats
+}
+
+// attrColumn is x.attr for every answer of the current batch, beside
+// the attribute's tag index list and the cursor of the last probe.
+type attrColumn struct {
+	name  string
+	elems []xmldoc.NodeID
+	cur   int
+	rows  []attrValue
+}
+
+type attrValue struct {
+	at  xmldoc.NodeID // the element holding the value, or InvalidNode
+	val string
+	has bool
+}
+
+// NewVOROp returns the vor operator of prof (which has at least one
+// VOR) over in.
+func NewVOROp(in Operator, ix *index.Index, prof *profile.Profile) *VOROp {
+	o := &VOROp{In: in, Ix: ix, Prof: prof}
+	add := func(attr string) {
+		for _, c := range o.cols {
+			if c.name == attr {
+				return
+			}
+		}
+		o.cols = append(o.cols, attrColumn{name: attr, elems: ix.Elements(attr)})
+	}
+	for _, v := range prof.VORs {
+		add(v.Attr)
+		for _, a := range v.CommonEq {
+			add(a)
+		}
+		for _, c := range v.LocalX {
+			add(c.Attr)
+		}
+		for _, c := range v.LocalY {
+			add(c.Attr)
+		}
+	}
+	o.lookup = func(attr string) (string, bool) {
+		for i := range o.cols {
+			if c := &o.cols[i]; c.name == attr {
+				return c.rows[o.row].val, c.rows[o.row].has
+			}
+		}
+		return "", false
+	}
+	return o
 }
 
 func (o *VOROp) Open() {
@@ -273,73 +351,124 @@ func (o *VOROp) Open() {
 	o.stats = OpStats{Name: "vor"}
 }
 
-func (o *VOROp) Next() (Answer, bool) {
-	a, ok := o.In.Next()
-	if !ok {
-		return Answer{}, false
+func (o *VOROp) NextBatch(dst []Answer) int {
+	n := o.In.NextBatch(dst)
+	o.stats.In += n
+	o.stats.Out += n
+	if n == 0 {
+		return 0
 	}
-	o.stats.In++
-	a.VKeys = VORKeysFor(o.Doc, o.Prof, a.Node)
-	o.stats.Out++
-	return a, true
+	doc, nv := o.Ix.Document(), len(o.Prof.VORs)
+	for i := range o.cols {
+		o.cols[i].rows = slices.Grow(o.cols[i].rows[:0], len(dst))[:n]
+		o.cols[i].resolve(doc, dst[:n])
+	}
+	arena := make([]profile.Key, n*nv)
+	for i := range dst[:n] {
+		keys := arena[i*nv : (i+1)*nv : (i+1)*nv]
+		o.row = i
+		tag := doc.Tag(dst[i].Node)
+		for j, v := range o.Prof.VORs {
+			keys[j] = v.KeyFor(tag, o.lookup)
+		}
+		dst[i].VKeys = keys
+	}
+	return n
 }
 
 func (o *VOROp) Stats() OpStats { return o.stats }
 
-// VORKeysFor computes the per-VOR keys of an element.
-func VORKeysFor(doc *xmldoc.Document, prof *profile.Profile, e xmldoc.NodeID) []profile.Key {
-	if prof == nil || len(prof.VORs) == 0 {
-		return nil
+// resolve fills the column for a batch. It is Document.DeepValue
+// answered from the tag index, in the same resolution order: the XML
+// attribute, else the first child tagged attr, else the first descendant
+// tagged attr. The elements tagged attr inside e's region are a run of
+// the tag's list, found from the column's cursor, so locating the value
+// is a parent compare per run member instead of a walk over e's children
+// and then its subtree.
+func (c *attrColumn) resolve(doc *xmldoc.Document, batch []Answer) {
+rows:
+	for i := range batch {
+		e, row := batch[i].Node, &c.rows[i]
+		n := doc.Node(e)
+		*row = attrValue{at: xmldoc.InvalidNode}
+		for _, a := range n.Attrs {
+			if a.Name == c.name {
+				row.val, row.has = a.Value, true
+				continue rows
+			}
+		}
+		c.cur = index.SeekGE(c.elems, c.cur, e+1)
+		for _, d := range c.elems[c.cur:] {
+			if int32(d) > n.End {
+				break
+			}
+			if doc.Parent(d) == e {
+				row.at = d
+				break
+			}
+			if row.at == xmldoc.InvalidNode {
+				row.at = d
+			}
+		}
 	}
-	tag := doc.Tag(e)
-	lookup := func(attr string) (string, bool) { return doc.DeepValue(e, attr) }
-	keys := make([]profile.Key, len(prof.VORs))
-	for i, v := range prof.VORs {
-		keys[i] = v.KeyFor(tag, lookup)
+	for i := range c.rows {
+		if row := &c.rows[i]; row.at != xmldoc.InvalidNode {
+			row.val, row.has = doc.TextContent(row.at), true
+		}
 	}
-	return keys
 }
 
 // KOROp is Fig. 3's kor operator: it adds one keyword-based OR's score
-// contribution to matching answers (implemented as an outer-join — every
-// answer passes, matches gain K).
+// contribution to matching answers (implemented as an outer-join of the
+// batch against the rule's resolved phrase lists — every answer passes,
+// matches gain K).
 type KOROp struct {
 	In  Operator
 	Ix  *index.Index
 	Kor *profile.KOR
 
+	lists []index.PhraseList // one per Kor.Phrases entry
 	stats OpStats
+}
+
+// NewKOROp returns the kor operator of one rule over in, with the
+// rule's (tag, phrase) lists resolved.
+func NewKOROp(in Operator, ix *index.Index, kor *profile.KOR) *KOROp {
+	o := &KOROp{In: in, Ix: ix, Kor: kor, lists: make([]index.PhraseList, len(kor.Phrases))}
+	for i, p := range kor.Phrases {
+		o.lists[i] = ix.Phrase(kor.Tag, p)
+	}
+	return o
 }
 
 func (o *KOROp) Open() {
 	o.In.Open()
-	o.stats = OpStats{Name: "kor(" + o.Kor.Name + ")"}
+	o.stats = OpStats{Name: o.stats.Name}
 }
 
-func (o *KOROp) Next() (Answer, bool) {
-	a, ok := o.In.Next()
-	if !ok {
-		return Answer{}, false
+func (o *KOROp) NextBatch(dst []Answer) int {
+	n := o.In.NextBatch(dst)
+	o.stats.In += n
+	o.stats.Out += n
+	doc, w := o.Ix.Document(), o.Kor.EffectiveWeight()
+	for i := range dst[:n] {
+		if doc.Tag(dst[i].Node) != o.Kor.Tag {
+			continue
+		}
+		total := 0.0
+		for j := range o.lists {
+			total += w * o.lists[j].Score(dst[i].Node)
+		}
+		dst[i].K += total
 	}
-	o.stats.In++
-	a.K += KORContribution(o.Ix, o.Kor, a.Node)
-	o.stats.Out++
-	return a, true
+	return n
 }
 
-func (o *KOROp) Stats() OpStats { return o.stats }
-
-// KORContribution computes one KOR's K increment for an element.
-func KORContribution(ix *index.Index, kor *profile.KOR, e xmldoc.NodeID) float64 {
-	if ix.Document().Tag(e) != kor.Tag {
-		return 0
+func (o *KOROp) Stats() OpStats {
+	if o.stats.Name == "" {
+		o.stats.Name = "kor(" + o.Kor.Name + ")"
 	}
-	w := kor.EffectiveWeight()
-	total := 0.0
-	for _, p := range kor.Phrases {
-		total += w * ix.Score(e, p)
-	}
-	return total
+	return o.stats
 }
 
 // SortOp is Fig. 3's parametric sort: it materializes its input and emits
@@ -349,6 +478,9 @@ type SortOp struct {
 	In     Operator
 	Ranker *Ranker
 	Mode   Mode
+	// Batch is how many answers one pull of the input moves while the
+	// sort materializes it; the plan passes its drain capacity.
+	Batch int
 
 	buf   []Answer
 	pos   int
@@ -357,46 +489,42 @@ type SortOp struct {
 
 func (o *SortOp) Open() {
 	o.In.Open()
-	o.stats = OpStats{Name: "sort(" + o.Mode.String() + ")"}
+	o.stats = OpStats{Name: o.stats.Name}
 	if o.buf == nil {
 		o.buf = getAnswerBuf()
 	}
 	o.buf = o.buf[:0]
+	batch := max(o.Batch, 1)
 	for {
-		a, ok := o.In.Next()
-		if !ok {
+		o.buf = slices.Grow(o.buf, batch)
+		n := o.In.NextBatch(o.buf[len(o.buf) : len(o.buf)+batch])
+		if n == 0 {
 			break
 		}
-		o.stats.In++
-		o.buf = append(o.buf, a)
+		o.buf = o.buf[:len(o.buf)+n]
 	}
-	r := o.Ranker
-	mode := o.Mode
-	sort.SliceStable(o.buf, func(i, j int) bool {
-		c := r.Compare(&o.buf[i], &o.buf[j], mode)
-		if c != 0 {
-			return c > 0
-		}
-		return o.buf[i].Node < o.buf[j].Node
-	})
+	o.stats.In = len(o.buf)
+	o.Ranker.SortBestFirst(o.buf, o.Mode)
 	o.pos = 0
 }
 
-func (o *SortOp) Next() (Answer, bool) {
-	if o.pos >= len(o.buf) {
-		return Answer{}, false
-	}
-	a := o.buf[o.pos]
-	o.pos++
-	o.stats.Out++
-	return a, true
+func (o *SortOp) NextBatch(dst []Answer) int {
+	n := copy(dst, o.buf[o.pos:])
+	o.pos += n
+	o.stats.Out += n
+	return n
 }
 
-func (o *SortOp) Stats() OpStats { return o.stats }
+func (o *SortOp) Stats() OpStats {
+	if o.stats.Name == "" {
+		o.stats.Name = "sort(" + o.Mode.String() + ")"
+	}
+	return o.stats
+}
 
 // ReleaseScratch returns the materialization buffer to the shared pool;
-// the next Open re-acquires. Answers already pulled by Next were copied
-// out by value, so nothing the consumer holds is invalidated.
+// the next Open re-acquires. Answers already pulled were copied out by
+// value, so nothing the consumer holds is invalidated.
 func (o *SortOp) ReleaseScratch() {
 	if o.buf == nil {
 		return

@@ -1,6 +1,11 @@
 package algebra
 
-import "repro/internal/profile"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/profile"
+)
 
 // Mode selects which ranking components a comparison (or a topkPrune)
 // considers — the parametric orders of Section 3.3 / 6.1.
@@ -138,6 +143,18 @@ func (r *Ranker) CompareV(a, b *Answer) int {
 		}
 	}
 	return 0
+}
+
+// SortBestFirst orders answers best first under the mode, ties broken
+// by NodeID: the total order of every sort operator and of the parallel
+// k-merge, which is what makes their results reproduce one another.
+func (r *Ranker) SortBestFirst(answers []Answer, mode Mode) {
+	slices.SortStableFunc(answers, func(a, b Answer) int {
+		if c := r.Compare(&a, &b, mode); c != 0 {
+			return -c
+		}
+		return cmp.Compare(a.Node, b.Node)
+	})
 }
 
 func cmpFloat(a, b float64) int {

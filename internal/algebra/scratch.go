@@ -1,7 +1,8 @@
 // Arena-style scratch reuse for the serving hot path. Every query
-// builds at least one operator chain, and each chain owns three growable
-// buffers: the Matcher's two navigation scratch slices and the
-// materialization buffers of SortOp / TopKPruneOp. Under a worker-pool
+// builds at least one operator chain, and each chain owns four kinds of
+// growable buffer: the Matcher's two navigation scratch slices, the
+// materialization buffers of SortOp / TopKPruneOp, and the batch buffer
+// Run drains the chain through. Under a worker-pool
 // scheduler the same handful of goroutines execute every request, so
 // pooling these buffers makes steady-state allocation per query drop to
 // (nearly) the answers themselves. Buffers are acquired lazily on first
@@ -16,36 +17,45 @@ import (
 	"repro/internal/xmldoc"
 )
 
-// Pools hold *pointers* to slices so Put does not allocate a fresh
-// header box per cycle beyond the first.
+// slicePool pools slices behind pointers (a slice header in an
+// interface would be boxed on every Put). The boxes are pooled too — a
+// get parks the emptied box, a put takes one back — so a steady-state
+// get/put cycle allocates nothing.
+type slicePool[T any] struct{ full, boxes sync.Pool }
+
+func newSlicePool[T any]() *slicePool[T] {
+	p := &slicePool[T]{}
+	p.full.New = func() any {
+		b := make([]T, 0, 64)
+		return &b
+	}
+	p.boxes.New = func() any { return new([]T) }
+	return p
+}
+
+func (p *slicePool[T]) get() []T {
+	box := p.full.Get().(*[]T)
+	b := (*box)[:0]
+	*box = nil
+	p.boxes.Put(box)
+	return b
+}
+
+func (p *slicePool[T]) put(b []T) {
+	box := p.boxes.Get().(*[]T)
+	*box = b[:0]
+	p.full.Put(box)
+}
+
 var (
-	nodeBufPool = sync.Pool{New: func() any {
-		b := make([]xmldoc.NodeID, 0, 64)
-		return &b
-	}}
-	answerBufPool = sync.Pool{New: func() any {
-		b := make([]Answer, 0, 64)
-		return &b
-	}}
+	nodeBufs   = newSlicePool[xmldoc.NodeID]()
+	answerBufs = newSlicePool[Answer]()
 )
 
-func getNodeBuf() []xmldoc.NodeID {
-	return (*nodeBufPool.Get().(*[]xmldoc.NodeID))[:0]
-}
-
-func putNodeBuf(b []xmldoc.NodeID) {
-	b = b[:0]
-	nodeBufPool.Put(&b)
-}
-
-func getAnswerBuf() []Answer {
-	return (*answerBufPool.Get().(*[]Answer))[:0]
-}
-
-func putAnswerBuf(b []Answer) {
-	b = b[:0]
-	answerBufPool.Put(&b)
-}
+func getNodeBuf() []xmldoc.NodeID  { return nodeBufs.get() }
+func putNodeBuf(b []xmldoc.NodeID) { nodeBufs.put(b) }
+func getAnswerBuf() []Answer       { return answerBufs.get() }
+func putAnswerBuf(b []Answer)      { answerBufs.put(b) }
 
 // ScratchReleaser is implemented by operators (and the Matcher) that
 // hold poolable scratch buffers.

@@ -1,6 +1,9 @@
 package algebra
 
-import "fmt"
+import (
+	"math"
+	"strconv"
+)
 
 // TopKPruneOp is the paper's OR-aware topkPrune operator (Section 6.3).
 // It maintains a list of the current top k answers and prunes incoming
@@ -46,9 +49,10 @@ type TopKPruneOp struct {
 	// needs its own checkpoint for bounded abort latency.
 	Cancel *CancelCheck
 
-	list  []Answer
-	done  bool
-	stats OpStats
+	list   []Answer
+	done   bool
+	shared float64 // Shared's value as of this batch, less sharedEps; -Inf without one
+	stats  OpStats
 }
 
 func (o *TopKPruneOp) Open() {
@@ -58,47 +62,94 @@ func (o *TopKPruneOp) Open() {
 	}
 	o.list = o.list[:0]
 	o.done = false
-	name := fmt.Sprintf("topkPrune(k=%d,%s", o.K, o.Mode)
-	if o.SBound > 0 {
-		name += fmt.Sprintf(",sbound=%.2g", o.SBound)
-	}
-	if o.KorBound > 0 {
-		name += fmt.Sprintf(",korbound=%.2g", o.KorBound)
-	}
+	o.shared = math.Inf(-1)
+	o.stats = OpStats{Name: o.stats.Name}
+}
+
+// NextBatch prunes one input batch in place. The cross-partition bound
+// is read once before the batch and published once after it: a stale
+// read only prunes less, and what is published is still witnessed by k
+// fully-scored answers.
+func (o *TopKPruneOp) NextBatch(dst []Answer) int {
 	if o.SortedInput {
-		name += ",sorted"
+		return o.nextSorted(dst)
 	}
-	o.stats = OpStats{Name: name + ")"}
-}
-
-func (o *TopKPruneOp) Next() (Answer, bool) {
 	for {
-		if o.done {
-			return Answer{}, false
+		n := o.In.NextBatch(dst)
+		if n == 0 || o.Cancel.Stop() {
+			return 0
 		}
-		a, ok := o.In.Next()
-		if !ok || o.Cancel.Stop() {
-			return Answer{}, false
+		o.loadShared()
+		kept := 0
+		for i := range dst[:n] {
+			if o.consider(&dst[i]) {
+				dst[kept] = dst[i]
+				kept++
+			}
 		}
-		o.stats.In++
-		if o.consider(a) {
-			// Inserts only happen on the keep path, so this is the one
-			// place the k-th entry can have improved.
-			o.publishShared()
-			o.stats.Out++
-			return a, true
-		}
-		o.stats.Pruned++
-		if o.SortedInput {
-			// Bulk pruning: everything after a pruned answer in a sorted
-			// stream is at most as good.
-			o.done = true
-			return Answer{}, false
+		o.publishShared()
+		o.stats.In += n
+		o.stats.Out += kept
+		o.stats.Pruned += n - kept
+		if kept > 0 {
+			return kept
 		}
 	}
 }
 
-func (o *TopKPruneOp) Stats() OpStats { return o.stats }
+// nextSorted is bulk pruning (Section 6.4): on input sorted by the
+// current rank order the first pruned answer ends the stream. It asks
+// its input only for answers it is certain to consume — as many as the
+// list has free places (each is inserted and kept), then one at a time —
+// so the input's counters never include answers the bulk prune left
+// unread, whatever dst's size.
+func (o *TopKPruneOp) nextSorted(dst []Answer) int {
+	if o.done || o.Cancel.Stop() {
+		return 0
+	}
+	o.loadShared()
+	kept := 0
+	for kept < len(dst) && !o.done {
+		want := min(max(o.K-len(o.list), 1), len(dst)-kept)
+		n := o.In.NextBatch(dst[kept : kept+want])
+		if n == 0 {
+			break
+		}
+		for range n {
+			o.stats.In++
+			if !o.consider(&dst[kept]) {
+				// Everything after a pruned answer in a sorted stream is
+				// at most as good.
+				o.stats.Pruned++
+				o.done = true
+				break
+			}
+			kept++
+		}
+	}
+	o.publishShared()
+	o.stats.Out += kept
+	return kept
+}
+
+// Stats returns the counters under the operator's display name.
+func (o *TopKPruneOp) Stats() OpStats {
+	if o.stats.Name == "" {
+		b := append(strconv.AppendInt([]byte("topkPrune(k="), int64(o.K), 10), ',')
+		b = append(b, o.Mode.String()...)
+		if o.SBound > 0 {
+			b = strconv.AppendFloat(append(b, ",sbound="...), o.SBound, 'g', 2, 64)
+		}
+		if o.KorBound > 0 {
+			b = strconv.AppendFloat(append(b, ",korbound="...), o.KorBound, 'g', 2, 64)
+		}
+		if o.SortedInput {
+			b = append(b, ",sorted"...)
+		}
+		o.stats.Name = string(append(b, ')'))
+	}
+	return o.stats
+}
 
 // TopK returns the operator's current top-k list, ordered best-first by
 // the operator's mode. Valid after the stream is drained.
@@ -121,8 +172,8 @@ func (o *TopKPruneOp) ReleaseScratch() {
 
 // consider decides an incoming answer's fate: false prunes it, true
 // keeps it in the flow (inserting it into the top-k list when warranted).
-func (o *TopKPruneOp) consider(a Answer) bool {
-	if o.sharedPrune(&a) {
+func (o *TopKPruneOp) consider(a *Answer) bool {
+	if o.sharedPrune(a) {
 		return false
 	}
 	if len(o.list) < o.K {
@@ -164,19 +215,22 @@ const sharedEps = 1e-9
 // is non-increasing along the sorted stream while the shared bound only
 // tightens, so every later candidate is prunable too.
 func (o *TopKPruneOp) sharedPrune(a *Answer) bool {
-	if o.Shared == nil {
-		return false
-	}
-	t := o.Shared.Load() - sharedEps
 	switch o.Mode {
 	case ModeS:
-		return a.S+o.SBound < t
+		return a.S+o.SBound < o.shared
 	case ModeKVS:
-		return a.K+o.KorBound < t
+		return a.K+o.KorBound < o.shared
 	case ModeBlend:
-		return a.K+a.S+o.SBound+o.KorBound < t
+		return a.K+a.S+o.SBound+o.KorBound < o.shared
 	}
 	return false
+}
+
+// loadShared refreshes the operator's copy of the cross-partition bound.
+func (o *TopKPruneOp) loadShared() {
+	if o.Shared != nil {
+		o.shared = o.Shared.Load() - sharedEps
+	}
 }
 
 // publishShared exports the k-th list entry's primary scalar once it is
@@ -208,7 +262,7 @@ func (o *TopKPruneOp) publishShared() {
 // algBlend prunes under the combined K + S rank (the Section 8 weighted
 // fine-tuning): an answer is dead once even its maximal future gains
 // cannot reach the kth combined score.
-func (o *TopKPruneOp) algBlend(a Answer, kth *Answer) bool {
+func (o *TopKPruneOp) algBlend(a, kth *Answer) bool {
 	bound := o.SBound + o.KorBound
 	cur := a.K + a.S
 	kthScore := kth.K + kth.S
@@ -221,7 +275,7 @@ func (o *TopKPruneOp) algBlend(a Answer, kth *Answer) bool {
 	case cur == kthScore && bound == 0:
 		// Scores are final and tied: the V preference decides, as in
 		// the final rank order.
-		switch o.Ranker.CompareV(&a, kth) {
+		switch o.Ranker.CompareV(a, kth) {
 		case 1:
 			o.insert(a)
 		case -1:
@@ -232,7 +286,7 @@ func (o *TopKPruneOp) algBlend(a Answer, kth *Answer) bool {
 }
 
 // alg1 is Algorithm 1: prune on S with the query-scorebound.
-func (o *TopKPruneOp) alg1(a Answer, kth *Answer) bool {
+func (o *TopKPruneOp) alg1(a, kth *Answer) bool {
 	if a.S+o.SBound < kth.S {
 		return false // prune: cannot reach the kth's score
 	}
@@ -244,8 +298,8 @@ func (o *TopKPruneOp) alg1(a Answer, kth *Answer) bool {
 
 // alg2 is Algorithm 2: V then S. V keys are fixed once the vor operator
 // ran, so a ≺_V verdict is final.
-func (o *TopKPruneOp) alg2(a Answer, kth *Answer) bool {
-	switch o.Ranker.CompareV(&a, kth) {
+func (o *TopKPruneOp) alg2(a, kth *Answer) bool {
+	switch o.Ranker.CompareV(a, kth) {
 	case 0: // equal or incomparable w.r.t. ≺_V: fall through to scores
 		return o.alg1(a, kth)
 	case -1: // kth ≺_V a: a is dominated forever
@@ -257,7 +311,7 @@ func (o *TopKPruneOp) alg2(a Answer, kth *Answer) bool {
 }
 
 // alg3 is Algorithm 3: K with the kor-scorebound, then V, then S.
-func (o *TopKPruneOp) alg3(a Answer, kth *Answer) bool {
+func (o *TopKPruneOp) alg3(a, kth *Answer) bool {
 	if o.KorBound <= 0 {
 		switch {
 		case a.K == kth.K:
@@ -281,8 +335,8 @@ func (o *TopKPruneOp) alg3(a Answer, kth *Answer) bool {
 // algVKS handles the alternative V,K,S rank order: the V verdict is
 // final (vor ran already), so V-dominated answers are pruned; V-ties
 // reduce to K/S reasoning with bounds.
-func (o *TopKPruneOp) algVKS(a Answer, kth *Answer) bool {
-	switch o.Ranker.CompareV(&a, kth) {
+func (o *TopKPruneOp) algVKS(a, kth *Answer) bool {
+	switch o.Ranker.CompareV(a, kth) {
 	case -1:
 		return false
 	case 1:
@@ -300,10 +354,10 @@ func (o *TopKPruneOp) algVKS(a Answer, kth *Answer) bool {
 
 // insert places a into the top-k list at the right position under the
 // operator's mode, evicting the current kth when the list is full.
-func (o *TopKPruneOp) insert(a Answer) {
+func (o *TopKPruneOp) insert(a *Answer) {
 	pos := len(o.list)
 	for pos > 0 {
-		c := o.Ranker.Compare(&a, &o.list[pos-1], o.Mode)
+		c := o.Ranker.Compare(a, &o.list[pos-1], o.Mode)
 		if c < 0 || (c == 0 && a.Node >= o.list[pos-1].Node) {
 			break
 		}
@@ -315,5 +369,5 @@ func (o *TopKPruneOp) insert(a Answer) {
 		return // full and a sorts after the kth: no change
 	}
 	copy(o.list[pos+1:], o.list[pos:len(o.list)-1])
-	o.list[pos] = a
+	o.list[pos] = *a
 }

@@ -113,12 +113,7 @@ func TestPropertyBoundsNeverLoseTopK(t *testing.T) {
 			KorBound: float64(r.Intn(3)) / 2,
 		}
 		survived := map[xmldoc.NodeID]bool{}
-		op.Open()
-		for {
-			a, ok := op.Next()
-			if !ok {
-				break
-			}
+		for _, a := range drain(op) {
 			survived[a.Node] = true
 		}
 		want := naiveTopK(answers, ranker, mode, k)

@@ -220,7 +220,7 @@ func timePlanOpts(ix *index.Index, prof *profile.Profile, opts plan.Options, k, 
 	}
 
 	// One extra profiled execution with operator timing enabled — kept
-	// out of the timed trials so the two clock reads per pull never
+	// out of the timed trials so the two clock reads per batch never
 	// skew the reported wall time.
 	profiled := opts
 	profiled.Timing = true
@@ -345,7 +345,7 @@ func RunAblations(seed int64, sizeBytes, k, trials int) []AblationRow {
 	base := workload.Fig5Profile(4)
 	kors := append([]*profile.KOR(nil), base.KORs...)
 	sort.SliceStable(kors, func(i, j int) bool {
-		return algebra.MaxKORContribution(ix, kors[i]) > algebra.MaxKORContribution(ix, kors[j])
+		return algebra.MaxKORScore(ix, kors[i]) > algebra.MaxKORScore(ix, kors[j])
 	})
 	bestFirst := *base
 	bestFirst.KORs = reprioritize(kors)

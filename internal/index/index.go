@@ -6,8 +6,18 @@
 // global sequence number so that phrase predicates such as
 // ftcontains(., "good condition") resolve to contiguous occurrences
 // within one text node. Element-scope probes (does element e contain an
-// occurrence of phrase p anywhere below it?) are answered with binary
-// search over the occurrence list using the document's region encoding.
+// occurrence of phrase p anywhere below it?) are region tests against
+// the phrase's sorted occurrence list.
+//
+// Scoring has one implementation, PhraseList: a (tag, phrase) pair
+// resolved once — occurrence list, df, n, scorer, a small tf → score
+// table — and probed with a forward cursor (SeekGE) that exploits
+// candidates arriving in document order and falls back to binary search
+// when a probe is behind it. Plans resolve their lists at build time and
+// run the keyword joins as merges; Index.Score, TF, Contains, DF and
+// MaxPhraseScore are thin callers of the same code. Nothing is resolved
+// at Build, and a resolved list is never cached across requests: only
+// the occurrence, df and max-score caches below outlive a plan.
 package index
 
 import (
@@ -230,29 +240,18 @@ func (ix *Index) Contains(elem xmldoc.NodeID, phrase string) bool {
 
 // TF returns the number of occurrences of phrase within elem's subtree.
 func (ix *Index) TF(elem xmldoc.NodeID, phrase string) int {
-	occ := ix.phraseOccurrences(phrase)
-	if len(occ) == 0 {
-		return 0
-	}
-	n := ix.doc.Node(elem)
-	lo := sort.Search(len(occ), func(i int) bool { return occ[i] >= n.Start })
-	hi := sort.Search(len(occ), func(i int) bool { return occ[i] > n.End })
-	return hi - lo
+	p := ix.Phrase("*", phrase)
+	return p.TF(elem)
 }
 
 // DF returns the number of elements with the given tag whose subtree
 // contains phrase — the document-frequency analog used by idf. The
 // wildcard tag "*" counts over every element.
 func (ix *Index) DF(tag, phrase string) int {
-	occ := ix.phraseOccurrences(phrase)
-	if len(occ) == 0 {
-		return 0
-	}
+	p := ix.Phrase("*", phrase)
 	df := 0
 	for _, e := range ix.Elements(tag) {
-		n := ix.doc.Node(e)
-		lo := sort.Search(len(occ), func(i int) bool { return occ[i] >= n.Start })
-		if lo < len(occ) && occ[lo] <= n.End {
+		if p.TF(e) > 0 {
 			df++
 		}
 	}
@@ -266,16 +265,11 @@ func (ix *Index) DF(tag, phrase string) int {
 // The bound per predicate is what makes query-scorebound (Section 6.2,
 // Algorithm 1) a sound conservative estimate.
 func (ix *Index) Score(elem xmldoc.NodeID, phrase string) float64 {
-	tf := ix.TF(elem, phrase)
-	if tf == 0 {
-		return 0
-	}
-	tag := ix.doc.Tag(elem)
-	sc := ix.scorer
-	if sc == nil {
-		sc = TFIDFScorer{}
-	}
-	return sc.Score(tf, ix.cachedDF(tag, phrase), len(ix.tags[tag]))
+	// A "*" list scores an element under its own tag, which is this
+	// method's contract; callers that probe many elements resolve a
+	// PhraseList once instead.
+	p := ix.Phrase("*", phrase)
+	return p.Score(elem)
 }
 
 // cachedDF caches document frequency per (tag, phrase); computing DF
@@ -307,8 +301,9 @@ func (ix *Index) MaxPhraseScore(tag, phrase string) float64 {
 		return v
 	}
 	best := 0.0
+	p := ix.Phrase(tag, phrase)
 	for _, e := range ix.Elements(tag) {
-		if s := ix.Score(e, phrase); s > best {
+		if s := p.Score(e); s > best {
 			best = s
 		}
 	}

@@ -1,16 +1,16 @@
 // Parallel scan-partitioned plan execution.
 //
-// The pipelines of Fig. 4 process distinguished-node candidates one at
-// a time, and per-candidate matching is independent — the only shared
-// state a sound top-k evaluation needs is the pruning threshold. So the
+// The pipelines of Fig. 4 stream distinguished-node candidates, and
+// per-candidate matching is independent — the only shared state a sound
+// top-k evaluation needs is the pruning threshold. So the
 // parallel executor splits the access path's candidate list (tag scan
 // or twig output) into contiguous partitions, gives each worker its own
 // full operator chain (each chain owns its Matcher, which reuses
 // scratch buffers and is not concurrency-safe), and lets the workers
 // exchange prune thresholds through an atomic, monotonically tightening
-// SharedBound. A stale (lower) read of the bound is merely looser — it
-// prunes less, never an answer that belongs in the top k — so workers
-// never block on each other.
+// SharedBound, read and published once per batch. A stale (lower) read
+// of the bound is merely looser — it prunes less, never an answer that
+// belongs in the top k — so workers never block on each other.
 //
 // Determinism: each worker returns the top k of its partition under the
 // full rank order with NodeID tie-break; the final k-merge sorts the
@@ -21,7 +21,6 @@ package plan
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -45,11 +44,12 @@ const MaxParallelism = 64
 // auto-resolution (Parallelism <= 0) starts granting intra-query
 // workers. The benchmark's traced replay decides it (bench/layers.go,
 // rows plan.execute_par1_us / plan.execute_par2_us): on the 5.7 MB
-// ft_single document (324,990 nodes) two workers take 3458 µs against
-// 5944 µs sequential on a 2-core box, 1.72x, so parallelism pays above
-// the threshold; the 468 KB documents of cached_mix and live_corpus
-// (tens of thousands of nodes) sit far below it, where worker set-up
-// costs more than the partition scan saves. It is a constant, not an
+// ft_single document (324,990 nodes) two workers take 2118 µs against
+// 3254 µs sequential on a 2-core box (medians of three traced runs,
+// 1.2–2.0x apart), so parallelism pays above the threshold; the 468 KB
+// documents of cached_mix and live_corpus (tens of thousands of nodes)
+// sit far below it, where worker set-up costs more than the partition
+// scan saves (244 vs 187 µs). It is a constant, not an
 // option: no workload at hand wants a different value.
 const parallelThresholdNodes = 150_000
 
@@ -175,13 +175,7 @@ func (p *Plan) executeParallel(ctx context.Context, w int) ([]algebra.Answer, er
 		lo, hi := i*len(ids)/w, (i+1)*len(ids)/w
 		src := &algebra.ListScanOp{Name: p.sourceName, IDs: ids[lo:hi]}
 		ops, final, m := p.buildChain(src, shared, algebra.NewCancelCheck(ctx))
-		root := ops[len(ops)-1]
-		root.Open()
-		for {
-			if _, ok := root.Next(); !ok {
-				break
-			}
-		}
+		algebra.Run(ops[len(ops)-1], p.batch)
 		stats := make([]algebra.OpStats, len(ops))
 		for j, op := range ops {
 			stats[j] = op.Stats()
@@ -224,14 +218,7 @@ func (p *Plan) executeParallel(ctx context.Context, w int) ([]algebra.Answer, er
 	for _, o := range outs {
 		all = append(all, o.top...)
 	}
-	r, mode := p.ranker, p.Mode
-	sort.SliceStable(all, func(i, j int) bool {
-		c := r.Compare(&all[i], &all[j], mode)
-		if c != 0 {
-			return c > 0
-		}
-		return all[i].Node < all[j].Node
-	})
+	p.ranker.SortBestFirst(all, p.Mode)
 	if len(all) > p.K {
 		all = all[:p.K]
 	}

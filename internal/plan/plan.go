@@ -123,7 +123,23 @@ type Plan struct {
 
 	parStats    []algebra.OpStats // merged worker stats of a parallel Execute
 	lastWorkers int               // workers used by the most recent Execute
+	batch       int               // answers per pull
 }
+
+// batchCap is how many answers one pull moves through an operator chain
+// (the drain loops and every sort's materialization use it). The
+// per-batch costs — a clock pair per timed operator, a context poll per
+// probing operator, one VOR key arena — are amortized over it, while the
+// batch (48 B an answer) stays cache-resident as a dozen operators pass
+// over it. Fig. 5 n = 1–4 Push, 5.7 MB document, Timing on, sequential,
+// 2-core box, median ms per execution by capacity: 1 → 7.4, 16 → 3.5,
+// 64 → 3.5, 128 → 2.9, 256 → 2.9, 512 → 2.7, 1024 → 2.6, 4096 → 2.9 —
+// flat from 128 up, so a value early on the plateau, which also keeps
+// abort latency and the key arena to one small batch. It is a constant,
+// not an option: answers and counters are the same at every capacity
+// (TestBatchCapacityInvariance) and no workload at hand wants another
+// value.
+const batchCap = 256
 
 // Options tunes plan compilation beyond the strategy.
 type Options struct {
@@ -152,7 +168,7 @@ type Options struct {
 	// how many tokens are granted.
 	Budget WorkerBudget
 	// Timing wraps every operator so Stats() report per-operator wall
-	// time (OpStats.WallNS) at the cost of two clock reads per pull.
+	// time (OpStats.WallNS) at the cost of two clock reads per batch.
 	// The serving layer and the Fig. 6/7 harnesses enable it; the bare
 	// chain stays the default for library callers and benchmarks.
 	Timing bool
@@ -167,6 +183,12 @@ func Build(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, strat St
 
 // BuildWith is Build with full options.
 func BuildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts Options) (*Plan, error) {
+	return buildWith(ix, q, prof, k, opts, batchCap)
+}
+
+// buildWith is BuildWith at a given batch capacity, the tests' way to
+// run the same chains at capacities other than batchCap.
+func buildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts Options, batch int) (*Plan, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("plan: k must be positive, got %d", k)
 	}
@@ -182,6 +204,7 @@ func BuildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts
 		K:        k,
 		ix:       ix, q: q, prof: prof, opts: opts,
 		ranker: algebra.NewRanker(prof),
+		batch:  batch,
 	}
 	p.distTag = q.Nodes[q.Dist].Tag
 	p.access = opts.resolveAccess(ix, q)
@@ -202,11 +225,11 @@ func BuildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts
 		p.sourceName = "scan(" + p.distTag + ")"
 	}
 	p.src = &algebra.ListScanOp{Name: p.sourceName, IDs: p.sourceIDs}
-	// Compiling the chain doubles as the cache pre-warm pass: the bound
-	// computations below (MaxUnitScore, MaxKORContribution) populate the
-	// index's phrase/df/max-score caches for every (tag, phrase) pair the
-	// query and profile can probe, so per-candidate evaluation — and the
-	// per-worker rebuilds of a parallel Execute — hit read-only snapshots.
+	// Compiling the chain doubles as the cache pre-warm pass: resolving
+	// the phrase lists and computing the bounds (MaxUnitScore,
+	// MaxKORScore) populate the index's phrase/df/max-score caches for
+	// every (tag, phrase) pair the query and profile can probe, so the
+	// per-worker rebuilds of a parallel Execute hit read-only snapshots.
 	p.cancel = algebra.NewCancelCheck(nil)
 	p.ops, p.final, p.m = p.buildChain(p.src, nil, p.cancel)
 	p.root = p.ops[len(p.ops)-1]
@@ -218,19 +241,31 @@ func BuildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts
 // buffers and are not safe for concurrent use); shared is non-nil only
 // for the workers of a parallel Execute, which exchange their top-k
 // thresholds through it. cancel is the chain's cancellation probe,
-// threaded into the scan, match and prune loops (the places a
-// cooperative abort must interrupt; see DESIGN.md §10).
+// threaded into the scan and prune loops, which probe it once per batch
+// (the places a cooperative abort must interrupt; see DESIGN.md §10).
 func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, cancel *algebra.CancelCheck) ([]algebra.Operator, *algebra.TopKPruneOp, *algebra.Matcher) {
 	ix, q, prof, k := p.ix, p.q, p.prof, p.K
 	strat, mode, ranker := p.Strategy, p.Mode, p.ranker
 	m := algebra.NewMatcher(ix, q)
 	src.Cancel = cancel
+	ftUnits := m.FTUnits()
+	var kors []*profile.KOR
+	if prof != nil {
+		kors = prof.SortKORsByPriority()
+	}
 
-	var ops []algebra.Operator
+	// No strategy compiles more operators than this: source, filter,
+	// bonus, vor, the final sort and prune, a prune after the last kor;
+	// a join and a prune per keyword; an operator, a sort and a prune
+	// per kor.
+	maxOps := 7 + 2*len(ftUnits) + 3*len(kors)
+	var timer *algebra.Timer
+	if p.opts.Timing {
+		timer = algebra.NewTimer(maxOps)
+	}
+	ops := make([]algebra.Operator, 0, maxOps)
 	push := func(op algebra.Operator) algebra.Operator {
-		if p.opts.Timing {
-			op = algebra.WithTiming(op)
-		}
+		op = timer.Wrap(op)
 		ops = append(ops, op)
 		return op
 	}
@@ -241,35 +276,24 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 			op = push(&algebra.UnitFilterOp{In: op, Matcher: m, Units: units})
 		}
 	} else {
-		op = push(&algebra.RequiredOp{In: op, Matcher: m, Cancel: cancel})
+		op = push(&algebra.RequiredOp{In: op, Matcher: m})
 	}
 
 	// Score-contributing keyword joins, required first. For PushDeep,
 	// interleave prunes with decreasing query-scorebounds.
-	ftUnits := m.FTUnits()
-	ftMax := make([]float64, len(ftUnits))
 	totalS := 0.0
-	for i, u := range ftUnits {
-		ftMax[i] = m.MaxUnitScore(u)
-		totalS += ftMax[i]
+	for _, u := range ftUnits {
+		totalS += m.MaxUnitScore(u)
 	}
 	bonus := &algebra.BonusOp{Matcher: m, Units: m.OptionalBonusUnits()}
-	bonusMax := bonus.MaxScore()
-	totalS += bonusMax
-
-	var kors []*profile.KOR
-	if prof != nil {
-		kors = prof.SortKORsByPriority()
-	}
-	korMax := make([]float64, len(kors))
+	totalS += bonus.MaxScore()
 	totalK := 0.0
-	for i, kor := range kors {
-		korMax[i] = algebra.MaxKORContribution(ix, kor)
-		totalK += korMax[i]
+	for _, kor := range kors {
+		totalK += algebra.MaxKORScore(ix, kor)
 	}
 
 	remS := totalS
-	for i, u := range ftUnits {
+	for _, u := range ftUnits {
 		if strat == PushDeep && len(ops) > 2 {
 			op = push(&algebra.TopKPruneOp{
 				In: op, K: k, Mode: mode, Ranker: ranker,
@@ -277,14 +301,13 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 			})
 		}
 		op = push(&algebra.FTOp{In: op, Matcher: m, Unit: u})
-		remS -= ftMax[i]
+		remS -= m.MaxUnitScore(u)
 	}
 	bonus.In = op
 	op = push(bonus)
-	remS = 0
 
 	if prof != nil && len(prof.VORs) > 0 {
-		op = push(&algebra.VOROp{In: op, Doc: ix.Document(), Prof: prof})
+		op = push(algebra.NewVOROp(op, ix, prof))
 	}
 
 	remK := totalK
@@ -298,8 +321,8 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 				Shared: shared, Cancel: cancel,
 			})
 		}
-		op = push(&algebra.KOROp{In: op, Ix: ix, Kor: kor})
-		remK -= korMax[i]
+		op = push(algebra.NewKOROp(op, ix, kor))
+		remK -= algebra.MaxKORScore(ix, kor)
 		if remK < 1e-12 {
 			remK = 0 // absorb floating-point residue: the bound is conceptually exact
 		}
@@ -310,7 +333,7 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 				Shared: shared, Cancel: cancel,
 			})
 		case InterleaveSort:
-			op = push(&algebra.SortOp{In: op, Ranker: ranker, Mode: mode})
+			op = push(&algebra.SortOp{In: op, Ranker: ranker, Mode: mode, Batch: p.batch})
 			op = push(&algebra.TopKPruneOp{
 				In: op, K: k, Mode: mode, Ranker: ranker, KorBound: remK,
 				SortedInput: true, Shared: shared, Cancel: cancel,
@@ -327,7 +350,7 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 	}
 
 	// Final ranking: parametric sort + topkPrune (Fig. 4's plan tops).
-	op = push(&algebra.SortOp{In: op, Ranker: ranker, Mode: mode})
+	op = push(&algebra.SortOp{In: op, Ranker: ranker, Mode: mode, Batch: p.batch})
 	final := &algebra.TopKPruneOp{
 		In: op, K: k, Mode: mode, Ranker: ranker, SortedInput: true,
 		Shared: shared, Cancel: cancel,
@@ -352,10 +375,10 @@ func (p *Plan) Execute() []algebra.Answer {
 }
 
 // ExecuteContext runs the plan under ctx and returns the top-k answers,
-// best first. When ctx is cancelled or its deadline expires, the scan,
-// match and prune loops abort cooperatively (within a bounded number of
-// candidates) and ExecuteContext returns ctx's error with a nil answer
-// list — never a silently truncated top k.
+// best first. When ctx is cancelled or its deadline expires, the scan
+// and prune loops abort cooperatively (within one batch of candidates)
+// and ExecuteContext returns ctx's error with a nil answer list — never
+// a silently truncated top k.
 func (p *Plan) ExecuteContext(ctx context.Context) ([]algebra.Answer, error) {
 	if err := algebra.ContextErr(ctx); err != nil {
 		return nil, err
@@ -369,12 +392,7 @@ func (p *Plan) ExecuteContext(ctx context.Context) ([]algebra.Answer, error) {
 	p.parStats = nil
 	p.lastWorkers = 1
 	p.cancel.Reset(ctx)
-	p.root.Open()
-	for {
-		if _, ok := p.root.Next(); !ok {
-			break
-		}
-	}
+	algebra.Run(p.root, p.batch)
 	if err := algebra.ContextErr(ctx); err != nil {
 		return nil, err
 	}

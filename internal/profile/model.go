@@ -148,7 +148,7 @@ type Key struct {
 	HasCommon []bool
 	Val       string // raw value of the form attribute
 	HasVal    bool
-	Num       float64
+	Num       float64 // Val as a number; parsed for FormAttrCmp rules only, which alone read it
 	HasNum    bool
 }
 
@@ -168,8 +168,10 @@ func (v *VOR) KeyFor(tag string, lookup func(string) (string, bool)) Key {
 	}
 	if raw, ok := lookup(v.Attr); ok {
 		k.Val, k.HasVal = raw, true
-		if f, err := strconv.ParseFloat(strings.TrimSpace(raw), 64); err == nil {
-			k.Num, k.HasNum = f, true
+		if v.Form == FormAttrCmp {
+			if f, err := strconv.ParseFloat(strings.TrimSpace(raw), 64); err == nil {
+				k.Num, k.HasNum = f, true
+			}
 		}
 	}
 	return k

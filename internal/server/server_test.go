@@ -439,8 +439,8 @@ func TestSearchDeadline(t *testing.T) {
 	if er.Kind != "timeout" || !strings.Contains(er.Error, "deadline exceeded") {
 		t.Errorf("error = %+v, want a context.DeadlineExceeded timeout", er)
 	}
-	// "Promptly": the checkpoint stride bounds the overrun to far less
-	// than a full scan; 500ms is generous for any CI machine.
+	// "Promptly": the per-batch checkpoints bound the overrun to far
+	// less than a full scan; 500ms is generous for any CI machine.
 	if elapsed > 500*time.Millisecond {
 		t.Errorf("timeout took %v, want prompt abort", elapsed)
 	}

@@ -205,6 +205,11 @@ func (d *Document) TextContent(id NodeID) string {
 	if n.Kind == Text {
 		return n.Text
 	}
+	// A leaf element holding one text node (every XMark value element)
+	// is that node's string: no builder, no copy.
+	if c := n.First; c != InvalidNode && d.nodes[c].Kind == Text && d.nodes[c].Next == InvalidNode {
+		return d.nodes[c].Text
+	}
 	var sb strings.Builder
 	d.appendText(id, &sb)
 	return sb.String()

@@ -87,6 +87,49 @@ func TestTextContent(t *testing.T) {
 	}
 }
 
+// TestTextContentRows pins TextContent's output shape by shape: a leaf
+// holding one text node is that node's string (returned without a
+// copy), several text nodes — direct or nested — are joined by single
+// spaces in document order, and an element without text is empty.
+func TestTextContentRows(t *testing.T) {
+	b := NewBuilder()
+	b.Start("r")
+	b.Elem("single", "33")
+	b.Start("multi")
+	b.Text("one")
+	b.Elem("in", "two")
+	b.Text("three")
+	b.End()
+	b.Start("nested")
+	b.Start("deep")
+	b.Elem("leaf", "only")
+	b.End()
+	b.End()
+	b.Start("empty")
+	b.End()
+	b.Elem("blank", "")
+	b.End()
+	d := b.MustDocument()
+	first := func(tag string) NodeID { return d.ElementsByTag(tag)[0] }
+	for _, row := range []struct{ tag, want string }{
+		{"single", "33"},
+		{"multi", "one two three"},
+		{"in", "two"},
+		{"nested", "only"},
+		{"empty", ""},
+		{"blank", ""},
+		{"r", "33 one two three only"},
+	} {
+		if got := d.TextContent(first(row.tag)); got != row.want {
+			t.Errorf("TextContent(<%s>) = %q, want %q", row.tag, got, row.want)
+		}
+	}
+	single := first("single")
+	if n := testing.AllocsPerRun(100, func() { _ = d.TextContent(single) }); n != 0 {
+		t.Errorf("TextContent of a single-text-node leaf allocates %v times, want 0", n)
+	}
+}
+
 func TestStructuralPredicates(t *testing.T) {
 	d := mustParse(t, carXML)
 	root := d.Root()

@@ -3,13 +3,15 @@
 //
 // Two rules, both earned by the -race stress suites:
 //
-//  1. Source operators must probe. A pull-based operator that emits
-//     candidates from a slice (its Next never pulls an upstream
-//     operator's Next) is the head of a chain: nothing above it will
-//     ever observe a cancelled context, so its Next must call
+//  1. Source operators must probe. A batch operator that emits
+//     candidates from a slice (its NextBatch never pulls an upstream
+//     operator's NextBatch) is the head of a chain: nothing above it
+//     will ever observe a cancelled context, so its NextBatch must call
 //     (*CancelCheck).Stop (or a stop func() bool probe). Downstream
 //     filter operators inherit bounded abort latency from the source's
-//     stride, so pulling In.Next() inside Next is itself compliant.
+//     per-batch probe, so an operator that pulls In.NextBatch(dst), or
+//     whose Open opens an input (its NextBatch may hand the pull loop
+//     to a shared helper), is itself compliant.
 //
 //  2. Declared probes must fire. A function that accepts a probe — a
 //     `stop func() bool` parameter or a *CancelCheck — and then runs
@@ -36,7 +38,7 @@ var scopePkgs = []string{"internal/algebra", "internal/twig"}
 var Analyzer = &analysis.Analyzer{
 	Name: "cancelprobe",
 	Doc: "operator loops over candidate slices must carry a cancellation probe: source operators " +
-		"call CancelCheck.Stop in Next, and functions handed a stop probe must actually fire it",
+		"call CancelCheck.Stop in NextBatch, and functions handed a stop probe must actually fire it",
 	Run: run,
 }
 
@@ -64,20 +66,20 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	// Rule 1: source operators (Open + Next method set, no upstream
-	// pull in either) must probe in Next.
+	// Rule 1: source operators (Open + NextBatch method set, no input
+	// pulled or opened in either) must probe in NextBatch.
 	for typeName, ms := range methods {
-		next, hasNext := ms["Next"]
+		next, hasNext := ms["NextBatch"]
 		open, hasOpen := ms["Open"]
 		if !hasNext || !hasOpen {
 			continue
 		}
-		if pullsUpstream(next.Body) || pullsUpstream(open.Body) {
+		if calls(next.Body, "NextBatch") || calls(open.Body, "NextBatch") || calls(open.Body, "Open") {
 			continue // filter/sink operator: bounded by the chain's source
 		}
 		if !hasProbe(pass.TypesInfo, next.Body) {
 			pass.Reportf(next.Pos(),
-				"source operator %s.Next emits candidates without a cancellation probe: "+
+				"source operator %s.NextBatch emits candidates without a cancellation probe: "+
 					"call (*CancelCheck).Stop in the emit path so a dead context aborts the scan",
 				typeName)
 		}
@@ -115,16 +117,16 @@ func recvTypeName(fd *ast.FuncDecl) (string, bool) {
 	return "", false
 }
 
-// pullsUpstream reports whether the body calls <expr>.Next(...) —
-// i.e. consumes from an input operator.
-func pullsUpstream(body *ast.BlockStmt) bool {
+// calls reports whether the body calls <expr>.method(...) — pulling or
+// opening an input operator.
+func calls(body *ast.BlockStmt, method string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Next" {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == method {
 			found = true
 			return false
 		}

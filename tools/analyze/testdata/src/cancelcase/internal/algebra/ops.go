@@ -17,15 +17,13 @@ type BadScanOp struct {
 
 func (o *BadScanOp) Open() {}
 
-func (o *BadScanOp) Next() (int, bool) { // want cancelprobe "without a cancellation probe"
-	if o.i >= len(o.items) {
-		return 0, false
-	}
-	o.i++
-	return o.items[o.i-1], true
+func (o *BadScanOp) NextBatch(dst []int) int { // want cancelprobe "without a cancellation probe"
+	n := copy(dst, o.items[o.i:])
+	o.i += n
+	return n
 }
 
-// GoodScanOp probes on every emit.
+// GoodScanOp probes once per batch.
 type GoodScanOp struct {
 	items  []int
 	i      int
@@ -34,31 +32,36 @@ type GoodScanOp struct {
 
 func (o *GoodScanOp) Open() {}
 
-func (o *GoodScanOp) Next() (int, bool) {
+func (o *GoodScanOp) NextBatch(dst []int) int {
 	if o.cancel.Stop() {
-		return 0, false
+		return 0
 	}
-	if o.i >= len(o.items) {
-		return 0, false
-	}
-	o.i++
-	return o.items[o.i-1], true
+	n := copy(dst, o.items[o.i:])
+	o.i += n
+	return n
 }
 
-// FilterOp pulls its input's Next: abort latency is bounded by the
+// FilterOp pulls its input's NextBatch: abort latency is bounded by the
 // chain's source, so no probe of its own is required.
 type FilterOp struct{ In *GoodScanOp }
 
 func (o *FilterOp) Open() {}
 
-func (o *FilterOp) Next() (int, bool) {
+func (o *FilterOp) NextBatch(dst []int) int {
 	for {
-		v, ok := o.In.Next()
-		if !ok {
-			return 0, false
+		n := o.In.NextBatch(dst)
+		if n == 0 {
+			return 0
 		}
-		if v%2 == 0 {
-			return v, true
+		kept := 0
+		for _, v := range dst[:n] {
+			if v%2 == 0 {
+				dst[kept] = v
+				kept++
+			}
+		}
+		if kept > 0 {
+			return kept
 		}
 	}
 }
