@@ -80,10 +80,12 @@ cover:
 loc:
 	@find internal cmd pimento.go -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
-# A short fuzz pass over every fuzz target: the three parsers, the
-# /search handler, the profile vet, and the scan-vs-twigjoin access-path
-# differential. Catches regressions in input hardening and join
-# correctness without the open-ended runtime of a real fuzz campaign.
+# A short fuzz pass over every fuzz target, eight in all: the three
+# parsers (query, XML, profile), the /search and PUT/DELETE /docs
+# handlers, the profile vet, the scan-vs-twigjoin access-path
+# differential and the index build against its map-and-append oracle.
+# Catches regressions in input hardening, join correctness and index
+# layout without the open-ended runtime of a real fuzz campaign.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/tpq/
@@ -93,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDocUpdate -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 	$(GO) test -fuzz FuzzVetProfile -fuzztime $(FUZZTIME) -run '^$$' ./internal/analysis/
 	$(GO) test -fuzz FuzzTwigJoin -fuzztime $(FUZZTIME) -run '^$$' ./internal/twig/
+	$(GO) test -fuzz FuzzBuildMatchesOracle -fuzztime $(FUZZTIME) -run '^$$' ./internal/index/
 
 # Vets every example profile: *.bad.profile files must be rejected,
 # everything else must come back clean. Guards the shipped examples and

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,6 +31,7 @@ import (
 	"repro/internal/twig"
 	"repro/internal/workload"
 	"repro/internal/xmark"
+	"repro/internal/xmldoc"
 )
 
 // benchSizes trims the paper's sweep to keep `go test -bench=.` runnable
@@ -375,5 +377,41 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		index.Build(doc, text.Pipeline{})
+	}
+}
+
+// BenchmarkPrepare measures what one PUT /docs costs below the HTTP
+// layer on a Fig. 7-sized document, stage by stage: parse, index build
+// (which also fingerprints), and the whole of parse + build +
+// fingerprint. MB/s is over the XML source length in every stage.
+func BenchmarkPrepare(b *testing.B) {
+	var sb strings.Builder
+	if err := xmark.GenerateSized(xmark.Config{Seed: 42}, fig7Size).WriteXML(&sb, ""); err != nil {
+		b.Fatal(err)
+	}
+	src := sb.String()
+	parsed, err := xmldoc.ParseString(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stages := []struct {
+		name string
+		run  func()
+	}{
+		{"parse", func() { _, _ = xmldoc.ParseString(src) }},
+		{"build", func() { index.Build(parsed, text.DefaultPipeline) }},
+		{"all", func() {
+			doc, _ := xmldoc.ParseString(src)
+			index.ContentFingerprint(index.Build(doc, text.DefaultPipeline))
+		}},
+	}
+	for _, st := range stages {
+		b.Run(st.name, func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st.run()
+			}
+		})
 	}
 }

@@ -56,12 +56,6 @@ type Entry struct {
 	doc  *xmldoc.Document
 	idx  *index.Index
 	gen  uint64
-
-	// contentFP is the content hash (index.ContentFingerprint). Prepare
-	// computes it eagerly — off the search path — but entries restored by
-	// Load compute it lazily on first Fingerprint call.
-	fpOnce    sync.Once
-	contentFP string
 }
 
 // Name returns the entry's registered document name.
@@ -84,12 +78,7 @@ func (e *Entry) Generation() uint64 { return e.gen }
 // byte-identical content gets a fresh key space, which is what makes
 // targeted cache invalidation sound (DESIGN.md §15).
 func (e *Entry) Fingerprint() string {
-	e.fpOnce.Do(func() {
-		if e.contentFP == "" {
-			e.contentFP = index.ContentFingerprint(e.idx)
-		}
-	})
-	return e.contentFP + "@g" + strconv.FormatUint(e.gen, 10)
+	return index.ContentFingerprint(e.idx) + "@g" + strconv.FormatUint(e.gen, 10)
 }
 
 // Snapshot is one immutable view of the corpus: a consistent set of
@@ -213,9 +202,8 @@ type Mutation struct {
 // plus content hashing) and happens outside every lock, so concurrent
 // searches — and other writers — are never blocked behind it.
 type Prepared struct {
-	doc       *xmldoc.Document
-	ix        *index.Index
-	contentFP string
+	doc *xmldoc.Document
+	ix  *index.Index
 }
 
 // Nodes returns the prepared document's node count.
@@ -224,8 +212,7 @@ func (p *Prepared) Nodes() int { return p.doc.Len() }
 // Prepare indexes and fingerprints doc for a later Commit. It takes no
 // locks.
 func (c *Corpus) Prepare(doc *xmldoc.Document) *Prepared {
-	ix := index.Build(doc, c.pipe)
-	return &Prepared{doc: doc, ix: ix, contentFP: index.ContentFingerprint(ix)}
+	return &Prepared{doc: doc, ix: index.Build(doc, c.pipe)}
 }
 
 // Commit swaps a prepared document in under name, replacing any
@@ -236,7 +223,7 @@ func (c *Corpus) Commit(name string, p *Prepared) Mutation {
 	defer c.wmu.Unlock()
 	old := c.snap.Load()
 	gen := old.gen + 1
-	e := &Entry{name: name, doc: p.doc, idx: p.ix, gen: gen, contentFP: p.contentFP}
+	e := &Entry{name: name, doc: p.doc, idx: p.ix, gen: gen}
 	ns := &Snapshot{c: c, gen: gen, entries: make(map[string]*Entry, len(old.entries)+1)}
 	for k, v := range old.entries {
 		ns.entries[k] = v

@@ -9,8 +9,10 @@ package index
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 
 	"repro/internal/xmldoc"
 )
@@ -20,37 +22,60 @@ import (
 // documents with the same configuration share a fingerprint, so a
 // result cache survives an index rebuild or a process restart.
 //
-// The hash walks the node arena directly rather than a serialized XML
+// The hash covers the node arena directly rather than a serialized XML
 // string: same content sensitivity, but no multi-megabyte allocation.
 // Every field is length- or kind-prefixed so distinct documents cannot
-// collide by concatenation.
+// collide by concatenation. Build feeds the hash from its own walk, so
+// this is a load of the cached value unless the index was restored by
+// Load or its scorer replaced since.
 func ContentFingerprint(ix *Index) string {
-	h := sha256.New()
-	doc := ix.Document()
-	pipe := ix.Pipeline()
-	fmt.Fprintf(h, "pipe:stem=%t,stop=%t;scorer=%s;doc:",
-		pipe.Stem, pipe.DropStopwords, ix.ScorerName())
-	var num [4]byte
-	writeStr := func(s string) {
-		num[0] = byte(len(s))
-		num[1] = byte(len(s) >> 8)
-		num[2] = byte(len(s) >> 16)
-		num[3] = byte(len(s) >> 24)
-		h.Write(num[:])
-		h.Write([]byte(s))
+	if fp := ix.fp.Load(); fp != nil {
+		return *fp
 	}
-	doc.Walk(func(id xmldoc.NodeID) bool {
-		n := doc.Node(id)
-		h.Write([]byte{byte(n.Kind)})
-		writeStr(n.Tag)
-		writeStr(n.Text)
-		num[0] = byte(len(n.Attrs))
-		h.Write(num[:1])
-		for _, a := range n.Attrs {
-			writeStr(a.Name)
-			writeStr(a.Value)
-		}
-		return true
-	})
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	f := newFingerprinter(ix)
+	for id := 0; id < ix.doc.Len(); id++ {
+		f.node(ix.doc.Node(xmldoc.NodeID(id)))
+	}
+	return f.finish()
+}
+
+// fingerprinter streams nodes, in document order, into ix's content
+// hash through one reused buffer.
+type fingerprinter struct {
+	ix  *Index
+	h   hash.Hash
+	buf []byte
+}
+
+func newFingerprinter(ix *Index) *fingerprinter {
+	return &fingerprinter{ix: ix, h: sha256.New(), buf: fmt.Appendf(make([]byte, 0, 32<<10),
+		"pipe:stem=%t,stop=%t;scorer=%s;doc:", ix.pipe.Stem, ix.pipe.DropStopwords, ix.ScorerName())}
+}
+
+func (f *fingerprinter) str(s string) {
+	f.buf = binary.LittleEndian.AppendUint32(f.buf, uint32(len(s)))
+	f.buf = append(f.buf, s...)
+}
+
+func (f *fingerprinter) node(n *xmldoc.Node) {
+	f.buf = append(f.buf, byte(n.Kind))
+	f.str(n.Tag)
+	f.str(n.Text)
+	f.buf = append(f.buf, byte(len(n.Attrs)))
+	for _, a := range n.Attrs {
+		f.str(a.Name)
+		f.str(a.Value)
+	}
+	if len(f.buf) >= 16<<10 { // long runs for SHA-256, a buffer that stays in cache
+		f.h.Write(f.buf)
+		f.buf = f.buf[:0]
+	}
+}
+
+// finish caches the fingerprint on the index and returns it.
+func (f *fingerprinter) finish() string {
+	f.h.Write(f.buf)
+	fp := hex.EncodeToString(f.h.Sum(nil)[:16])
+	f.ix.fp.Store(&fp)
+	return fp
 }

@@ -9,18 +9,24 @@
 // occurrence of phrase p anywhere below it?) are region tests against
 // the phrase's sorted occurrence list.
 //
+// Both indexes are flat: one arena of positions (or element IDs) and an
+// offsets table per index, laid out by Build in one walk of the document
+// plus a count-and-fill pass (DESIGN.md §6.7). The same walk builds the
+// dataguide and the content fingerprint.
+//
 // Scoring has one implementation, PhraseList: a (tag, phrase) pair
 // resolved once — occurrence list, df, n, scorer, a small tf → score
 // table — and probed with a forward cursor (SeekGE) that exploits
 // candidates arriving in document order and falls back to binary search
 // when a probe is behind it. Plans resolve their lists at build time and
 // run the keyword joins as merges; Index.Score, TF, Contains, DF and
-// MaxPhraseScore are thin callers of the same code. Nothing is resolved
-// at Build, and a resolved list is never cached across requests: only
-// the occurrence, df and max-score caches below outlive a plan.
+// MaxPhraseScore are thin callers of the same code. Build resolves no
+// phrase, and a resolved list is never cached across requests: only the
+// occurrence, df and max-score caches below outlive a plan.
 package index
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,26 +36,30 @@ import (
 )
 
 // Index holds the per-tag element index and the positional inverted
-// keyword index for one document. An Index is safe for concurrent
-// readers: the derived caches are immutable copy-on-write snapshots
-// behind atomic pointers, so the per-candidate scoring hot path never
-// takes a lock. Cache misses copy the snapshot under a writer mutex;
-// a plan build warms every (tag, phrase) pair its query needs, so
-// steady-state execution is miss-free.
+// keyword index for one document, each a table: one flat arena and an
+// offsets table. An Index is safe for concurrent readers: the derived
+// caches are immutable copy-on-write snapshots behind atomic pointers,
+// so the per-candidate scoring hot path never takes a lock. Cache
+// misses copy the snapshot under a writer mutex; a plan build warms
+// every (tag, phrase) pair its query needs, so steady-state execution
+// is miss-free.
 type Index struct {
 	doc  *xmldoc.Document
 	pipe text.Pipeline
 
-	tags     map[string][]xmldoc.NodeID // element IDs in document order
-	allElems []xmldoc.NodeID            // every element, document order
-
-	positions map[string][]int32 // term -> sorted global token positions
-	seqNode   []xmldoc.NodeID    // global token position -> its text node
-	numTokens int
+	tags     table[xmldoc.NodeID] // tag -> its elements, document order
+	allElems []xmldoc.NodeID      // every element, document order
+	terms    table[int32]         // normalized term -> its sorted global token positions
+	seqNode  []xmldoc.NodeID      // global token position -> its text node
 
 	guide *Dataguide // strong dataguide (path summary), built with the index
 
 	scorer Scorer // nil means TFIDFScorer
+
+	// fp caches ContentFingerprint: Build computes it in its own walk,
+	// SetScorer drops it (the hash covers the scorer's name), Load leaves
+	// it to the first caller.
+	fp atomic.Pointer[string]
 
 	// cacheMu serializes cache writers only; readers atomically load the
 	// current snapshot and never block. Snapshots are never mutated after
@@ -65,35 +75,125 @@ type Index struct {
 // concatenated strings on the per-candidate scoring path).
 type tagPhrase struct{ tag, phrase string }
 
-// Build tokenizes every text node of doc under pipe and constructs the
-// indexes. Building is a single pass over the document.
-func Build(doc *xmldoc.Document, pipe text.Pipeline) *Index {
-	ix := &Index{
-		doc:       doc,
-		pipe:      pipe,
-		tags:      make(map[string][]xmldoc.NodeID),
-		positions: make(map[string][]int32),
+// table is a set of named lists in CSR form: a name maps to a dense ID
+// and list id is arena[off[id]:off[id+1]] — a string table and two flat
+// arrays, however many lists there are.
+type table[T ~int32] struct {
+	id    map[string]uint32
+	off   []int32
+	arena []T
+}
+
+// list returns name's list, nil when there is none.
+func (t *table[T]) list(name string) []T {
+	id, ok := t.id[name]
+	if !ok {
+		return nil
 	}
+	return t.arena[t.off[id]:t.off[id+1]]
+}
+
+// intern returns name's ID, the next unused one on first sight, and
+// keeps counts one entry per ID.
+func (t *table[T]) intern(name string, counts *[]int32) uint32 {
+	id, ok := t.id[name]
+	if !ok {
+		id = uint32(len(t.id))
+		t.id[name] = id
+		*counts = append(*counts, 0)
+	}
+	return id
+}
+
+// layout allocates off and arena, once and at their final size, for
+// lists of the given lengths, and turns counts into each list's fill
+// cursor.
+func (t *table[T]) layout(counts []int32) {
+	t.off = make([]int32, len(counts)+1)
+	for i, c := range counts {
+		t.off[i+1] = t.off[i] + c
+	}
+	t.arena = make([]T, t.off[len(counts)])
+	copy(counts, t.off)
+}
+
+// droppedTerm marks a surface form the pipeline drops (a stopword).
+const droppedTerm = ^uint32(0)
+
+// Build indexes doc under pipe. One walk over the node arena feeds the
+// dataguide, the content fingerprint and the vocabulary: each distinct
+// surface form is normalized (lower-cased, stemmed) once and interned
+// to a dense term ID, and a token position records only that ID. The
+// per-term and per-tag lists are then laid out by count, prefix sum and
+// fill.
+func Build(doc *xmldoc.Document, pipe text.Pipeline) *Index {
+	n := doc.Len()
+	ix := &Index{doc: doc, pipe: pipe}
+	ix.tags.id, ix.terms.id = make(map[string]uint32), make(map[string]uint32)
 	ix.resetCaches()
-	gb := newGuideBuilder(doc.Len())
-	doc.Walk(func(id xmldoc.NodeID) bool {
-		n := doc.Node(id)
-		switch n.Kind {
-		case xmldoc.Element:
-			ix.tags[n.Tag] = append(ix.tags[n.Tag], id)
-			ix.allElems = append(ix.allElems, id)
-			gb.visit(id, n.Tag, n.Level)
-		case xmldoc.Text:
-			for _, tok := range pipe.Tokenize(n.Text) {
-				pos := int32(ix.numTokens)
-				ix.positions[tok.Term] = append(ix.positions[tok.Term], pos)
-				ix.seqNode = append(ix.seqNode, id)
-				ix.numTokens++
+	gb := newGuideBuilder(n)
+	fp := newFingerprinter(ix)
+
+	var (
+		surface = make(map[string]uint32) // raw surface form -> term ID
+		counts  []int32                   // term ID -> occurrences
+		termAt  = make([]uint32, 0, n)    // global token position -> term ID
+		node    xmldoc.NodeID
+	)
+	ix.seqNode = make([]xmldoc.NodeID, 0, n) // about a token per node; append settles the rest
+	intern := func(raw string, _ int) {
+		t, seen := surface[raw]
+		if !seen {
+			t = droppedTerm
+			if term, ok := pipe.Normalize(raw); ok {
+				t = ix.terms.intern(term, &counts)
 			}
+			surface[raw] = t
 		}
-		return true
-	})
+		if t != droppedTerm {
+			counts[t]++
+			termAt = append(termAt, t)
+			ix.seqNode = append(ix.seqNode, node)
+		}
+	}
+	for node = 0; int(node) < n; node++ {
+		nd := doc.Node(node)
+		fp.node(nd)
+		if nd.Kind == xmldoc.Element {
+			gb.visit(node, nd.Tag, nd.Level)
+		} else {
+			text.EachToken(nd.Text, intern)
+		}
+	}
 	ix.guide = gb.g
+	fp.finish()
+
+	// Positions ascend within a term because the fill visits them in
+	// order.
+	ix.terms.layout(counts)
+	for pos, t := range termAt {
+		ix.terms.arena[counts[t]] = int32(pos)
+		counts[t]++
+	}
+
+	// The per-tag lists are read off the dataguide: a guide node has one
+	// tag and knows how many elements map to it.
+	tagOf := make([]uint32, gb.g.Len()) // guide node -> tag ID
+	counts = counts[:0]
+	for gn, tag := range gb.g.tag {
+		tagOf[gn] = ix.tags.intern(tag, &counts)
+		counts[tagOf[gn]] += gb.g.count[gn]
+	}
+	ix.tags.layout(counts)
+	ix.allElems = make([]xmldoc.NodeID, 0, len(ix.tags.arena))
+	for id, gn := range gb.g.elem {
+		if gn >= 0 {
+			t := tagOf[gn]
+			ix.tags.arena[counts[t]] = xmldoc.NodeID(id)
+			counts[t]++
+			ix.allElems = append(ix.allElems, xmldoc.NodeID(id))
+		}
+	}
 	return ix
 }
 
@@ -110,7 +210,7 @@ func (ix *Index) Elements(tag string) []xmldoc.NodeID {
 	if tag == "*" {
 		return ix.allElems
 	}
-	return ix.tags[tag]
+	return ix.tags.list(tag)
 }
 
 // TagCount returns the number of elements with the given tag ("*" counts
@@ -119,8 +219,8 @@ func (ix *Index) TagCount(tag string) int { return len(ix.Elements(tag)) }
 
 // Tags returns all distinct element tags, sorted.
 func (ix *Index) Tags() []string {
-	out := make([]string, 0, len(ix.tags))
-	for t := range ix.tags {
+	out := make([]string, 0, len(ix.tags.id))
+	for t := range ix.tags.id {
 		out = append(out, t)
 	}
 	sort.Strings(out)
@@ -128,7 +228,7 @@ func (ix *Index) Tags() []string {
 }
 
 // NumTokens returns the total number of indexed token occurrences.
-func (ix *Index) NumTokens() int { return ix.numTokens }
+func (ix *Index) NumTokens() int { return len(ix.seqNode) }
 
 // resetCaches installs fresh empty cache snapshots (build time and
 // scorer changes). Callers that can race with readers must hold cacheMu.
@@ -179,41 +279,37 @@ func (ix *Index) phraseOccurrences(phrase string) []int32 {
 }
 
 func (ix *Index) computePhrase(terms []string) []int32 {
-	first := ix.positions[terms[0]]
-	if first == nil {
-		return []int32{}
-	}
-	if len(terms) == 1 {
-		out := make([]int32, 0, len(first))
-		for _, p := range first {
-			out = append(out, int32(ix.seqNode[p]))
-		}
-		// first is sorted by position == document order of text nodes, so
-		// out is sorted too (duplicates kept: multiple occurrences per node).
-		return out
-	}
-	// Start from the rarest term to keep the candidate list short.
-	rarest, rarestIdx := first, 0
-	for i := 1; i < len(terms); i++ {
-		p := ix.positions[terms[i]]
-		if p == nil {
+	// Resolve every term's list once; start from the rarest to keep the
+	// candidate list short.
+	lists := make([][]int32, len(terms))
+	rarest := 0
+	for i, t := range terms {
+		lists[i] = ix.terms.list(t)
+		if len(lists[i]) == 0 {
 			return []int32{}
 		}
-		if len(p) < len(rarest) {
-			rarest, rarestIdx = p, i
+		if len(lists[i]) < len(lists[rarest]) {
+			rarest = i
 		}
 	}
 	var out []int32
-	for _, p := range rarest {
-		start := p - int32(rarestIdx)
-		if start < 0 || int(start)+len(terms) > ix.numTokens {
+	for _, p := range lists[rarest] {
+		start := p - int32(rarest)
+		if start < 0 || int(start)+len(terms) > len(ix.seqNode) {
 			continue
 		}
 		node := ix.seqNode[start]
 		match := true
-		for j, t := range terms {
+		for j, list := range lists {
 			pos := start + int32(j)
-			if ix.seqNode[pos] != node || !ix.hasPosition(t, pos) {
+			if ix.seqNode[pos] != node {
+				match = false
+				break
+			}
+			if j == rarest {
+				continue
+			}
+			if _, found := slices.BinarySearch(list, pos); !found {
 				match = false
 				break
 			}
@@ -222,14 +318,10 @@ func (ix *Index) computePhrase(terms []string) []int32 {
 			out = append(out, int32(node))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	// The rarest list ascends, so the starts do, so their text nodes do
+	// (duplicates kept: several occurrences per node): out is sorted as
+	// built.
 	return out
-}
-
-func (ix *Index) hasPosition(term string, pos int32) bool {
-	ps := ix.positions[term]
-	i := sort.Search(len(ps), func(i int) bool { return ps[i] >= pos })
-	return i < len(ps) && ps[i] == pos
 }
 
 // Contains reports whether element elem contains at least one occurrence

@@ -29,11 +29,36 @@ func (ix *Index) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(persistedIndex{
 		Version:   persistVersion,
 		Pipe:      ix.pipe,
-		Tags:      ix.tags,
-		Positions: ix.positions,
+		Tags:      ix.tags.lists(),
+		Positions: ix.terms.lists(),
 		SeqNode:   ix.seqNode,
-		NumTokens: ix.numTokens,
+		NumTokens: len(ix.seqNode),
 	})
+}
+
+// lists is the table as the snapshot format holds it: a map of lists
+// (sub-slices of the arena, not copies).
+func (t *table[T]) lists() map[string][]T {
+	m := make(map[string][]T, len(t.id))
+	for name := range t.id {
+		m[name] = t.list(name)
+	}
+	return m
+}
+
+// tableOf lays a decoded map of lists out as a table.
+func tableOf[T ~int32](lists map[string][]T) table[T] {
+	t := table[T]{id: make(map[string]uint32, len(lists))}
+	var next []int32
+	for name, l := range lists {
+		id := t.intern(name, &next)
+		next[id] = int32(len(l))
+	}
+	t.layout(next)
+	for name, l := range lists {
+		copy(t.arena[next[t.id[name]]:], l)
+	}
+	return t
 }
 
 // Load reads an index snapshot written by Save and re-attaches it to its
@@ -63,21 +88,11 @@ func Load(r io.Reader, doc *xmldoc.Document) (*Index, error) {
 			}
 		}
 	}
-	var allElems []xmldoc.NodeID
-	doc.Walk(func(id xmldoc.NodeID) bool {
+	ix := &Index{doc: doc, pipe: p.Pipe, tags: tableOf(p.Tags), terms: tableOf(p.Positions), seqNode: p.SeqNode}
+	for id := xmldoc.NodeID(0); int(id) < doc.Len(); id++ {
 		if doc.Kind(id) == xmldoc.Element {
-			allElems = append(allElems, id)
+			ix.allElems = append(ix.allElems, id)
 		}
-		return true
-	})
-	ix := &Index{
-		doc:       doc,
-		pipe:      p.Pipe,
-		tags:      p.Tags,
-		allElems:  allElems,
-		positions: p.Positions,
-		seqNode:   p.SeqNode,
-		numTokens: p.NumTokens,
 	}
 	ix.resetCaches()
 	return ix, nil

@@ -97,6 +97,7 @@ func (ix *Index) SetScorer(s Scorer) {
 	ix.cacheMu.Lock()
 	defer ix.cacheMu.Unlock()
 	ix.scorer = s
+	ix.fp.Store(nil)
 	ix.resetCaches()
 }
 

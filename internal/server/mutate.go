@@ -98,7 +98,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		s.rejectMutation(w, "put", code, "parse", err)
 		return
 	}
-	doc, err := xmldoc.ParseString(string(src))
+	doc, err := xmldoc.ParseBytes(src)
 	if err != nil {
 		// A malformed document mutates nothing: the 400 carries the parse
 		// diagnostic, and neither the snapshot, the cache, nor /watch see

@@ -165,6 +165,53 @@ func TestPutDocRejectsMalformedAndOversized(t *testing.T) {
 	}
 }
 
+// TestUncleanResourcePathsRejected pins the FuzzDocUpdate finding: a
+// name ServeMux would clean away ("." and ".." segments, empty
+// segments) used to draw the mux's 301 with an HTML body. It is a JSON
+// 400 like any other bad name, counted as a rejection, and mutates
+// nothing — on /docs and on /profiles alike.
+func TestUncleanResourcePathsRejected(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	gen := s.Snapshot().Generation
+	for _, tc := range []struct {
+		method, path string
+		counter      interface{ Value() int64 }
+	}{
+		{http.MethodPut, "/docs/.", s.metrics.mutations[[2]string{"put", "rejected"}]},
+		{http.MethodPut, "/docs/..", s.metrics.mutations[[2]string{"put", "rejected"}]},
+		{http.MethodPut, "/docs/a//b", s.metrics.mutations[[2]string{"put", "rejected"}]},
+		{http.MethodPut, "/docs/cars/.", s.metrics.mutations[[2]string{"put", "rejected"}]},
+		{http.MethodDelete, "/docs/.", s.metrics.mutations[[2]string{"delete", "rejected"}]},
+		{http.MethodDelete, "/docs/cars/..", s.metrics.mutations[[2]string{"delete", "rejected"}]},
+		{http.MethodPut, "/profiles/.", s.metrics.registryRequests[[2]string{"put", "rejected"}]},
+		{http.MethodGet, "/profiles/..", s.metrics.errors["4xx"]},
+		{http.MethodDelete, "/profiles/x//", s.metrics.errors["4xx"]},
+	} {
+		before := tc.counter.Value()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader("<a/>")))
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusBadRequest || err != nil || er.Kind != "parse" {
+			t.Errorf("%s %s = %d %q, want a JSON 400 of kind parse", tc.method, tc.path, rec.Code, rec.Body.Bytes())
+		}
+		if got := tc.counter.Value(); got != before+1 {
+			t.Errorf("%s %s: rejection counter %d -> %d, want +1", tc.method, tc.path, before, got)
+		}
+	}
+	if got := s.Snapshot().Generation; got != gen {
+		t.Errorf("rejected paths moved the generation %d -> %d", gen, got)
+	}
+	if docs := s.Docs(); !contains(docs, "cars") || len(s.Profiles().List()) != 0 {
+		t.Errorf("rejected paths changed state: docs %v, profiles %v", docs, s.Profiles().List())
+	}
+	// A clean path still reaches its route.
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/docs/fresh", strings.NewReader("<a/>")))
+	if rec.Code != http.StatusCreated {
+		t.Errorf("PUT /docs/fresh = %d, want 201", rec.Code)
+	}
+}
+
 // TestMutationCachePrecision is the satellite property test: a mutation
 // drops exactly the entries that depended on the mutated document —
 // single-document entries for that name plus every fan-out entry.

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path"
 	"strconv"
 	"strings"
 	"sync"
@@ -269,7 +270,36 @@ func (s *Server) AnalysisCache() *engine.AnalysisCache { return s.analysis }
 func (s *Server) Profiles() *registry.Registry { return s.profiles }
 
 // Handler returns the server's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serveHTTP) }
+
+// serveHTTP is the mux behind the one check it cannot be told to make.
+// ServeMux answers a path it would clean — "/docs/.", "/docs/..",
+// "/docs/a//b", "/docs/x/." — with a 301 and an HTML body before any
+// route runs; on the two name-addressed resources that is a client
+// error like any other bad name: a JSON 400 that changes nothing.
+func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
+	p := r.URL.EscapedPath()
+	docs, profiles := strings.HasPrefix(p, "/docs/"), strings.HasPrefix(p, "/profiles/")
+	if !docs && !profiles {
+		s.mux.ServeHTTP(w, r)
+		return
+	}
+	if clean := path.Clean(p); p == clean || p == clean+"/" {
+		s.mux.ServeHTTP(w, r)
+		return
+	}
+	err := fmt.Errorf("invalid name in path %q: %q and %q segments and empty segments are not names", p, ".", "..")
+	switch {
+	case docs && (r.Method == http.MethodPut || r.Method == http.MethodDelete):
+		defer s.metrics.startRequest("docs")()
+		s.rejectMutation(w, strings.ToLower(r.Method), http.StatusBadRequest, "parse", err)
+	case profiles && r.Method == http.MethodPut:
+		defer s.metrics.startRequest("profiles")()
+		s.rejectProfile(w, http.StatusBadRequest, "parse", err)
+	default:
+		s.writeError(w, http.StatusBadRequest, "parse", err)
+	}
+}
 
 // --- request / response wire types ---
 
@@ -993,7 +1023,15 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 // most limit bytes. A failure comes back with its status — 413 when
 // oversized, else 400 — for the caller's own rejection counter.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) (src []byte, status int, err error) {
-	src, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body := http.MaxBytesReader(w, r.Body, limit)
+	if n := r.ContentLength; n > 0 && n <= limit {
+		// The client said how much is coming (net/http hands over no more
+		// than that): one buffer of that size, not io.ReadAll's regrowth.
+		src = make([]byte, n)
+		_, err = io.ReadFull(body, src)
+	} else {
+		src, err = io.ReadAll(body)
+	}
 	if err == nil {
 		return src, 0, nil
 	}

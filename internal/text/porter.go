@@ -8,13 +8,13 @@ func Stem(word string) string {
 	if len(word) <= 2 {
 		return word
 	}
-	w := []byte(word)
-	for _, c := range w {
-		if c < 'a' || c > 'z' {
+	for i := 0; i < len(word); i++ {
+		if c := word[i]; c < 'a' || c > 'z' {
 			// Non-ASCII-lowercase input (digits, accents): leave as is.
 			return word
 		}
 	}
+	w := []byte(word)
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -23,6 +23,9 @@ func Stem(word string) string {
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
+	if string(w) == word {
+		return word // its own stem: no second copy
+	}
 	return string(w)
 }
 

@@ -220,6 +220,109 @@ func TestPropertyPhraseSelfContainment(t *testing.T) {
 	}
 }
 
+// oracleTokenize is Tokenize as it stood before EachToken: one loop
+// that scans, lower-cases, filters, stems and appends per token.
+func oracleTokenize(p Pipeline, s string) []Token {
+	var out []Token
+	pos := 0
+	i := 0
+	for i < len(s) {
+		r, size := rune(s[i]), 1
+		if r >= 0x80 {
+			r, size = decodeRune(s[i:])
+		}
+		if !isTokenRune(r) {
+			i += size
+			continue
+		}
+		start := i
+		for i < len(s) {
+			r, size = rune(s[i]), 1
+			if r >= 0x80 {
+				r, size = decodeRune(s[i:])
+			}
+			if !isTokenRune(r) {
+				break
+			}
+			i += size
+		}
+		raw := s[start:i]
+		term := strings.ToLower(raw)
+		if p.DropStopwords && stopwords[term] {
+			continue
+		}
+		if p.Stem {
+			term = Stem(term)
+		}
+		out = append(out, Token{Term: term, Raw: raw, Pos: pos, Start: start})
+		pos++
+	}
+	return out
+}
+
+// TestEachTokenMatchesTokenize: the callback tokenizer cuts the same raw
+// tokens at the same offsets as the old loop, Normalize maps each to the
+// same term (or drops it), and Tokenize / Terms rebuilt on the pair
+// return what the loop returned — on ASCII, on multi-byte letters and
+// digits, on invalid UTF-8, and on strings that yield nothing.
+func TestEachTokenMatchesTokenize(t *testing.T) {
+	inputs := []string{
+		"", "   ", "--- ... !!!",
+		"Good condition, low-mileage! NYC 2001",
+		"the of and to be or not to be", // stopwords only
+		"Relational CONDITIONING authorization's ponies",
+		"Ünïcödé naïve ÉCOLE école straße ǅ",
+		"日本語 テキスト ١٢٣ ４２",
+		"bad\xffutf8 \xc3( tail\xe2\x82 end\xf0\x9f",
+		"\xff\xfe", "a", "x1y2 007 4x4",
+	}
+	const alphabet = "aZ 9-é\xff\xe2\x82the "
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 200; i++ {
+		b := make([]byte, r.Intn(40))
+		for j := range b {
+			b[j] = alphabet[r.Intn(len(alphabet))]
+		}
+		inputs = append(inputs, string(b))
+	}
+	for _, p := range []Pipeline{{}, {Stem: true}, {DropStopwords: true}, {Stem: true, DropStopwords: true}} {
+		for _, s := range inputs {
+			want := oracleTokenize(p, s)
+			if got := p.Tokenize(s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v.Tokenize(%q) = %v, oracle %v", p, s, got, want)
+			}
+			terms := p.Terms(s)
+			if len(terms) != len(want) || terms == nil {
+				t.Fatalf("%+v.Terms(%q) = %v, oracle %v", p, s, terms, want)
+			}
+			for i, tok := range want {
+				if terms[i] != tok.Term {
+					t.Fatalf("%+v.Terms(%q)[%d] = %q, oracle %q", p, s, i, terms[i], tok.Term)
+				}
+			}
+			// Every raw token, kept or dropped, in order: the zero
+			// pipeline's oracle tokens are exactly the raw cuts.
+			raws := oracleTokenize(Pipeline{}, s)
+			n, k := 0, 0
+			EachToken(s, func(raw string, start int) {
+				if n >= len(raws) || raw != raws[n].Raw || start != raws[n].Start || s[start:start+len(raw)] != raw {
+					t.Fatalf("EachToken(%q) token %d = %q@%d, oracle %v", s, n, raw, start, raws)
+				}
+				n++
+				if term, ok := p.Normalize(raw); ok {
+					if k >= len(want) || term != want[k].Term {
+						t.Fatalf("%+v.Normalize(%q) = %q, oracle %v", p, raw, term, want)
+					}
+					k++
+				}
+			})
+			if n != len(raws) || k != len(want) {
+				t.Fatalf("EachToken(%q) yielded %d tokens (%d kept), oracle %d (%d kept)", s, n, k, len(raws), len(want))
+			}
+		}
+	}
+}
+
 func BenchmarkTokenize(b *testing.B) {
 	s := strings.Repeat("the quick brown fox jumps over the lazy dog. ", 50)
 	p := DefaultPipeline

@@ -33,11 +33,12 @@ type Pipeline struct {
 // as "best bid" contain function words that matter for phrase matching).
 var DefaultPipeline = Pipeline{Stem: true}
 
-// Tokenize splits s into normalized tokens. Tokens are maximal runs of
-// letters and digits; everything else separates tokens.
-func (p Pipeline) Tokenize(s string) []Token {
-	var out []Token
-	pos := 0
+// EachToken calls yield with every token of s — a maximal run of letters
+// and digits; everything else separates tokens — as a sub-string of s,
+// with its byte offset. It allocates nothing and normalizes nothing:
+// that is Normalize's job, so a caller that meets the same surface form
+// many times (index.Build) normalizes it once.
+func EachToken(s string, yield func(raw string, start int)) {
 	i := 0
 	for i < len(s) {
 		r, size := rune(s[i]), 1
@@ -59,27 +60,50 @@ func (p Pipeline) Tokenize(s string) []Token {
 			}
 			i += size
 		}
-		raw := s[start:i]
-		term := strings.ToLower(raw)
-		if p.DropStopwords && stopwords[term] {
-			continue
+		yield(s[start:i], start)
+	}
+}
+
+// Normalize maps one raw token to its term under this pipeline:
+// lower-cased, dropped (ok false) when DropStopwords is set and it is a
+// stopword, stemmed when Stem is set.
+func (p Pipeline) Normalize(raw string) (term string, ok bool) {
+	term = strings.ToLower(raw)
+	if p.DropStopwords && stopwords[term] {
+		return "", false
+	}
+	if p.Stem {
+		term = Stem(term)
+	}
+	return term, true
+}
+
+// Tokenize splits s into normalized tokens.
+func (p Pipeline) Tokenize(s string) []Token {
+	// Counting first costs one more scan and saves growing a slice of
+	// 48-byte Tokens by append.
+	n := 0
+	EachToken(s, func(string, int) { n++ })
+	out := make([]Token, 0, n)
+	EachToken(s, func(raw string, start int) {
+		if term, ok := p.Normalize(raw); ok {
+			out = append(out, Token{Term: term, Raw: raw, Pos: len(out), Start: start})
 		}
-		if p.Stem {
-			term = Stem(term)
-		}
-		out = append(out, Token{Term: term, Raw: raw, Pos: pos, Start: start})
-		pos++
+	})
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }
 
 // Terms returns just the normalized term strings of s.
 func (p Pipeline) Terms(s string) []string {
-	toks := p.Tokenize(s)
-	terms := make([]string, len(toks))
-	for i, t := range toks {
-		terms[i] = t.Term
-	}
+	terms := []string{}
+	EachToken(s, func(raw string, _ int) {
+		if term, ok := p.Normalize(raw); ok {
+			terms = append(terms, term)
+		}
+	})
 	return terms
 }
 

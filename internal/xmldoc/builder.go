@@ -134,7 +134,13 @@ func (b *Builder) Document() (*Document, error) {
 	if len(b.nodes) == 0 {
 		return nil, fmt.Errorf("xmldoc: empty document")
 	}
-	d := &Document{nodes: b.nodes, textLen: b.textLen}
+	nodes := b.nodes
+	if cap(nodes) > len(nodes)+len(nodes)/4 {
+		// A capacity hint (or the last regrowth) overshot: the document
+		// keeps at most 1.25x of what it needs.
+		nodes = append(make([]Node, 0, len(nodes)), nodes...)
+	}
+	d := &Document{nodes: nodes, textLen: b.textLen}
 	d.buildPositions()
 	return d, nil
 }

@@ -1,6 +1,7 @@
 package xmldoc
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -13,9 +14,46 @@ import (
 // comments, processing instructions and directives are skipped; whitespace-
 // only character data between elements is dropped.
 func Parse(r io.Reader) (*Document, error) {
+	return parse(r, 0, 0)
+}
+
+// ParseString parses an XML document held in a string.
+func ParseString(s string) (*Document, error) {
+	return parse(strings.NewReader(s), strings.Count(s, "<"), len(s))
+}
+
+// ParseBytes parses an XML document held in a byte slice, which it
+// does not retain.
+func ParseBytes(src []byte) (*Document, error) {
+	return parse(bytes.NewReader(src), bytes.Count(src, []byte("<")), len(src))
+}
+
+// parse sizes the node arena from the source's '<' count, so it is
+// allocated once and never regrows: a start tag, an end tag and a CDATA
+// section each cost one '<', and outside mixed content a text node is
+// followed by its parent's end tag, so the count bounds elements + text
+// nodes (XMark: nodes = 0.88 x count). Mixed content can exceed it
+// (append takes over), containers without text undershoot it
+// (Builder.Document keeps at most 1.25x), and a hostile run of '<'
+// reserves no more than the node per three bytes that a parsable body
+// of its size can force anyway.
+func parse(r io.Reader, lt, srcLen int) (*Document, error) {
 	dec := xml.NewDecoder(r)
-	b := NewBuilder()
+	b := NewBuilderCap(min(lt, srcLen/3))
 	depth := 0
+	// Every node shares the first copy of its name, and a name is
+	// validated once.
+	names := make(map[string]string)
+	intern := func(s string) (string, bool) {
+		if v, ok := names[s]; ok {
+			return v, true
+		}
+		if !validXMLName(s) {
+			return "", false
+		}
+		names[s] = s
+		return s, true
+	}
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -26,7 +64,8 @@ func Parse(r io.Reader) (*Document, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			if !validXMLName(t.Name.Local) {
+			tag, ok := intern(t.Name.Local)
+			if !ok {
 				return nil, fmt.Errorf("xmldoc: parse: invalid element name %q", t.Name.Local)
 			}
 			var attrs []Attr
@@ -34,14 +73,15 @@ func Parse(r io.Reader) (*Document, error) {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue
 				}
-				if !validXMLName(a.Name.Local) {
+				name, ok := intern(a.Name.Local)
+				if !ok {
 					// Names the lenient decoder accepts but that cannot
 					// be re-serialized as well-formed XML are dropped.
 					continue
 				}
-				attrs = append(attrs, Attr{Name: a.Name.Local, Value: a.Value})
+				attrs = append(attrs, Attr{Name: name, Value: a.Value})
 			}
-			b.Start(t.Name.Local, attrs...)
+			b.Start(tag, attrs...)
 			depth++
 		case xml.EndElement:
 			b.End()
@@ -50,19 +90,13 @@ func Parse(r io.Reader) (*Document, error) {
 			if depth == 0 {
 				continue
 			}
-			s := string(t)
-			if strings.TrimSpace(s) == "" {
-				continue
+			// t aliases the decoder's buffer: trim there, copy once.
+			if s := bytes.TrimSpace(t); len(s) > 0 {
+				b.Text(string(s))
 			}
-			b.Text(strings.TrimSpace(s))
 		}
 	}
 	return b.Document()
-}
-
-// ParseString parses an XML document held in a string.
-func ParseString(s string) (*Document, error) {
-	return Parse(strings.NewReader(s))
 }
 
 // WriteXML serializes the document back to XML on w, with the given indent
