@@ -106,8 +106,14 @@ vet-profiles:
 # The benchmark (bench/, its own module, not part of `go test ./...`)
 # compiles against internal packages: a change that breaks its compile
 # surface or its own tests fails here instead of in the acceptance run.
+# One iteration of a root Fig. 7 benchmark rides along, so its
+# vor_in/op and sort_in/op metrics cannot rot.
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test ./...
+	@out=$$($(GO) test -run '^$$' -bench 'Fig7/plan=PtpkP/kors=4/par=1$$' -benchtime 1x .) || { echo "$$out"; exit 1; }; \
+	for m in vor_in/op sort_in/op; do \
+		echo "$$out" | grep -q "[0-9] $$m" || { echo "$$out"; echo "bench-test: BenchmarkFig7 reports no $$m"; exit 1; }; \
+	done; echo "$$out" | grep '_in/op'
 
 # Fixed-seed serving smoke for CI: two seconds of the benchmark's
 # cached_mix workload against a freshly built pimentod. Every answer is

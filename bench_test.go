@@ -112,7 +112,8 @@ func benchParallelisms() []int {
 
 // BenchmarkFig7 compares the four plan strategies on one large document,
 // each at sequential (par=1) and fully parallel (par=GOMAXPROCS)
-// execution. The parallel rows measure the tentpole claim: partitioned
+// execution, reporting beside the time how many answers reached vor and
+// the final sort (vor_in/op, sort_in/op). The parallel rows measure the tentpole claim: partitioned
 // execution with the shared top-k threshold returns identical answers in
 // less wall-clock time.
 func BenchmarkFig7(b *testing.B) {
@@ -124,14 +125,26 @@ func BenchmarkFig7(b *testing.B) {
 				b.Run(fmt.Sprintf("plan=%s/kors=%d/par=%d", strat, n, par), func(b *testing.B) {
 					q := workload.Fig5Query()
 					b.ReportAllocs()
+					var p *plan.Plan
 					for i := 0; i < b.N; i++ {
-						p, err := plan.BuildWith(ix, q, prof, 10,
+						var err error
+						p, err = plan.BuildWith(ix, q, prof, 10,
 							plan.Options{Strategy: strat, Parallelism: par})
 						if err != nil {
 							b.Fatal(err)
 						}
 						if got := p.Execute(); len(got) == 0 {
 							b.Fatal("no answers")
+						}
+					}
+					// Where the plan cuts: how many answers got value keys
+					// and how many reached the final sort.
+					for _, s := range p.Stats() {
+						switch s.Kind() {
+						case "vor":
+							b.ReportMetric(float64(s.In), "vor_in/op")
+						case "sort":
+							b.ReportMetric(float64(s.In), "sort_in/op") // the last sort's wins
 						}
 					}
 				})

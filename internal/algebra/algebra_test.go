@@ -184,7 +184,7 @@ func buildPipeline(ix *index.Index, q *tpq.Query, prof *profile.Profile) (Operat
 	}
 	if prof != nil {
 		for _, kor := range prof.SortKORsByPriority() {
-			op = NewKOROp(op, ix, kor)
+			op = NewKOROp(op, ix, kor, "")
 		}
 	}
 	return op, m

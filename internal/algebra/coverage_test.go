@@ -60,7 +60,7 @@ kor k: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 	ops = append(ops, op)
 	op = NewVOROp(op, ix, prof)
 	ops = append(ops, op)
-	op = NewKOROp(op, ix, prof.KORs[0])
+	op = NewKOROp(op, ix, prof.KORs[0], "")
 	ops = append(ops, op)
 	sortOp := &SortOp{In: op, Ranker: &Ranker{Prof: prof}, Mode: ModeKVS}
 	op = sortOp

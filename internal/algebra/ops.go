@@ -427,16 +427,23 @@ type KOROp struct {
 	Ix  *index.Index
 	Kor *profile.KOR
 
-	lists []index.PhraseList // one per Kor.Phrases entry
-	stats OpStats
+	lists  []index.PhraseList // one per Kor.Phrases entry; none when no input answer can match
+	anyTag bool               // input tags vary: check each answer's against Kor.Tag
+	stats  OpStats
 }
 
 // NewKOROp returns the kor operator of one rule over in, with the
-// rule's (tag, phrase) lists resolved.
-func NewKOROp(in Operator, ix *index.Index, kor *profile.KOR) *KOROp {
-	o := &KOROp{In: in, Ix: ix, Kor: kor, lists: make([]index.PhraseList, len(kor.Phrases))}
-	for i, p := range kor.Phrases {
-		o.lists[i] = ix.Phrase(kor.Tag, p)
+// rule's (tag, phrase) lists resolved. tag is the one tag every input
+// answer carries — the distinguished node's, when it is a fixed name —
+// so the rule's tag test is decided here, not by loading a node per
+// answer; "" means the tags vary.
+func NewKOROp(in Operator, ix *index.Index, kor *profile.KOR, tag string) *KOROp {
+	o := &KOROp{In: in, Ix: ix, Kor: kor, anyTag: tag == ""}
+	if o.anyTag || tag == kor.Tag {
+		o.lists = make([]index.PhraseList, len(kor.Phrases))
+		for i, p := range kor.Phrases {
+			o.lists[i] = ix.Phrase(kor.Tag, p)
+		}
 	}
 	return o
 }
@@ -452,7 +459,7 @@ func (o *KOROp) NextBatch(dst []Answer) int {
 	o.stats.Out += n
 	doc, w := o.Ix.Document(), o.Kor.EffectiveWeight()
 	for i := range dst[:n] {
-		if doc.Tag(dst[i].Node) != o.Kor.Tag {
+		if o.anyTag && doc.Tag(dst[i].Node) != o.Kor.Tag {
 			continue
 		}
 		total := 0.0

@@ -106,7 +106,7 @@ func TestScoringOpsMatchOracleXMark(t *testing.T) {
 	prof := workload.Fig5Profile(4)
 	var op Operator = NewVOROp(answersOf(ix.Elements("person")), ix, prof)
 	for _, kor := range prof.KORs {
-		op = NewKOROp(op, ix, kor)
+		op = NewKOROp(op, ix, kor, "")
 	}
 	out := drain(op)
 	if len(out) != ix.TagCount("person") || len(out) == 0 {

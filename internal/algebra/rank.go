@@ -23,6 +23,10 @@ const (
 	// ModeBlend ranks by the combined score K + S with V as tie-break —
 	// the weighted fine-tuning of the paper's conclusion (Section 8).
 	ModeBlend
+	// ModeK compares K alone. No profile ranks by it: it is the mode of
+	// the prunes and sorts a rank K,V,S plan runs ahead of its vor
+	// operator, where V is not yet known and S cannot matter.
+	ModeK
 )
 
 func (m Mode) String() string {
@@ -37,6 +41,8 @@ func (m Mode) String() string {
 		return "V,K,S"
 	case ModeBlend:
 		return "K+S,V"
+	case ModeK:
+		return "K"
 	}
 	return "?"
 }
@@ -113,6 +119,8 @@ func (r *Ranker) Compare(a, b *Answer, mode Mode) int {
 			return c
 		}
 		return r.CompareV(a, b)
+	case ModeK:
+		return cmpFloat(a.K, b.K)
 	}
 	return 0
 }
@@ -128,9 +136,11 @@ func (r *Ranker) Compare(a, b *Answer, mode Mode) int {
 // its dominator and varies with input partitioning — the linearization
 // is what makes sequential results well-defined and parallel execution
 // reproduce them exactly. 0 means same class: fall through to the next
-// rank component, as Algorithms 2/3 do for ties.
+// rank component, as Algorithms 2/3 do for ties. Both answers carry
+// their keys: a plan places vor ahead of every operator whose mode
+// compares V (the ones ahead of it run in ModeK).
 func (r *Ranker) CompareV(a, b *Answer) int {
-	if r.Prof == nil || len(r.Prof.VORs) == 0 || a.VKeys == nil || b.VKeys == nil {
+	if r.Prof == nil || len(r.Prof.VORs) == 0 {
 		return 0
 	}
 	order := r.vorOrder

@@ -18,17 +18,22 @@ import (
 // Non-pruned answers are kept in the flow (forwarded downstream); the
 // operator's list is exposed for plans whose final operator it is.
 //
-// Two documented clarifications of the paper's pseudo-code (DESIGN.md §6):
+// Three documented clarifications of the paper's pseudo-code (DESIGN.md §6):
 // Algorithm 3 elides the branch for a.K != kth.K when kor-scorebound is
 // 0 — we prune when a.K is strictly lower (K is final) and insert when
-// strictly higher; and when kor-scorebound > 0 its line 9 would insert
+// strictly higher; when kor-scorebound > 0 its line 9 would insert
 // regardless of K — we insert only answers whose current K beats the kth,
 // keeping the list a valid (conservative) threshold while K can still
-// grow.
+// grow; and the algorithms keep an answer that ties the kth — once both
+// bounds are 0 every component is final, so the total order of insert
+// and SortBestFirst (rank, then NodeID) decides: a tie with a larger
+// NodeID has k list entries ahead of it for good and is pruned.
 type TopKPruneOp struct {
-	In     Operator
-	K      int
-	Mode   Mode // which components this prune reasons about
+	In Operator
+	K  int
+	// Mode is the plan's final rank mode, or ModeK ahead of a rank K,V,S
+	// plan's vor operator: a prune that reads K alone.
+	Mode   Mode
 	Ranker *Ranker
 	// SBound is Algorithm 1's query-scorebound at this plan position.
 	SBound float64
@@ -41,8 +46,9 @@ type TopKPruneOp struct {
 	// parallel execution: the operator prunes candidates provably below
 	// it and publishes its own k-th fully-scored primary scalar into it.
 	// Only modes whose primary rank component is a scalar participate
-	// (S for ModeS, K for ModeKVS, K+S for ModeBlend); the V-first modes
-	// rank by a partial order that a single float cannot bound.
+	// (S for ModeS, K for ModeKVS and ModeK, K+S for ModeBlend); the
+	// V-first modes rank by a partial order that a single float cannot
+	// bound.
 	Shared *SharedBound
 	// Cancel, when non-nil, aborts the prune loop early — the loop can
 	// consume arbitrarily many candidates without emitting one, so it
@@ -181,12 +187,21 @@ func (o *TopKPruneOp) consider(a *Answer) bool {
 		return true
 	}
 	kth := &o.list[len(o.list)-1]
+	if o.SBound == 0 && o.KorBound == 0 && o.Mode != ModeK {
+		// Every component is final: the total order decides, ties by
+		// NodeID as insert and SortBestFirst break them.
+		if c := o.Ranker.Compare(a, kth, o.Mode); c < 0 || (c == 0 && a.Node > kth.Node) {
+			return false
+		}
+		o.insert(a)
+		return true
+	}
 	switch o.Mode {
 	case ModeS:
 		return o.alg1(a, kth)
 	case ModeVS:
 		return o.alg2(a, kth)
-	case ModeKVS:
+	case ModeKVS, ModeK:
 		return o.alg3(a, kth)
 	case ModeVKS:
 		return o.algVKS(a, kth)
@@ -218,7 +233,7 @@ func (o *TopKPruneOp) sharedPrune(a *Answer) bool {
 	switch o.Mode {
 	case ModeS:
 		return a.S+o.SBound < o.shared
-	case ModeKVS:
+	case ModeKVS, ModeK:
 		return a.K+o.KorBound < o.shared
 	case ModeBlend:
 		return a.K+a.S+o.SBound+o.KorBound < o.shared
@@ -248,7 +263,7 @@ func (o *TopKPruneOp) publishShared() {
 		if o.SBound == 0 {
 			o.Shared.Tighten(kth.S)
 		}
-	case ModeKVS:
+	case ModeKVS, ModeK:
 		if o.KorBound == 0 {
 			o.Shared.Tighten(kth.K)
 		}
@@ -261,26 +276,15 @@ func (o *TopKPruneOp) publishShared() {
 
 // algBlend prunes under the combined K + S rank (the Section 8 weighted
 // fine-tuning): an answer is dead once even its maximal future gains
-// cannot reach the kth combined score.
+// cannot reach the kth combined score. (V breaks ties only between final
+// scores, which consider settles before it gets here.)
 func (o *TopKPruneOp) algBlend(a, kth *Answer) bool {
-	bound := o.SBound + o.KorBound
-	cur := a.K + a.S
-	kthScore := kth.K + kth.S
-	if cur+bound < kthScore {
+	cur, kthScore := a.K+a.S, kth.K+kth.S
+	if cur+o.SBound+o.KorBound < kthScore {
 		return false
 	}
-	switch {
-	case cur > kthScore:
+	if cur > kthScore {
 		o.insert(a)
-	case cur == kthScore && bound == 0:
-		// Scores are final and tied: the V preference decides, as in
-		// the final rank order.
-		switch o.Ranker.CompareV(a, kth) {
-		case 1:
-			o.insert(a)
-		case -1:
-			return false
-		}
 	}
 	return true
 }
@@ -310,24 +314,22 @@ func (o *TopKPruneOp) alg2(a, kth *Answer) bool {
 	}
 }
 
-// alg3 is Algorithm 3: K with the kor-scorebound, then V, then S.
+// alg3 is Algorithm 3: K with the kor-scorebound, then — under ModeKVS,
+// once K is final and ties — V, then S. Under ModeK it stops at K, which
+// is sound at any bound: k answers whose K already exceeds what a's can
+// still reach outrank a whatever V and S say. Either way the list's kth
+// K, the only thing the bound branch reads, is the k-th largest K seen,
+// however the list orders its K-ties.
 func (o *TopKPruneOp) alg3(a, kth *Answer) bool {
-	if o.KorBound <= 0 {
-		switch {
-		case a.K == kth.K:
-			return o.alg2(a, kth)
-		case a.K > kth.K:
-			o.insert(a)
-			return true
-		default:
-			return false // K is final and strictly lower
-		}
-	}
 	if a.K+o.KorBound < kth.K {
 		return false // cannot catch up on K
 	}
 	if a.K > kth.K {
-		o.insert(a)
+		o.insert(a) // kth falls off the list but stays in the flow
+		return true
+	}
+	if o.Mode == ModeKVS && o.KorBound <= 0 {
+		return o.alg2(a, kth)
 	}
 	return true
 }

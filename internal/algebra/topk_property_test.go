@@ -19,15 +19,21 @@ vor w: x.tag = car & y.tag = car & x.mileage < y.mileage => x < y
 // randomAnswerStream fabricates n answers with random S, K and mileage
 // (VOR keys computed through the real profile machinery).
 func randomAnswerStream(r *rand.Rand, n int, withV bool) []Answer {
+	return answerStream(r, n, withV, 20)
+}
+
+// answerStream draws S and K from levels values each and the mileage
+// from 5/2 as many: few levels make a tie-heavy stream.
+func answerStream(r *rand.Rand, n int, withV bool, levels int) []Answer {
 	out := make([]Answer, n)
 	for i := range out {
 		out[i] = Answer{
 			Node: xmldoc.NodeID(i),
-			S:    float64(r.Intn(20)) / 10,
-			K:    float64(r.Intn(20)) / 10,
+			S:    float64(r.Intn(levels)) / 10,
+			K:    float64(r.Intn(levels)) / 10,
 		}
 		if withV {
-			mileage := fmt.Sprint(1000 * (1 + r.Intn(50)))
+			mileage := fmt.Sprint(1000 * (1 + r.Intn(levels*5/2)))
 			lookup := func(attr string) (string, bool) {
 				if attr == "mileage" {
 					return mileage, true
@@ -56,42 +62,102 @@ func naiveTopK(answers []Answer, ranker *Ranker, mode Mode, k int) []Answer {
 	return buf
 }
 
-// TestPropertyTopKPruneMatchesNaive: with zero bounds (no future gains),
-// the operator's final list must equal the naive top-k under every mode.
+// TestPropertyTopKPruneMatchesNaive: with zero bounds (no future gains)
+// every component is final and the total order decides, so the
+// operator's final list must be the naive top-k — the same answers in the
+// same places — under every rank mode, on spread-out and on tie-heavy
+// streams (two values of S and K: most answers tie the kth on every
+// component and only NodeID separates them); and what it pruned must not
+// be in it. ModeK, which no bound makes final, agrees on K.
 func TestPropertyTopKPruneMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for iter := 0; iter < 500; iter++ {
 		n := 1 + r.Intn(60)
 		k := 1 + r.Intn(10)
 		withV := r.Intn(2) == 0
-		answers := randomAnswerStream(r, n, withV)
+		answers := answerStream(r, n, withV, []int{20, 2}[iter%2])
+		if iter%4 >= 2 {
+			r.Shuffle(n, func(i, j int) { answers[i], answers[j] = answers[j], answers[i] })
+		}
 		prof := propProfile
 		if !withV {
 			prof = nil
 		}
 		ranker := &Ranker{Prof: prof}
-		for _, mode := range []Mode{ModeS, ModeVS, ModeKVS, ModeVKS, ModeBlend} {
+		for _, mode := range []Mode{ModeS, ModeVS, ModeKVS, ModeVKS, ModeBlend, ModeK} {
 			op := &TopKPruneOp{
 				In: &sliceOp{answers: answers}, K: k, Mode: mode, Ranker: ranker,
 			}
-			drain(op)
+			kept := map[xmldoc.NodeID]bool{}
+			for _, a := range drain(op) {
+				kept[a.Node] = true
+			}
 			got := op.TopK()
 			want := naiveTopK(answers, ranker, mode, k)
 			if len(got) != len(want) {
 				t.Fatalf("iter %d mode %v: %d vs %d answers", iter, mode, len(got), len(want))
 			}
 			for i := range want {
-				// Rank values must agree pairwise (node identity can
-				// differ only between exact ranking ties).
-				if got[i].S != want[i].S && mode == ModeS {
-					t.Fatalf("iter %d mode %v rank %d: S %v vs %v", iter, mode, i, got[i].S, want[i].S)
+				if !kept[want[i].Node] {
+					t.Fatalf("iter %d mode %v: top-%d member n%d (rank %d) was pruned", iter, mode, k, want[i].Node, i)
 				}
-				cmp := ranker.Compare(&got[i], &want[i], mode)
-				if cmp != 0 {
-					t.Fatalf("iter %d mode %v rank %d: got n%d, want n%d (cmp %d)",
-						iter, mode, i, got[i].Node, want[i].Node, cmp)
+				if mode == ModeK {
+					if got[i].K != want[i].K {
+						t.Fatalf("iter %d mode K rank %d: K %v vs %v", iter, i, got[i].K, want[i].K)
+					}
+				} else if got[i].Node != want[i].Node {
+					t.Fatalf("iter %d mode %v rank %d: got n%d, want n%d", iter, mode, i, got[i].Node, want[i].Node)
 				}
 			}
+		}
+	}
+}
+
+// TestPropertyKOnlyPruneIgnoresTieOrder: a prune ahead of vor reads the
+// list's kth K and nothing else, and that is the k-th largest K seen
+// however K-tied answers are ordered — so permuting the answers among
+// positions of equal K (each carrying its own S and V keys), at any
+// kor-scorebound, changes neither which positions pass nor the list's K
+// values, and the K,V,S prune that used to stand there, which orders its
+// list by V and S too, passes exactly the same positions.
+func TestPropertyKOnlyPruneIgnoresTieOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	ranker := &Ranker{Prof: propProfile}
+	passes := func(answers []Answer, mode Mode, k int, bound float64) (string, []float64) {
+		op := &TopKPruneOp{In: &sliceOp{answers: answers}, K: k, Mode: mode, Ranker: ranker, KorBound: bound}
+		passed := make([]byte, len(answers))
+		pos := map[xmldoc.NodeID]int{}
+		for i, a := range answers {
+			pos[a.Node], passed[i] = i, '.'
+		}
+		for _, a := range drain(op) {
+			passed[pos[a.Node]] = 'x'
+		}
+		var ks []float64
+		for _, a := range op.TopK() {
+			ks = append(ks, a.K)
+		}
+		return string(passed), ks
+	}
+	for iter := 0; iter < 300; iter++ {
+		n, k := 1+r.Intn(80), 1+r.Intn(8)
+		answers := answerStream(r, n, true, 4)
+		bound := float64(r.Intn(3)) / 10
+		wantPass, wantKs := passes(answers, ModeK, k, bound)
+		if bound > 0 {
+			if got, _ := passes(answers, ModeKVS, k, bound); got != wantPass {
+				t.Fatalf("iter %d bound %v: K,V,S prune passes\n%s, K-only prune\n%s", iter, bound, got, wantPass)
+			}
+		}
+		shuffled := append([]Answer(nil), answers...)
+		for i := n - 1; i > 0; i-- { // swap only within a K-tie class
+			if j := r.Intn(i + 1); shuffled[i].K == shuffled[j].K {
+				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+			}
+		}
+		gotPass, gotKs := passes(shuffled, ModeK, k, bound)
+		if gotPass != wantPass || fmt.Sprint(gotKs) != fmt.Sprint(wantKs) {
+			t.Fatalf("iter %d bound %v: K-tied shuffle changed the prune\n%s %v\n%s %v", iter, bound, wantPass, wantKs, gotPass, gotKs)
 		}
 	}
 }

@@ -36,47 +36,27 @@ type Fig6Row struct {
 	Ops []OpTime
 }
 
-// OpTime is one operator kind's share of a profiled execution: self
-// time (inclusive wall time minus the upstream operator's) plus the
-// answer traffic, aggregated over operators of the same kind.
+// OpTime is one operator's share of a profiled execution: self time
+// (inclusive wall time minus the upstream operator's) beside the answer
+// traffic, which is what shows where a plan cuts.
 type OpTime struct {
-	Kind   string
-	Self   time.Duration
-	In     int
-	Out    int
-	Pruned int
+	Name string
+	Self time.Duration
+	In   int
+	Out  int
 }
 
 // opBreakdown converts a timed chain's inclusive WallNS measurements
-// into per-kind self times. Stats arrive in chain order (source
+// into per-operator self times. Stats arrive in chain order (source
 // first), each operator's wall time including its upstream, so self
 // time is the adjacent difference — clamped at zero against scheduler
 // noise in parallel merges.
 func opBreakdown(stats []algebra.OpStats) []OpTime {
-	var order []string
-	byKind := map[string]*OpTime{}
+	out := make([]OpTime, len(stats))
 	var prev int64
-	for _, s := range stats {
-		self := s.WallNS - prev
+	for i, s := range stats {
+		out[i] = OpTime{Name: s.Name, Self: time.Duration(max(s.WallNS-prev, 0)), In: s.In, Out: s.Out}
 		prev = s.WallNS
-		if self < 0 {
-			self = 0
-		}
-		k := s.Kind()
-		o := byKind[k]
-		if o == nil {
-			o = &OpTime{Kind: k}
-			byKind[k] = o
-			order = append(order, k)
-		}
-		o.Self += time.Duration(self)
-		o.In += s.In
-		o.Out += s.Out
-		o.Pruned += s.Pruned
-	}
-	out := make([]OpTime, len(order))
-	for i, k := range order {
-		out[i] = *byKind[k]
 	}
 	return out
 }
@@ -232,19 +212,18 @@ func timePlanOpts(ix *index.Index, prof *profile.Profile, opts plan.Options, k, 
 	return Fig6Row{Time: best, Pruned: pruned, Answers: answers, Ops: ops}
 }
 
-// FormatOpBreakdown renders one row's per-operator profile: where the
-// execution spent its time, kind by kind.
+// FormatOpBreakdown renders one row's per-operator profile, in chain
+// order: where the execution spent its time and where it cut its stream.
 func FormatOpBreakdown(label string, ops []OpTime) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Operator breakdown — %s\n", label)
-	sb.WriteString("Operator      self(ms)        in       out    pruned\n")
+	fmt.Fprintf(&sb, "%-40s  self(ms)       in → out\n", "Operator")
 	var total time.Duration
 	for _, o := range ops {
 		total += o.Self
-		fmt.Fprintf(&sb, "%-12s  %8.3f  %8d  %8d  %8d\n",
-			o.Kind, float64(o.Self.Microseconds())/1000, o.In, o.Out, o.Pruned)
+		fmt.Fprintf(&sb, "%-40s  %8.3f  %7d → %d\n", o.Name, float64(o.Self.Microseconds())/1000, o.In, o.Out)
 	}
-	fmt.Fprintf(&sb, "%-12s  %8.3f\n", "total", float64(total.Microseconds())/1000)
+	fmt.Fprintf(&sb, "%-40s  %8.3f\n", "total", float64(total.Microseconds())/1000)
 	return sb.String()
 }
 

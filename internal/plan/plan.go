@@ -25,7 +25,11 @@ import (
 type Strategy uint8
 
 const (
-	// Default resolves to Push, the paper's best-performing plan.
+	// Default resolves to Push, the paper's best-performing plan and the
+	// best one here from two KORs on (EXPERIMENTS.md Fig. 7, 10 MB
+	// document, ms at 1–4 KORs: PtpkP 3.58 2.14 1.99 1.95, NS-ILtpkP
+	// 2.97 3.02 2.73 2.43, NtpkP 5.54 6.00 6.61 6.39; at 1 KOR the
+	// non-sorted interleave ties it or leads by up to 0.6 ms).
 	Default Strategy = iota
 	// Naive applies topkPrune once, at the end of the plan (NtpkP).
 	Naive
@@ -36,11 +40,13 @@ const (
 	// bulk pruning (S-ILtpkP).
 	InterleaveSort
 	// Push pushes topkPrune all the way down: before the first KOR and
-	// after each one (PtkpP).
+	// after each one, and under rank K,V,S once more — on K alone —
+	// between the last KOR and vor (PtkpP).
 	Push
 	// PushDeep additionally pushes prunes between the score-contributing
 	// keyword joins using query-scorebounds — the ablation DESIGN.md
-	// calls out for score-bound tightness.
+	// calls out for score-bound tightness. Where those prunes would read
+	// V ahead of vor (rank V,K,S, V,S and blend over a VOR) it is Push.
 	PushDeep
 )
 
@@ -254,33 +260,36 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 		kors = prof.SortKORsByPriority()
 	}
 
-	// No strategy compiles more operators than this: source, filter,
-	// bonus, vor, the final sort and prune, a prune after the last kor;
-	// a join and a prune per keyword; an operator, a sort and a prune
-	// per kor.
-	maxOps := 7 + 2*len(ftUnits) + 3*len(kors)
+	maxOps := maxChainOps(len(ftUnits), len(kors))
 	var timer *algebra.Timer
 	if p.opts.Timing {
 		timer = algebra.NewTimer(maxOps)
 	}
 	ops := make([]algebra.Operator, 0, maxOps)
-	push := func(op algebra.Operator) algebra.Operator {
-		op = timer.Wrap(op)
+	var op algebra.Operator
+	push := func(o algebra.Operator) {
+		op = timer.Wrap(o)
 		ops = append(ops, op)
-		return op
+	}
+	// prune pushes a topkPrune over the chain so far.
+	prune := func(mode algebra.Mode, sBound, korBound float64, sorted bool) *algebra.TopKPruneOp {
+		t := &algebra.TopKPruneOp{
+			In: op, K: k, Mode: mode, Ranker: ranker, SBound: sBound, KorBound: korBound,
+			SortedInput: sorted, Shared: shared, Cancel: cancel,
+		}
+		push(t)
+		return t
 	}
 
-	op := push(src)
+	push(src)
 	if p.access == AccessTwigJoin {
 		if units := m.RequiredConstraintUnits(); len(units) > 0 {
-			op = push(&algebra.UnitFilterOp{In: op, Matcher: m, Units: units})
+			push(&algebra.UnitFilterOp{In: op, Matcher: m, Units: units})
 		}
 	} else {
-		op = push(&algebra.RequiredOp{In: op, Matcher: m})
+		push(&algebra.RequiredOp{In: op, Matcher: m})
 	}
 
-	// Score-contributing keyword joins, required first. For PushDeep,
-	// interleave prunes with decreasing query-scorebounds.
 	totalS := 0.0
 	for _, u := range ftUnits {
 		totalS += m.MaxUnitScore(u)
@@ -292,73 +301,97 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 		totalK += algebra.MaxKORScore(ix, kor)
 	}
 
+	// vor sits right before the first operator that reads V. Under rank
+	// K,V,S that is whatever follows the last kor: Algorithm 3 reads V
+	// only among K-ties at kor-scorebound 0, so every prune and sort
+	// ahead of that point decides on K alone (ModeK) and value elements
+	// are located, read and keyed only for the answers the K cuts leave.
+	// Every other order reads V from its first prune on.
+	hasVOR := prof != nil && len(prof.VORs) > 0
+	early := mode // the mode of the prunes and sorts ahead of vor
+	if hasVOR && mode == algebra.ModeKVS {
+		early = algebra.ModeK
+	}
+	pushing := strat == Push || strat == PushDeep
+
+	// Score-contributing keyword joins, required first. For PushDeep,
+	// interleave prunes with decreasing query-scorebounds — unless they
+	// would read V (rank V,K,S, V,S or blend over a VOR): vor follows the
+	// joins, and a prune ahead of it would compare keys that are not
+	// there yet (reading them as ties cuts answers V would have kept).
+	deepPrunes := strat == PushDeep && !(hasVOR && early == mode)
 	remS := totalS
 	for _, u := range ftUnits {
-		if strat == PushDeep && len(ops) > 2 {
-			op = push(&algebra.TopKPruneOp{
-				In: op, K: k, Mode: mode, Ranker: ranker,
-				SBound: remS, KorBound: totalK, Shared: shared, Cancel: cancel,
-			})
+		if deepPrunes && len(ops) > 2 {
+			prune(early, remS, totalK, false)
 		}
-		op = push(&algebra.FTOp{In: op, Matcher: m, Unit: u})
+		push(&algebra.FTOp{In: op, Matcher: m, Unit: u})
 		remS -= m.MaxUnitScore(u)
 	}
 	bonus.In = op
-	op = push(bonus)
-
-	if prof != nil && len(prof.VORs) > 0 {
-		op = push(algebra.NewVOROp(op, ix, prof))
+	push(bonus)
+	if hasVOR && early == mode {
+		push(algebra.NewVOROp(op, ix, prof))
 	}
 
+	// The distinguished node's tag, when it is a fixed name, is every
+	// answer's: kor resolves its tag test against it once.
+	korTag := p.distTag
+	if korTag == "*" {
+		korTag = ""
+	}
 	remK := totalK
 	for i, kor := range kors {
-		switch strat {
-		case Push, PushDeep:
+		last := i == len(kors)-1
+		if pushing {
 			// Prune right before each kor with the sum of the remaining
 			// KORs' maximal scores (Section 6.3's Plan 2 description).
-			op = push(&algebra.TopKPruneOp{
-				In: op, K: k, Mode: mode, Ranker: ranker, KorBound: remK,
-				Shared: shared, Cancel: cancel,
-			})
+			prune(early, 0, remK, false)
 		}
-		op = push(algebra.NewKOROp(op, ix, kor))
+		push(algebra.NewKOROp(op, ix, kor, korTag))
 		remK -= algebra.MaxKORScore(ix, kor)
 		if remK < 1e-12 {
 			remK = 0 // absorb floating-point residue: the bound is conceptually exact
 		}
+		if last && early != mode {
+			// K is final. Pushed all the way, one K-only prune at
+			// kor-scorebound 0 stands between the last kor and vor: k
+			// answers with strictly larger K outrank whatever it drops.
+			if pushing {
+				prune(early, 0, remK, false)
+			}
+			push(algebra.NewVOROp(op, ix, prof))
+			early = mode
+		}
 		switch strat {
 		case InterleaveNoSort:
-			op = push(&algebra.TopKPruneOp{
-				In: op, K: k, Mode: mode, Ranker: ranker, KorBound: remK,
-				Shared: shared, Cancel: cancel,
-			})
+			prune(early, 0, remK, false)
 		case InterleaveSort:
-			op = push(&algebra.SortOp{In: op, Ranker: ranker, Mode: mode, Batch: p.batch})
-			op = push(&algebra.TopKPruneOp{
-				In: op, K: k, Mode: mode, Ranker: ranker, KorBound: remK,
-				SortedInput: true, Shared: shared, Cancel: cancel,
-			})
+			push(&algebra.SortOp{In: op, Ranker: ranker, Mode: early, Batch: p.batch})
+			prune(early, 0, remK, true)
 		}
-		if (strat == Push || strat == PushDeep) && i == len(kors)-1 {
+		if pushing && last {
 			// Pushed all the way also means pruning after the last KOR
 			// (kor-scorebound 0), so the final sort sees a k-sized stream
 			// instead of every candidate.
-			op = push(&algebra.TopKPruneOp{
-				In: op, K: k, Mode: mode, Ranker: ranker, Shared: shared, Cancel: cancel,
-			})
+			prune(mode, 0, remK, false)
 		}
 	}
 
 	// Final ranking: parametric sort + topkPrune (Fig. 4's plan tops).
-	op = push(&algebra.SortOp{In: op, Ranker: ranker, Mode: mode, Batch: p.batch})
-	final := &algebra.TopKPruneOp{
-		In: op, K: k, Mode: mode, Ranker: ranker, SortedInput: true,
-		Shared: shared, Cancel: cancel,
-	}
-	push(final)
+	push(&algebra.SortOp{In: op, Ranker: ranker, Mode: mode, Batch: p.batch})
+	final := prune(mode, 0, 0, true)
 
 	return ops, final, m
 }
+
+// maxChainOps bounds the operators buildChain compiles for a query with
+// nft keyword joins under a profile with nkor KORs, whatever the
+// strategy: source, filter, bonus, vor, the final sort and prune, the
+// K-only and the full prune after the last kor; a join and a prune per
+// keyword; an operator, a sort and a prune per kor. The timing wrappers
+// of a chain are one allocation of this size.
+func maxChainOps(nft, nkor int) int { return 8 + 2*nft + 3*nkor }
 
 // Execute runs the plan to completion and returns the top-k answers,
 // best first. With Options.Parallelism != 1 (and enough candidates) the

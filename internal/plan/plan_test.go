@@ -11,6 +11,8 @@ import (
 	"repro/internal/profile"
 	"repro/internal/text"
 	"repro/internal/tpq"
+	"repro/internal/workload"
+	"repro/internal/xmark"
 	"repro/internal/xmldoc"
 )
 
@@ -172,6 +174,28 @@ kor k4 priority 4: x.tag = car & y.tag = car & ftcontains(x, "clean title") => x
 		t.Errorf("push kor input %d, naive %d: pushing should cut kor work",
 			pushKorIn, naiveKorIn)
 	}
+
+	// Under rank K,V,S vor sits behind the K cuts, so the plans differ in
+	// how many answers get value keys: all of them under Naive, what the
+	// kor-scorebound > 0 prunes leave under NS-ILtpkP, and what the K-only
+	// prune at bound 0 leaves under Push.
+	xix := index.Build(xmark.GenerateSized(xmark.Config{Seed: 42}, xmark.PaperSizes[2]), text.Pipeline{})
+	for n := 2; n <= 4; n++ {
+		vorIn := map[Strategy]int{}
+		for _, strat := range []Strategy{Naive, InterleaveNoSort, Push} {
+			p, err := Build(xix, workload.Fig5Query(), workload.Fig5Profile(n), 10, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Execute()
+			stats := p.Stats()
+			vorIn[strat] = stats[opIndex(stats, "vor")].In
+		}
+		if !(vorIn[Push] < vorIn[InterleaveNoSort] && vorIn[InterleaveNoSort] <= vorIn[Naive]) {
+			t.Errorf("n = %d: vor input Push %d, NS-ILtpkP %d, Naive %d: want Push < NS-ILtpkP <= Naive",
+				n, vorIn[Push], vorIn[InterleaveNoSort], vorIn[Naive])
+		}
+	}
 }
 
 func korInput(p *Plan) int {
@@ -330,11 +354,13 @@ func TestPlanStringAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Execute()
-	s := p.String()
-	for _, frag := range []string{"scan(car)", "ftjoin", "vor", "kor(w4)", "kor(w5)", "topkPrune", "sort"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("plan %q missing %q", s, frag)
-		}
+	// Push under rank K,V,S: K-only prunes around the kors, vor behind the
+	// last of them, then the prunes and the sort that read V.
+	want := "scan(car) -> required -> ftjoin(good condition) -> bonus" +
+		" -> topkPrune(k=3,K,korbound=0.65) -> kor(w4) -> topkPrune(k=3,K,korbound=0.39) -> kor(w5)" +
+		" -> topkPrune(k=3,K) -> vor -> topkPrune(k=3,K,V,S) -> sort(K,V,S) -> topkPrune(k=3,K,V,S,sorted)"
+	if s := p.String(); s != want {
+		t.Errorf("plan\n%s\nwant\n%s", s, want)
 	}
 	if p.TotalPruned() < 0 {
 		t.Errorf("TotalPruned negative")
@@ -440,5 +466,43 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if _, err := ParseStrategy("quantum"); err == nil {
 		t.Error("unknown strategy accepted")
+	}
+}
+
+// TestChainOpsWithinEstimate: maxChainOps sizes the chain's operator
+// slice and its one allocation of timing wrappers, and a wrapper past the
+// estimate is silently heap-allocated on its own — so no strategy, rank
+// order or KOR count may compile more operators than it says.
+func TestChainOpsWithinEstimate(t *testing.T) {
+	ix := index.Build(xmark.GenerateSized(xmark.Config{Seed: 42}, xmark.PaperSizes[0]), text.Pipeline{})
+	queries := []*tpq.Query{
+		workload.Fig5Query(),
+		tpq.MustParse(`//person[./address]`),
+		tpq.MustParse(`//person[.//business[. ftcontains "Yes"] and .//education[. ftcontains "College"] and .//city[. ftcontains "Phoenix"?]]`),
+	}
+	for _, q := range queries {
+		for n := 0; n <= 4; n++ {
+			profiles := map[string]*profile.Profile{"K,V,S": workload.Fig5Profile(n), "V,K,S": workload.Fig5Profile(n), "blend": workload.Fig5Profile(n), "none": nil}
+			profiles["V,K,S"].Rank = profile.VKS
+			profiles["blend"].Rank = profile.Blend
+			for name, prof := range profiles {
+				for _, strat := range append([]Strategy{PushDeep}, Strategies...) {
+					for _, access := range []AccessPath{AccessScan, AccessTwigJoin} {
+						p, err := BuildWith(ix, q, prof, 10, Options{Strategy: strat, AccessPath: access, Timing: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						nkor := 0
+						if prof != nil {
+							nkor = len(prof.KORs)
+						}
+						if limit := maxChainOps(len(p.m.FTUnits()), nkor); len(p.ops) > limit {
+							t.Errorf("%s, %d KORs, rank %s, %v/%v: %d operators, estimate %d\n%s",
+								q, n, name, strat, access, len(p.ops), limit, p)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -219,6 +219,24 @@ func TestSearchSingleDoc(t *testing.T) {
 	}
 }
 
+// TestSearchPlanShape: the response's plan field is the executed chain.
+// Under rank K,V,S the default plan keys values only behind its K cuts:
+// every prune ahead of vor reads K alone and says so.
+func TestSearchPlanShape(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, _, body := post(t, ts, "/search", SearchRequest{
+		Doc: "cars", Query: carsQuery, K: 2, Profile: carsProfile +
+			`vor w1: x.tag = car & y.tag = car & x.color = "red" & y.color != "red" => x < y` + "\n",
+	})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, body %s", status, body)
+	}
+	want := "kor(w4) -> topkPrune(k=2,K) -> vor -> topkPrune(k=2,K,V,S) -> sort(K,V,S) -> topkPrune(k=2,K,V,S,sorted)"
+	if sr := decodeSearch(t, body); !strings.HasSuffix(sr.PlanShape, want) {
+		t.Errorf("plan = %q, want it to end in %q", sr.PlanShape, want)
+	}
+}
+
 func TestSearchFanout(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	status, _, body := post(t, ts, "/search", SearchRequest{
