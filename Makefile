@@ -80,8 +80,9 @@ cover:
 loc:
 	@find internal cmd pimento.go -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
-# A short fuzz pass over every fuzz target, eight in all: the three
-# parsers (query, XML, profile), the /search and PUT/DELETE /docs
+# A short fuzz pass over every fuzz target, nine in all: the three
+# parsers (query, XML, profile), the XML scanner against its
+# encoding/xml oracle, the /search and PUT/DELETE /docs
 # handlers, the profile vet, the scan-vs-twigjoin access-path
 # differential and the index build against its map-and-append oracle.
 # Catches regressions in input hardening, join correctness and index
@@ -90,6 +91,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/tpq/
 	$(GO) test -fuzz FuzzParseXML -fuzztime $(FUZZTIME) -run '^$$' ./internal/xmldoc/
+	$(GO) test -fuzz FuzzParseMatchesOracle -fuzztime $(FUZZTIME) -run '^$$' ./internal/xmldoc/
 	$(GO) test -fuzz FuzzParseProfile -fuzztime $(FUZZTIME) -run '^$$' ./internal/profile/
 	$(GO) test -fuzz FuzzSearchHandler -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 	$(GO) test -fuzz FuzzDocUpdate -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/

@@ -4,7 +4,7 @@ import "fmt"
 
 // Builder constructs a Document in a single preorder pass. It is the
 // programmatic construction API used by the data generators and tests;
-// Parse builds on it for textual XML.
+// the XML scanner shares its node arena and open-element bookkeeping.
 //
 //	b := xmldoc.NewBuilder()
 //	b.Start("car", xmldoc.Attr{Name: "vin", Value: "123"})
@@ -32,17 +32,13 @@ func NewBuilderCap(n int) *Builder {
 	return &Builder{nodes: make([]Node, 0, n)}
 }
 
-func (b *Builder) push(n Node) NodeID {
+// push appends a node of the given kind, linked under the open element,
+// and returns it for the caller to fill in place.
+func (b *Builder) push(kind NodeKind) *Node {
 	id := NodeID(len(b.nodes))
-	n.Start = int32(id)
-	n.End = int32(id)
-	n.First = InvalidNode
-	n.Next = InvalidNode
-	if len(b.stack) == 0 {
-		n.Parent = InvalidNode
-		n.Level = 0
-	} else {
-		top := len(b.stack) - 1
+	b.nodes = append(b.nodes, Node{Kind: kind, Parent: InvalidNode, First: InvalidNode, Next: InvalidNode, Start: int32(id), End: int32(id)})
+	n := &b.nodes[id]
+	if top := len(b.stack) - 1; top >= 0 {
 		parent := b.stack[top]
 		n.Parent = parent
 		n.Level = b.nodes[parent].Level + 1
@@ -53,8 +49,7 @@ func (b *Builder) push(n Node) NodeID {
 		}
 		b.lastSib[top] = id
 	}
-	b.nodes = append(b.nodes, n)
-	return id
+	return n
 }
 
 // Start opens an element with the given tag and attributes and returns its
@@ -67,18 +62,42 @@ func (b *Builder) Start(tag string, attrs ...Attr) NodeID {
 		b.err = fmt.Errorf("xmldoc: empty element tag")
 		return InvalidNode
 	}
-	if len(b.stack) == 0 && len(b.nodes) > 0 {
-		b.err = fmt.Errorf("xmldoc: multiple root elements")
-		return InvalidNode
-	}
 	var as []Attr
 	if len(attrs) > 0 {
 		as = append(as, attrs...)
 	}
-	id := b.push(Node{Kind: Element, Tag: tag, Attrs: as})
-	b.stack = append(b.stack, id)
-	b.lastSib = append(b.lastSib, InvalidNode)
+	id, err := b.start(tag, as)
+	if err != nil {
+		b.err = fmt.Errorf("xmldoc: %w", err)
+	}
 	return id
+}
+
+// start opens an element; it fails once the root element is closed.
+func (b *Builder) start(tag string, attrs []Attr) (NodeID, error) {
+	if len(b.stack) == 0 && len(b.nodes) > 0 {
+		return InvalidNode, fmt.Errorf("multiple root elements")
+	}
+	n := b.push(Element)
+	n.Tag, n.Attrs = tag, attrs
+	b.stack = append(b.stack, NodeID(n.Start))
+	b.lastSib = append(b.lastSib, InvalidNode)
+	return NodeID(n.Start), nil
+}
+
+// leave closes the innermost open element at the last node pushed.
+func (b *Builder) leave() {
+	top := len(b.stack) - 1
+	b.nodes[b.stack[top]].End = int32(len(b.nodes) - 1)
+	b.stack, b.lastSib = b.stack[:top], b.lastSib[:top]
+}
+
+// text appends a character-data node under the open element.
+func (b *Builder) text(s string) NodeID {
+	b.textLen += len(s)
+	n := b.push(Text)
+	n.Text = s
+	return NodeID(n.Start)
 }
 
 // Text appends a character-data node under the currently open element.
@@ -94,8 +113,7 @@ func (b *Builder) Text(s string) NodeID {
 		b.err = fmt.Errorf("xmldoc: text outside of any element")
 		return InvalidNode
 	}
-	b.textLen += len(s)
-	return b.push(Node{Kind: Text, Text: s})
+	return b.text(s)
 }
 
 // End closes the most recently opened element.
@@ -107,11 +125,7 @@ func (b *Builder) End() {
 		b.err = fmt.Errorf("xmldoc: End with no open element")
 		return
 	}
-	top := len(b.stack) - 1
-	id := b.stack[top]
-	b.nodes[id].End = int32(len(b.nodes) - 1)
-	b.stack = b.stack[:top]
-	b.lastSib = b.lastSib[:top]
+	b.leave()
 }
 
 // Elem writes a complete leaf element with text content in one call.

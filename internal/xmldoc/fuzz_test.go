@@ -1,21 +1,28 @@
 package xmldoc
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
+
+// parseSeeds seed both XML fuzz targets.
+var parseSeeds = []string{
+	`<a/>`,
+	`<a><b>text</b><c x="1"/></a>`,
+	`<dealer><car><price>500</price></car></dealer>`,
+	`<a>x &lt; y &amp; z</a>`,
+	`<a xmlns:n="u"><n:b/></a>`,
+	`<a><b></a></b>`, `<a>`, ``, `text only`, `<a><![CDATA[cd]]></a>`,
+	`<a><!-- comment --><?pi data?><b/></a>`,
+	"<a>\xff\xfe</a>",
+	`<a v="&#13;&quot;&lt;">x&#13;y</a>`,
+}
 
 // FuzzParseXML checks the XML front end never panics and that accepted
-// documents round-trip through the serializer.
+// documents round-trip through the serializer: the same number of
+// nodes and the same text nodes and attributes, in order.
 func FuzzParseXML(f *testing.F) {
-	seeds := []string{
-		`<a/>`,
-		`<a><b>text</b><c x="1"/></a>`,
-		`<dealer><car><price>500</price></car></dealer>`,
-		`<a>x &lt; y &amp; z</a>`,
-		`<a xmlns:n="u"><n:b/></a>`,
-		`<a><b></a></b>`, `<a>`, ``, `text only`, `<a><![CDATA[cd]]></a>`,
-		`<a><!-- comment --><?pi data?><b/></a>`,
-		"<a>\xff\xfe</a>",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -33,5 +40,23 @@ func FuzzParseXML(f *testing.F) {
 		if d.Len() != d2.Len() {
 			t.Fatalf("round trip changed node count: %d -> %d\nsrc: %q", d.Len(), d2.Len(), src)
 		}
+		if a, b := content(d), content(d2); !reflect.DeepEqual(a, b) {
+			t.Fatalf("round trip changed text or attributes: %q -> %q\nsrc: %q", a, b, src)
+		}
 	})
+}
+
+// content lists a document's attributes (as name=value) and text
+// nodes in document order.
+func content(d *Document) []string {
+	var out []string
+	for i := range d.nodes {
+		for _, a := range d.nodes[i].Attrs {
+			out = append(out, a.Name+"="+a.Value)
+		}
+		if d.nodes[i].Kind == Text {
+			out = append(out, d.nodes[i].Text)
+		}
+	}
+	return out
 }

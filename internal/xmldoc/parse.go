@@ -1,34 +1,36 @@
 package xmldoc
 
 import (
-	"bytes"
-	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"unicode"
+	"unicode/utf8"
+	"unsafe"
 )
 
-// Parse reads an XML document from r into a Document. Namespaces are
-// flattened to local names (the paper's data model is namespace-free);
-// comments, processing instructions and directives are skipped; whitespace-
-// only character data between elements is dropped.
+// Parse reads r to the end and parses what it read like ParseBytes.
 func Parse(r io.Reader) (*Document, error) {
-	return parse(r, 0, 0)
-}
-
-// ParseString parses an XML document held in a string.
-func ParseString(s string) (*Document, error) {
-	return parse(strings.NewReader(s), strings.Count(s, "<"), len(s))
+	src, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmldoc: parse: %w", err)
+	}
+	return ParseBytes(src)
 }
 
 // ParseBytes parses an XML document held in a byte slice, which it
-// does not retain.
+// does not retain and which must not change while it runs.
 func ParseBytes(src []byte) (*Document, error) {
-	return parse(bytes.NewReader(src), bytes.Count(src, []byte("<")), len(src))
+	return ParseString(unsafe.String(unsafe.SliceData(src), len(src)))
 }
 
-// parse sizes the node arena from the source's '<' count, so it is
+// ParseString parses an XML document held in a string. Namespaces are
+// flattened to local names (the paper's data model is namespace-free);
+// comments, processing instructions and directives are skipped;
+// character data is trimmed and whitespace-only runs are dropped.
+//
+// It sizes the node arena from the source's '<' count, so it is
 // allocated once and never regrows: a start tag, an end tag and a CDATA
 // section each cost one '<', and outside mixed content a text node is
 // followed by its parent's end tag, so the count bounds elements + text
@@ -37,66 +39,509 @@ func ParseBytes(src []byte) (*Document, error) {
 // (Builder.Document keeps at most 1.25x), and a hostile run of '<'
 // reserves no more than the node per three bytes that a parsable body
 // of its size can force anyway.
-func parse(r io.Reader, lt, srcLen int) (*Document, error) {
-	dec := xml.NewDecoder(r)
-	b := NewBuilderCap(min(lt, srcLen/3))
-	depth := 0
-	// Every node shares the first copy of its name, and a name is
-	// validated once.
-	names := make(map[string]string)
-	intern := func(s string) (string, bool) {
-		if v, ok := names[s]; ok {
-			return v, true
-		}
-		if !validXMLName(s) {
-			return "", false
-		}
-		names[s] = s
-		return s, true
+func ParseString(src string) (*Document, error) {
+	s := scanner{src: src, qnames: map[string]string{}, locals: map[string]string{}}
+	s.nodes = make([]Node, 0, min(strings.Count(src, "<"), len(src)/3))
+	// Every attribute costs an '=', as does some character data: a
+	// capacity, not a limit (finish keeps at most 1.25x), and no more
+	// than the attribute per four bytes (b="") a parsable body can hold.
+	s.attrs = make([]Attr, 0, min(strings.Count(src, "="), len(src)/4))
+	if err := s.scan(); err != nil {
+		return nil, fmt.Errorf("xmldoc: parse: line %d: %w", 1+strings.Count(src[:s.pos], "\n"), err)
 	}
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
+	s.finish()
+	return s.Document()
+}
+
+var errEOF = errors.New("unexpected EOF")
+
+// scanner is one pass over the source that accepts exactly what
+// encoding/xml's strict Decoder accepts (the tests keep that decoder's
+// token loop as oracleParse) and appends nodes straight into the
+// Builder's arena. Until finish, Node.Text and Attr.Value are views of
+// the source or of buf.
+type scanner struct {
+	Builder
+	src    string
+	pos    int
+	open   []string          // qualified names of the open elements
+	qnames map[string]string // qualified name as written → interned local name, "" if dropped
+	locals map[string]string // the interned local names
+	ns     []nsBinding
+	attrs  []Attr
+	vals   int    // bytes of kept attribute values
+	buf    []byte // character data that needed decoding
+}
+
+// nsBinding is an xmlns:prefix declaration on the open element at depth.
+type nsBinding struct {
+	prefix, uri string
+	depth       int
+}
+
+func (s *scanner) scan() error {
+	for s.pos < len(s.src) {
+		var err error
+		if s.src[s.pos] != '<' {
+			err = s.chars()
+		} else if s.pos++; s.pos == len(s.src) {
+			return errEOF
+		} else {
+			switch s.src[s.pos] {
+			case '/':
+				s.pos++
+				err = s.endTag()
+			case '?':
+				s.pos++
+				err = s.procInst()
+			case '!':
+				s.pos++
+				err = s.bang()
+			default:
+				err = s.startTag()
+			}
 		}
 		if err != nil {
-			return nil, fmt.Errorf("xmldoc: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			tag, ok := intern(t.Name.Local)
-			if !ok {
-				return nil, fmt.Errorf("xmldoc: parse: invalid element name %q", t.Name.Local)
-			}
-			var attrs []Attr
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				name, ok := intern(a.Name.Local)
-				if !ok {
-					// Names the lenient decoder accepts but that cannot
-					// be re-serialized as well-formed XML are dropped.
-					continue
-				}
-				attrs = append(attrs, Attr{Name: name, Value: a.Value})
-			}
-			b.Start(tag, attrs...)
-			depth++
-		case xml.EndElement:
-			b.End()
-			depth--
-		case xml.CharData:
-			if depth == 0 {
-				continue
-			}
-			// t aliases the decoder's buffer: trim there, copy once.
-			if s := bytes.TrimSpace(t); len(s) > 0 {
-				b.Text(string(s))
-			}
+			return err
 		}
 	}
-	return b.Document()
+	if len(s.open) > 0 {
+		return errEOF
+	}
+	return nil
+}
+
+// chars scans character data up to the next '<'. It is checked at any
+// depth but kept only inside the root.
+func (s *scanner) chars() error {
+	end := strings.IndexByte(s.src[s.pos:], '<')
+	if end < 0 {
+		end = len(s.src) - s.pos
+	}
+	raw := s.src[s.pos : s.pos+end]
+	if strings.Contains(raw, "]]>") {
+		return errors.New("unescaped ]]> not in CDATA section")
+	}
+	t, err := s.decode(raw, true)
+	if err != nil {
+		return err
+	}
+	s.pos += end
+	s.text(t)
+	return nil
+}
+
+func (s *scanner) text(t string) {
+	if len(s.stack) == 0 {
+		return
+	}
+	if t = strings.TrimSpace(t); t != "" {
+		s.Builder.text(t)
+	}
+}
+
+// decode resolves the predefined entities and character references
+// (when refs), folds "\r\n" and a lone '\r' to '\n', and checks that the
+// result is UTF-8 made of XML characters. Text that needs none of it is
+// returned as it is; the rest is decoded into buf.
+func (s *scanner) decode(raw string, refs bool) (string, error) {
+	if !strings.Contains(raw, "\r") && (!refs || !strings.Contains(raw, "&")) {
+		return raw, checkChars(raw)
+	}
+	start := len(s.buf)
+	for i := 0; i < len(raw); i++ {
+		switch c := raw[i]; {
+		case c == '\r':
+			s.buf = append(s.buf, '\n')
+			if i+1 < len(raw) && raw[i+1] == '\n' {
+				i++
+			}
+		case c == '&' && refs:
+			r, n := reference(raw[i:])
+			if n == 0 {
+				return "", fmt.Errorf("invalid character entity %.12q", raw[i:])
+			}
+			s.buf = utf8.AppendRune(s.buf, r)
+			i += n - 1
+		default:
+			s.buf = append(s.buf, c)
+		}
+	}
+	// buf only grows: a regrowth leaves earlier views on the old array.
+	t := unsafe.String(&s.buf[start], len(s.buf)-start)
+	return t, checkChars(t)
+}
+
+var predefined = [...]struct {
+	name string
+	r    rune
+}{{"lt;", '<'}, {"gt;", '>'}, {"amp;", '&'}, {"apos;", '\''}, {"quot;", '"'}}
+
+// reference decodes the entity or character reference s starts with
+// ("&lt;", "&#65;", "&#x41;") and returns its length, 0 if invalid.
+func reference(s string) (rune, int) {
+	if !strings.HasPrefix(s, "&#") {
+		for _, e := range predefined {
+			if strings.HasPrefix(s[1:], e.name) {
+				return e.r, 1 + len(e.name)
+			}
+		}
+		return 0, 0
+	}
+	i, base := 2, 10
+	if strings.HasPrefix(s[2:], "x") {
+		i, base = 3, 16
+	}
+	start, v := i, 0
+	for ; i < len(s); i++ {
+		d := strings.IndexByte("0123456789abcdefABCDEF", s[i])
+		if d >= 16 {
+			d -= 6
+		}
+		if d < 0 || d >= base {
+			break
+		}
+		v = min(v*base+d, unicode.MaxRune+1)
+	}
+	if i == start || i == len(s) || s[i] != ';' || v > unicode.MaxRune {
+		return 0, 0
+	}
+	return rune(v), i + 1
+}
+
+// checkChars rejects bytes that are not UTF-8 and runes outside XML's
+// Char production.
+func checkChars(t string) error {
+	for i := 0; i < len(t); {
+		if c := t[i]; c >= ' ' && c < utf8.RuneSelf || c == '\t' || c == '\n' || c == '\r' {
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(t[i:])
+		if r == utf8.RuneError && n == 1 {
+			return errors.New("invalid UTF-8")
+		}
+		if r < ' ' || r > 0xD7FF && r < 0xE000 || r > 0xFFFD && r < 0x10000 {
+			return fmt.Errorf("illegal character code %U", r)
+		}
+		i += n
+	}
+	return nil
+}
+
+// name scans a run of nameBytes.
+func (s *scanner) name() string {
+	i := s.pos
+	for i < len(s.src) && nameBytes[s.src[i]] {
+		i++
+	}
+	name := s.src[s.pos:i]
+	s.pos = i
+	return name
+}
+
+// local resolves a qualified name as written to its interned local
+// name, "" when validXMLName rejects the local part. A name is checked
+// and copied once per document, whatever its count.
+func (s *scanner) local(qname string) (string, error) {
+	if l, ok := s.qnames[qname]; ok {
+		return l, nil
+	}
+	if !isName(qname) || strings.Count(qname, ":") > 1 {
+		return "", fmt.Errorf("invalid XML name %q", qname)
+	}
+	l := qname
+	if prefix, loc, ok := strings.Cut(qname, ":"); ok && prefix != "" && loc != "" {
+		l = loc
+	}
+	if !validXMLName(l) {
+		l = ""
+	} else if v, ok := s.locals[l]; ok {
+		l = v
+	} else {
+		l = strings.Clone(l)
+		s.locals[l] = l
+	}
+	s.qnames[qname] = l
+	return l, nil
+}
+
+func (s *scanner) space() {
+	for s.pos < len(s.src) && (s.src[s.pos] == ' ' || s.src[s.pos] == '\n' || s.src[s.pos] == '\t' || s.src[s.pos] == '\r') {
+		s.pos++
+	}
+}
+
+func (s *scanner) skip(c byte) bool {
+	if s.pos < len(s.src) && s.src[s.pos] == c {
+		s.pos++
+		return true
+	}
+	return false
+}
+
+func (s *scanner) startTag() error {
+	qname := s.name()
+	tag, err := s.local(qname)
+	if err != nil {
+		return err
+	}
+	if tag == "" {
+		return fmt.Errorf("invalid element name %q", qname)
+	}
+	a0, ns0, empty := len(s.attrs), len(s.ns), false
+	for {
+		s.space()
+		if s.skip('>') {
+			break
+		}
+		if s.skip('/') {
+			if !s.skip('>') {
+				return errors.New("expected /> in element")
+			}
+			empty = true
+			break
+		}
+		if err := s.attr(); err != nil {
+			return err
+		}
+	}
+	// attr left qualified names: resolve them now that every xmlns
+	// declaration of this element is in scope.
+	kept := s.attrs[:a0]
+	for _, a := range s.attrs[a0:] {
+		if prefix, _, ok := strings.Cut(a.Name, ":"); ok && s.boundToXMLNS(prefix) {
+			continue
+		}
+		a.Name = s.qnames[a.Name]
+		kept = append(kept, a)
+		s.vals += len(a.Value)
+	}
+	s.attrs = kept
+	var attrs []Attr
+	if n := len(s.attrs); n > a0 {
+		attrs = s.attrs[a0:n:n]
+	}
+	if _, err := s.start(tag, attrs); err != nil {
+		return err
+	}
+	if empty {
+		s.leave()
+		s.ns = s.ns[:ns0]
+		return nil
+	}
+	s.open = append(s.open, qname)
+	return nil
+}
+
+// attr scans one attribute. An xmlns declaration, or a name whose local
+// part cannot be re-serialized, is checked like the rest and dropped.
+func (s *scanner) attr() error {
+	if s.pos == len(s.src) {
+		return errEOF
+	}
+	qname := s.name()
+	name, err := s.local(qname)
+	if err != nil {
+		return err
+	}
+	s.space()
+	if !s.skip('=') {
+		return errors.New("attribute name without = in element")
+	}
+	s.space()
+	if s.pos == len(s.src) || s.src[s.pos] != '"' && s.src[s.pos] != '\'' {
+		return errors.New("unquoted or missing attribute value in element")
+	}
+	end := strings.IndexByte(s.src[s.pos+1:], s.src[s.pos])
+	if end < 0 {
+		return errEOF
+	}
+	raw := s.src[s.pos+1 : s.pos+1+end]
+	if strings.Contains(raw, "<") {
+		return errors.New("unescaped < inside quoted string")
+	}
+	v, err := s.decode(raw, true)
+	if err != nil {
+		return err
+	}
+	s.pos += end + 2
+	switch prefix, local, ok := strings.Cut(qname, ":"); {
+	case ok && prefix == "xmlns" && local != "":
+		s.ns = append(s.ns, nsBinding{prefix: local, uri: v, depth: len(s.stack)})
+	case name != "" && name != "xmlns":
+		s.attrs = append(s.attrs, Attr{Name: qname, Value: v})
+	}
+	return nil
+}
+
+// boundToXMLNS reports whether prefix's innermost declaration binds it
+// to the name space "xmlns", which makes the decoder report its
+// attributes as xmlns declarations.
+func (s *scanner) boundToXMLNS(prefix string) bool {
+	for i := len(s.ns) - 1; i >= 0 && prefix != "xml"; i-- {
+		if s.ns[i].prefix == prefix {
+			return s.ns[i].uri == "xmlns"
+		}
+	}
+	return false
+}
+
+func (s *scanner) endTag() error {
+	qname := s.name()
+	s.space()
+	top := len(s.open) - 1
+	if !s.skip('>') || top < 0 || s.open[top] != qname {
+		return fmt.Errorf("unexpected end element </%s>", qname)
+	}
+	s.leave()
+	s.open = s.open[:top]
+	for len(s.ns) > 0 && s.ns[len(s.ns)-1].depth == top {
+		s.ns = s.ns[:len(s.ns)-1]
+	}
+	return nil
+}
+
+// procInst skips a processing instruction; an XML declaration must
+// say version 1.0 and UTF-8, if anything.
+func (s *scanner) procInst() error {
+	target := s.name()
+	if !isName(target) {
+		return errors.New("expected target name after <?")
+	}
+	s.space()
+	end := strings.Index(s.src[s.pos:], "?>")
+	if end < 0 {
+		return errEOF
+	}
+	body := s.src[s.pos : s.pos+end]
+	s.pos += end + 2
+	if target == "xml" {
+		if v := pseudoAttr(body, "version"); v != "" && v != "1.0" {
+			return fmt.Errorf("unsupported version %q", v)
+		}
+		if e := pseudoAttr(body, "encoding"); e != "" && !strings.EqualFold(e, "utf-8") {
+			return fmt.Errorf("unsupported encoding %q", e)
+		}
+	}
+	return nil
+}
+
+// pseudoAttr finds name="value" or name='value' in an XML declaration
+// the way the decoder does: the first occurrence of name= followed by
+// a quote, searching on past each one that is not.
+func pseudoAttr(body, name string) string {
+	p := name + "="
+	for {
+		k := strings.Index(body, p)
+		if k < 0 || k+len(p) >= len(body) {
+			return ""
+		}
+		q := body[k+len(p)]
+		body = body[k+len(p)+1:]
+		if q == '"' || q == '\'' {
+			if j := strings.IndexByte(body, q); j >= 0 {
+				return body[:j]
+			}
+			return ""
+		}
+	}
+}
+
+// bang scans what follows "<!": a comment, a CDATA section (a text node
+// of its own) or a directive such as <!DOCTYPE …>.
+func (s *scanner) bang() error {
+	rest := s.src[s.pos:]
+	switch {
+	case strings.HasPrefix(rest, "--"):
+		end := strings.Index(rest[2:], "--")
+		if end < 0 {
+			return errEOF
+		}
+		if !strings.HasPrefix(rest[2+end+2:], ">") {
+			return errors.New(`invalid sequence "--" not allowed in comments`)
+		}
+		s.pos += 2 + end + 3
+	case strings.HasPrefix(rest, "[CDATA["):
+		end := strings.Index(rest[7:], "]]>")
+		if end < 0 {
+			return errEOF
+		}
+		t, err := s.decode(rest[7:7+end], false)
+		if err != nil {
+			return err
+		}
+		s.pos += 7 + end + 3
+		s.text(t)
+	case rest == "" || rest[0] == '-' || rest[0] == '[':
+		return errors.New("invalid <!- or <![ sequence")
+	default:
+		return s.directive()
+	}
+	return nil
+}
+
+// directive skips a directive up to its unquoted '>' at nesting depth
+// 0: '<' nests, a comment inside is skipped whole, and, as in the
+// decoder, the byte after "<!" is never markup.
+func (s *scanner) directive() error {
+	depth, quote := 0, byte(0)
+	for i := s.pos + 1; i < len(s.src); i++ {
+		switch c := s.src[i]; {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case c == '"' || c == '\'':
+			quote = c
+		case c == '>' && depth == 0:
+			s.pos = i + 1
+			return nil
+		case c == '>':
+			depth--
+		case c == '<' && strings.HasPrefix(s.src[i+1:], "!--"):
+			end := strings.Index(s.src[i+4:], "-->")
+			if end < 0 {
+				return errEOF
+			}
+			i += 4 + end + 2
+		case c == '<':
+			depth++
+		}
+	}
+	return errEOF
+}
+
+// finish copies every kept text and attribute value into one byte
+// arena and the attributes into one []Attr, so the document holds
+// neither the source nor the scratch.
+func (s *scanner) finish() {
+	arena := make([]byte, 0, s.textLen+s.vals)
+	// Earlier Attrs may sit on an array s.attrs outgrew, but every
+	// attribute is at its own index in the newest one.
+	attrs := s.attrs[:0]
+	if cap(attrs) > len(s.attrs)+len(s.attrs)/4 {
+		attrs = make([]Attr, 0, len(s.attrs))
+	}
+	keep := func(v string) string {
+		if v == "" {
+			return ""
+		}
+		arena = append(arena, v...)
+		return unsafe.String(&arena[len(arena)-len(v)], len(v))
+	}
+	for i := range s.nodes {
+		n := &s.nodes[i]
+		if n.Kind == Text {
+			n.Text = keep(n.Text)
+		} else if len(n.Attrs) > 0 {
+			a0 := len(attrs)
+			for _, a := range n.Attrs {
+				attrs = append(attrs, Attr{Name: a.Name, Value: keep(a.Value)})
+			}
+			n.Attrs = attrs[a0:len(attrs):len(attrs)]
+		}
+	}
 }
 
 // WriteXML serializes the document back to XML on w, with the given indent
@@ -122,7 +567,7 @@ func (d *Document) writeNode(w io.Writer, id NodeID, indent string, depth int) e
 	}
 	var ab strings.Builder
 	for _, a := range n.Attrs {
-		fmt.Fprintf(&ab, " %s=%q", a.Name, a.Value)
+		fmt.Fprintf(&ab, ` %s="%s"`, a.Name, attrEscaper.Replace(a.Value))
 	}
 	if n.First == InvalidNode {
 		_, err := fmt.Fprintf(w, "%s<%s%s/>%s", pad, n.Tag, ab.String(), nl)
@@ -138,6 +583,13 @@ func (d *Document) writeNode(w io.Writer, id NodeID, indent string, depth int) e
 		return err
 	}
 	for c := n.First; c != InvalidNode; c = d.nodes[c].Next {
+		// Adjacent text siblings (character data the source split with a
+		// comment, PI or directive) stay two nodes when read back.
+		if d.nodes[c].Kind == Text && d.nodes[c-1].Kind == Text && d.nodes[c-1].Parent == id {
+			if _, err := io.WriteString(w, "<!---->"); err != nil {
+				return err
+			}
+		}
 		if err := d.writeNode(w, c, indent, depth+1); err != nil {
 			return err
 		}
@@ -153,32 +605,15 @@ func (d *Document) XMLString() string {
 	return sb.String()
 }
 
-// validXMLName approximates the XML Name production closely enough to
-// guarantee round-trippable output: a letter or underscore followed by
-// letters, digits, '-', '_' or '.'.
-func validXMLName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		letter := unicode.IsLetter(r) || r == '_'
-		if i == 0 {
-			if !letter {
-				return false
-			}
-			continue
-		}
-		if !letter && !unicode.IsDigit(r) && r != '-' && r != '.' {
-			return false
-		}
-	}
-	return true
-}
+var (
+	// A '\r' is escaped because a reader folds a literal one to '\n'.
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#13;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#13;", `"`, "&quot;")
+)
 
 func escapeText(s string) string {
-	if !strings.ContainsAny(s, "<>&") {
+	if !strings.ContainsAny(s, "<>&\r") {
 		return s
 	}
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
+	return textEscaper.Replace(s)
 }

@@ -2,6 +2,7 @@ package xmldoc
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -28,10 +29,10 @@ func TestParseInternsNames(t *testing.T) {
 	}
 }
 
-// TestParseTextRows pins what character data becomes — the rows the
-// string(t)-then-TrimSpace-twice parser produced: whitespace-only runs
-// vanish, padding is trimmed, entities are resolved, and a CDATA section
-// is a text node of its own.
+// TestParseTextRows pins what character data becomes, for the scanner
+// and its oracle alike: whitespace-only runs vanish, padding is
+// trimmed, entities are resolved, and a CDATA section (or a run split
+// by a comment) is a text node of its own.
 func TestParseTextRows(t *testing.T) {
 	for _, tc := range []struct {
 		src  string
@@ -47,11 +48,14 @@ func TestParseTextRows(t *testing.T) {
 		{"<a><![CDATA[   ]]></a>", nil},
 		{"<a> one <b> two </b> three </a>", []string{"one", "two", "three"}},
 		{"  <a>in</a>  ", []string{"in"}},
+		{"<a>0<!-- -->0</a>", []string{"0", "0"}},
+		{"<a>\r\n one\r\ntwo\rthree&#13;. </a>", []string{"one\ntwo\nthree\r."}},
 	} {
 		for name, parse := range map[string]func() (*Document, error){
 			"ParseString": func() (*Document, error) { return ParseString(tc.src) },
 			"ParseBytes":  func() (*Document, error) { return ParseBytes([]byte(tc.src)) },
 			"Parse":       func() (*Document, error) { return Parse(strings.NewReader(tc.src)) },
+			"oracle":      func() (*Document, error) { return oracleParse(tc.src) },
 		} {
 			d, err := parse()
 			if err != nil {
@@ -95,5 +99,18 @@ func TestParseArenaSizing(t *testing.T) {
 	}
 	if _, err := ParseString(strings.Repeat("<", 1<<16)); err == nil {
 		t.Error("a run of '<' parsed")
+	}
+	// '=' is character data too: the attribute arena reserves no more
+	// than one Attr (32 B) per four source bytes, 8 B per byte.
+	eq := "<a>" + strings.Repeat("=", 1<<18) + "</a>"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d = mustParse(t, eq)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(12*len(eq)) {
+		t.Errorf("a run of '=' allocated %d B for a %d B body (> 12x)", got, len(eq))
+	}
+	if d.Len() != 2 {
+		t.Errorf("a run of '=': %d nodes, want 2", d.Len())
 	}
 }
