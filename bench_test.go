@@ -219,29 +219,6 @@ func BenchmarkAblationKOROrder(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPushDepth contrasts the plain Push plan with PushDeep
-// (prunes between the score-contributing joins, using query-scorebounds).
-func BenchmarkAblationPushDepth(b *testing.B) {
-	ix := xmarkIndex(1024 * 1024)
-	prof := workload.Fig5Profile(4)
-	for _, variant := range []struct {
-		name string
-		s    plan.Strategy
-	}{{"push", plan.Push}, {"push-deep", plan.PushDeep}} {
-		b.Run(variant.name, func(b *testing.B) {
-			q := workload.Fig5Query()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p, err := plan.Build(ix, q, prof, 10, variant.s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.Execute()
-			}
-		})
-	}
-}
-
 // BenchmarkAblationTwigAccess contrasts the scan + per-candidate access
 // path with the holistic twig semijoin on a structure-heavy query.
 func BenchmarkAblationTwigAccess(b *testing.B) {

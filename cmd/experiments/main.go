@@ -9,11 +9,11 @@
 //	experiments -exp weights           # Section 8 weighted fine-tuning sweep
 //	experiments -exp extra-queries     # Section 7.2's "two other queries"
 //	experiments -exp ablation          # Section 7.2 design observations
-//	experiments -exp parallel          # worker-count sweep (DESIGN.md §9)
 //	experiments -exp all
 //
-// -quick shrinks the performance-experiment inputs for fast smoke runs;
-// -par sets the fig6/fig7 plan-execution worker count.
+// -quick shrinks the performance-experiment inputs for fast smoke runs.
+// fig6, fig7 and ablation time sequential plans on the access path the
+// planner picks (ablation also pins each path).
 package main
 
 import (
@@ -24,23 +24,14 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/inex"
-	"repro/internal/plan"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1 | table1-baseline | fig6 | fig7 | scorers | graded | weights | extra-queries | ablation | parallel | all")
+	exp := flag.String("exp", "all", "experiment: table1 | table1-baseline | fig6 | fig7 | scorers | graded | weights | extra-queries | ablation | all")
 	seed := flag.Int64("seed", 42, "generator seed")
 	quick := flag.Bool("quick", false, "shrink performance experiments for a fast run")
 	k := flag.Int("k", 10, "top-k result size for performance experiments")
-	par := flag.Int("par", 1, "plan-execution workers for fig6/fig7 (0 = GOMAXPROCS, 1 = sequential)")
-	accessName := flag.String("access", "auto", "candidate access path for fig6/fig7: auto | scan | twigjoin")
 	flag.Parse()
-
-	access, err := plan.ParseAccessPath(*accessName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
 
 	run := func(name string, f func() error) {
 		if *exp != "all" && *exp != name {
@@ -75,7 +66,7 @@ func main() {
 	})
 
 	run("fig6", func() error {
-		cfg := experiments.Fig6Config{Seed: *seed, K: *k, Parallelism: *par, Access: access}
+		cfg := experiments.Fig6Config{Seed: *seed, K: *k}
 		if *quick {
 			cfg.Sizes = []int{101 * 1024, 212 * 1024, 468 * 1024}
 			cfg.Trials = 1
@@ -91,7 +82,7 @@ func main() {
 	})
 
 	run("fig7", func() error {
-		cfg := experiments.Fig7Config{Seed: *seed, K: *k, Parallelism: *par, Access: access}
+		cfg := experiments.Fig7Config{Seed: *seed, K: *k}
 		if *quick {
 			cfg.SizeBytes = 1024 * 1024
 			cfg.Trials = 1
@@ -196,17 +187,6 @@ func main() {
 		rows := experiments.RunAblations(*seed, size, *k, 3)
 		fmt.Println("== Ablations ==")
 		fmt.Println(experiments.FormatAblations(rows))
-		return nil
-	})
-
-	run("parallel", func() error {
-		size := 10 * 1024 * 1024
-		if *quick {
-			size = 1024 * 1024
-		}
-		rows := experiments.RunParallel(*seed, size, *k, 3, nil)
-		fmt.Println("== Parallel execution (DESIGN.md §9) ==")
-		fmt.Println(experiments.FormatParallel(rows))
 		return nil
 	})
 }

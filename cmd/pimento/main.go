@@ -30,10 +30,9 @@ func main() {
 	keywords := flag.String("keywords", "", "alternatively: content-only keyword search, e.g. 'data mining'")
 	profPath := flag.String("profile", "", "profile file (optional)")
 	k := flag.Int("k", 10, "number of answers")
-	strat := flag.String("plan", "push", "plan: naive | interleave | interleave-sort | push | push-deep")
+	strat := flag.String("plan", "push", "plan: naive | interleave | interleave-sort | push")
 	explain := flag.Bool("explain", false, "print the static analysis instead of executing")
 	stats := flag.Bool("stats", false, "print per-operator statistics")
-	access := flag.String("access", "auto", "candidate access path: auto | scan | twigjoin")
 	flag.Parse()
 
 	if *docPath == "" || (*querySrc == "" && *keywords == "") {
@@ -86,12 +85,9 @@ func main() {
 	eng, err := pimento.Open(f)
 	fatal("doc", err)
 
-	accessPath, err := plan.ParseAccessPath(*access)
-	fatal("access", err)
 	strategy, err := plan.ParseStrategy(*strat)
 	fatal("plan", err)
-	resp, err := eng.Search(q, prof, pimento.WithK(*k),
-		pimento.WithStrategy(strategy), pimento.WithAccessPath(accessPath))
+	resp, err := eng.Search(q, prof, pimento.WithK(*k), pimento.WithStrategy(strategy))
 	fatal("search", err)
 
 	if len(resp.AppliedSRs) > 0 {

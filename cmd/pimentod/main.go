@@ -19,7 +19,7 @@
 // single-flight LRU result cache, and profile/query analysis verdicts
 // from a shared memoized analysis cache. Fresh executions are admitted
 // through a bounded worker pool (-pool, -pool-queue, -pool-max-wait;
-// DESIGN.md §14) that sheds overload with 503/429 + Retry-After instead
+// DESIGN.md §9) that sheds overload with 503/429 + Retry-After instead
 // of oversubscribing the CPU.
 // -slow-query enables the slow-query log; -debug-addr serves
 // net/http/pprof on a separate listener for profiling (see `make
@@ -43,12 +43,16 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/text"
 	"repro/internal/xmark"
 	"repro/internal/xmldoc"
 )
+
+// idleTimeout closes a keep-alive connection that has carried no request
+// for this long, on both listeners; without it an idle client holds its
+// connection (and its goroutine) for as long as it likes.
+const idleTimeout = 2 * time.Minute
 
 // docFlags collects repeated -doc name=path (or bare path) arguments.
 type docFlags []string
@@ -65,7 +69,6 @@ func main() {
 	cacheSize := flag.Int("cache", 512, "result cache capacity in entries")
 	stem := flag.Bool("stem", true, "apply Porter stemming while indexing")
 	stopwords := flag.Bool("stopwords", false, "drop English stopwords while indexing")
-	access := flag.String("access", "auto", "default candidate access path: auto, scan, or twigjoin (requests override with their \"access\" field)")
 	slowQuery := flag.Duration("slow-query", 0, "log queries at least this slow, with plan and per-operator stats (0 disables)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	pool := flag.Int("pool", 0, "admission scheduler worker count: concurrent search executions (0 = GOMAXPROCS)")
@@ -73,8 +76,6 @@ func main() {
 	poolMaxWait := flag.Duration("pool-max-wait", 0, "shed requests queued longer than this with 429 (0 disables the bound)")
 	maxDocBytes := flag.String("max-doc-bytes", "64M", "largest document body PUT /docs/{name} accepts (e.g. 512K, 64M)")
 	watchBuffer := flag.Int("watch-buffer", 256, "mutations GET /watch retains for since-cursor replay")
-	shards := flag.Int("shards", 1, "consistent-hash partitions fan-out searches scatter over (<2 = unsharded)")
-	shardDeadlineFrac := flag.Float64("shard-deadline-frac", 0, "fraction of a request's remaining deadline granted to each fan-out shard, in (0,1] (0 = built-in default; shards past their budget degrade the response instead of failing it)")
 	flag.Parse()
 
 	if len(docs) == 0 && *xmarkSize == "" {
@@ -87,17 +88,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pimentod: bad -max-doc-bytes %q (want e.g. 512K, 64M)\n", *maxDocBytes)
 		os.Exit(2)
 	}
-	accessPath, err := plan.ParseAccessPath(*access)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pimentod: %v\n", err)
-		os.Exit(2)
-	}
 	if *pool < 0 {
 		fmt.Fprintf(os.Stderr, "pimentod: bad -pool %d (want a worker count, or 0 for GOMAXPROCS)\n", *pool)
 		os.Exit(2)
 	}
-	if *shardDeadlineFrac < 0 || *shardDeadlineFrac > 1 {
-		fmt.Fprintf(os.Stderr, "pimentod: bad -shard-deadline-frac %v (want (0,1], or 0 for the default)\n", *shardDeadlineFrac)
+	if *cacheSize < 1 {
+		fmt.Fprintf(os.Stderr, "pimentod: bad -cache %d (want at least 1 entry)\n", *cacheSize)
+		os.Exit(2)
+	}
+	if *watchBuffer < 1 {
+		fmt.Fprintf(os.Stderr, "pimentod: bad -watch-buffer %d (want at least 1 mutation)\n", *watchBuffer)
 		os.Exit(2)
 	}
 
@@ -106,14 +106,11 @@ func main() {
 		CacheSize:          *cacheSize,
 		DefaultTimeout:     *timeout,
 		SlowQueryThreshold: *slowQuery,
-		DefaultAccess:      accessPath,
 		PoolWorkers:        *pool,
 		PoolQueue:          *poolQueue,
 		PoolMaxWait:        *poolMaxWait,
 		MaxDocBytes:        int64(maxDoc),
 		WatchBuffer:        *watchBuffer,
-		Shards:             *shards,
-		ShardDeadlineFrac:  *shardDeadlineFrac,
 	})
 	defer srv.Close()
 
@@ -150,6 +147,7 @@ func main() {
 		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       idleTimeout,
 	}
 
 	// The pprof listener is deliberately separate from the serving
@@ -164,7 +162,7 @@ func main() {
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
 			log.Printf("pprof listening on %s", *debugAddr)
-			ds := &http.Server{Addr: *debugAddr, Handler: dmux, ReadHeaderTimeout: 10 * time.Second}
+			ds := &http.Server{Addr: *debugAddr, Handler: dmux, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: idleTimeout}
 			if err := ds.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("pprof server: %v", err)
 			}

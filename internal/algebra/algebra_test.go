@@ -142,9 +142,6 @@ func TestFTUnitsAndScores(t *testing.T) {
 	if sat || score != 0 {
 		t.Errorf("car 1: sat=%v score=%v", sat, score)
 	}
-	if b := m.MaxUnitScore(fts[0]); b < score {
-		t.Errorf("bound %v below actual %v", b, score)
-	}
 }
 
 func TestOptionalUnitsScoreOnly(t *testing.T) {

@@ -75,14 +75,6 @@ kor k: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 			t.Errorf("operator %T has empty stats name", o)
 		}
 	}
-	if bonus.MaxScore() < 0 {
-		t.Errorf("bonus MaxScore negative")
-	}
-	for _, o := range ops {
-		if ft, ok := o.(*FTOp); ok && ft.MaxScore() < 0 {
-			t.Errorf("FT MaxScore negative")
-		}
-	}
 	if len(prune.TopK()) == 0 {
 		t.Errorf("no top-k")
 	}

@@ -430,24 +430,6 @@ func (m *Matcher) MatchRequired(e xmldoc.NodeID) bool {
 	return true
 }
 
-// MaxUnitScore returns the maximum score unit idx can contribute, the
-// building block of query-scorebound (Algorithm 1). For FT units the
-// bound is the index's per-(tag, phrase) maximum — the tightest sound
-// conservative estimate.
-func (m *Matcher) MaxUnitScore(idx int) float64 {
-	u := &m.units[idx]
-	switch u.Kind {
-	case UnitFT:
-		tag := m.q.Nodes[u.Node].Tag
-		return u.Weight * m.ix.MaxPhraseScore(tag, u.F.Phrase)
-	default:
-		if u.Optional {
-			return u.Weight
-		}
-	}
-	return 0
-}
-
 // MaxKORScore returns the largest K increment a keyword-based OR can add
 // to any answer under this index — Algorithm 3's kor-scorebound summand,
 // tightened with the index's per-(tag, phrase) maxima.

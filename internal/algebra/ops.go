@@ -233,10 +233,6 @@ func (o *FTOp) Stats() OpStats {
 	return o.stats
 }
 
-// MaxScore returns the operator's maximal S contribution, a summand of
-// query-scorebound.
-func (o *FTOp) MaxScore() float64 { return o.Matcher.MaxUnitScore(o.Unit) }
-
 // BonusOp scores the optional non-FT units (existence/constraint bonuses
 // of encoded scoping rules) in one pass.
 type BonusOp struct {
@@ -267,15 +263,6 @@ func (o *BonusOp) NextBatch(dst []Answer) int {
 }
 
 func (o *BonusOp) Stats() OpStats { return o.stats }
-
-// MaxScore returns the maximal total bonus.
-func (o *BonusOp) MaxScore() float64 {
-	t := 0.0
-	for _, u := range o.Units {
-		t += o.Matcher.MaxUnitScore(u)
-	}
-	return t
-}
 
 // VOROp is Fig. 3's vor operator: it augments answers with their OR
 // values (the per-rule keys used by ≺_V comparisons downstream). It works

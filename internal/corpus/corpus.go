@@ -76,7 +76,7 @@ func (e *Entry) Generation() uint64 { return e.gen }
 // guarantees that cache keys minted against one write of a name can
 // never be satisfied after a replacement — even a replacement with
 // byte-identical content gets a fresh key space, which is what makes
-// targeted cache invalidation sound (DESIGN.md §15).
+// targeted cache invalidation sound (DESIGN.md §14).
 func (e *Entry) Fingerprint() string {
 	return index.ContentFingerprint(e.idx) + "@g" + strconv.FormatUint(e.gen, 10)
 }

@@ -7,14 +7,17 @@
 // same comparator the unsharded path sorts with), and any answer
 // outside its shard's top k is dominated by k answers from that same
 // shard, so merging the per-shard lists and truncating to k reproduces
-// the global top k byte-for-byte. TestSearchShardedMatchesUnsharded and
-// the serving layer's differential test pin this equivalence.
+// the global top k byte-for-byte. TestSearchShardedMatchesUnsharded
+// pins this equivalence.
 //
 // Degradation is the one divergence: a shard that exhausts its carved
 // deadline while the request as a whole is still alive is dropped from
 // the merge and reported in TimedOutShards — partial answers beat a
-// 504 when one shard is cold or slow. A degraded response is never
-// cached upstream (see the serving layer).
+// 504 when one shard is cold or slow.
+//
+// Nothing in the program shards: the serving layer's fan-out is
+// SearchContext. The ring stays for the benchmark row that measures it
+// (corpus.fanout_sharded_us), which it loses to the per-document drain.
 package corpus
 
 import (
@@ -34,10 +37,10 @@ import (
 // fraction of names that move when the shard count changes.
 const vnodesPerShard = 64
 
-// DefaultShardDeadlineFrac is the fraction of the request's remaining
+// defaultDeadlineFrac is the fraction of the request's remaining
 // deadline each shard is granted when ShardOptions.DeadlineFrac is
 // unset: most of the budget, with headroom left for the merge.
-const DefaultShardDeadlineFrac = 0.9
+const defaultDeadlineFrac = 0.9
 
 // hash64 is the ring hash (FNV-1a: stable across processes, so shard
 // assignment survives restarts).
@@ -97,7 +100,7 @@ type ShardOptions struct {
 	// document, no deadline is carved and nothing degrades.
 	Shards int
 	// DeadlineFrac is the fraction of the request's *remaining* deadline
-	// granted to each shard (0 means DefaultShardDeadlineFrac). With no
+	// granted to each shard (0 means defaultDeadlineFrac). With no
 	// request deadline, shards are unbounded and the fan-out never
 	// degrades.
 	DeadlineFrac float64
@@ -118,10 +121,6 @@ type ShardedResponse struct {
 	// TimedOutShards lists the dropped shards' indices in ascending
 	// order.
 	TimedOutShards []int
-	// ShardsRun is the number of ring shards that held at least one
-	// document (empty shards are skipped, not scattered); 0 for an
-	// unsharded fan-out.
-	ShardsRun int
 }
 
 // shardContext carves one shard's deadline budget out of the parent's
@@ -160,7 +159,7 @@ func (s *Snapshot) SearchSharded(ctx context.Context, q *tpq.Query, prof *profil
 	}
 	frac := opts.DeadlineFrac
 	if frac <= 0 || frac > 1 {
-		frac = DefaultShardDeadlineFrac
+		frac = defaultDeadlineFrac
 	}
 	var units []unit
 	for i, names := range ShardNames(s.names, opts.Shards) {
@@ -168,10 +167,5 @@ func (s *Snapshot) SearchSharded(ctx context.Context, q *tpq.Query, prof *profil
 			units = append(units, unit{id: i, names: names})
 		}
 	}
-	resp, err := s.fanOut(ctx, q, prof, k, strat, units, frac, opts.ShardStart)
-	if err != nil {
-		return nil, err
-	}
-	resp.ShardsRun = len(units)
-	return resp, nil
+	return s.fanOut(ctx, q, prof, k, strat, units, frac, opts.ShardStart)
 }

@@ -75,17 +75,12 @@ type Request struct {
 	// Strategy selects the physical plan; defaults to Push (the paper's
 	// winner).
 	Strategy plan.Strategy
-	// Access selects the candidate access path: plan.AccessAuto (zero
-	// value; corpus-size heuristic), plan.AccessScan, or
-	// plan.AccessTwigJoin (holistic structural join with dataguide
-	// pruning).
-	Access plan.AccessPath
-	// Parallelism partitions plan execution across workers: 0 resolves
-	// by document size (sequential on small documents, GOMAXPROCS on
-	// large ones — plan.ResolveParallelism), 1 forces the sequential
-	// reference path, n >= 2 forces n workers (capped at
-	// plan.MaxParallelism). The ranked answers are identical at every
-	// setting.
+	// Access and Parallelism are plan.Options.AccessPath and
+	// plan.Options.Parallelism. Their zero values are the planner's own
+	// choice, the only one the serving layer and the library make; tests
+	// and the benchmark's scan oracle pin them. The ranked answers are
+	// identical at every setting.
+	Access      plan.AccessPath
 	Parallelism int
 	// Budget, when non-nil, gates the extra goroutines of parallel plan
 	// execution (see plan.Options.Budget). The serving layer passes the

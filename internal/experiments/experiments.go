@@ -2,7 +2,8 @@
 // Table 1 (INEX effectiveness, via internal/inex), Fig. 6 (PushtopKPrune
 // query time vs document size and #KORs) and Fig. 7 (the four plans of
 // Section 7.2 on a 10 MB document), plus the ablations DESIGN.md calls
-// out (KOR application order, deep pushing, bound tightness).
+// out (KOR application order, access path). The Fig. 6/7 and ablation
+// timings run sequential plans.
 package experiments
 
 import (
@@ -68,12 +69,6 @@ type Fig6Config struct {
 	MaxKOR int   // defaults to 4
 	K      int   // defaults to 10
 	Trials int   // timing repetitions; defaults to 3
-	// Parallelism is plan.Options.Parallelism for every timed run
-	// (0 = GOMAXPROCS, 1 = sequential).
-	Parallelism int
-	// Access is plan.Options.AccessPath for every timed run
-	// (zero value: plan.AccessAuto).
-	Access plan.AccessPath
 }
 
 func (c Fig6Config) withDefaults() Fig6Config {
@@ -103,9 +98,7 @@ func RunFig6(cfg Fig6Config) []Fig6Row {
 		ix := index.Build(doc, text.Pipeline{})
 		for n := 1; n <= cfg.MaxKOR; n++ {
 			prof := workload.Fig5Profile(n)
-			row := timePlanOpts(ix, prof,
-				plan.Options{Strategy: plan.Push, Parallelism: cfg.Parallelism, AccessPath: cfg.Access},
-				cfg.K, cfg.Trials)
+			row := timePlanOpts(ix, prof, plan.Options{Strategy: plan.Push}, cfg.K, cfg.Trials)
 			row.SizeBytes = size
 			row.SizeLabel = xmark.SizeLabel(size)
 			row.NumKORs = n
@@ -133,10 +126,6 @@ type Fig7Config struct {
 	MaxKOR    int // defaults to 4
 	K         int // defaults to 10
 	Trials    int // defaults to 3
-	// Parallelism is plan.Options.Parallelism for every timed run.
-	Parallelism int
-	// Access is plan.Options.AccessPath for every timed run.
-	Access plan.AccessPath
 }
 
 func (c Fig7Config) withDefaults() Fig7Config {
@@ -165,9 +154,7 @@ func RunFig7(cfg Fig7Config) []Fig7Row {
 	for _, strat := range plan.Strategies {
 		for n := 1; n <= cfg.MaxKOR; n++ {
 			prof := workload.Fig5Profile(n)
-			r := timePlanOpts(ix, prof,
-				plan.Options{Strategy: strat, Parallelism: cfg.Parallelism, AccessPath: cfg.Access},
-				cfg.K, cfg.Trials)
+			r := timePlanOpts(ix, prof, plan.Options{Strategy: strat}, cfg.K, cfg.Trials)
 			rows = append(rows, Fig7Row{
 				Strategy: strat, NumKORs: n,
 				Time: r.Time, Pruned: r.Pruned, Answers: r.Answers, Ops: r.Ops,
@@ -179,8 +166,10 @@ func RunFig7(cfg Fig7Config) []Fig7Row {
 
 // timePlanOpts executes the Fig. 5 query under one plan configuration,
 // reporting the best-of-trials wall time (warm index, like the paper's
-// repeated runs).
+// repeated runs). It pins Parallelism 1: the figures compare plans, so
+// every timed run is sequential.
 func timePlanOpts(ix *index.Index, prof *profile.Profile, opts plan.Options, k, trials int) Fig6Row {
+	opts.Parallelism = 1
 	q := workload.Fig5Query()
 	var best time.Duration
 	var pruned, answers int
@@ -293,7 +282,7 @@ func FormatExtraQueries(rows []ExtraQueryRow) string {
 	return sb.String()
 }
 
-// AblationRow is one measurement of the KOR-ordering / deep-push
+// AblationRow is one measurement of the KOR-ordering / access-path
 // ablations.
 type AblationRow struct {
 	Name    string
@@ -303,9 +292,8 @@ type AblationRow struct {
 }
 
 // RunAblations operationalizes Section 7.2's closing observations:
-// applying the highest-contribution KOR first vs last, and pushing
-// prunes between the score-contributing joins (PushDeep) vs the plain
-// Push plan.
+// applying the highest-contribution KOR first vs last, beside the plain
+// Push plan on each candidate access path.
 func RunAblations(seed int64, sizeBytes, k, trials int) []AblationRow {
 	if sizeBytes == 0 {
 		sizeBytes = 1024 * 1024
@@ -343,7 +331,6 @@ func RunAblations(seed int64, sizeBytes, k, trials int) []AblationRow {
 		{"push/kor-best-first", &bestFirst, plan.Options{Strategy: plan.Push}},
 		{"push/kor-worst-first", &worstFirst, plan.Options{Strategy: plan.Push}},
 		{"push/plain", base, plan.Options{Strategy: plan.Push}},
-		{"push/deep", base, plan.Options{Strategy: plan.PushDeep}},
 		{"push/access-scan", base, plan.Options{Strategy: plan.Push, AccessPath: plan.AccessScan}},
 		{"push/access-twigjoin", base, plan.Options{Strategy: plan.Push, AccessPath: plan.AccessTwigJoin}},
 	} {
@@ -351,66 +338,6 @@ func RunAblations(seed int64, sizeBytes, k, trials int) []AblationRow {
 		rows = append(rows, AblationRow{Name: c.name, NumKORs: 4, Time: r.Time, Pruned: r.Pruned})
 	}
 	return rows
-}
-
-// ParallelRow is one measurement of the parallel-execution sweep: the
-// Push plan on the Fig. 5 workload at a fixed worker count.
-type ParallelRow struct {
-	Workers int
-	Time    time.Duration
-	Pruned  int
-	Answers int
-}
-
-// RunParallel measures scan-partitioned execution (DESIGN.md §9) on the
-// Push plan with the full Fig. 5 profile, sweeping worker counts. The
-// answers are identical at every count — the sweep isolates wall-clock
-// and pruning effects of partitioning plus the shared top-k threshold.
-func RunParallel(seed int64, sizeBytes, k, trials int, workers []int) []ParallelRow {
-	if sizeBytes == 0 {
-		sizeBytes = 10 * 1024 * 1024
-	}
-	if k == 0 {
-		k = 10
-	}
-	if trials == 0 {
-		trials = 3
-	}
-	if len(workers) == 0 {
-		workers = []int{1, 2, 4, 8}
-	}
-	doc := xmark.GenerateSized(xmark.Config{Seed: seed}, sizeBytes)
-	ix := index.Build(doc, text.Pipeline{})
-	prof := workload.Fig5Profile(4)
-	var rows []ParallelRow
-	for _, w := range workers {
-		r := timePlanOpts(ix, prof, plan.Options{Strategy: plan.Push, Parallelism: w}, k, trials)
-		rows = append(rows, ParallelRow{Workers: w, Time: r.Time, Pruned: r.Pruned, Answers: r.Answers})
-	}
-	return rows
-}
-
-// FormatParallel renders the parallel sweep with speedups relative to
-// the sequential row.
-func FormatParallel(rows []ParallelRow) string {
-	var sb strings.Builder
-	sb.WriteString("Parallel execution — Push plan, Fig. 5 workload, 4 KORs\n")
-	sb.WriteString("Workers   time(ms)   speedup   pruned\n")
-	var seq time.Duration
-	for _, r := range rows {
-		if r.Workers == 1 {
-			seq = r.Time
-		}
-	}
-	for _, r := range rows {
-		speed := "-"
-		if seq > 0 && r.Time > 0 {
-			speed = fmt.Sprintf("%.2fx", float64(seq)/float64(r.Time))
-		}
-		fmt.Fprintf(&sb, "%-9d %8.2f   %7s   %d\n",
-			r.Workers, float64(r.Time.Microseconds())/1000, speed, r.Pruned)
-	}
-	return sb.String()
 }
 
 // reprioritize clones KORs with priorities matching their slice order,

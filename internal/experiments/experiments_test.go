@@ -87,7 +87,7 @@ func TestPushPrunesAtScale(t *testing.T) {
 
 func TestRunAblations(t *testing.T) {
 	rows := RunAblations(42, 128*1024, 5, 1)
-	if len(rows) != 6 {
+	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	names := map[string]bool{}
@@ -97,13 +97,13 @@ func TestRunAblations(t *testing.T) {
 			t.Errorf("bad time: %+v", r)
 		}
 	}
-	for _, want := range []string{"push/kor-best-first", "push/kor-worst-first", "push/plain", "push/deep", "push/access-scan", "push/access-twigjoin"} {
+	for _, want := range []string{"push/kor-best-first", "push/kor-worst-first", "push/plain", "push/access-scan", "push/access-twigjoin"} {
 		if !names[want] {
 			t.Errorf("missing ablation %q", want)
 		}
 	}
 	out := FormatAblations(rows)
-	if !strings.Contains(out, "push/deep") {
+	if !strings.Contains(out, "push/access-twigjoin") {
 		t.Errorf("format output:\n%s", out)
 	}
 }

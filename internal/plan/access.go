@@ -1,14 +1,14 @@
 package plan
 
 import (
-	"fmt"
-
 	"repro/internal/index"
 	"repro/internal/tpq"
 	"repro/internal/twig"
 )
 
-// AccessPath selects how a plan produces distinguished-node candidates.
+// AccessPath is how a plan produces distinguished-node candidates. The
+// planner picks it (resolveAccess); no request or flag names one, and
+// only tests and the benchmark pin one through Options.AccessPath.
 type AccessPath uint8
 
 const (
@@ -41,20 +41,6 @@ func (a AccessPath) String() string {
 		return "twigjoin"
 	}
 	return "?"
-}
-
-// ParseAccessPath parses an access-path name as used by the -access
-// flags and the serving API. The empty string means AccessAuto.
-func ParseAccessPath(s string) (AccessPath, error) {
-	switch s {
-	case "", "auto":
-		return AccessAuto, nil
-	case "scan":
-		return AccessScan, nil
-	case "twigjoin", "twig":
-		return AccessTwigJoin, nil
-	}
-	return AccessAuto, fmt.Errorf("plan: unknown access path %q (want auto, scan or twigjoin)", s)
 }
 
 // JoinStats re-exports the twigjoin access path's counters for callers

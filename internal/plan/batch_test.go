@@ -103,10 +103,8 @@ kor w5: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 			"none": nil, "fig5n0": workload.Fig5Profile(0), "fig5n2": workload.Fig5Profile(2),
 		}})
 	// Several keyword joins under orders that read V from the first prune
-	// on: PushDeep's inter-join prunes would come ahead of vor there (three
-	// score-contributing units, so on the twig path too), and a plan must
-	// not compile them — these run PushDeep with two and three joins under
-	// rank V,K,S, blend and a VOR-only profile (rank V,S).
+	// on: two and three score-contributing units (so on the twig path too)
+	// under rank V,K,S, blend and a VOR-only profile (rank V,S).
 	xmark0 := fixtures[1].ix
 	fixtures = append(fixtures,
 		fixture{name: "dealer-3ft", ix: fixtures[0].ix,
@@ -121,14 +119,13 @@ kor w5: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 			profiles: map[string]*profile.Profile{
 				"fig5n2": workload.Fig5Profile(2), "VKS": vks, "blend": blend, "VS": workload.Fig5Profile(0),
 			}})
-	strategies := append(append([]Strategy{}, Strategies...), PushDeep)
 	for _, f := range fixtures {
 		for pname, prof := range f.profiles {
 			ref, err := Evaluate(f.ix, f.q, prof, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, strat := range strategies {
+			for _, strat := range Strategies {
 				for _, access := range []AccessPath{AccessScan, AccessTwigJoin} {
 					label := fmt.Sprintf("%s/%s/%v/%v", f.name, pname, strat, access)
 					opts := Options{Strategy: strat, AccessPath: access, Parallelism: 1}

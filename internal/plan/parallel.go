@@ -33,24 +33,22 @@ import (
 // cost more than scanning the partition sequentially.
 const minPartition = 256
 
-// MaxParallelism bounds the Parallelism option. Anything above it is a
-// request error at the API boundary (the serving layer rejects it; see
-// the contract in server.SearchRequest), never a silent clamp — the old
-// behavior of accepting up to 1024 and quietly capping at the candidate
-// count hid what actually ran.
-const MaxParallelism = 64
+// maxParallelism caps the worker count ResolveParallelism grants, asked
+// for or chosen.
+const maxParallelism = 64
 
 // parallelThresholdNodes is the document size (node count) at which
 // auto-resolution (Parallelism <= 0) starts granting intra-query
-// workers. The benchmark's traced replay decides it (bench/layers.go,
+// workers. The benchmark's traced replay set it (bench/layers.go,
 // rows plan.execute_par1_us / plan.execute_par2_us): on the 5.7 MB
 // ft_single document (324,990 nodes) two workers take 2118 µs against
 // 3254 µs sequential on a 2-core box (medians of three traced runs,
-// 1.2–2.0x apart), so parallelism pays above the threshold; the 468 KB
-// documents of cached_mix and live_corpus (tens of thousands of nodes)
-// sit far below it, where worker set-up costs more than the partition
-// scan saves (244 vs 187 µs). It is a constant, not an
-// option: no workload at hand wants a different value.
+// 1.2–2.0x apart) in process; the 468 KB documents of cached_mix and
+// live_corpus (tens of thousands of nodes) sit far below it, where
+// worker set-up costs more than the partition scan saves (244 vs
+// 187 µs). Served end to end, two clients on two cores, auto and
+// sequential tie on ft_single and struct_twig (DESIGN.md §9). It is a
+// constant, not an option: no workload at hand wants a different value.
 const parallelThresholdNodes = 150_000
 
 // WorkerBudget is a non-blocking allowance for *extra* goroutines
@@ -94,12 +92,14 @@ func Drain(budget WorkerBudget, n int, run func(i int)) {
 	wg.Wait()
 }
 
-// ResolveParallelism is the cost model behind the Parallelism knob,
-// mirroring resolveAccess: it maps the requested setting and the
-// document's node count to the worker count the plan will report.
+// ResolveParallelism is the planner's worker-count choice, beside
+// resolveAccess: it maps Options.Parallelism and the document's node
+// count to the worker count the plan will report. Served and library
+// searches always ask for auto (0); the pinned settings exist for the
+// tests, the figure harnesses and the benchmark's par1/par2 rows.
 //
 //	requested == 1  -> 1 (explicit sequential)
-//	requested >= 2  -> requested, capped at MaxParallelism (explicit
+//	requested >= 2  -> requested, capped at maxParallelism (explicit
 //	                   parallel; tests force workers on small inputs)
 //	requested <= 0  -> auto: GOMAXPROCS when docNodes reaches
 //	                   parallelThresholdNodes, else 1 — small documents
@@ -114,8 +114,8 @@ func ResolveParallelism(requested, docNodes int) int {
 		return 1
 	}
 	if requested >= 2 {
-		if requested > MaxParallelism {
-			return MaxParallelism
+		if requested > maxParallelism {
+			return maxParallelism
 		}
 		return requested
 	}
@@ -123,8 +123,8 @@ func ResolveParallelism(requested, docNodes int) int {
 		return 1
 	}
 	n := runtime.GOMAXPROCS(0)
-	if n > MaxParallelism {
-		n = MaxParallelism
+	if n > maxParallelism {
+		n = maxParallelism
 	}
 	return n
 }

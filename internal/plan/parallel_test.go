@@ -25,7 +25,7 @@ func TestParallelMatchesSequentialXMark(t *testing.T) {
 	q := workload.Fig5Query()
 	for _, nKORs := range []int{1, 4} {
 		prof := workload.Fig5Profile(nKORs)
-		for _, strat := range []Strategy{Naive, Push, PushDeep, InterleaveSort} {
+		for _, strat := range []Strategy{Naive, Push, InterleaveSort} {
 			for _, k := range []int{1, 5, 10, 40} {
 				seq, err := BuildWith(ix, q, prof, k, Options{Strategy: strat, Parallelism: 1})
 				if err != nil {

@@ -2,10 +2,11 @@
 // NaivetopkPrune (prune only at the end), InterleavetopkPrune (prune
 // after each keyword-based OR, with or without sorting), and
 // PushtopKPrune (pruning pushed all the way down the plan), plus the
-// score-bound bookkeeping (query-scorebound, kor-scorebound) that keeps
-// every prune sound. A plan runs sequentially or scan-partitioned
-// (parallel.go); Drain, which runs the partitions, is the request
-// path's one budgeted goroutine fan-out and also runs the corpus's.
+// kor-scorebound bookkeeping that keeps every prune sound. The planner
+// also picks how a plan runs: its access path (access.go) and its
+// worker count (parallel.go); Drain, which runs the partitions, is the
+// request path's one budgeted goroutine fan-out and also runs the
+// corpus's.
 package plan
 
 import (
@@ -43,11 +44,6 @@ const (
 	// after each one, and under rank K,V,S once more — on K alone —
 	// between the last KOR and vor (PtkpP).
 	Push
-	// PushDeep additionally pushes prunes between the score-contributing
-	// keyword joins using query-scorebounds — the ablation DESIGN.md
-	// calls out for score-bound tightness. Where those prunes would read
-	// V ahead of vor (rank V,K,S, V,S and blend over a VOR) it is Push.
-	PushDeep
 )
 
 func (s Strategy) String() string {
@@ -62,8 +58,6 @@ func (s Strategy) String() string {
 		return "S-ILtpkP"
 	case Push:
 		return "PtpkP"
-	case PushDeep:
-		return "PtpkP-deep"
 	}
 	return "?"
 }
@@ -83,10 +77,8 @@ func ParseStrategy(s string) (Strategy, error) {
 		return InterleaveNoSort, nil
 	case "interleave-sort":
 		return InterleaveSort, nil
-	case "push-deep":
-		return PushDeep, nil
 	}
-	return Default, fmt.Errorf("plan: unknown strategy %q (want naive, interleave, interleave-sort, push or push-deep)", s)
+	return Default, fmt.Errorf("plan: unknown strategy %q (want naive, interleave, interleave-sort or push)", s)
 }
 
 // Plan is an executable physical plan.
@@ -150,21 +142,18 @@ const batchCap = 256
 // Options tunes plan compilation beyond the strategy.
 type Options struct {
 	Strategy Strategy
-	// AccessPath selects the candidate source: AccessScan streams the
-	// distinguished tag list and matches per candidate, AccessTwigJoin
-	// runs the holistic twig join (positional stack join + dataguide
-	// pruning) at Execute time. AccessAuto — the default — picks
-	// twigjoin for structural queries whose tag lists are cheap to
-	// stream relative to the scan's candidate count, and scan
-	// otherwise. The ranked answers are identical on every path.
+	// AccessPath is the candidate source. Its zero value, AccessAuto, is
+	// the planner's choice (resolveAccess) and the only one a served or
+	// library search makes; AccessScan and AccessTwigJoin pin a path for
+	// the tests, the ablation rows and the benchmark's scan oracle. The
+	// ranked answers are identical on every path.
 	AccessPath AccessPath
-	// Parallelism partitions the access path's candidate list across
-	// workers at Execute time: 0 resolves by document size (sequential
-	// below the node-count threshold, GOMAXPROCS above — see
-	// ResolveParallelism), 1 forces the sequential reference path,
-	// n >= 2 forces exactly n workers (capped at MaxParallelism,
-	// clamped to the candidate count). Results are identical at every
-	// setting; see DESIGN.md "Parallel execution".
+	// Parallelism is the worker count of an Execute. Its zero value is
+	// the planner's choice (ResolveParallelism: sequential below the
+	// node-count threshold); 1 pins the sequential reference path and
+	// n >= 2 forces n workers, for the tests, the figure harnesses and
+	// the benchmark's par1/par2 rows. Results are identical at every
+	// setting; see DESIGN.md §9.
 	Parallelism int
 	// Budget, when non-nil, gates the *extra* goroutines of a parallel
 	// Execute (the caller's own goroutine always works): each helper
@@ -232,9 +221,9 @@ func buildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts
 	}
 	p.src = &algebra.ListScanOp{Name: p.sourceName, IDs: p.sourceIDs}
 	// Compiling the chain doubles as the cache pre-warm pass: resolving
-	// the phrase lists and computing the bounds (MaxUnitScore,
-	// MaxKORScore) populate the index's phrase/df/max-score caches for
-	// every (tag, phrase) pair the query and profile can probe, so the
+	// the phrase lists and computing the kor-scorebounds (MaxKORScore)
+	// populate the index's phrase/df/max-score caches for every
+	// (tag, phrase) pair the query and profile can probe, so the
 	// per-worker rebuilds of a parallel Execute hit read-only snapshots.
 	p.cancel = algebra.NewCancelCheck(nil)
 	p.ops, p.final, p.m = p.buildChain(p.src, nil, p.cancel)
@@ -272,9 +261,9 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 		ops = append(ops, op)
 	}
 	// prune pushes a topkPrune over the chain so far.
-	prune := func(mode algebra.Mode, sBound, korBound float64, sorted bool) *algebra.TopKPruneOp {
+	prune := func(mode algebra.Mode, korBound float64, sorted bool) *algebra.TopKPruneOp {
 		t := &algebra.TopKPruneOp{
-			In: op, K: k, Mode: mode, Ranker: ranker, SBound: sBound, KorBound: korBound,
+			In: op, K: k, Mode: mode, Ranker: ranker, KorBound: korBound,
 			SortedInput: sorted, Shared: shared, Cancel: cancel,
 		}
 		push(t)
@@ -290,12 +279,6 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 		push(&algebra.RequiredOp{In: op, Matcher: m})
 	}
 
-	totalS := 0.0
-	for _, u := range ftUnits {
-		totalS += m.MaxUnitScore(u)
-	}
-	bonus := &algebra.BonusOp{Matcher: m, Units: m.OptionalBonusUnits()}
-	totalS += bonus.MaxScore()
 	totalK := 0.0
 	for _, kor := range kors {
 		totalK += algebra.MaxKORScore(ix, kor)
@@ -312,24 +295,13 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 	if hasVOR && mode == algebra.ModeKVS {
 		early = algebra.ModeK
 	}
-	pushing := strat == Push || strat == PushDeep
+	pushing := strat == Push
 
-	// Score-contributing keyword joins, required first. For PushDeep,
-	// interleave prunes with decreasing query-scorebounds — unless they
-	// would read V (rank V,K,S, V,S or blend over a VOR): vor follows the
-	// joins, and a prune ahead of it would compare keys that are not
-	// there yet (reading them as ties cuts answers V would have kept).
-	deepPrunes := strat == PushDeep && !(hasVOR && early == mode)
-	remS := totalS
+	// Score-contributing keyword joins, required first.
 	for _, u := range ftUnits {
-		if deepPrunes && len(ops) > 2 {
-			prune(early, remS, totalK, false)
-		}
 		push(&algebra.FTOp{In: op, Matcher: m, Unit: u})
-		remS -= m.MaxUnitScore(u)
 	}
-	bonus.In = op
-	push(bonus)
+	push(&algebra.BonusOp{In: op, Matcher: m, Units: m.OptionalBonusUnits()})
 	if hasVOR && early == mode {
 		push(algebra.NewVOROp(op, ix, prof))
 	}
@@ -346,7 +318,7 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 		if pushing {
 			// Prune right before each kor with the sum of the remaining
 			// KORs' maximal scores (Section 6.3's Plan 2 description).
-			prune(early, 0, remK, false)
+			prune(early, remK, false)
 		}
 		push(algebra.NewKOROp(op, ix, kor, korTag))
 		remK -= algebra.MaxKORScore(ix, kor)
@@ -358,29 +330,29 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 			// kor-scorebound 0 stands between the last kor and vor: k
 			// answers with strictly larger K outrank whatever it drops.
 			if pushing {
-				prune(early, 0, remK, false)
+				prune(early, remK, false)
 			}
 			push(algebra.NewVOROp(op, ix, prof))
 			early = mode
 		}
 		switch strat {
 		case InterleaveNoSort:
-			prune(early, 0, remK, false)
+			prune(early, remK, false)
 		case InterleaveSort:
 			push(&algebra.SortOp{In: op, Ranker: ranker, Mode: early, Batch: p.batch})
-			prune(early, 0, remK, true)
+			prune(early, remK, true)
 		}
 		if pushing && last {
 			// Pushed all the way also means pruning after the last KOR
 			// (kor-scorebound 0), so the final sort sees a k-sized stream
 			// instead of every candidate.
-			prune(mode, 0, remK, false)
+			prune(mode, remK, false)
 		}
 	}
 
 	// Final ranking: parametric sort + topkPrune (Fig. 4's plan tops).
 	push(&algebra.SortOp{In: op, Ranker: ranker, Mode: mode, Batch: p.batch})
-	final := prune(mode, 0, 0, true)
+	final := prune(mode, 0, true)
 
 	return ops, final, m
 }
@@ -388,10 +360,10 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, shared *algebra.SharedBound, 
 // maxChainOps bounds the operators buildChain compiles for a query with
 // nft keyword joins under a profile with nkor KORs, whatever the
 // strategy: source, filter, bonus, vor, the final sort and prune, the
-// K-only and the full prune after the last kor; a join and a prune per
-// keyword; an operator, a sort and a prune per kor. The timing wrappers
-// of a chain are one allocation of this size.
-func maxChainOps(nft, nkor int) int { return 8 + 2*nft + 3*nkor }
+// K-only and the full prune after the last kor; a join per keyword; an
+// operator, a sort and a prune per kor. The timing wrappers of a chain
+// are one allocation of this size.
+func maxChainOps(nft, nkor int) int { return 8 + nft + 3*nkor }
 
 // Execute runs the plan to completion and returns the top-k answers,
 // best first. With Options.Parallelism != 1 (and enough candidates) the

@@ -82,7 +82,7 @@ func TestAllStrategiesAgreeWithNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range []Strategy{InterleaveNoSort, InterleaveSort, Push, PushDeep} {
+		for _, strat := range []Strategy{InterleaveNoSort, InterleaveSort, Push} {
 			p, err := Build(ix, q, prof, k, strat)
 			if err != nil {
 				t.Fatal(err)
@@ -438,7 +438,7 @@ kor k3 priority 3: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range []Strategy{InterleaveNoSort, InterleaveSort, Push, PushDeep} {
+		for _, strat := range []Strategy{InterleaveNoSort, InterleaveSort, Push} {
 			p, err := Build(ix, q, prof, k, strat)
 			if err != nil {
 				t.Fatal(err)
@@ -458,14 +458,16 @@ func TestParseStrategy(t *testing.T) {
 	for name, want := range map[string]Strategy{
 		"": Push, "push": Push, "default": Push, "naive": Naive,
 		"interleave": InterleaveNoSort, "interleave-nosort": InterleaveNoSort,
-		"interleave-sort": InterleaveSort, "push-deep": PushDeep,
+		"interleave-sort": InterleaveSort,
 	} {
 		if got, err := ParseStrategy(name); err != nil || got != want {
 			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseStrategy("quantum"); err == nil {
-		t.Error("unknown strategy accepted")
+	for _, name := range []string{"quantum", "push-deep"} {
+		if _, err := ParseStrategy(name); err == nil {
+			t.Errorf("unknown strategy %q accepted", name)
+		}
 	}
 }
 
@@ -486,7 +488,7 @@ func TestChainOpsWithinEstimate(t *testing.T) {
 			profiles["V,K,S"].Rank = profile.VKS
 			profiles["blend"].Rank = profile.Blend
 			for name, prof := range profiles {
-				for _, strat := range append([]Strategy{PushDeep}, Strategies...) {
+				for _, strat := range Strategies {
 					for _, access := range []AccessPath{AccessScan, AccessTwigJoin} {
 						p, err := BuildWith(ix, q, prof, 10, Options{Strategy: strat, AccessPath: access, Timing: true})
 						if err != nil {

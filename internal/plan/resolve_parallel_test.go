@@ -25,9 +25,9 @@ func TestResolveParallelism(t *testing.T) {
 		{1, 1 << 20, 1},                       // explicit sequential, huge doc
 		{2, 100, 2},                           // explicit parallel, tiny doc
 		{8, 100, 8},                           // explicit honored as-is
-		{MaxParallelism, 100, MaxParallelism}, // at the cap
-		{100, 100, MaxParallelism},            // above the cap: capped
-		{1024, 100, MaxParallelism},           // old server ceiling: capped
+		{maxParallelism, 100, maxParallelism}, // at the cap
+		{100, 100, maxParallelism},            // above the cap: capped
+		{1024, 100, maxParallelism},           // old server ceiling: capped
 		{0, parallelThresholdNodes - 1, 1},    // auto, below the threshold
 		{0, parallelThresholdNodes, 4},        // auto, at threshold -> GOMAXPROCS
 		{0, 1 << 22, 4},                       // auto, far above
@@ -42,13 +42,13 @@ func TestResolveParallelism(t *testing.T) {
 }
 
 // TestResolveParallelismGOMAXPROCSCap: with GOMAXPROCS above the cap,
-// auto resolution must not exceed MaxParallelism.
+// auto resolution must not exceed maxParallelism.
 func TestResolveParallelismGOMAXPROCSCap(t *testing.T) {
-	prev := runtime.GOMAXPROCS(MaxParallelism + 8)
+	prev := runtime.GOMAXPROCS(maxParallelism + 8)
 	defer runtime.GOMAXPROCS(prev)
-	if got := ResolveParallelism(0, 1<<22); got != MaxParallelism {
+	if got := ResolveParallelism(0, 1<<22); got != maxParallelism {
 		t.Errorf("auto at GOMAXPROCS=%d resolved to %d, want %d",
-			MaxParallelism+8, got, MaxParallelism)
+			maxParallelism+8, got, maxParallelism)
 	}
 }
 

@@ -151,7 +151,7 @@ func TestMixedFanoutParallelBudget(t *testing.T) {
 				if c%2 == 0 {
 					// Registry fan-out: helpers come from the shared budget,
 					// per-document plans are pinned sequential.
-					if _, err := reg.Search(q, prof, 5, plan.PushDeep); err != nil {
+					if _, err := reg.Search(q, prof, 5, plan.Push); err != nil {
 						t.Error(err)
 					}
 				} else {

@@ -33,7 +33,7 @@ func FuzzSearchHandler(f *testing.F) {
 	f.Add(`{"doc":"cars","query":"//car","k":-1}`)
 	f.Add(`{"doc":"cars","query":"//car[[["}`)
 	f.Add(`{"doc":"nope","query":"//car"}`)
-	f.Add(`{"doc":"cars","query":"//car","timeout_ms":1,"parallelism":2}`)
+	f.Add(`{"doc":"cars","query":"//car","timeout_ms":1,"no_cache":true}`)
 	f.Add(`not json at all`)
 	f.Add(`{"doc":"cars","query":"//car","k":999999999}`)
 	f.Add("{\"doc\":\"cars\",\"query\":\"//car\\u0000\\ud800\"}")

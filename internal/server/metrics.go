@@ -68,11 +68,6 @@ var registrySeries = [][2]string{
 // two series is the content-fingerprint dedup savings.
 var registryViews = []string{"names", "distinct"}
 
-// fanoutOutcomes labels pimento_fanout_shards_total: shards that
-// completed within their carved deadline budget vs shards dropped from
-// a degraded merge.
-var fanoutOutcomes = []string{"ok", "timeout"}
-
 // cacheNames labels pimento_cache_invalidations_total. The analysis
 // cache is profile-keyed and document-independent, so document
 // mutations never invalidate it — the series is exposed (at zero) to
@@ -127,12 +122,6 @@ type serverMetrics struct {
 	// scrape time.
 	registryRequests map[[2]string]*metrics.Counter // by {op, outcome}
 	registryProfiles map[string]*metrics.Gauge      // by view
-
-	// fanoutShards counts scatter-gather shard outcomes and
-	// fanoutDegraded the responses served partial, both bumped as each
-	// sharded fan-out completes.
-	fanoutShards   map[string]*metrics.Counter // by outcome
-	fanoutDegraded *metrics.Counter
 
 	// Analysis-cache mirrors (authoritative counters live in
 	// engine.AnalysisCache, synced at scrape like the result cache).
@@ -228,14 +217,6 @@ func newServerMetrics() *serverMetrics {
 			"Registered profiles, by view: bound names vs distinct deduplicated bodies.",
 			metrics.Labels{"view": v})
 	}
-	m.fanoutShards = make(map[string]*metrics.Counter, len(fanoutOutcomes))
-	for _, o := range fanoutOutcomes {
-		m.fanoutShards[o] = reg.Counter("pimento_fanout_shards_total",
-			"Scatter-gather fan-out shards, by outcome: completed within the carved deadline budget (ok) vs dropped from a degraded merge (timeout).",
-			metrics.Labels{"outcome": o})
-	}
-	m.fanoutDegraded = reg.Counter("pimento_fanout_degraded_total",
-		"Fan-out responses served degraded: at least one shard was dropped from the merge.", nil)
 	m.corpusGeneration = reg.Gauge("pimento_corpus_generation",
 		"Corpus generation: applied mutations since process start.", nil)
 	m.watchSubscribers = reg.Gauge("pimento_watch_subscribers",

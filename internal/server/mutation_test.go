@@ -359,9 +359,10 @@ func TestMutateThenQueryEquivalence(t *testing.T) {
 	}
 	perDoc := func(name string) []SearchRequest {
 		return []SearchRequest{
-			{Doc: name, Keywords: "the", K: 5, Access: "scan"},
-			{Doc: name, Keywords: "the", K: 5, Access: "twigjoin"},
-			{Doc: name, Query: `//person(*)[.//business[. ftcontains "Yes"]]`, K: 3, Access: "twigjoin"},
+			// The planner scans a one-node pattern and twig-joins the
+			// two-node one, so both access paths see every mutation.
+			{Doc: name, Keywords: "the", K: 5},
+			{Doc: name, Query: `//person(*)[.//business[. ftcontains "Yes"]]`, K: 3},
 		}
 	}
 

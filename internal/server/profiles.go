@@ -16,7 +16,7 @@
 // one key space. Deleting or rebinding a name never invalidates cached
 // results: entries are keyed by profile content, and any search that
 // would hit them with the same content is still entitled to the same
-// bytes (mirroring the generation-stamp reasoning in DESIGN.md §15).
+// bytes (mirroring the generation-stamp reasoning in DESIGN.md §14).
 package server
 
 import (

@@ -9,6 +9,10 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
+	"repro/internal/profile"
+	"repro/internal/tpq"
 )
 
 // occupySlot grabs the pool's only worker slot directly, so the next
@@ -161,54 +165,54 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestParallelismValidationContract: values outside [0, 64] are
-// rejected with 400 — never silently clamped — so the accepted surface
-// matches what plan honors.
-func TestParallelismValidationContract(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	for _, par := range []int{-1, 65, 1024} {
-		req := searchReq()
-		req.Parallelism = par
-		status, _, body := post(t, ts, "/search", req)
-		if status != http.StatusBadRequest {
-			t.Errorf("par=%d: status %d body %s, want 400", par, status, body)
-			continue
-		}
-		var er errorResponse
-		if err := json.Unmarshal(body, &er); err != nil || er.Kind != "parse" {
-			t.Errorf("par=%d: error kind %q, want parse", par, er.Kind)
-		}
-	}
-}
-
-// TestResolvedParallelismInResponse: the response reports what actually
-// ran. A 0 (auto) request on a small document resolves to 1 even with
-// GOMAXPROCS raised — the oversubscription fix — and an explicit
-// request is honored.
+// TestResolvedParallelismInResponse: the planner, not the request,
+// picks the worker count, and the response reports what ran. On the
+// small cars document auto stays sequential even with GOMAXPROCS raised
+// (the oversubscription fix); on the multi-megabyte XMark document,
+// above the node threshold, it runs several workers and returns exactly
+// the answers of the sequential engine.
 func TestResolvedParallelismInResponse(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
-	_, ts := newTestServer(t, Config{})
-	for _, tc := range []struct{ par, want int }{
-		{0, 1}, // auto on a small doc stays sequential
-		{2, 2}, // explicit request is honored (within range)
-	} {
-		req := searchReq()
-		req.Parallelism = tc.par
+	s, ts := newTestServer(t, Config{})
+	search := func(req SearchRequest) SearchResponse {
+		t.Helper()
 		status, _, body := post(t, ts, "/search", req)
 		if status != http.StatusOK {
-			t.Fatalf("par=%d: status %d body %s", tc.par, status, body)
+			t.Fatalf("%s: status %d body %s", req.Doc, status, body)
 		}
-		var resp struct {
-			Parallelism int `json:"parallelism"`
-		}
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Parallelism != tc.want {
-			t.Errorf("par=%d: resolved parallelism %d, want %d", tc.par, resp.Parallelism, tc.want)
-		}
+		return decodeSearch(t, body)
+	}
+	if small := search(searchReq()); small.Parallelism != 1 || small.Workers != 1 {
+		t.Errorf("cars: parallelism %d, workers %d; want 1 and 1", small.Parallelism, small.Workers)
+	}
+
+	req := SearchRequest{Doc: "xmark", Query: `//person(*)[.//business[. ftcontains "Yes"]]`,
+		Profile: personProfile(4), K: 10, NoCache: true}
+	big := search(req)
+	if big.Parallelism != 4 || big.Workers < 2 {
+		t.Fatalf("xmark: parallelism %d, workers %d; want 4 and at least 2", big.Parallelism, big.Workers)
+	}
+	entry, _ := s.reg.Snapshot().Entry("xmark")
+	prof, err := profile.ParseProfile(req.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := engine.FromParts(entry.Document(), entry.Index()).Search(engine.Request{
+		Query: tpq.MustParse(req.Query), Profile: prof, K: req.K, Parallelism: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]SearchResult, 0, len(seq.Results))
+	for _, r := range seq.Results {
+		want = append(want, SearchResult{Doc: req.Doc, Node: uint32(r.Node), Path: r.Path, S: r.S, K: r.K, Snippet: r.Snippet})
+	}
+	got, _ := json.Marshal(big.Results)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(got, wantJSON) {
+		t.Errorf("%d-worker answers differ from the sequential engine's\n got %s\nwant %s", big.Workers, got, wantJSON)
 	}
 }
 

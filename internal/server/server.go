@@ -22,7 +22,7 @@
 //	                       analysis-cache and scheduler stats blocks
 //
 // See DESIGN.md §10 for the cache key anatomy, the cancellation
-// checkpoints and the single-flight semantics, and §15 for the
+// checkpoints and the single-flight semantics, and §14 for the
 // mutation protocol and generation-stamped invalidation, §11 for the
 // metrics schema.
 package server
@@ -83,10 +83,6 @@ type Config struct {
 	// SlowQueryLog overrides the slow-query sink (default: the standard
 	// logger). Tests inject a capture function here.
 	SlowQueryLog func(format string, args ...any)
-	// DefaultAccess is the candidate access path used when a request
-	// does not name one (zero value: plan.AccessAuto). Requests override
-	// it per search with the "access" field.
-	DefaultAccess plan.AccessPath
 	// PoolWorkers sizes the admission scheduler: at most this many
 	// searches execute concurrently, each sequential unless the document
 	// is large enough for plan.ResolveParallelism to grant workers. 0
@@ -107,18 +103,6 @@ type Config struct {
 	// since-cursor replay (default 256); clients whose cursor falls off
 	// the buffer are told to resync.
 	WatchBuffer int
-	// Shards is the number of consistent-hash partitions fan-out
-	// searches scatter over; below 2 the fan-out's unit of work is one
-	// document and nothing degrades. Sharded and unsharded fan-outs
-	// return byte-identical bodies when no shard degrades (pinned by
-	// TestFanoutShardedDifferential).
-	Shards int
-	// ShardDeadlineFrac is the fraction of a request's remaining
-	// deadline each shard is granted (0 means
-	// corpus.DefaultShardDeadlineFrac). A shard that exhausts its budget
-	// while the request is still alive is dropped and reported in the
-	// response's degraded fields instead of failing the whole fan-out.
-	ShardDeadlineFrac float64
 }
 
 // Server serves personalized XML search over a registry of documents.
@@ -140,9 +124,6 @@ type Server struct {
 	// vetted at registration through the shared analysis cache.
 	profiles *registry.Registry
 	mux      *http.ServeMux
-	// shardStart is corpus.ShardOptions.ShardStart for fan-out scatter:
-	// nil in production, injected by tests to simulate a slow shard.
-	shardStart func(shard int)
 	// pool is the admission scheduler every executing search passes.
 	pool *sched.Pool
 
@@ -321,13 +302,10 @@ type SearchRequest struct {
 	// and a rename can never alias them.
 	ProfileName string `json:"profile_name"`
 	K           int    `json:"k"`
-	// Strategy: "" (push) | naive | interleave | interleave-sort |
-	// push | push-deep.
-	Strategy    string `json:"strategy"`
-	Parallelism int    `json:"parallelism"`
-	// Access selects the candidate access path: "" or "auto"
-	// (corpus-size heuristic), "scan", or "twigjoin".
-	Access string `json:"access"`
+	// Strategy is the plan of Fig. 7: "" (push) | naive | interleave |
+	// interleave-sort | push. It is the one execution choice a request
+	// makes; the access path and the worker count are the planner's.
+	Strategy string `json:"strategy"`
 	// TimeoutMS bounds this request; it can only tighten the server's
 	// DefaultTimeout, never extend it.
 	TimeoutMS int `json:"timeout_ms"`
@@ -359,20 +337,12 @@ type SearchBody struct {
 	AppliedSRs []string       `json:"applied_srs,omitempty"`
 	PlanShape  string         `json:"plan,omitempty"`
 	Workers    int            `json:"workers,omitempty"`
-	// Parallelism is the resolved parallelism the execution was granted
-	// (plan.ResolveParallelism): what actually ran, not what the request
-	// asked for — mirroring the "access" field's resolved-value
-	// contract. Fan-out searches report 1 (per-document plans are
-	// sequential; the fan-out supplies the concurrency).
+	// Parallelism is the parallelism the planner granted the execution
+	// (plan.ResolveParallelism). Fan-out searches report 1 (per-document
+	// plans are sequential; the fan-out supplies the concurrency).
 	Parallelism  int `json:"parallelism,omitempty"`
 	TotalPruned  int `json:"total_pruned,omitempty"`
 	DocsSearched int `json:"docs_searched"`
-	// Degraded is true when a sharded fan-out dropped shards that blew
-	// their per-shard deadline budget; TimedOutShards lists them and
-	// Results covers only the survivors. Degraded payloads are never
-	// cached, so a retry gets a fresh chance at a complete answer.
-	Degraded       bool  `json:"degraded,omitempty"`
-	TimedOutShards []int `json:"timed_out_shards,omitempty"`
 	// ExecUS is the wall time of the execution that produced these
 	// results, in microseconds.
 	ExecUS int64 `json:"exec_us"`
@@ -462,16 +432,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		// A degraded fan-out travels as an error so it is never cached;
-		// unwrap and serve it with 200. No X-Cache header: the cache was
-		// neither hit nor filled (coalesced followers receive the same
-		// error and retry as fresh leaders).
-		var unc *uncacheableError
-		if errors.As(err, &unc) {
-			payload, outcome, err = unc.cs, Miss, nil
-		}
-	}
-	if err != nil {
 		s.writeSearchError(w, err)
 		return
 	}
@@ -502,25 +462,8 @@ func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) 
 	if (sreq.Query == "") == (sreq.Keywords == "") {
 		return req, nil, http.StatusBadRequest, errors.New("exactly one of query or keywords must be set")
 	}
-	// Fan-out searches do not take a per-document access path. Rejecting
-	// here — with the other 400s, before admission and single-flight —
-	// keeps malformed requests from occupying a pool slot or coalescing
-	// followers onto a guaranteed failure (regression:
-	// TestFanoutOptionsRejectedBeforeAdmission; the check used to live
-	// inside execute).
-	if fanout && sreq.Access != "" {
-		return req, nil, http.StatusBadRequest, errors.New("access is a single-document option")
-	}
 	if sreq.K > s.cfg.MaxK {
 		return req, nil, http.StatusBadRequest, fmt.Errorf("k %d exceeds the maximum of %d", sreq.K, s.cfg.MaxK)
-	}
-	// The contract matches what the plan layer will actually run:
-	// [0, plan.MaxParallelism], rejected — not silently clamped — above
-	// it. (The old ceiling of 1024 accepted values the plan quietly cut
-	// down to the candidate count; the response's "parallelism" field
-	// now reports the resolved value so clients can see what ran.)
-	if sreq.Parallelism < 0 || sreq.Parallelism > plan.MaxParallelism {
-		return req, nil, http.StatusBadRequest, fmt.Errorf("parallelism %d out of range [0,%d]", sreq.Parallelism, plan.MaxParallelism)
 	}
 	// requestContext honours only a positive timeout_ms, so a negative one
 	// would silently mean "server default"; reject it, as /watch does.
@@ -565,16 +508,10 @@ func (s *Server) buildEngineRequest(snap *corpus.Snapshot, sreq *SearchRequest) 
 	if req.K, err = req.Validate(); err != nil {
 		return req, nil, http.StatusBadRequest, err
 	}
-	req.Parallelism = sreq.Parallelism
-	req.Access = s.cfg.DefaultAccess
-	if sreq.Access != "" {
-		req.Access, err = plan.ParseAccessPath(sreq.Access)
-		if err != nil {
-			return req, nil, http.StatusBadRequest, err
-		}
-	}
-	// The serving layer always pays for operator timing: /metrics and
-	// the slow-query log attribute time inside the plan with it.
+	// req.Access and req.Parallelism stay zero: the planner picks the
+	// access path and the worker count. The serving layer always pays
+	// for operator timing: /metrics and the slow-query log attribute time
+	// inside the plan with it.
 	req.Timing = true
 	// Extra plan goroutines come from the scheduler's shared budget.
 	req.Budget = s.pool.Budget()
@@ -632,19 +569,10 @@ func (s *Server) execute(ctx context.Context, snap *corpus.Snapshot, entry *corp
 	slow := slowQuery{Doc: sreq.Doc, Query: querySource(sreq)}
 	var elapsed time.Duration
 	if entry == nil {
-		// One fan-out call whatever the shard count: below two shards its
-		// unit of work is a document and nothing can degrade.
-		resp, err := snap.SearchSharded(ctx, req.Query, req.Profile, req.K, req.Strategy,
-			corpus.ShardOptions{
-				Shards:       s.cfg.Shards,
-				DeadlineFrac: s.cfg.ShardDeadlineFrac,
-				ShardStart:   s.shardStart,
-			})
+		resp, err := snap.SearchContext(ctx, req.Query, req.Profile, req.K, req.Strategy)
 		if err != nil {
 			return nil, err
 		}
-		s.recordFanout(resp)
-		body.Degraded, body.TimedOutShards = resp.Degraded, resp.TimedOutShards
 		body.AppliedSRs, body.Parallelism, body.DocsSearched = resp.AppliedSRs, 1, resp.DocsSearched
 		body.Results = make([]SearchResult, 0, len(resp.Results))
 		for _, res := range resp.Results {
@@ -682,26 +610,7 @@ func (s *Server) execute(ctx context.Context, snap *corpus.Snapshot, entry *corp
 	if err != nil {
 		return nil, err
 	}
-	cs := &cachedSearch{body: b, storedAt: time.Now()}
-	if body.Degraded {
-		// A partial answer must not be memoized: carrying it out of the
-		// single-flight fill as an error keeps the cache empty (fill
-		// errors are never stored) while the handler unwraps the payload
-		// and serves it with 200.
-		return nil, &uncacheableError{cs: cs}
-	}
-	return cs, nil
-}
-
-// recordFanout folds one fan-out's shard outcomes into the
-// pimento_fanout_* series (an unsharded fan-out runs no shards and adds
-// nothing).
-func (s *Server) recordFanout(sresp *corpus.ShardedResponse) {
-	s.metrics.fanoutShards["ok"].Add(int64(sresp.ShardsRun - len(sresp.TimedOutShards)))
-	if sresp.Degraded {
-		s.metrics.fanoutShards["timeout"].Add(int64(len(sresp.TimedOutShards)))
-		s.metrics.fanoutDegraded.Inc()
-	}
+	return &cachedSearch{body: b, storedAt: time.Now()}, nil
 }
 
 // querySource returns whichever query form the request carried, for
@@ -900,18 +809,6 @@ type RegistryStats struct {
 	Rejected int64 `json:"rejected"`
 }
 
-// FanoutStats is the /statsz sharded-fan-out counter block.
-type FanoutStats struct {
-	// Shards is the configured partition count (1 = unsharded fan-out).
-	Shards int `json:"shards"`
-	// ShardsOK counts shards that completed within their deadline
-	// budget; ShardsTimedOut counts shards dropped for blowing it.
-	ShardsOK       int64 `json:"shards_ok"`
-	ShardsTimedOut int64 `json:"shards_timed_out"`
-	// Degraded counts fan-out responses served partial.
-	Degraded int64 `json:"degraded"`
-}
-
 // MutationStats is the /statsz mutation counter block.
 type MutationStats struct {
 	// Puts and Deletes count applied mutations; Rejected counts refused
@@ -939,9 +836,6 @@ type Statsz struct {
 	Mutation MutationStats `json:"mutations"`
 	// Registry is the named-profile store's counter block.
 	Registry RegistryStats `json:"registry"`
-	// Fanout reports the sharded scatter-gather counters; Shards is the
-	// configured partition count (1 = unsharded).
-	Fanout FanoutStats `json:"fanout"`
 	// WatchSubscribers is the number of /watch long polls parked now.
 	WatchSubscribers int64      `json:"watch_subscribers"`
 	Cache            CacheStats `json:"cache"`
@@ -956,7 +850,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Snapshot returns the /statsz payload: a JSON view of the metrics
-// registry's request, error, mutation, registry and fan-out series plus
+// registry's request, error, mutation and registry series plus
 // the stats blocks their owners keep (corpus, caches, scheduler). There
 // is no second set of counters behind it, so /statsz and /metrics
 // cannot disagree.
@@ -991,12 +885,6 @@ func (s *Server) Snapshot() Statsz {
 			Puts:     registryReq("put", "created") + registryReq("put", "replaced"),
 			Deletes:  registryReq("delete", "applied"),
 			Rejected: registryReq("put", "rejected"),
-		},
-		Fanout: FanoutStats{
-			Shards:         resolveShards(s.cfg.Shards),
-			ShardsOK:       m.fanoutShards["ok"].Value(),
-			ShardsTimedOut: m.fanoutShards["timeout"].Value(),
-			Degraded:       m.fanoutDegraded.Value(),
 		},
 		WatchSubscribers: m.watchSubscribers.Value(),
 		Cache:            s.cache.Stats(),
@@ -1060,13 +948,6 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context
 	return context.WithCancel(ctx)
 }
 
-// uncacheableError smuggles a successful-but-degraded payload out of
-// the single-flight fill: fill errors are never cached, and the
-// handler unwraps the payload and serves it with 200.
-type uncacheableError struct{ cs *cachedSearch }
-
-func (e *uncacheableError) Error() string { return "degraded fan-out result (not cacheable)" }
-
 // classifySearchError maps an execution error onto its HTTP status and
 // error kind: deadline → 504, client cancel → 499 (nginx's
 // convention), a profile the Section 5 gate rejects → 400 "vet" (what
@@ -1126,15 +1007,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
-}
-
-// resolveShards normalizes the configured shard count: anything below
-// 2 is the unsharded fan-out.
-func resolveShards(n int) int {
-	if n < 2 {
-		return 1
-	}
-	return n
 }
 
 // keywordQuery builds the content-only query form (any element whose

@@ -360,7 +360,6 @@ func TestSearchOptionChangesMiss(t *testing.T) {
 		"k":        func(r SearchRequest) SearchRequest { r.K = 4; return r },
 		"strategy": func(r SearchRequest) SearchRequest { r.Strategy = "naive"; return r },
 		"profile":  func(r SearchRequest) SearchRequest { r.Profile = ""; return r },
-		"par":      func(r SearchRequest) SearchRequest { r.Parallelism = 2; return r },
 	} {
 		status, hdr, body := post(t, ts, "/search", mut(base))
 		if status != 200 {
@@ -400,9 +399,13 @@ func TestSearchErrors(t *testing.T) {
 		{"huge k", SearchRequest{Doc: "cars", Query: "//car", K: 101}, 400, "parse"},
 		{"negative timeout_ms", SearchRequest{Doc: "cars", Query: "//car", TimeoutMS: -5}, 400, "parse"},
 		{"bad strategy", SearchRequest{Doc: "cars", Query: "//car", Strategy: "quantum"}, 400, "parse"},
+		{"retired push-deep strategy", SearchRequest{Doc: "cars", Query: "//car", Strategy: "push-deep"}, 400, "parse"},
 		{"unknown doc", SearchRequest{Doc: "nope", Query: "//car"}, 404, "not_found"},
-		{"fanout access", SearchRequest{Doc: "*", Query: "//car", Access: "twigjoin"}, 400, "parse"},
-		// The retired legacy toggles are plain unknown fields now.
+		// The retired selectors are plain unknown fields now: the planner
+		// picks the access path and the worker count.
+		{"fanout access", `{"doc":"*","query":"//car","access":"twigjoin"}`, 400, "parse"},
+		{"retired access field", `{"doc":"cars","query":"//car","access":"scan"}`, 400, "parse"},
+		{"retired parallelism field", `{"doc":"cars","query":"//car","parallelism":2}`, 400, "parse"},
 		{"retired twig field", `{"doc":"cars","query":"//car","twig":true}`, 400, "parse"},
 		{"retired literal field", `{"doc":"cars","query":"//car","literal":true}`, 400, "parse"},
 		{"ambiguous profile", SearchRequest{Doc: "cars", Query: "//car", Profile: ambiguousProfile}, 400, "vet"},

@@ -38,7 +38,7 @@ func TestServerStress(t *testing.T) {
 		{Doc: "cars", Keywords: "good condition", K: 5},
 		{Doc: "xmark", Query: `//person(*)[.//business[. ftcontains "Yes"]]`, Profile: personProfile(1), K: 10},
 		{Doc: "xmark", Query: `//person(*)[.//business[. ftcontains "Yes"]]`, Profile: personProfile(2), K: 10},
-		{Doc: "xmark", Query: `//person(*)[.//business[. ftcontains "Yes"]]`, Profile: personProfile(4), K: 5, Parallelism: 2},
+		{Doc: "xmark", Query: `//person(*)[.//business[. ftcontains "Yes"]]`, Profile: personProfile(4), K: 5},
 		{Doc: "xmark", Query: `//person(*)[.//business[. ftcontains "Yes"]]`, Profile: personProfile(4), K: 5, Strategy: "interleave-sort"},
 		{Doc: "*", Keywords: "good condition", K: 4},
 	}
@@ -163,7 +163,7 @@ func TestMetricsScrapeStress(t *testing.T) {
 	variants := []SearchRequest{
 		{Doc: "cars", Query: carsQuery, Profile: carsProfile, K: 3},
 		{Doc: "cars", Keywords: "good condition", K: 5},
-		{Doc: "xmark", Query: `//person(*)[.//business[. ftcontains "Yes"]]`, Profile: personProfile(2), K: 5, Parallelism: 2},
+		{Doc: "xmark", Query: `//person(*)[.//business[. ftcontains "Yes"]]`, Profile: personProfile(2), K: 5},
 		{Doc: "*", Keywords: "good condition", K: 4},
 	}
 

@@ -73,7 +73,6 @@ const (
 	InterleaveNoSort = plan.InterleaveNoSort
 	InterleaveSort   = plan.InterleaveSort
 	Push             = plan.Push
-	PushDeep         = plan.PushDeep
 )
 
 // KeywordQuery builds a content-only query (INEX's "CO" topic kind —
@@ -123,8 +122,6 @@ type options struct {
 	pipeline  text.Pipeline
 	k         int
 	strategy  Strategy
-	access    AccessPath
-	par       int
 	thesaurus *text.Thesaurus
 	thWeight  float64
 	scorer    index.Scorer
@@ -149,35 +146,10 @@ func WithStopwords() Option {
 // WithK sets the result size (default 10).
 func WithK(k int) Option { return func(o *options) { o.k = k } }
 
-// WithStrategy selects the physical plan (default Push).
+// WithStrategy selects the physical plan (default Push). It is the one
+// execution choice a caller makes: the planner picks the candidate
+// access path and the worker count (DESIGN.md §9).
 func WithStrategy(s Strategy) Option { return func(o *options) { o.strategy = s } }
-
-// AccessPath selects how a plan produces distinguished-node candidates:
-// AccessAuto (tag-statistics cost estimate, the default), AccessScan
-// (stream the tag's index list, match per candidate), or AccessTwigJoin
-// (holistic structural join with dataguide pruning).
-type AccessPath = plan.AccessPath
-
-// Access-path values for WithAccessPath.
-const (
-	AccessAuto     = plan.AccessAuto
-	AccessScan     = plan.AccessScan
-	AccessTwigJoin = plan.AccessTwigJoin
-)
-
-// WithAccessPath selects the candidate access path explicitly; the
-// default AccessAuto picks twigjoin for structural queries whose tag
-// lists are cheap to stream relative to the scan's candidate count,
-// and scan otherwise.
-func WithAccessPath(a AccessPath) Option { return func(o *options) { o.access = a } }
-
-// WithParallelism sets how many workers execute the physical plan: 0
-// (the default) runs small documents sequentially and large ones on
-// GOMAXPROCS workers, scaled down when the document yields few
-// candidates; 1 forces the sequential reference path; n >= 2 forces n
-// workers. The ranked answers are identical at every setting — only
-// wall-clock time changes.
-func WithParallelism(n int) Option { return func(o *options) { o.par = n } }
 
 // Thesaurus maps phrases to synonyms for query expansion; build one with
 // NewThesaurus / ParseThesaurus.
@@ -307,8 +279,6 @@ func (e *Engine) SearchContext(ctx context.Context, q *Query, prof *Profile, opt
 		Profile:         prof,
 		K:               o.k,
 		Strategy:        o.strategy,
-		Access:          o.access,
-		Parallelism:     o.par,
 		Thesaurus:       o.thesaurus,
 		ThesaurusWeight: o.thWeight,
 	}

@@ -65,7 +65,7 @@ func TestPublicAPIStrategies(t *testing.T) {
 	q := MustParseQuery(`//car[. ftcontains "good condition"]`)
 	prof := MustParseProfile(workload.Plan1ProfileSrc)
 	var first []Result
-	for _, s := range []Strategy{Naive, InterleaveNoSort, InterleaveSort, Push, PushDeep} {
+	for _, s := range []Strategy{Naive, InterleaveNoSort, InterleaveSort, Push} {
 		resp, err := eng.Search(q, prof, WithStrategy(s), WithK(3))
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
@@ -209,13 +209,14 @@ func TestPublicAPIMiscOptions(t *testing.T) {
 		t.Errorf("stopword matched: %+v", resp.Results)
 	}
 
-	// Twig access through the public API.
-	resp, err = eng.Search(MustParseQuery(`//car[./price]`), nil, WithAccessPath(AccessTwigJoin), WithK(5))
+	// The planner, not the caller, picks the twig join for a structural
+	// query whose tag lists are short.
+	resp, err = eng.Search(MustParseQuery(`//car[./price]`), nil, WithK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results) != 3 {
-		t.Errorf("twig access results = %d", len(resp.Results))
+	if len(resp.Results) != 3 || resp.Access.String() != "twigjoin" {
+		t.Errorf("structural query: %d results on %v, want 3 on twigjoin", len(resp.Results), resp.Access)
 	}
 
 	th, err := ParseThesaurus(`good condition = excellent shape`)

@@ -14,7 +14,7 @@ func TestAnnotationHygiene(t *testing.T) {
 }
 
 // TestSuiteShape pins the analyzer roster: adding an analyzer must be
-// a conscious act (update this list, DESIGN.md §17 and the README).
+// a conscious act (update this list, DESIGN.md §16 and the README).
 func TestSuiteShape(t *testing.T) {
 	want := []string{
 		"ctxbg", "snapshotonce", "cancelprobe", "metriclabels",

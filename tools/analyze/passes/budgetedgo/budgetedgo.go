@@ -1,7 +1,7 @@
 // Package budgetedgo forbids unbudgeted goroutine spawns in the
 // serving packages.
 //
-// Invariant (DESIGN.md §13): the serving scheduler owns parallelism.
+// Invariant (DESIGN.md §9): the serving scheduler owns parallelism.
 // PR 8 removed the per-request worker explosion by making every
 // fan-out draw workers from a sched.Budget token semaphore; a bare
 // `go func` on a request path reintroduces oversubscription that the

@@ -1,7 +1,7 @@
 // Package snapshotonce enforces the single-snapshot-read rule on the
 // serving substrate.
 //
-// Invariant (DESIGN.md §15): a request resolves every corpus read —
+// Invariant (DESIGN.md §14): a request resolves every corpus read —
 // existence checks, cache-key fingerprints, execution — against ONE
 // atomic snapshot, loaded exactly once. PR 7 fixed a generation-mixing
 // race where a handler read the registry and a per-name engine map
