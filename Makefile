@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race cover loc fuzz-smoke bench-test serving-smoke profile vet-profiles analyze analyze-build analyze-test analyze-baseline analyze-fix-list
+.PHONY: ci fmt-check vet build test race cover loc fuzz-smoke bench-test serving-smoke profile analyze analyze-test
 
-ci: fmt-check vet build test race cover analyze analyze-test vet-profiles bench-test serving-smoke
+ci: fmt-check vet build test race cover analyze analyze-test bench-test serving-smoke
 
 fmt-check:
 	@files="$$(gofmt -l .)"; \
@@ -24,30 +24,24 @@ ANALYZE := tools/analyze/bin/pimento-analyze
 $(ANALYZE): $(shell find tools/analyze -name '*.go' -not -path '*/testdata/*') tools/analyze/go.mod
 	cd tools/analyze && $(GO) build -o bin/pimento-analyze ./cmd/pimento-analyze
 
-analyze-build: $(ANALYZE)
-
 # vet runs the standard analyzers over the main module and the analyzer
 # module; the pimento suite is `analyze`, run once per `make ci`.
 vet:
 	$(GO) vet ./...
 	cd tools/analyze && $(GO) vet ./...
 
-# The zero-finding gate: `go vet -vettool` relays pimento-analyze
-# findings as vet failures, so any unsuppressed violation fails ci.
+# The zero-finding gate and the fix-list in one: `go vet -vettool`
+# relays every pimento-analyze finding, across all packages, as a vet
+# failure, so any unsuppressed violation fails ci. The suppressions in
+# effect are `git grep -n '//pimento:allow'`.
 analyze: $(ANALYZE)
 	$(GO) vet -vettool=$(abspath $(ANALYZE)) ./...
 
 # The analyzer suite's own tests: analysistest fixtures per analyzer
-# plus the end-to-end vettool-protocol test over testdata/badmod.
+# plus the end-to-end vettool-protocol test over testdata/badmod and
+# the repository itself.
 analyze-test:
 	cd tools/analyze && $(GO) test ./...
-
-# Audit mode: every finding as a markdown checklist, suppressions with
-# their reasons, exit 0 regardless — the fix-list generator.
-analyze-baseline: $(ANALYZE)
-	$(ANALYZE) -baseline ./...
-
-analyze-fix-list: analyze-baseline
 
 build:
 	$(GO) build ./...
@@ -98,12 +92,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzVetProfile -fuzztime $(FUZZTIME) -run '^$$' ./internal/analysis/
 	$(GO) test -fuzz FuzzTwigJoin -fuzztime $(FUZZTIME) -run '^$$' ./internal/twig/
 	$(GO) test -fuzz FuzzBuildMatchesOracle -fuzztime $(FUZZTIME) -run '^$$' ./internal/index/
-
-# Vets every example profile: *.bad.profile files must be rejected,
-# everything else must come back clean. Guards the shipped examples and
-# the vet CLI's exit-status contract in one pass.
-vet-profiles:
-	scripts/vet_profiles.sh
 
 # The benchmark (bench/, its own module, not part of `go test ./...`)
 # compiles against internal packages: a change that breaks its compile

@@ -22,8 +22,7 @@ import (
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "vet" {
-		runVet(os.Args[2:])
-		return
+		os.Exit(runVet(os.Args[2:]))
 	}
 	docPath := flag.String("doc", "", "XML document to search (required)")
 	querySrc := flag.String("query", "", "query, e.g. //car[price < 2000]")

@@ -12,6 +12,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -20,29 +21,27 @@ import (
 	"repro/internal/analysis"
 )
 
-// vetPayload mirrors the POST /lint response shape.
-type vetPayload struct {
-	Clean       bool                  `json:"clean"`
-	Errors      int                   `json:"errors"`
-	Diagnostics []analysis.Diagnostic `json:"diagnostics"`
-	Counts      map[string]int        `json:"counts,omitempty"`
-}
-
-func runVet(args []string) {
-	fs := flag.NewFlagSet("pimento vet", flag.ExitOnError)
+// runVet vets one profile and returns the process exit status.
+func runVet(args []string) int {
+	fs := flag.NewFlagSet("pimento vet", flag.ContinueOnError)
 	profPath := fs.String("profile", "", "profile file to vet (required)")
 	querySrc := fs.String("query", "", "optional query enabling the query-scoped checks (conflict cycles, unsatisfiable rewrites, inert ordering rules)")
 	jsonOut := fs.Bool("json", false, "emit the diagnostics as JSON (the POST /lint shape)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *profPath == "" {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
 	src, err := os.ReadFile(*profPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pimento vet: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	var ds []analysis.Diagnostic
@@ -51,14 +50,14 @@ func runVet(args []string) {
 		// A duplicate rule identifier is a finding, not a usage mistake.
 		if ds = analysis.ParseDiagnostics(perr); ds == nil {
 			fmt.Fprintf(os.Stderr, "pimento vet: %v\n", perr)
-			os.Exit(2)
+			return 2
 		}
 	} else {
 		var q *pimento.Query
 		if *querySrc != "" {
 			if q, err = pimento.ParseQuery(*querySrc); err != nil {
 				fmt.Fprintf(os.Stderr, "pimento vet: query: %v\n", err)
-				os.Exit(2)
+				return 2
 			}
 		}
 		ds = pimento.Vet(prof, q)
@@ -66,19 +65,9 @@ func runVet(args []string) {
 
 	nErr := analysis.ErrorCount(ds)
 	if *jsonOut {
-		payload := vetPayload{Clean: nErr == 0, Errors: nErr, Diagnostics: ds}
-		if ds == nil {
-			payload.Diagnostics = []analysis.Diagnostic{}
-		}
-		if len(ds) > 0 {
-			payload.Counts = make(map[string]int)
-			for _, d := range ds {
-				payload.Counts[d.ID]++
-			}
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		enc.Encode(&payload)
+		enc.Encode(analysis.NewReport(ds))
 	} else {
 		for _, d := range ds {
 			fmt.Println(d.String())
@@ -102,6 +91,7 @@ func runVet(args []string) {
 		}
 	}
 	if nErr > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

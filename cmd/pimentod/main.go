@@ -38,7 +38,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -83,7 +82,7 @@ func main() {
 		// clients populate it with PUT /docs/{name}.
 		log.Printf("starting with an empty corpus (populate with PUT /docs/{name})")
 	}
-	maxDoc, err := parseSize(*maxDocBytes)
+	maxDoc, err := xmark.ParseSize(*maxDocBytes)
 	if err != nil || maxDoc <= 0 {
 		fmt.Fprintf(os.Stderr, "pimentod: bad -max-doc-bytes %q (want e.g. 512K, 64M)\n", *maxDocBytes)
 		os.Exit(2)
@@ -99,6 +98,22 @@ func main() {
 	if *watchBuffer < 1 {
 		fmt.Fprintf(os.Stderr, "pimentod: bad -watch-buffer %d (want at least 1 mutation)\n", *watchBuffer)
 		os.Exit(2)
+	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{{"timeout", *timeout}, {"slow-query", *slowQuery}, {"pool-max-wait", *poolMaxWait}} {
+		if d.v < 0 {
+			fmt.Fprintf(os.Stderr, "pimentod: bad -%s %s (want a positive duration, or 0 to disable)\n", d.name, d.v)
+			os.Exit(2)
+		}
+	}
+	xmarkBytes := 0
+	if *xmarkSize != "" {
+		if xmarkBytes, err = xmark.ParseSize(*xmarkSize); err != nil || xmarkBytes <= 0 {
+			fmt.Fprintf(os.Stderr, "pimentod: bad -xmark size %q (want e.g. 512K, 4M)\n", *xmarkSize)
+			os.Exit(2)
+		}
 	}
 
 	srv := server.New(server.Config{
@@ -132,13 +147,8 @@ func main() {
 		srv.Add(name, doc)
 		log.Printf("indexed %s (%d nodes) as %q", path, doc.Len(), name)
 	}
-	if *xmarkSize != "" {
-		n, err := parseSize(*xmarkSize)
-		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "pimentod: bad -xmark size %q (want e.g. 512K, 4M)\n", *xmarkSize)
-			os.Exit(2)
-		}
-		doc := xmark.GenerateSized(xmark.Config{Seed: 42}, n)
+	if xmarkBytes > 0 {
+		doc := xmark.GenerateSized(xmark.Config{Seed: 42}, xmarkBytes)
 		srv.Add("xmark", doc)
 		log.Printf("generated xmark document (%d nodes) as %q", doc.Len(), "xmark")
 	}
@@ -192,22 +202,4 @@ func main() {
 	}
 	<-idle
 	log.Printf("bye")
-}
-
-// parseSize parses a human-friendly byte size: a plain integer, or a
-// number with a K or M suffix (1024-based), e.g. "512K", "5.7M".
-func parseSize(s string) (int, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := 1
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1024, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1024*1024, s[:len(s)-1]
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return int(f * float64(mult)), nil
 }

@@ -10,8 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/xmark"
 )
@@ -43,7 +41,7 @@ func main() {
 		d := xmark.Generate(cfg, *persons)
 		fail(d.WriteXML(bw, " "))
 	case *sizeStr != "":
-		bytes, err := parseSize(*sizeStr)
+		bytes, err := xmark.ParseSize(*sizeStr)
 		if err != nil {
 			fail(err)
 		}
@@ -54,22 +52,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func parseSize(s string) (int, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := 1
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1024, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1024*1024, s[:len(s)-1]
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return int(f * float64(mult)), nil
 }
 
 func fail(err error) {

@@ -270,6 +270,38 @@ func ErrorCount(ds []Diagnostic) int {
 	return n
 }
 
+// Report is the vet verdict for a (profile[, query]) pair, the payload
+// of POST /lint and `pimento vet -json`. It is byte-stable for
+// identical inputs: diagnostics are sorted canonically, witnesses carry
+// canonical cycle rotations, and the per-check counts marshal with
+// sorted keys.
+type Report struct {
+	// Clean is true when no error-severity diagnostic was found; such a
+	// profile is accepted by Search (Section 5's gates pass).
+	Clean bool `json:"clean"`
+	// Errors is the number of error-severity diagnostics.
+	Errors int `json:"errors"`
+	// Diagnostics is the sorted findings list, [] when there are none.
+	Diagnostics []Diagnostic `json:"diagnostics"`
+	// Counts maps check ID -> occurrences in this report.
+	Counts map[string]int `json:"counts,omitempty"`
+}
+
+// NewReport builds the Report for a sorted diagnostics list.
+func NewReport(ds []Diagnostic) *Report {
+	r := &Report{Errors: ErrorCount(ds), Diagnostics: ds}
+	r.Clean = r.Errors == 0
+	if len(ds) == 0 {
+		r.Diagnostics = []Diagnostic{}
+		return r
+	}
+	r.Counts = make(map[string]int)
+	for _, d := range ds {
+		r.Counts[d.ID]++
+	}
+	return r
+}
+
 // canonicalRotation rotates a cycle to its lexicographically smallest
 // rotation, making witnesses byte-stable regardless of where DFS
 // happened to enter the cycle. stride groups elements that rotate

@@ -34,6 +34,12 @@ func TestLintCleanProfile(t *testing.T) {
 	if !lr.Clean || lr.Errors != 0 {
 		t.Fatalf("carsProfile should be clean: %s", body)
 	}
+	// A profile with no findings at all says so with an empty list, not
+	// null: the bytes `pimento vet -json` prints for it, minus the indent.
+	_, _, body = post(t, ts, "/lint", LintRequest{Profile: carsProfile})
+	if want := `{"clean":true,"errors":0,"diagnostics":[]}` + "\n"; string(body) != want {
+		t.Fatalf("clean lint body = %q, want %q", body, want)
+	}
 }
 
 func TestLintAmbiguousProfile(t *testing.T) {

@@ -69,8 +69,8 @@ type Config struct {
 	// CacheSize is the result cache capacity in entries (default 512).
 	CacheSize int
 	// DefaultTimeout bounds every request that does not carry its own
-	// timeout_ms; 0 means no server-side deadline (client disconnects
-	// still cancel).
+	// timeout_ms; 0 (or negative) means no server-side deadline (client
+	// disconnects and the request's own timeout_ms still apply).
 	DefaultTimeout time.Duration
 	// MaxK caps the per-request result size (default 10000) so a
 	// hostile K cannot force giant allocations.
@@ -630,36 +630,9 @@ type LintRequest struct {
 	Query   string `json:"query"`
 }
 
-// LintResponse reports the vet diagnostics for a (profile[, query])
-// pair. The payload is byte-stable for identical inputs: diagnostics
-// are sorted canonically, witnesses carry canonical cycle rotations,
-// and the per-check counts marshal with sorted keys.
-type LintResponse struct {
-	// Clean is true when no error-severity diagnostic was found; such a
-	// profile is accepted by /search (Section 5's gates pass).
-	Clean bool `json:"clean"`
-	// Errors is the number of error-severity diagnostics.
-	Errors int `json:"errors"`
-	// Diagnostics is the sorted findings list.
-	Diagnostics []analysis.Diagnostic `json:"diagnostics"`
-	// Counts maps check ID -> occurrences in this response.
-	Counts map[string]int `json:"counts,omitempty"`
-}
-
-func lintResponse(ds []analysis.Diagnostic) *LintResponse {
-	resp := &LintResponse{
-		Errors:      analysis.ErrorCount(ds),
-		Diagnostics: ds,
-	}
-	resp.Clean = resp.Errors == 0
-	if len(ds) > 0 {
-		resp.Counts = make(map[string]int)
-		for _, d := range ds {
-			resp.Counts[d.ID]++
-		}
-	}
-	return resp
-}
+// LintResponse is the /lint payload: the vet verdict for a
+// (profile[, query]) pair, the shape `pimento vet -json` prints.
+type LintResponse = analysis.Report
 
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	var lreq LintRequest
@@ -676,7 +649,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		// request; anything else is a plain parse failure.
 		if ds := analysis.ParseDiagnostics(err); ds != nil {
 			s.analysis.RecordDiagnostics(ds)
-			s.writeJSON(w, http.StatusOK, lintResponse(ds))
+			s.writeJSON(w, http.StatusOK, analysis.NewReport(ds))
 			return
 		}
 		s.writeError(w, http.StatusBadRequest, "parse", err)
@@ -694,7 +667,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		s.writeSearchError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, lintResponse(ds))
+	s.writeJSON(w, http.StatusOK, analysis.NewReport(ds))
 }
 
 // vetDiagnostics assembles the full diagnostics list for (prof[, q])
@@ -932,13 +905,14 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) 
 
 // requestContext derives the execution context: the client's context
 // (cancelled on disconnect) bounded by the tighter of the server
-// default timeout and the request's timeout_ms.
+// default timeout and the request's timeout_ms. A non-positive default
+// means no server default, so the request's own bound still applies.
 func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
 	ctx := r.Context()
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		rd := time.Duration(timeoutMS) * time.Millisecond
-		if d == 0 || rd < d {
+		if d <= 0 || rd < d {
 			d = rd
 		}
 	}

@@ -439,6 +439,37 @@ func TestSearchErrors(t *testing.T) {
 	}
 }
 
+// TestRequestContextDeadline: the request's timeout_ms bounds execution
+// whatever the server default is; a negative default once dropped it.
+func TestRequestContextDeadline(t *testing.T) {
+	r := httptest.NewRequest(http.MethodPost, "/search", nil)
+	for _, tc := range []struct {
+		def       time.Duration
+		timeoutMS int
+		want      time.Duration // 0: no deadline
+	}{
+		{0, 50, 50 * time.Millisecond},
+		{-time.Second, 50, 50 * time.Millisecond},
+		{30 * time.Second, 50, 50 * time.Millisecond},
+		{30 * time.Second, 0, 30 * time.Second},
+		{-time.Second, 0, 0},
+		{0, 0, 0},
+	} {
+		s := &Server{cfg: Config{DefaultTimeout: tc.def}}
+		start := time.Now()
+		ctx, cancel := s.requestContext(r, tc.timeoutMS)
+		dl, ok := ctx.Deadline()
+		cancel()
+		if ok != (tc.want > 0) {
+			t.Errorf("default %v, timeout_ms %d: deadline set = %v, want %v", tc.def, tc.timeoutMS, ok, tc.want > 0)
+			continue
+		}
+		if got := dl.Sub(start); ok && (got < tc.want || got > tc.want+time.Second) {
+			t.Errorf("default %v, timeout_ms %d: deadline in %v, want %v", tc.def, tc.timeoutMS, got, tc.want)
+		}
+	}
+}
+
 // TestSearchDeadline is the acceptance check: a 1ms deadline against
 // the XMark document returns a prompt, clean timeout — not a truncated
 // top k and not a full scan.

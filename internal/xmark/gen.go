@@ -13,6 +13,8 @@ package xmark
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/xmldoc"
 )
@@ -41,6 +43,24 @@ func SizeLabel(bytes int) string {
 	default:
 		return fmt.Sprintf("%dK", bytes/1024)
 	}
+}
+
+// ParseSize parses a human-friendly byte size: a plain number, or one
+// with a K or M suffix (1024-based, either case), e.g. "512K", "5.7M".
+func ParseSize(s string) (int, error) {
+	num := strings.ToUpper(strings.TrimSpace(s))
+	mult := 1
+	switch {
+	case strings.HasSuffix(num, "K"):
+		mult, num = 1024, num[:len(num)-1]
+	case strings.HasSuffix(num, "M"):
+		mult, num = 1024*1024, num[:len(num)-1]
+	}
+	f, err := strconv.ParseFloat(num, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	return int(f * float64(mult)), nil
 }
 
 var (

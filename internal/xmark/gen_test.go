@@ -166,6 +166,31 @@ func TestSizeLabel(t *testing.T) {
 	}
 }
 
+func TestParseSize(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int
+		ok   bool
+	}{
+		{"4096", 4096, true},
+		{"512K", 512 * 1024, true},
+		{"4M", 4 * 1024 * 1024, true},
+		{"1.5M", 1536 * 1024, true},
+		{" 64m ", 64 * 1024 * 1024, true},
+		{"512k", 512 * 1024, true},
+		{"", 0, false},
+		{"lots", 0, false},
+		{"12KB", 0, false},
+		{"K", 0, false},
+		{"m", 0, false},
+	} {
+		got, err := ParseSize(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestPaperSizesOrdered(t *testing.T) {
 	for i := 1; i < len(PaperSizes); i++ {
 		if PaperSizes[i] <= PaperSizes[i-1] {

@@ -6,11 +6,10 @@
 //
 // placed either trailing on the flagged line or on the comment line(s)
 // immediately above it. The reason is mandatory — an annotation is a
-// reviewed, justified exception, and the checker prints every reason in
-// its summary so exceptions stay visible instead of rotting silently.
-// Malformed annotations (missing reason, unknown analyzer name) and
-// annotations that suppress nothing are themselves findings: a stale
-// suppression is a lie about the code.
+// reviewed, justified exception, and `git grep -n '//pimento:allow'`
+// lists every one with its reason. Malformed annotations (missing
+// reason, unknown analyzer name) and annotations that suppress nothing
+// are themselves findings: a stale suppression is a lie about the code.
 package allow
 
 import (
@@ -29,7 +28,6 @@ type Entry struct {
 	File     string // full filename as recorded in the fset
 	Line     int    // line the annotation comment sits on
 	Analyzer string
-	Reason   string
 	Used     bool // set when the entry suppresses at least one finding
 }
 
@@ -81,12 +79,7 @@ func Collect(fset *token.FileSet, files []*ast.File, known map[string]bool) (*Se
 						fmt.Sprintf("%s %s: a justification reason is required", Marker, name)})
 					continue
 				}
-				e := &Entry{
-					File:     pos.Filename,
-					Line:     pos.Line,
-					Analyzer: name,
-					Reason:   strings.Join(fields[1:], " "),
-				}
+				e := &Entry{File: pos.Filename, Line: pos.Line, Analyzer: name}
 				byLine := s.entries[e.File]
 				if byLine == nil {
 					byLine = make(map[int][]*Entry)
@@ -103,10 +96,10 @@ func Collect(fset *token.FileSet, files []*ast.File, known map[string]bool) (*Se
 // analyzer at file:line, marking the entry used. Coverage is the
 // annotation's own line (trailing comment) or a run of annotation
 // lines directly above the flagged line (stacked standalone comments).
-func (s *Set) Suppresses(file string, line int, analyzer string) (*Entry, bool) {
+func (s *Set) Suppresses(file string, line int, analyzer string) bool {
 	byLine := s.entries[file]
 	if byLine == nil {
-		return nil, false
+		return false
 	}
 	// The flagged line itself, then walk up through contiguous
 	// annotation-bearing lines so several analyzers can be excepted at
@@ -115,11 +108,11 @@ func (s *Set) Suppresses(file string, line int, analyzer string) (*Entry, bool) 
 		for _, e := range byLine[l] {
 			if e.Analyzer == analyzer {
 				e.Used = true
-				return e, true
+				return true
 			}
 		}
 	}
-	return nil, false
+	return false
 }
 
 // Unused returns annotations that suppressed nothing, sorted by
@@ -133,24 +126,6 @@ func (s *Set) Unused() []*Entry {
 					out = append(out, e)
 				}
 			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out
-}
-
-// All returns every annotation, sorted by position, for the summary
-// listing.
-func (s *Set) All() []*Entry {
-	var out []*Entry
-	for _, byLine := range s.entries {
-		for _, es := range byLine {
-			out = append(out, es...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

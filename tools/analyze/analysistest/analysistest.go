@@ -56,14 +56,14 @@ func Run(t *testing.T, testdata string, pkgPath string) {
 	}
 	files, pkg, info := ld.check(pkgPath, true)
 
-	res, err := driver.RunPackage(ld.fset, files, pkg, info)
+	findings, err := driver.RunPackage(ld.fset, files, pkg, info)
 	if err != nil {
 		t.Fatalf("RunPackage(%s): %v", pkgPath, err)
 	}
 
 	wants := collectWants(t, ld.fset, files)
 	matched := make([]bool, len(wants))
-	for _, f := range res.Findings {
+	for _, f := range findings {
 		hit := false
 		for i, w := range wants {
 			if matched[i] || w.file != f.Pos.Filename || w.line != f.Pos.Line {

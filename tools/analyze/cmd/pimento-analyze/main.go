@@ -1,24 +1,19 @@
 // Command pimento-analyze is the repository's invariant checker: a
-// multichecker over the analyzers in tools/analyze/passes, usable
-// three ways.
+// multichecker over the analyzers in tools/analyze/passes, run by the
+// go command's vet driver.
 //
-//	go vet -vettool=$(pimento-analyze) ./...   # unitchecker protocol, cached by go vet
-//	pimento-analyze ./...                      # standalone: loads from source, exits 2 on findings
-//	pimento-analyze -baseline ./...            # audit mode: findings as a checklist, exit 0
+//	go vet -vettool=$(pimento-analyze) ./...
 //
-// The standalone modes run from the directory of the module under
-// analysis (they shell out to `go list`). -list prints the suite and
-// each analyzer's contract.
+// It speaks only the -vettool protocol: -V=full, -flags, and one
+// vet.cfg path per package. `make analyze` is the zero-finding gate and
+// the fix-list; `git grep -n '//pimento:allow'` lists the suppressions.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"repro/tools/analyze/driver"
-	"repro/tools/analyze/load"
 	"repro/tools/analyze/unit"
 )
 
@@ -39,71 +34,6 @@ func main() {
 	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
 		os.Exit(unit.Run(args[n-1], os.Stderr))
 	}
-	os.Exit(standalone(args))
-}
-
-func standalone(args []string) int {
-	fs := flag.NewFlagSet("pimento-analyze", flag.ExitOnError)
-	baseline := fs.Bool("baseline", false,
-		"audit mode: print findings as a markdown checklist and exit 0 (the fix-list generator)")
-	list := fs.Bool("list", false, "print the analyzer suite and each analyzer's contract")
-	dir := fs.String("C", ".", "directory of the module to analyze")
-	fs.Parse(args)
-
-	if *list {
-		for _, a := range driver.Analyzers() {
-			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
-		}
-		fmt.Printf("%-15s %s\n", driver.AllowCheckName,
-			"annotation hygiene: //pimento:allow needs a known analyzer + reason, and must suppress something")
-		return 0
-	}
-
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	loaded, err := load.Load(*dir, patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pimento-analyze: %v\n", err)
-		return 1
-	}
-
-	var findings []driver.Finding
-	var annotations int
-	suppressed := 0
-	for _, t := range loaded.Targets {
-		res, err := driver.RunPackage(loaded.Fset, t.Files, t.Pkg, t.Info)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pimento-analyze: %v\n", err)
-			return 1
-		}
-		findings = append(findings, res.Findings...)
-		suppressed += res.Suppressed
-		for _, e := range res.Annotations {
-			if annotations == 0 {
-				fmt.Printf("# suppressions in effect (//pimento:allow <analyzer> <reason>)\n")
-			}
-			annotations++
-			fmt.Printf("#   %s:%d %s — %s\n", e.File, e.Line, e.Analyzer, e.Reason)
-		}
-	}
-
-	if *baseline {
-		fmt.Printf("# pimento-analyze baseline: %d finding(s) across %d package(s), %d suppressed\n",
-			len(findings), len(loaded.Targets), suppressed)
-		for _, f := range findings {
-			fmt.Printf("- [ ] %s\n", f)
-		}
-		return 0
-	}
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s\n", f)
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "pimento-analyze: %d finding(s) (%d suppressed by annotations)\n",
-			len(findings), suppressed)
-		return 2
-	}
-	return 0
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which pimento-analyze) ./...")
+	os.Exit(2)
 }

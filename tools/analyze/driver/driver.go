@@ -1,9 +1,9 @@
 // Package driver runs the pimento analyzer suite over one
 // type-checked package and applies the //pimento:allow suppression
-// contract. Both front ends — the go vet unitchecker protocol and the
-// standalone loader — feed packages through RunPackage so suppression,
-// test-file skipping, and finding order are identical regardless of
-// how the package was loaded.
+// contract. The go vet unitchecker protocol and the analysistest
+// fixture harness both feed packages through RunPackage, so
+// suppression, test-file skipping, and finding order are identical in
+// the gate and in the fixtures.
 package driver
 
 import (
@@ -64,21 +64,11 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: [%s] %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// A Result is the outcome of analyzing one package.
-type Result struct {
-	// Findings that survived suppression, sorted by position.
-	Findings []Finding
-	// Suppressed counts findings absorbed by annotations.
-	Suppressed int
-	// Annotations lists every //pimento:allow in the package's
-	// non-test files, for the exception summary.
-	Annotations []*allow.Entry
-}
-
-// RunPackage applies the whole suite to one package. Test files are
+// RunPackage applies the whole suite to one package and returns the
+// findings that survive suppression, sorted by position. Test files are
 // excluded before analyzers see them — the invariants target
 // production code; tests fabricate contexts and snapshots freely.
-func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) (*Result, error) {
+func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
 	var prod []*ast.File
 	for _, f := range files {
 		name := fset.Position(f.Pos()).Filename
@@ -112,14 +102,13 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 		}
 	}
 
-	res := &Result{}
+	var findings []Finding
 	for _, rd := range raw {
 		pos := fset.Position(rd.diag.Pos)
-		if _, ok := allows.Suppresses(pos.Filename, pos.Line, rd.analyzer); ok {
-			res.Suppressed++
+		if allows.Suppresses(pos.Filename, pos.Line, rd.analyzer) {
 			continue
 		}
-		res.Findings = append(res.Findings, Finding{rd.analyzer, pos, rd.diag.Message})
+		findings = append(findings, Finding{rd.analyzer, pos, rd.diag.Message})
 	}
 
 	// Annotation hygiene: malformed annotations, then stale ones.
@@ -128,11 +117,10 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 	// so route these through the same filter.
 	for _, p := range problems {
 		pos := fset.Position(p.Pos)
-		if _, ok := allows.Suppresses(pos.Filename, pos.Line, AllowCheckName); ok {
-			res.Suppressed++
+		if allows.Suppresses(pos.Filename, pos.Line, AllowCheckName) {
 			continue
 		}
-		res.Findings = append(res.Findings, Finding{AllowCheckName, pos, p.Message})
+		findings = append(findings, Finding{AllowCheckName, pos, p.Message})
 	}
 	staleMsg := func(e *allow.Entry) Finding {
 		return Finding{AllowCheckName,
@@ -144,11 +132,10 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 		if e.Analyzer == AllowCheckName {
 			continue // judged in the second pass, after meta-suppressions settle
 		}
-		if _, ok := allows.Suppresses(e.File, e.Line, AllowCheckName); ok {
-			res.Suppressed++
+		if allows.Suppresses(e.File, e.Line, AllowCheckName) {
 			continue
 		}
-		res.Findings = append(res.Findings, staleMsg(e))
+		findings = append(findings, staleMsg(e))
 	}
 	// Second pass: pimentoallow meta-annotations that are still unused
 	// after absorbing stale-annotation findings are themselves stale.
@@ -156,13 +143,12 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 	// exceptions don't get exceptions.
 	for _, e := range allows.Unused() {
 		if e.Analyzer == AllowCheckName {
-			res.Findings = append(res.Findings, staleMsg(e))
+			findings = append(findings, staleMsg(e))
 		}
 	}
 
-	res.Annotations = allows.All()
-	sort.Slice(res.Findings, func(i, j int) bool {
-		a, b := res.Findings[i], res.Findings[j]
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -174,7 +160,7 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return res, nil
+	return findings, nil
 }
 
 // NewInfo allocates a types.Info with every map the analyzers consult.

@@ -1,7 +1,7 @@
 // Package server is a deliberately non-compliant serving package: the
-// e2e test runs the built pimento-analyze binary over this module
-// (both through `go vet -vettool` and standalone) and asserts the
-// violations below surface with the right analyzer names.
+// e2e test runs `go vet -vettool` with the built pimento-analyze
+// binary over this module and asserts the violations below surface
+// with the right analyzer names.
 package server
 
 import (

@@ -120,7 +120,7 @@ func Run(cfgPath string, stderr io.Writer) int {
 		return 1
 	}
 
-	res, err := driver.RunPackage(fset, files, pkg, info)
+	findings, err := driver.RunPackage(fset, files, pkg, info)
 	if err != nil {
 		fmt.Fprintf(stderr, "pimento-analyze: %v\n", err)
 		return 1
@@ -129,8 +129,8 @@ func Run(cfgPath string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pimento-analyze: %v\n", err)
 		return 1
 	}
-	if len(res.Findings) > 0 {
-		for _, f := range res.Findings {
+	if len(findings) > 0 {
+		for _, f := range findings {
 			fmt.Fprintf(stderr, "%s\n", f)
 		}
 		return 2
