@@ -59,7 +59,7 @@ race:
 # a gate, not a target: new handlers and cache paths ship with tests.
 COVER_FLOOR := 80
 cover:
-	@for pkg in ./internal/server/ ./internal/plan/ ./internal/analysis/ ./internal/corpus/ ./internal/registry/ ./internal/twig/; do \
+	@for pkg in ./internal/server/ ./internal/plan/ ./internal/analysis/ ./internal/corpus/ ./internal/registry/ ./internal/twig/ ./internal/engine/ ./internal/tpq/; do \
 		pct="$$($(GO) test -count=1 -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"; \
 		if [ -z "$$pct" ]; then echo "cover: no coverage output for $$pkg"; exit 1; fi; \
 		ok="$$(awk "BEGIN{print ($$pct >= $(COVER_FLOOR)) ? 1 : 0}")"; \
@@ -74,11 +74,12 @@ cover:
 loc:
 	@find internal cmd pimento.go -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
-# A short fuzz pass over every fuzz target, nine in all: the three
+# A short fuzz pass over every fuzz target, ten in all: the three
 # parsers (query, XML, profile), the XML scanner against its
 # encoding/xml oracle, the /search and PUT/DELETE /docs
-# handlers, the profile vet, the scan-vs-twigjoin access-path
-# differential and the index build against its map-and-append oracle.
+# handlers, the profile vet, the Section 5 analyses against their
+# oracle, the scan-vs-twigjoin access-path differential and the index
+# build against its map-and-append oracle.
 # Catches regressions in input hardening, join correctness and index
 # layout without the open-ended runtime of a real fuzz campaign.
 FUZZTIME ?= 10s
@@ -90,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzSearchHandler -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 	$(GO) test -fuzz FuzzDocUpdate -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 	$(GO) test -fuzz FuzzVetProfile -fuzztime $(FUZZTIME) -run '^$$' ./internal/analysis/
+	$(GO) test -fuzz FuzzAnalysisMatchesOracle -fuzztime $(FUZZTIME) -run '^$$' ./internal/analysis/
 	$(GO) test -fuzz FuzzTwigJoin -fuzztime $(FUZZTIME) -run '^$$' ./internal/twig/
 	$(GO) test -fuzz FuzzBuildMatchesOracle -fuzztime $(FUZZTIME) -run '^$$' ./internal/index/
 

@@ -198,11 +198,6 @@ func (m *Matcher) effectivelyOptional(pn int) bool {
 // returned slice, nor those of the four partitions below.
 func (m *Matcher) Units() []Unit { return m.units }
 
-// RequiredUnits returns the indices of filtering units (skeleton +
-// required constraints); FT units are excluded — plans enforce those with
-// dedicated score-contributing operators.
-func (m *Matcher) RequiredUnits() []int { return m.required }
-
 // FTUnits returns the indices of full-text units, required first
 // (the score-contributing joins of Fig. 4).
 func (m *Matcher) FTUnits() []int { return m.ft }

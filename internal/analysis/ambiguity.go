@@ -43,7 +43,50 @@ func (v varRef) String(vors []*profile.VOR) string {
 // has a cycle exactly when an alternating cycle exists — the paper's
 // O(#edges) "straightforward adaptation of depth-first search".
 func DetectAmbiguity(vors []*profile.VOR) AmbiguityReport {
-	return detect(vors, nil)
+	n := len(vors)
+	// Composed graph H over rules: arc i -> j iff y_i (rule i's dominated
+	// variable) is compatible with x_j (rule j's preferred variable) for
+	// some orientation. More precisely, alternating steps are
+	// x_i ≺ y_i = v where v is any variable of another rule; continuing
+	// the alternation requires v to be that rule's preferred variable
+	// x_j (the next ≺-arc starts at x_j). An =-edge landing on y_j
+	// cannot continue an alternating cycle, so composing ≺ with = onto
+	// preferred variables is exhaustive.
+	adj := make([][]int, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j && Compatible(vors[i], false, vors[j], true) {
+				adj[i] = append(adj[i], j)
+			}
+		}
+	}
+	_, rules := dfs(adj, nil)
+	if rules == nil {
+		return AmbiguityReport{}
+	}
+	// Expand the rule cycle to the alternating variable walk.
+	var walk []string
+	for _, ri := range rules {
+		walk = append(walk,
+			varRef{ri, true}.String(vors),
+			varRef{ri, false}.String(vors))
+	}
+	// Canonicalize to the lexicographically smallest rotation (stride 2:
+	// x/y pairs rotate together) so the witness is byte-stable no matter
+	// where DFS entered the cycle.
+	walk = canonicalRotation(walk, 2)
+	names := make([]string, 0, len(rules))
+	for i := 0; i < len(walk); i += 2 {
+		v := walk[i]
+		names = append(names, v[:strings.LastIndexByte(v, '.')])
+	}
+	return AmbiguityReport{
+		Ambiguous: true,
+		Cycle:     walk,
+		Suggestion: fmt.Sprintf(
+			"assign distinct priorities to rules %v to break the alternating cycle",
+			names),
+	}
 }
 
 // DetectAmbiguityPrioritized re-runs the analysis under user priorities
@@ -67,100 +110,4 @@ func DetectAmbiguityPrioritized(vors []*profile.VOR) AmbiguityReport {
 		}
 	}
 	return AmbiguityReport{}
-}
-
-func detect(vors []*profile.VOR, _ any) AmbiguityReport {
-	n := len(vors)
-	if n == 0 {
-		return AmbiguityReport{}
-	}
-	// Composed graph H over rules: arc i -> j iff y_i (rule i's dominated
-	// variable) is compatible with x_j (rule j's preferred variable) for
-	// some orientation. More precisely, alternating steps are
-	// x_i ≺ y_i = v where v is any variable of another rule; continuing
-	// the alternation requires v to be that rule's preferred variable
-	// x_j (the next ≺-arc starts at x_j). An =-edge landing on y_j
-	// cannot continue an alternating cycle, so composing ≺ with = onto
-	// preferred variables is exhaustive.
-	adj := make([][]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if Compatible(vors[i], false, vors[j], true) {
-				adj[i] = append(adj[i], j)
-			}
-		}
-	}
-	// DFS cycle detection with path recovery.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, n)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	var cycleStart, cycleEnd = -1, -1
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
-		color[u] = gray
-		for _, w := range adj[u] {
-			if color[w] == gray {
-				cycleStart, cycleEnd = w, u
-				return true
-			}
-			if color[w] == white {
-				parent[w] = u
-				if dfs(w) {
-					return true
-				}
-			}
-		}
-		color[u] = black
-		return false
-	}
-	for i := 0; i < n && cycleStart == -1; i++ {
-		if color[i] == white {
-			dfs(i)
-		}
-	}
-	if cycleStart == -1 {
-		return AmbiguityReport{}
-	}
-	// Recover the rule cycle and expand to the alternating variable walk.
-	var rules []int
-	for u := cycleEnd; u != cycleStart; u = parent[u] {
-		rules = append(rules, u)
-	}
-	rules = append(rules, cycleStart)
-	// reverse into forward order
-	for l, r := 0, len(rules)-1; l < r; l, r = l+1, r-1 {
-		rules[l], rules[r] = rules[r], rules[l]
-	}
-	var walk []string
-	for _, ri := range rules {
-		walk = append(walk,
-			varRef{ri, true}.String(vors),
-			varRef{ri, false}.String(vors))
-	}
-	// Canonicalize to the lexicographically smallest rotation (stride 2:
-	// x/y pairs rotate together) so the witness is byte-stable no matter
-	// where DFS entered the cycle.
-	walk = canonicalRotation(walk, 2)
-	names := make([]string, 0, len(rules))
-	for i := 0; i < len(walk); i += 2 {
-		v := walk[i]
-		names = append(names, v[:strings.LastIndexByte(v, '.')])
-	}
-	return AmbiguityReport{
-		Ambiguous: true,
-		Cycle:     walk,
-		Suggestion: fmt.Sprintf(
-			"assign distinct priorities to rules %v to break the alternating cycle",
-			names),
-	}
 }

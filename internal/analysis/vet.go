@@ -6,6 +6,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,11 +16,18 @@ import (
 
 // Vet runs the full suite. q may be nil, in which case only the
 // profile-scoped checks run (query-scoped conflict analysis then relies
-// on the per-rule trigger probes of VetProfile).
+// on the per-rule trigger probes of VetProfile). It computes each
+// Section 5 analysis once and hands the reports to VetProfile and
+// VetQuery, the way the engine's analysis verdicts do.
 func Vet(p *profile.Profile, q *tpq.Query) []Diagnostic {
-	ds := VetProfile(p)
+	ds := VetProfile(p, DetectAmbiguityPrioritized(p.VORs))
 	if q != nil {
-		ds = append(ds, VetQuery(p, q)...)
+		rep, err := AnalyzeSRs(p.SRs, q)
+		var flock []*tpq.Query
+		if err == nil {
+			flock, _ = rep.Walk(p.SRs, q, false)
+		}
+		ds = append(ds, VetQuery(p, rep, flock)...)
 	}
 	SortDiagnostics(ds)
 	return ds
@@ -29,10 +37,11 @@ func Vet(p *profile.Profile, q *tpq.Query) []Diagnostic {
 // Section 5.2 gate, plus the resolved-by-priorities advisory), dead and
 // redundant VORs, KOR phrase hygiene, exact-duplicate rule bodies, and
 // the per-SR trigger probes (unsatisfiable conditions, dead actions,
-// shadowing, reachable conflict cycles).
-func VetProfile(p *profile.Profile) []Diagnostic {
+// shadowing, reachable conflict cycles). amb is
+// DetectAmbiguityPrioritized(p.VORs).
+func VetProfile(p *profile.Profile, amb AmbiguityReport) []Diagnostic {
 	var ds []Diagnostic
-	ds = append(ds, vetAmbiguity(p)...)
+	ds = append(ds, vetAmbiguity(p, amb)...)
 	ds = append(ds, vetVORDead(p)...)
 	ds = append(ds, vetVORRedundant(p)...)
 	ds = append(ds, vetKORPhrases(p)...)
@@ -42,26 +51,18 @@ func VetProfile(p *profile.Profile) []Diagnostic {
 	return ds
 }
 
-// VetQuery runs the query-scoped checks for q: the conflict-cycle gate
-// of Section 5.1, unsatisfiable constraint conjunctions in the
-// rewritten flock, and ordering rules whose tag no flock answer can
-// carry. The returned list holds only query-scoped findings; use Vet to
-// merge with VetProfile.
-func VetQuery(p *profile.Profile, q *tpq.Query) []Diagnostic {
-	var ds []Diagnostic
-	rep, err := AnalyzeSRs(p.SRs, q)
-	if err != nil {
-		ds = append(ds, conflictCycleDiagnostic(p, rep))
-		SortDiagnostics(ds)
-		return ds
+// VetQuery runs the query-scoped checks on the Section 5.1 analysis of
+// p's scoping rules against a query: the conflict-cycle gate,
+// unsatisfiable constraint conjunctions in the rewritten flock, and
+// ordering rules whose tag no flock answer can carry. rep is
+// AnalyzeSRs's report (nil or Cyclic when it failed) and flock the
+// literal flock rep.Walk yields. The returned list holds only
+// query-scoped findings; use Vet to merge with VetProfile.
+func VetQuery(p *profile.Profile, rep *ConflictReport, flock []*tpq.Query) []Diagnostic {
+	if rep == nil || rep.Cyclic {
+		return []Diagnostic{conflictCycleDiagnostic(p, rep)}
 	}
-	flock, _, ferr := Flock(p.SRs, q)
-	if ferr != nil {
-		// Unreachable when AnalyzeSRs succeeded, but keep the gate.
-		SortDiagnostics(ds)
-		return ds
-	}
-	ds = append(ds, vetFlockSatisfiable(p, q, flock)...)
+	ds := vetFlockSatisfiable(flock)
 	ds = append(ds, vetOrderingTags(p, flock)...)
 	SortDiagnostics(ds)
 	return ds
@@ -70,32 +71,30 @@ func VetQuery(p *profile.Profile, q *tpq.Query) []Diagnostic {
 // --- VOR checks ---
 
 // vetAmbiguity maps the Section 5.2 analysis onto diagnostics: an
-// alternating cycle that survives priority resolution is an error
-// (Search rejects the profile); one that priorities break is an info.
-func vetAmbiguity(p *profile.Profile) []Diagnostic {
-	var ds []Diagnostic
-	prio := DetectAmbiguityPrioritized(p.VORs)
+// alternating cycle that survives priority resolution (prio) is an
+// error (Search rejects the profile); one that priorities break is an
+// info.
+func vetAmbiguity(p *profile.Profile, prio AmbiguityReport) []Diagnostic {
 	if prio.Ambiguous {
-		ds = append(ds, Diagnostic{
+		return []Diagnostic{{
 			ID:       DiagVORAmbiguous,
 			Severity: SevError,
 			Message: "value-based ordering rules are ambiguous (Lemma 5.1): " +
 				prio.Suggestion,
 			Rules:   vorRefsFromWalk(p, prio.Cycle),
 			Witness: &Witness{Kind: WitnessAlternatingCycle, Path: prio.Cycle},
-		})
-		return ds
+		}}
 	}
 	if raw := DetectAmbiguity(p.VORs); raw.Ambiguous {
-		ds = append(ds, Diagnostic{
+		return []Diagnostic{{
 			ID:       DiagVORAmbiguousResolved,
 			Severity: SevInfo,
 			Message:  "ordering rules contain an alternating cycle that the assigned priorities break",
 			Rules:    vorRefsFromWalk(p, raw.Cycle),
 			Witness:  &Witness{Kind: WitnessAlternatingCycle, Path: raw.Cycle},
-		})
+		}}
 	}
-	return ds
+	return nil
 }
 
 // vorRefsFromWalk recovers the rule references behind an alternating
@@ -348,22 +347,29 @@ func vetSRProbes(p *profile.Profile) []Diagnostic {
 		if err != nil {
 			if !cycleSeen {
 				cycleSeen = true
-				cycle := canonicalRotation(rep.Cycle, 1)
 				ds = append(ds, Diagnostic{
 					ID:       DiagSRProbeCycle,
 					Severity: SevWarn,
 					Message: fmt.Sprintf(
 						"a conflict cycle is reachable from sr %s's own trigger; queries matching it will be rejected unless priorities are assigned",
 						sr.Name),
-					Rules:   srRefsByName(p, cycle),
-					Witness: &Witness{Kind: WitnessConflictCycle, Path: cycle},
+					Rules:   srRefsByName(p, rep.Cycle),
+					Witness: &Witness{Kind: WitnessConflictCycle, Path: rep.Cycle},
 				})
 			}
 			continue
 		}
-		// Shadowing: replay the application order on the trigger and see
-		// whether the rule ever fires.
-		applied, fired := replayOrder(p.SRs, rep.Order, cond, i)
+		// Shadowing: walk the application order up to the rule's turn on
+		// its trigger and see whether it fires there.
+		turn := slices.Index(rep.Order, i)
+		if turn < 0 {
+			turn = len(rep.Order) // never applicable: shadowed by all that fired
+		}
+		flock, before := walk(p.SRs, rep.Order[:turn], cond, false)
+		fired := false
+		if turn < len(rep.Order) {
+			_, fired = sr.Apply(flock[len(flock)-1])
+		}
 		if !fired {
 			ds = append(ds, Diagnostic{
 				ID:       DiagSRShadowed,
@@ -372,30 +378,11 @@ func vetSRProbes(p *profile.Profile) []Diagnostic {
 					"sr %s is pre-empted on its own trigger: rules applied before it disable it",
 					sr.Name),
 				Rules:   []RuleRef{{Kind: "sr", Index: i, Name: sr.Name}},
-				Witness: &Witness{Kind: WitnessShadowedBy, Path: applied},
+				Witness: &Witness{Kind: WitnessShadowedBy, Path: before},
 			})
 		}
 	}
 	return ds
-}
-
-// replayOrder applies rules in order to q (the Flock loop) and reports
-// whether rule `watch` fired, plus the names applied before its turn.
-func replayOrder(rules []*profile.SR, order []int, q *tpq.Query, watch int) (before []string, fired bool) {
-	cur := q
-	for _, idx := range order {
-		out, ok := rules[idx].Apply(cur)
-		if idx == watch {
-			return before, ok
-		}
-		if ok {
-			before = append(before, rules[idx].Name)
-			cur = out
-		}
-	}
-	// The watched rule was not applicable at all (not in the order):
-	// treat as shadowed with everything applied before it.
-	return before, false
 }
 
 func srRefsByName(p *profile.Profile, names []string) []RuleRef {
@@ -418,7 +405,7 @@ func srRefsByName(p *profile.Profile, names []string) []RuleRef {
 func conflictCycleDiagnostic(p *profile.Profile, rep *ConflictReport) Diagnostic {
 	var cycle []string
 	if rep != nil {
-		cycle = canonicalRotation(rep.Cycle, 1)
+		cycle = rep.Cycle
 	}
 	return Diagnostic{
 		ID:       DiagSRConflictCycle,
@@ -433,7 +420,7 @@ func conflictCycleDiagnostic(p *profile.Profile, rep *ConflictReport) Diagnostic
 // vetFlockSatisfiable checks every rewritten query of the flock for
 // unsatisfiable required-constraint conjunctions (e.g. an SR adds
 // price > 200 to a query already requiring price < 100).
-func vetFlockSatisfiable(p *profile.Profile, q *tpq.Query, flock []*tpq.Query) []Diagnostic {
+func vetFlockSatisfiable(flock []*tpq.Query) []Diagnostic {
 	var ds []Diagnostic
 	for pos, fq := range flock {
 		n, pair, unsat := unsatQueryConstraints(fq, true)

@@ -3,8 +3,10 @@
 // should never pay for re-analysis on the request path: verdicts are
 // cached under the profile fingerprint (plus the canonical query string
 // for query-scoped work), single-flight like the result cache, and the
-// stored artifacts (encoded query, applied-rule list, diagnostics) are
-// shared copy-on-write — every consumer treats them as immutable.
+// stored artifacts (reports, flocks, encoded query, applied-rule lists,
+// diagnostics) are shared copy-on-write — every consumer treats them as
+// immutable. Each fill runs each Section 5 analysis once and derives the
+// gate, the vet diagnostics and the explain report from that one result.
 //
 // Unlike the serving layer's ResultCache, analysis *errors* are cached
 // inside the verdict values: an ambiguous profile is deterministically
@@ -14,6 +16,7 @@
 //
 // Personalize is the only consumer of the verdicts' gate half; every
 // search — one document or a fan-out, memoized or not — goes through it.
+// AnalyzeProfile reads the report half.
 package engine
 
 import (
@@ -79,9 +82,13 @@ func Personalize(ctx context.Context, ac *AnalysisCache, prof *profile.Profile, 
 }
 
 // ProfileVerdict is the cached outcome of the profile-scoped analyses:
-// the vet diagnostics and the Section 5.2 ambiguity gate.
+// the Section 5.2 ambiguity report, the gate it implies and the vet
+// diagnostics read from it.
 type ProfileVerdict struct {
 	Fingerprint string
+	// Ambiguity is DetectAmbiguityPrioritized's report, computed once per
+	// fill.
+	Ambiguity analysis.AmbiguityReport
 	// Diags is VetProfile's output (sorted, canonical witnesses).
 	Diags []analysis.Diagnostic
 	// AmbiguityErr is the Search-blocking *Rejection, nil when the VOR
@@ -90,9 +97,18 @@ type ProfileVerdict struct {
 }
 
 // QueryVerdict is the cached outcome of analyzing one (profile, query)
-// pair: the single-plan flock encoding Search executes, plus the
-// query-scoped vet diagnostics.
+// pair: the Section 5.1 conflict report, the literal flock, the
+// single-plan flock encoding Search executes, and the query-scoped vet
+// diagnostics — all read from one AnalyzeSRs run.
 type QueryVerdict struct {
+	// Conflicts is AnalyzeSRs's report (nil only when a rule condition
+	// does not compile).
+	Conflicts *analysis.ConflictReport
+	// Flock is the literal query flock (Section 5.1), q first, and
+	// FlockApplied the rules that rewrote it; both nil when ConflictErr
+	// is set.
+	Flock        []*tpq.Query
+	FlockApplied []string
 	// Encoded is the flock encoded into a single query (Section 6.2);
 	// nil when ConflictErr is set. Consumers must not mutate it.
 	Encoded *tpq.Query
@@ -143,11 +159,12 @@ func NewAnalysisCache(capacity int) *AnalysisCache {
 func (c *AnalysisCache) ProfileVerdict(ctx context.Context, p *profile.Profile) (*ProfileVerdict, error) {
 	fp := ProfileFingerprint(p)
 	v, err := c.do(ctx, "p\x1f"+fp, func() (any, []analysis.Diagnostic) {
-		pv := &ProfileVerdict{Fingerprint: fp, Diags: analysis.VetProfile(p)}
-		if rep := analysis.DetectAmbiguityPrioritized(p.VORs); rep.Ambiguous {
+		pv := &ProfileVerdict{Fingerprint: fp, Ambiguity: analysis.DetectAmbiguityPrioritized(p.VORs)}
+		pv.Diags = analysis.VetProfile(p, pv.Ambiguity)
+		if amb := pv.Ambiguity; amb.Ambiguous {
 			pv.AmbiguityErr = &Rejection{Check: analysis.DiagVORAmbiguous, msg: fmt.Sprintf(
 				"engine: ambiguous value-based ordering rules (cycle %v): %s",
-				rep.Cycle, rep.Suggestion)}
+				amb.Cycle, amb.Suggestion)}
 		}
 		return pv, pv.Diags
 	})
@@ -158,15 +175,21 @@ func (c *AnalysisCache) ProfileVerdict(ctx context.Context, p *profile.Profile) 
 }
 
 // QueryVerdict returns the memoized (profile, query) analysis: the
-// single-plan flock encoding plus query-scoped diagnostics.
+// conflict report, the literal flock, the single-plan flock encoding
+// and the query-scoped diagnostics.
 func (c *AnalysisCache) QueryVerdict(ctx context.Context, p *profile.Profile, q *tpq.Query) (*QueryVerdict, error) {
 	key := "q\x1f" + ProfileFingerprint(p) + "\x1f" + q.String()
 	v, err := c.do(ctx, key, func() (any, []analysis.Diagnostic) {
-		qv := &QueryVerdict{Diags: analysis.VetQuery(p, q)}
-		var err error
-		if qv.Encoded, qv.Applied, err = analysis.EncodeFlock(p.SRs, q); err != nil {
+		rep, err := analysis.AnalyzeSRs(p.SRs, q)
+		qv := &QueryVerdict{Conflicts: rep}
+		if err != nil {
 			qv.ConflictErr = &Rejection{Check: analysis.DiagSRConflictCycle, msg: err.Error()}
+		} else {
+			qv.Flock, qv.FlockApplied = rep.Walk(p.SRs, q, false)
+			steps, applied := rep.Walk(p.SRs, q, true)
+			qv.Encoded, qv.Applied = steps[len(steps)-1], applied
 		}
+		qv.Diags = analysis.VetQuery(p, rep, qv.Flock)
 		return qv, qv.Diags
 	})
 	if err != nil {

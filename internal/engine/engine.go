@@ -284,29 +284,36 @@ type ProfileAnalysis struct {
 	Ambiguity   analysis.AmbiguityReport
 	Flock       []*tpq.Query
 	Applied     []string
-	// Trace spans the analysis stages (conflicts → ambiguity → flock),
-	// the /explain half of the pipeline trace.
+	// Trace is one "analyze" span around the verdict lookups, the stage
+	// name /search records for the same work.
 	Trace []metrics.Span
 }
 
-// AnalyzeProfile runs the Section 5 static analyses for a profile against
-// a query without executing anything — the "explain" entry point: rule
-// applicability, conflicts, the application order, the resulting flock,
-// and VOR ambiguity.
-func AnalyzeProfile(prof *profile.Profile, q *tpq.Query) *ProfileAnalysis {
-	pa := &ProfileAnalysis{}
+// AnalyzeProfile reports the Section 5 static analyses for a profile
+// against a query without executing anything — the "explain" entry
+// point: rule applicability, conflicts, the application order, the
+// resulting literal flock, and VOR ambiguity. It reads the verdicts
+// Personalize gates on, through ac (nil computes them un-memoized), so
+// an explained profile and a searched one are analyzed once. The only
+// error is ctx expiring during another caller's fill.
+func AnalyzeProfile(ctx context.Context, ac *AnalysisCache, prof *profile.Profile, q *tpq.Query) (*ProfileAnalysis, error) {
 	tr := metrics.NewTrace()
-	end := tr.Start("conflicts")
-	pa.Conflicts, pa.ConflictErr = analysis.AnalyzeSRs(prof.SRs, q)
-	end()
-	end = tr.Start("ambiguity")
-	pa.Ambiguity = analysis.DetectAmbiguityPrioritized(prof.VORs)
-	end()
-	if pa.ConflictErr == nil {
-		end = tr.Start("flock")
-		pa.Flock, pa.Applied, _ = analysis.Flock(prof.SRs, q)
-		end()
+	end := tr.Start("analyze")
+	pv, err := ac.ProfileVerdict(ctx, prof)
+	var qv *QueryVerdict
+	if err == nil {
+		qv, err = ac.QueryVerdict(ctx, prof, q)
 	}
-	pa.Trace = tr.Spans()
-	return pa
+	end()
+	if err != nil {
+		return nil, err
+	}
+	return &ProfileAnalysis{
+		Conflicts:   qv.Conflicts,
+		ConflictErr: qv.ConflictErr,
+		Ambiguity:   pv.Ambiguity,
+		Flock:       qv.Flock,
+		Applied:     qv.FlockApplied,
+		Trace:       tr.Spans(),
+	}, nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -198,7 +199,10 @@ func TestLiteralFlockBroadensToo(t *testing.T) {
 
 func TestAnalyzeProfile(t *testing.T) {
 	prof := profile.MustParseProfile(fig2Rules)
-	pa := AnalyzeProfile(prof, tpq.MustParse(paperQ))
+	pa, err := AnalyzeProfile(context.Background(), nil, prof, tpq.MustParse(paperQ))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pa.ConflictErr != nil {
 		t.Fatalf("prioritized rules must not error: %v", pa.ConflictErr)
 	}

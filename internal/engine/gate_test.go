@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -27,6 +28,10 @@ func TestVetVerdictMatchesSearch(t *testing.T) {
 		"",
 		"sr p1 priority 1: if pc(car, description) & ftcontains(description, \"low mileage\") then remove ftcontains(description, \"good condition\")\n",
 		engine.CyclicSRs,
+		// The same cycle with priorities on both of its rules, beside an
+		// unprioritized one: the priorities decide it, so it is accepted.
+		strings.Replace(strings.Replace(engine.CyclicSRs, "sr p1:", "sr p1 priority 1:", 1), "sr p3:", "sr p3 priority 2:", 1) +
+			"sr p2: if pc(car, description) & ftcontains(description, \"good condition\") then add ftcontains(description, \"american\")\n",
 		"sr u: if pc(car, d) & d.p < 1 & d.p > 2 then add ftcontains(d, \"z\")\n", // warn only
 	}
 	vorSets := []string{

@@ -433,16 +433,6 @@ type KOR struct {
 	Priority int
 }
 
-// MaxContribution is the largest K increment this rule can add to one
-// answer — the summand of Algorithm 3's kor-scorebound.
-func (k *KOR) MaxContribution() float64 {
-	w := k.Weight
-	if w == 0 {
-		w = 1
-	}
-	return w * float64(len(k.Phrases))
-}
-
 // EffectiveWeight returns the per-phrase weight (default 1).
 func (k *KOR) EffectiveWeight() float64 {
 	if k.Weight == 0 {

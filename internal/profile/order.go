@@ -77,11 +77,6 @@ func (po *PartialOrder) Prefers(a, b string) bool {
 	return false
 }
 
-// Comparable reports whether a and b are ordered either way.
-func (po *PartialOrder) Comparable(a, b string) bool {
-	return po.Prefers(a, b) || po.Prefers(b, a)
-}
-
 // Values returns every value mentioned by the order, sorted.
 func (po *PartialOrder) Values() []string {
 	set := map[string]bool{}

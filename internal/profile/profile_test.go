@@ -70,16 +70,16 @@ func TestKORParsed(t *testing.T) {
 	if w4.Tag != "car" || len(w4.Phrases) != 1 || w4.Phrases[0] != "best bid" {
 		t.Errorf("w4 = %+v", w4)
 	}
-	if w4.MaxContribution() != 1 {
-		t.Errorf("MaxContribution = %v", w4.MaxContribution())
+	if w4.EffectiveWeight() != 1 {
+		t.Errorf("EffectiveWeight = %v", w4.EffectiveWeight())
 	}
 	multi := MustParseProfile(`kor k priority 1 weight 0.5: x.tag = abs & y.tag = abs & ftcontains(x, "data cube") & ftcontains(x, "association rule") & ftcontains(x, "data mining") => x < y`)
 	k := multi.KORs[0]
 	if len(k.Phrases) != 3 {
 		t.Fatalf("phrases = %v", k.Phrases)
 	}
-	if k.MaxContribution() != 1.5 {
-		t.Errorf("MaxContribution = %v", k.MaxContribution())
+	if k.EffectiveWeight() != 0.5 {
+		t.Errorf("EffectiveWeight = %v", k.EffectiveWeight())
 	}
 	if k.Priority != 1 {
 		t.Errorf("priority = %d", k.Priority)
@@ -398,7 +398,7 @@ func TestPartialOrder(t *testing.T) {
 		t.Errorf("levels must respect the order: red=%d blue=%d green=%d",
 			po.Level("red"), po.Level("blue"), po.Level("green"))
 	}
-	if po.Comparable("red", "purple") {
+	if po.Prefers("red", "purple") || po.Prefers("purple", "red") {
 		t.Errorf("unknown value comparable")
 	}
 }

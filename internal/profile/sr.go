@@ -263,35 +263,7 @@ func (sr *SR) Applicable(q *tpq.Query) bool {
 // build the query flock and to detect conflicts). It returns the
 // rewritten query and true, or (q, false) when the rule is inapplicable
 // or its action cannot be carried out. q itself is never mutated.
-func (sr *SR) Apply(q *tpq.Query) (*tpq.Query, bool) {
-	binding, ok := sr.bind(q)
-	if !ok {
-		return q, false
-	}
-	out := q.Clone()
-	switch sr.Kind {
-	case SRAdd:
-		if !applyAdd(out, binding, sr.Concl, false, 0) {
-			return q, false
-		}
-	case SRDelete:
-		if !applyDelete(out, binding, sr.Concl, false, 0) {
-			return q, false
-		}
-	case SRReplace:
-		if !applyDelete(out, binding, sr.ReplWhat, false, 0) {
-			return q, false
-		}
-		if !applyAdd(out, binding, sr.ReplWith, false, 0) {
-			return q, false
-		}
-	case SRRelax:
-		if !applyRelax(out, binding, sr.Concl) {
-			return q, false
-		}
-	}
-	return out, true
-}
+func (sr *SR) Apply(q *tpq.Query) (*tpq.Query, bool) { return sr.rewrite(q, false) }
 
 // EncodeOptional enforces the rule on q via the flock encoding of Section
 // 6.2: instead of literally rewriting, added predicates become optional
@@ -299,35 +271,36 @@ func (sr *SR) Apply(q *tpq.Query) (*tpq.Query, bool) {
 // are kept but demoted to optional — so answers of both the original and
 // the rewritten query are captured, with the preferred ones scoring
 // higher. Returns (rewritten, true) or (q, false) when inapplicable.
-func (sr *SR) EncodeOptional(q *tpq.Query) (*tpq.Query, bool) {
+func (sr *SR) EncodeOptional(q *tpq.Query) (*tpq.Query, bool) { return sr.rewrite(q, true) }
+
+// rewrite is Apply (optional false) and EncodeOptional (optional true).
+// With optional, the added and deleted material is marked optional with
+// the rule's weight instead of being added or removed outright. Edge
+// relaxation is the same either way: every pc-match is already an
+// ad-match, so the literal rewrite is the encoding.
+func (sr *SR) rewrite(q *tpq.Query, optional bool) (*tpq.Query, bool) {
 	binding, ok := sr.bind(q)
 	if !ok {
 		return q, false
 	}
-	w := sr.EffectiveWeight()
+	var w float64
+	if optional {
+		w = sr.EffectiveWeight()
+	}
 	out := q.Clone()
 	switch sr.Kind {
 	case SRAdd:
-		if !applyAdd(out, binding, sr.Concl, true, w) {
-			return q, false
-		}
+		ok = applyAdd(out, binding, sr.Concl, optional, w)
 	case SRDelete:
-		if !applyDelete(out, binding, sr.Concl, true, w) {
-			return q, false
-		}
+		ok = applyDelete(out, binding, sr.Concl, optional, w)
 	case SRReplace:
-		if !applyDelete(out, binding, sr.ReplWhat, true, w) {
-			return q, false
-		}
-		if !applyAdd(out, binding, sr.ReplWith, true, w) {
-			return q, false
-		}
+		ok = applyDelete(out, binding, sr.ReplWhat, optional, w) &&
+			applyAdd(out, binding, sr.ReplWith, optional, w)
 	case SRRelax:
-		// Edge relaxation is already non-filtering in spirit (every
-		// pc-match is an ad-match); the literal rewrite is the encoding.
-		if !applyRelax(out, binding, sr.Concl) {
-			return q, false
-		}
+		ok = applyRelax(out, binding, sr.Concl)
+	}
+	if !ok {
+		return q, false
 	}
 	return out, true
 }
@@ -379,7 +352,7 @@ func (sr *SR) bind(q *tpq.Query) (map[string]int, bool) {
 // applyAdd attaches the conclusion atoms to q through the binding.
 // Structural atoms may introduce new pattern nodes; FT and Cmp atoms
 // attach to bound or newly created nodes. When optional is true the added
-// material is marked optional with weight w.
+// material is marked optional with weight w (0 otherwise).
 func applyAdd(q *tpq.Query, binding map[string]int, atoms []Atom, optional bool, w float64) bool {
 	local := make(map[string]int, len(binding))
 	for k, v := range binding {
@@ -428,7 +401,7 @@ func applyAdd(q *tpq.Query, binding map[string]int, atoms []Atom, optional bool,
 				return false
 			}
 			q.Nodes[n].FT = append(q.Nodes[n].FT,
-				tpq.FTPred{Phrase: a.Phrase, Optional: optional, Weight: optW(optional, w)})
+				tpq.FTPred{Phrase: a.Phrase, Optional: optional, Weight: w})
 		case AtomCmp:
 			n, ok := local[a.X]
 			if !ok {
@@ -436,17 +409,10 @@ func applyAdd(q *tpq.Query, binding map[string]int, atoms []Atom, optional bool,
 			}
 			q.Nodes[n].Constraints = append(q.Nodes[n].Constraints,
 				tpq.Constraint{Attr: a.Attr, Op: a.Op, Val: a.Val,
-					Optional: optional, Weight: optW(optional, w)})
+					Optional: optional, Weight: w})
 		}
 	}
 	return true
-}
-
-func optW(optional bool, w float64) float64 {
-	if optional {
-		return w
-	}
-	return 0
 }
 
 // applyDelete removes (or, when optional is true, demotes to optional)

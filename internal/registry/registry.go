@@ -41,9 +41,8 @@ import (
 // Vetter runs the profile-scoped static analyses and returns their
 // diagnostics. The serving layer injects one backed by the shared
 // engine.AnalysisCache so registration warms the same verdict searches
-// consult; library users can pass analysis.VetProfile directly. The
-// error is reserved for ctx expiring mid-analysis — rejections travel
-// in the diagnostics.
+// consult. The error is reserved for ctx expiring mid-analysis —
+// rejections travel in the diagnostics.
 type Vetter func(ctx context.Context, p *profile.Profile) ([]analysis.Diagnostic, error)
 
 // Stored is one deduplicated, vetted profile body. It is immutable
@@ -112,11 +111,11 @@ type Registry struct {
 }
 
 // New returns an empty registry. vet runs once per distinct profile
-// body at registration time; nil means analysis.VetProfile.
+// body at registration time; nil means analysis.Vet(p, nil).
 func New(vet Vetter) *Registry {
 	if vet == nil {
 		vet = func(_ context.Context, p *profile.Profile) ([]analysis.Diagnostic, error) {
-			return analysis.VetProfile(p), nil
+			return analysis.Vet(p, nil), nil
 		}
 	}
 	return &Registry{

@@ -108,7 +108,7 @@ func TestVetRunsOncePerDistinctBody(t *testing.T) {
 	var vets atomic.Int64
 	r := New(func(_ context.Context, p *profile.Profile) ([]analysis.Diagnostic, error) {
 		vets.Add(1)
-		return analysis.VetProfile(p), nil
+		return analysis.Vet(p, nil), nil
 	})
 	ctx := context.Background()
 	for _, name := range []string{"a", "b", "c"} {

@@ -731,22 +731,30 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "parse", err)
 		return
 	}
-	pa := engine.AnalyzeProfile(prof, q)
+	ctx := r.Context()
+	pa, err := engine.AnalyzeProfile(ctx, s.analysis, prof, q)
+	if err != nil {
+		s.writeSearchError(w, err)
+		return
+	}
+	ds, err := s.vetDiagnostics(ctx, prof, q)
+	if err != nil {
+		s.writeSearchError(w, err)
+		return
+	}
 	eresp := ExplainResponse{
-		Ambiguous:  pa.Ambiguity.Ambiguous,
-		Cycle:      pa.Ambiguity.Cycle,
-		Suggestion: pa.Ambiguity.Suggestion,
-		Applied:    pa.Applied,
-		Trace:      pa.Trace,
+		Ambiguous:   pa.Ambiguity.Ambiguous,
+		Cycle:       pa.Ambiguity.Cycle,
+		Suggestion:  pa.Ambiguity.Suggestion,
+		Applied:     pa.Applied,
+		Trace:       pa.Trace,
+		Diagnostics: ds,
 	}
 	if pa.ConflictErr != nil {
 		eresp.ConflictErr = pa.ConflictErr.Error()
 	}
 	for _, fq := range pa.Flock {
 		eresp.Flock = append(eresp.Flock, fq.String())
-	}
-	if ds, derr := s.vetDiagnostics(r.Context(), prof, q); derr == nil {
-		eresp.Diagnostics = ds
 	}
 	s.writeJSON(w, http.StatusOK, &eresp)
 }

@@ -58,8 +58,8 @@ func TestStopwords(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Terms = %v, want %v", got, want)
 	}
-	if !IsStopword("the") || IsStopword("car") {
-		t.Errorf("IsStopword misclassifies")
+	if !stopwords["the"] || stopwords["car"] {
+		t.Errorf("stopword list misclassifies")
 	}
 }
 

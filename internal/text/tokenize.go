@@ -159,6 +159,3 @@ var stopwords = map[string]bool{
 	"their": true, "then": true, "there": true, "these": true, "they": true,
 	"this": true, "to": true, "was": true, "will": true, "with": true,
 }
-
-// IsStopword reports whether the lower-cased term is in the stopword list.
-func IsStopword(term string) bool { return stopwords[term] }

@@ -260,53 +260,6 @@ func TestImpliesPhrase(t *testing.T) {
 	}
 }
 
-func TestMinimizeRedundantBranch(t *testing.T) {
-	// ./b is implied by ./b[./c]: the bare branch is redundant.
-	q := MustParse(`//a[./b and ./b[./c]]`)
-	before := len(q.Nodes)
-	removed := Minimize(q)
-	if removed == 0 {
-		t.Fatalf("expected a removal; query = %s", q)
-	}
-	if len(q.Nodes) >= before {
-		t.Fatalf("no shrink: %d -> %d", before, len(q.Nodes))
-	}
-	if err := q.Validate(); err != nil {
-		t.Fatalf("minimized query invalid: %v", err)
-	}
-	// The constrained branch must survive.
-	if !SubsumedBy(MustParse(`//a[./b[./c]]`), q) {
-		t.Errorf("minimization removed the wrong branch: %s", q)
-	}
-}
-
-func TestMinimizeKeepsNonRedundant(t *testing.T) {
-	for _, src := range []string{
-		`//car[./description[. ftcontains "good condition"] and price < 2000]`,
-		`//a[./b and ./c]`,
-		`//a[./b[x > 1] and ./b[x < 1]]`,
-	} {
-		q := MustParse(src)
-		before := len(q.Nodes)
-		if removed := Minimize(q); removed != 0 || len(q.Nodes) != before {
-			t.Errorf("Minimize(%s) removed %d nodes", src, before-len(q.Nodes))
-		}
-	}
-}
-
-func TestMinimizeProtectsDistinguished(t *testing.T) {
-	// //a//b with dist b; the b branch looks "redundant" structurally but
-	// holds the distinguished node.
-	q := MustParse(`//a[./b]//b`)
-	Minimize(q)
-	if q.Nodes[q.Dist].Tag != "b" {
-		t.Fatalf("distinguished node lost: %s", q)
-	}
-	if err := q.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPropertyContainmentReflexiveTransitive on random small queries.
 func TestPropertyContainmentReflexiveTransitive(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
@@ -353,4 +306,70 @@ func randomQuery(r *rand.Rand) *Query {
 	_ = cur
 	q.Dist = 0
 	return q
+}
+
+// TestQueryEdits covers the in-place edits scoping rules make (literal
+// rewriting and the flock encoding, internal/profile): subtree removal
+// with index compaction and its two refusals, predicate removal, demotion
+// to optional with a weight, and pc-edge relaxation.
+func TestQueryEdits(t *testing.T) {
+	q := MustParse(`//car[./description[. ftcontains "good condition"]/note and price < 2000 and ./color]`)
+	desc := 1
+	if q.Nodes[desc].Tag != "description" {
+		t.Fatalf("node 1 = %s in %s", q.Nodes[desc].Tag, q)
+	}
+	if err := q.RemoveNode(0); err == nil {
+		t.Error("removed the pattern root")
+	}
+	if _, ok := Embedding(MustParse(`//car[./color]`), q); !ok {
+		t.Errorf("no embedding of //car[./color] into %s", q)
+	}
+
+	if n := q.SetFTOptional(0, "Good Condition", 0.5); n != 1 {
+		t.Errorf("SetFTOptional marked %d predicates below the root, want 1", n)
+	}
+	if f := q.Nodes[desc].FT[0]; !f.Optional || f.Weight != 0.5 {
+		t.Errorf("ftcontains after SetFTOptional = %+v", f)
+	}
+	if n := q.RemoveConstraint(0, "", LT, NumValue(1000)); n != 0 {
+		t.Errorf("RemoveConstraint removed %d predicates with another value", n)
+	}
+
+	if err := q.RemoveNode(desc); err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Nodes) != 3 || q.Dist != 0 || q.Nodes[1].Parent != 0 || q.Nodes[2].Parent != 0 {
+		t.Fatalf("after removing the description subtree: %+v", q.Nodes)
+	}
+	for _, c := range q.Nodes[0].Children {
+		if c >= len(q.Nodes) {
+			t.Fatalf("child index %d not compacted: %+v", c, q.Nodes)
+		}
+	}
+	if err := q.Validate(); err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+
+	price := -1
+	for i, n := range q.Nodes {
+		if n.Tag == "price" {
+			price = i
+		}
+	}
+	if n := q.SetConstraintOptional(price, "", LT, NumValue(2000), 2); n != 1 || !q.Nodes[price].Constraints[0].Optional {
+		t.Errorf("SetConstraintOptional marked %d: %+v", n, q.Nodes[price].Constraints)
+	}
+	if n := q.RemoveConstraint(0, "", LT, NumValue(2000)); n != 1 || len(q.Nodes[price].Constraints) != 0 {
+		t.Errorf("RemoveConstraint removed %d: %+v", n, q.Nodes[price].Constraints)
+	}
+	q.RelaxEdge(price)
+	q.RelaxEdge(0)
+	if q.Nodes[price].Axis != Descendant || q.Nodes[0].Axis != Descendant {
+		t.Errorf("axes after RelaxEdge: %v, %v", q.Nodes[price].Axis, q.Nodes[0].Axis)
+	}
+
+	leaf := MustParse(`//a/b`)
+	if err := leaf.RemoveNode(leaf.Dist); err == nil {
+		t.Error("removed the distinguished node")
+	}
 }

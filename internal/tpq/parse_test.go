@@ -270,7 +270,11 @@ func TestPhrasesAndPredCount(t *testing.T) {
 	if strings.Join(ph, ",") != "x y,z" {
 		t.Fatalf("Phrases = %v", ph)
 	}
-	if q.PredCount() != 3 {
-		t.Fatalf("PredCount = %d", q.PredCount())
+	preds := 0
+	for _, n := range q.Nodes {
+		preds += len(n.Constraints) + len(n.FT)
+	}
+	if preds != 3 {
+		t.Fatalf("predicate count = %d", preds)
 	}
 }

@@ -557,16 +557,6 @@ func (q *Query) ExpandPhrases(syn func(string) []string, weight float64) *Query 
 	return out
 }
 
-// PredCount returns the number of predicates (constraints + FT) in the
-// whole query, a cheap complexity proxy used by tests and stats.
-func (q *Query) PredCount() int {
-	c := 0
-	for _, n := range q.Nodes {
-		c += len(n.Constraints) + len(n.FT)
-	}
-	return c
-}
-
 // Phrases returns all distinct full-text phrases in the query, sorted.
 func (q *Query) Phrases() []string {
 	set := map[string]bool{}

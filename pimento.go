@@ -304,7 +304,8 @@ func (e *Engine) SearchContext(ctx context.Context, q *Query, prof *Profile, opt
 // conflicts and application order, query flock, ordering-rule ambiguity)
 // without executing the query.
 func Analyze(prof *Profile, q *Query) *ProfileAnalysis {
-	return engine.AnalyzeProfile(prof, q)
+	pa, _ := engine.AnalyzeProfile(context.Background(), nil, prof, q) // un-memoized: cannot fail
+	return pa
 }
 
 // Diagnostic is one finding of the vet suite: a stable check ID, a
