@@ -59,7 +59,7 @@ race:
 # a gate, not a target: new handlers and cache paths ship with tests.
 COVER_FLOOR := 80
 cover:
-	@for pkg in ./internal/server/ ./internal/plan/ ./internal/analysis/ ./internal/corpus/ ./internal/registry/ ./internal/twig/ ./internal/engine/ ./internal/tpq/; do \
+	@for pkg in ./internal/server/ ./internal/plan/ ./internal/analysis/ ./internal/corpus/ ./internal/registry/ ./internal/twig/ ./internal/engine/ ./internal/tpq/ ./internal/xmldoc/ ./internal/index/; do \
 		pct="$$($(GO) test -count=1 -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"; \
 		if [ -z "$$pct" ]; then echo "cover: no coverage output for $$pkg"; exit 1; fi; \
 		ok="$$(awk "BEGIN{print ($$pct >= $(COVER_FLOOR)) ? 1 : 0}")"; \

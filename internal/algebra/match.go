@@ -284,7 +284,7 @@ func (m *Matcher) up(out, set []xmldoc.NodeID, tag string, axis tpq.Axis) []xmld
 func (m *Matcher) down(out, set []xmldoc.NodeID, s *step) []xmldoc.NodeID {
 	if s.axis == tpq.Child {
 		for _, e := range set {
-			for c := m.doc.Node(e).First; c != xmldoc.InvalidNode; c = m.doc.Node(c).Next {
+			for c := m.doc.FirstChild(e); c != xmldoc.InvalidNode; c = m.doc.NextSibling(c) {
 				if m.doc.Kind(c) == xmldoc.Element && (s.tag == "*" || m.doc.Tag(c) == s.tag) {
 					out = appendUnique(out, c)
 				}

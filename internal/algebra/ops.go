@@ -373,20 +373,20 @@ func (o *VOROp) Stats() OpStats { return o.stats }
 // is a parent compare per run member instead of a walk over e's children
 // and then its subtree.
 func (c *attrColumn) resolve(doc *xmldoc.Document, batch []Answer) {
+	post := doc.Pos().Post
 rows:
 	for i := range batch {
 		e, row := batch[i].Node, &c.rows[i]
-		n := doc.Node(e)
 		*row = attrValue{at: xmldoc.InvalidNode}
-		for _, a := range n.Attrs {
-			if a.Name == c.name {
+		for j := range doc.NumAttrs(e) {
+			if a := doc.AttrAt(e, j); a.Name == c.name {
 				row.val, row.has = a.Value, true
 				continue rows
 			}
 		}
 		c.cur = index.SeekGE(c.elems, c.cur, e+1)
 		for _, d := range c.elems[c.cur:] {
-			if int32(d) > n.End {
+			if int32(d) > post[e] {
 				break
 			}
 			if doc.Parent(d) == e {

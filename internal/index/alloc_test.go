@@ -17,9 +17,10 @@ import (
 // a surface form once, so what is left is map growth, the stems that
 // differ from their word, and a fixed handful of arenas. The parser
 // allocated 36x its input under encoding/xml, then 14x with its node
-// arena sized from the source, in 1.5 M allocations; the scanner
-// allocates the node arena (about 5.5x), one text arena, one attribute
-// arena and the positions, in under a hundred allocations.
+// arena sized from the source, in 1.5 M allocations, then 6.5x with the
+// scanner filling an 88-byte node per '<'; writing the document's
+// columns (25 bytes a node) and one text arena, it stays under 4x in
+// under a hundred allocations.
 func TestWritePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are counted too")
@@ -37,8 +38,8 @@ func TestWritePathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(7*len(src)); got > ceiling {
-		t.Errorf("ParseString allocated %d bytes for a %d-byte source (%.1fx), ceiling 7x",
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(4*len(src)); got > ceiling {
+		t.Errorf("ParseString allocated %d bytes for a %d-byte source (%.1fx), ceiling 4x",
 			got, len(src), float64(got)/float64(len(src)))
 	}
 	if got := testing.AllocsPerRun(3, func() { _, _ = xmldoc.ParseString(src) }); got > 1000 {

@@ -1,6 +1,6 @@
 // Content fingerprinting. A fingerprint is a stable hash of everything
-// index-side that can change a search response: the document's full
-// node arena, the text pipeline configuration (stemming/stopwords
+// index-side that can change a search response: every node of the
+// document, the text pipeline configuration (stemming/stopwords
 // change tokenization and hence matching), and the active scorer. Both
 // the per-document engine (engine.Fingerprint) and the mutable corpus
 // registry (corpus.Entry) derive their cache-key identities from it, so
@@ -22,7 +22,7 @@ import (
 // documents with the same configuration share a fingerprint, so a
 // result cache survives an index rebuild or a process restart.
 //
-// The hash covers the node arena directly rather than a serialized XML
+// The hash covers the document's columns directly rather than a serialized XML
 // string: same content sensitivity, but no multi-megabyte allocation.
 // Every field is length- or kind-prefixed so distinct documents cannot
 // collide by concatenation. Build feeds the hash from its own walk, so
@@ -34,7 +34,7 @@ func ContentFingerprint(ix *Index) string {
 	}
 	f := newFingerprinter(ix)
 	for id := 0; id < ix.doc.Len(); id++ {
-		f.node(ix.doc.Node(xmldoc.NodeID(id)))
+		f.node(xmldoc.NodeID(id))
 	}
 	return f.finish()
 }
@@ -57,12 +57,14 @@ func (f *fingerprinter) str(s string) {
 	f.buf = append(f.buf, s...)
 }
 
-func (f *fingerprinter) node(n *xmldoc.Node) {
-	f.buf = append(f.buf, byte(n.Kind))
-	f.str(n.Tag)
-	f.str(n.Text)
-	f.buf = append(f.buf, byte(len(n.Attrs)))
-	for _, a := range n.Attrs {
+func (f *fingerprinter) node(id xmldoc.NodeID) {
+	d := f.ix.doc
+	f.buf = append(f.buf, byte(d.Kind(id)))
+	f.str(d.Tag(id))
+	f.str(d.Text(id))
+	f.buf = append(f.buf, byte(d.NumAttrs(id)))
+	for i := range d.NumAttrs(id) {
+		a := d.AttrAt(id, i)
 		f.str(a.Name)
 		f.str(a.Value)
 	}

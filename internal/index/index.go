@@ -120,7 +120,7 @@ func (t *table[T]) layout(counts []int32) {
 // droppedTerm marks a surface form the pipeline drops (a stopword).
 const droppedTerm = ^uint32(0)
 
-// Build indexes doc under pipe. One walk over the node arena feeds the
+// Build indexes doc under pipe. One walk over the document's nodes feeds the
 // dataguide, the content fingerprint and the vocabulary: each distinct
 // surface form is normalized (lower-cased, stemmed) once and interned
 // to a dense term ID, and a token position records only that ID. The
@@ -157,12 +157,11 @@ func Build(doc *xmldoc.Document, pipe text.Pipeline) *Index {
 		}
 	}
 	for node = 0; int(node) < n; node++ {
-		nd := doc.Node(node)
-		fp.node(nd)
-		if nd.Kind == xmldoc.Element {
-			gb.visit(node, nd.Tag, nd.Level)
+		fp.node(node)
+		if doc.Kind(node) == xmldoc.Element {
+			gb.visit(node, doc.Tag(node), doc.Level(node))
 		} else {
-			text.EachToken(nd.Text, intern)
+			text.EachToken(doc.Text(node), intern)
 		}
 	}
 	ix.guide = gb.g

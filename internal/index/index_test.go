@@ -226,8 +226,8 @@ func TestPropertyContainsAgreesWithNaiveScan(t *testing.T) {
 				// Naive: phrase must appear inside a single text node.
 				naive := false
 				doc.Walk(func(id xmldoc.NodeID) bool {
-					if doc.Kind(id) == xmldoc.Text && doc.Contains(e, id) &&
-						pipe.ContainsPhrase(doc.Node(id).Text, phrase) {
+					if doc.Kind(id) == xmldoc.Text && doc.Pos().Ancestor(e, id) &&
+						pipe.ContainsPhrase(doc.Text(id), phrase) {
 						naive = true
 					}
 					return true

@@ -28,7 +28,8 @@ type oracleIndex struct {
 	guide     *Dataguide
 }
 
-// oracleBuild is that Build, verbatim: one Walk, a []Token per text
+// oracleBuild is that Build, verbatim but for reading nodes through the
+// document's accessors: one Walk, a []Token per text
 // node (Pipeline.Tokenize is held to its own oracle in internal/text),
 // an append per posting.
 func oracleBuild(doc *xmldoc.Document, pipe text.Pipeline) *oracleIndex {
@@ -38,14 +39,13 @@ func oracleBuild(doc *xmldoc.Document, pipe text.Pipeline) *oracleIndex {
 	}
 	gb := newGuideBuilder(doc.Len())
 	doc.Walk(func(id xmldoc.NodeID) bool {
-		n := doc.Node(id)
-		switch n.Kind {
+		switch tag := doc.Tag(id); doc.Kind(id) {
 		case xmldoc.Element:
-			ix.tags[n.Tag] = append(ix.tags[n.Tag], id)
+			ix.tags[tag] = append(ix.tags[tag], id)
 			ix.allElems = append(ix.allElems, id)
-			gb.visit(id, n.Tag, n.Level)
+			gb.visit(id, tag, doc.Level(id))
 		case xmldoc.Text:
-			for _, tok := range pipe.Tokenize(n.Text) {
+			for _, tok := range pipe.Tokenize(doc.Text(id)) {
 				pos := int32(ix.numTokens)
 				ix.positions[tok.Term] = append(ix.positions[tok.Term], pos)
 				ix.seqNode = append(ix.seqNode, id)
@@ -113,8 +113,9 @@ func (ix *oracleIndex) hasPosition(term string, pos int32) bool {
 	return i < len(ps) && ps[i] == pos
 }
 
-// oracleFingerprint is the pre-streaming ContentFingerprint, verbatim:
-// a Fprintf prefix, then a second walk with a []byte(s) per string.
+// oracleFingerprint is the pre-streaming ContentFingerprint, verbatim
+// but for the accessors: a Fprintf prefix, then a second walk with a
+// []byte(s) per string.
 func oracleFingerprint(doc *xmldoc.Document, pipe text.Pipeline, scorerName string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "pipe:stem=%t,stop=%t;scorer=%s;doc:",
@@ -129,13 +130,13 @@ func oracleFingerprint(doc *xmldoc.Document, pipe text.Pipeline, scorerName stri
 		h.Write([]byte(s))
 	}
 	doc.Walk(func(id xmldoc.NodeID) bool {
-		n := doc.Node(id)
-		h.Write([]byte{byte(n.Kind)})
-		writeStr(n.Tag)
-		writeStr(n.Text)
-		num[0] = byte(len(n.Attrs))
+		h.Write([]byte{byte(doc.Kind(id))})
+		writeStr(doc.Tag(id))
+		writeStr(doc.Text(id))
+		num[0] = byte(doc.NumAttrs(id))
 		h.Write(num[:1])
-		for _, a := range n.Attrs {
+		for i := range doc.NumAttrs(id) {
+			a := doc.AttrAt(id, i)
 			writeStr(a.Name)
 			writeStr(a.Value)
 		}
@@ -150,8 +151,8 @@ func oracleFingerprint(doc *xmldoc.Document, pipe text.Pipeline, scorerName stri
 func samplePhrases(doc *xmldoc.Document, r *rand.Rand, n int) []string {
 	var texts []string
 	for id := 0; id < doc.Len(); id++ {
-		if nd := doc.Node(xmldoc.NodeID(id)); nd.Kind == xmldoc.Text {
-			texts = append(texts, nd.Text)
+		if doc.Kind(xmldoc.NodeID(id)) == xmldoc.Text {
+			texts = append(texts, doc.Text(xmldoc.NodeID(id)))
 		}
 	}
 	phrases := []string{"", "no such phrase anywhere", "the of"}

@@ -15,9 +15,9 @@ import (
 // for the subtree count, the element's own tag for df and n.
 func oracleScore(ix *Index, elem xmldoc.NodeID, phrase string) float64 {
 	occ := ix.phraseOccurrences(phrase)
-	n := ix.doc.Node(elem)
-	lo := sort.Search(len(occ), func(i int) bool { return occ[i] >= n.Start })
-	hi := sort.Search(len(occ), func(i int) bool { return occ[i] > n.End })
+	end := ix.doc.Pos().Post[elem]
+	lo := sort.Search(len(occ), func(i int) bool { return occ[i] >= int32(elem) })
+	hi := sort.Search(len(occ), func(i int) bool { return occ[i] > end })
 	tf := hi - lo
 	if tf == 0 {
 		return 0

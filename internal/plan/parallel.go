@@ -20,7 +20,9 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -69,6 +71,13 @@ type WorkerBudget interface {
 // fan-out's units are both its indices, so under one scheduler budget
 // their product cannot oversubscribe the machine. A nil budget (library
 // use, no scheduler) is a private GOMAXPROCS-1 tokens for this call.
+//
+// A panic in run on a helper does not take the process down with it:
+// the helper recovers it, returns its token and stops; the others drain
+// the rest, and once all have finished Drain re-raises the first
+// recovered value, with the helper's stack (a helperPanic), on the
+// calling goroutine, where a panic in run would have surfaced had no
+// helper joined.
 func Drain(budget WorkerBudget, n int, run func(i int)) {
 	if budget == nil {
 		budget = sched.NewBudget(runtime.GOMAXPROCS(0) - 1)
@@ -79,17 +88,47 @@ func Drain(budget WorkerBudget, n int, run func(i int)) {
 			run(i)
 		}
 	}
-	var wg sync.WaitGroup
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		fault *helperPanic // the first value a helper recovered
+	)
 	for h := 1; h < n && budget.TryAcquire(); h++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer budget.Release()
+			defer func() {
+				if v := recover(); v != nil {
+					once.Do(func() { fault = &helperPanic{v, debug.Stack()} })
+				}
+			}()
 			drain()
 		}()
 	}
 	drain()
 	wg.Wait()
+	if fault != nil {
+		panic(fault)
+	}
+}
+
+// helperPanic carries a value a Drain helper recovered to the caller,
+// with the helper's stack: the caller's own trace, which net/http logs
+// for a handler panic, no longer has the faulting frame.
+type helperPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *helperPanic) Error() string {
+	return fmt.Sprintf("%v [in a Drain helper]\n\n%s", p.value, p.stack)
+}
+
+// Unwrap returns the recovered value if it is an error.
+func (p *helperPanic) Unwrap() error {
+	err, _ := p.value.(error)
+	return err
 }
 
 // ResolveParallelism is the planner's worker-count choice, beside

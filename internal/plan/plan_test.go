@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -230,8 +231,9 @@ vor w2: x.tag = car & y.tag = car & x.mileage < y.mileage => x < y
 	// Results must be sorted by increasing mileage (the VOR preference).
 	last := -1.0
 	for _, a := range got {
-		m, ok := ix.Document().NumericValue(a.Node, "mileage")
-		if !ok {
+		v, ok := ix.Document().AttrValue(a.Node, "mileage")
+		m, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+		if !ok || err != nil {
 			continue
 		}
 		if last >= 0 && m < last {

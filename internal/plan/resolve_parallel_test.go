@@ -1,8 +1,10 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -125,6 +127,50 @@ func TestDrain(t *testing.T) {
 				t.Errorf("n=%d tokens=%d: peak helpers %d, want <= %d", n, tokens, peak, maxHelpers)
 			}
 		}
+	}
+}
+
+// goid returns the calling goroutine's ID, read off its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// TestDrainContainsHelperPanic: a panic in run on a helper goroutine is
+// not left to the runtime, which would end the process. The caller
+// panics with the same value, and the helper's stack down to the
+// faulting frame, once the drain is over, and every token the helpers
+// took comes back.
+func TestDrainContainsHelperPanic(t *testing.T) {
+	boom := errors.New("boom")
+	cb := &countingBudget{cap: 1}
+	caller, helperRan := goid(), make(chan struct{})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		Drain(cb, 2, func(int) {
+			if goid() == caller {
+				<-helperRan // the other index is the helper's
+				return
+			}
+			close(helperRan)
+			panic(boom)
+		})
+		return nil
+	}()
+	err, _ := got.(error)
+	if !errors.Is(err, boom) {
+		t.Fatalf("Drain's caller recovered %v, want the helper's %v", got, boom)
+	}
+	if !strings.Contains(err.Error(), "TestDrainContainsHelperPanic.func") {
+		t.Errorf("the re-raised value lacks the helper's faulting frame:\n%v", err)
+	}
+	if held := cb.held.Load(); held != 0 {
+		t.Errorf("%d tokens leaked", held)
+	}
+	if peak := cb.peak.Load(); peak != 1 {
+		t.Errorf("peak helpers %d, want the one the budget granted", peak)
 	}
 }
 

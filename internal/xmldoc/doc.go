@@ -1,7 +1,8 @@
 // Package xmldoc implements the XML document substrate used by PIMENTO:
-// an arena-allocated DOM with region (interval) encoding for constant-time
-// structural predicates, parent pointers for parent-child checks, and
-// typed value access for constraint predicates such as price < 2000.
+// a document stored as per-node columns over one text arena, with region
+// (interval) encoding for constant-time structural predicates, a parent
+// column for parent-child checks, and typed value access for constraint
+// predicates such as price < 2000.
 //
 // The model intentionally mirrors what the paper's evaluation needs:
 // element trees with text content, where an "attribute" of an element (as
@@ -11,12 +12,11 @@ package xmldoc
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
 // NodeID identifies a node inside a Document. IDs are dense indices into
-// the document's node arena and are assigned in document (preorder) order,
+// the document's columns and are assigned in document (preorder) order,
 // so sorting answers by NodeID yields document order.
 type NodeID int32
 
@@ -30,7 +30,7 @@ type NodeKind uint8
 const (
 	// Element is an XML element node with a tag.
 	Element NodeKind = iota
-	// Text is a character-data node; its content is in Node.Text.
+	// Text is a character-data node; Document.Text returns its content.
 	Text
 )
 
@@ -40,109 +40,113 @@ type Attr struct {
 	Value string
 }
 
-// Node is a single DOM node. Start/End implement region encoding: for two
-// nodes a and d, a is a proper ancestor of d iff
-// a.Start < d.Start && d.End >= n.End ... see Document.IsAncestor.
-type Node struct {
-	Kind   NodeKind
-	Tag    string // element tag; empty for text nodes
-	Text   string // character data; empty for element nodes
-	Attrs  []Attr // XML attributes; nil for text nodes
-	Parent NodeID
-	First  NodeID // first child
-	Next   NodeID // next sibling
-	Start  int32  // preorder position (== its own NodeID by construction)
-	End    int32  // largest Start in the subtree rooted here
-	Level  int32  // depth; the root has level 0
+// Document is an immutable parsed XML document, stored as columns: one
+// array per node field, indexed by NodeID. No column holds a pointer —
+// character data and attribute values are offsets into one arena string,
+// tag and attribute names are IDs into one small table of interned
+// names — so the garbage collector never scans a document's nodes, and a
+// node costs 25 bytes plus its text.
+//
+// The tree links are derived, not stored. A NodeID is the node's
+// preorder rank, so its subtree is the run id..post[id]: its first child
+// is id+1 when id < post[id], and its next sibling is post[id]+1 when
+// that is still inside its parent's subtree.
+type Document struct {
+	columns
+	arena string
 }
 
-// Document is an immutable parsed XML document. Nodes are stored in a
-// single arena in preorder so that NodeID, Start and arena index coincide.
-type Document struct {
-	nodes []Node
-	// textLen caches the total character-data length, used by scoring.
-	textLen int
-	// post/level are the flat positional arrays behind Pos(); see pos.go.
-	post  []int32
-	level []int32
+// columns are the per-node arrays a Builder appends to and a Document
+// reads.
+type columns struct {
+	kind   []NodeKind
+	tag    []uint32 // into names; 0 ("") for a text node
+	parent []NodeID
+	post   []int32 // the largest NodeID in the node's subtree
+	level  []int32 // depth; the root has level 0
+	// In a Document, off and attrOff hold one entry more than there are
+	// nodes (Builder.Document appends the last). Node i owns
+	// arena[off[i]:off[i+1]] — a text node's character data, an
+	// element's attribute values back to back — and its attributes are
+	// attrs[attrOff[i]:attrOff[i+1]].
+	off     []uint32
+	attrOff []uint32
+	attrs   []attrRec
+	names   []string // interned tag and attribute names; names[0] is ""
 }
+
+// attrRec is one attribute: its name and where its value ends in the
+// arena. The value starts where the element's previous attribute ends,
+// or at the element's off for its first.
+type attrRec struct{ name, end uint32 }
 
 // Root returns the document's root element ID, or InvalidNode for an
 // empty document.
 func (d *Document) Root() NodeID {
-	if len(d.nodes) == 0 {
+	if d.Len() == 0 {
 		return InvalidNode
 	}
 	return 0
 }
 
 // Len returns the number of nodes (elements and text nodes).
-func (d *Document) Len() int { return len(d.nodes) }
-
-// Node returns the node with the given ID. The returned pointer is valid
-// for the lifetime of the document and must not be mutated.
-func (d *Document) Node(id NodeID) *Node {
-	return &d.nodes[id]
-}
+func (d *Document) Len() int { return len(d.kind) }
 
 // Kind returns the node kind of id.
-func (d *Document) Kind(id NodeID) NodeKind { return d.nodes[id].Kind }
+func (d *Document) Kind(id NodeID) NodeKind { return d.kind[id] }
 
 // Tag returns the element tag of id (empty for text nodes).
-func (d *Document) Tag(id NodeID) string { return d.nodes[id].Tag }
+func (d *Document) Tag(id NodeID) string { return d.names[d.tag[id]] }
+
+// Text returns the character data of text node id (empty for elements).
+func (d *Document) Text(id NodeID) string {
+	if d.kind[id] != Text {
+		return ""
+	}
+	return d.arena[d.off[id]:d.off[id+1]]
+}
 
 // Parent returns the parent of id, or InvalidNode for the root.
-func (d *Document) Parent(id NodeID) NodeID { return d.nodes[id].Parent }
+func (d *Document) Parent(id NodeID) NodeID { return d.parent[id] }
 
 // Level returns the depth of id (root is 0).
-func (d *Document) Level(id NodeID) int32 { return d.nodes[id].Level }
+func (d *Document) Level(id NodeID) int32 { return d.level[id] }
 
-// IsAncestor reports whether a is a proper ancestor of dnode, in O(1)
-// via region encoding.
-func (d *Document) IsAncestor(a, dnode NodeID) bool {
-	if a == dnode || a == InvalidNode || dnode == InvalidNode {
-		return false
+// FirstChild returns the first child of id, or InvalidNode.
+func (d *Document) FirstChild(id NodeID) NodeID {
+	if int32(id) < d.post[id] {
+		return id + 1
 	}
-	na, nd := &d.nodes[a], &d.nodes[dnode]
-	return na.Start < nd.Start && nd.End <= na.End
+	return InvalidNode
 }
 
-// IsParent reports whether p is the parent of c.
-func (d *Document) IsParent(p, c NodeID) bool {
-	return c != InvalidNode && d.nodes[c].Parent == p
-}
-
-// Contains reports whether container is a (a == d allowed) ancestor-or-self
-// of contained.
-func (d *Document) Contains(container, contained NodeID) bool {
-	return container == contained || d.IsAncestor(container, contained)
-}
-
-// Children returns the element/text children of id in document order.
-func (d *Document) Children(id NodeID) []NodeID {
-	var out []NodeID
-	for c := d.nodes[id].First; c != InvalidNode; c = d.nodes[c].Next {
-		out = append(out, c)
+// NextSibling returns the next sibling of id, or InvalidNode.
+func (d *Document) NextSibling(id NodeID) NodeID {
+	if p := d.parent[id]; p != InvalidNode && d.post[id] < d.post[p] {
+		return NodeID(d.post[id] + 1)
 	}
-	return out
+	return InvalidNode
 }
 
-// ChildElements returns the element children of id in document order.
-func (d *Document) ChildElements(id NodeID) []NodeID {
-	var out []NodeID
-	for c := d.nodes[id].First; c != InvalidNode; c = d.nodes[c].Next {
-		if d.nodes[c].Kind == Element {
-			out = append(out, c)
-		}
+// NumAttrs returns the number of XML attributes of id.
+func (d *Document) NumAttrs(id NodeID) int { return int(d.attrOff[id+1] - d.attrOff[id]) }
+
+// AttrAt returns the i-th XML attribute of id in source order, for
+// 0 <= i < NumAttrs(id).
+func (d *Document) AttrAt(id NodeID, i int) Attr {
+	k := int(d.attrOff[id]) + i
+	start := d.off[id]
+	if i > 0 {
+		start = d.attrs[k-1].end
 	}
-	return out
+	return Attr{Name: d.names[d.attrs[k].name], Value: d.arena[start:d.attrs[k].end]}
 }
 
 // ChildByTag returns the first child element of id with the given tag, or
 // InvalidNode.
 func (d *Document) ChildByTag(id NodeID, tag string) NodeID {
-	for c := d.nodes[id].First; c != InvalidNode; c = d.nodes[c].Next {
-		if d.nodes[c].Kind == Element && d.nodes[c].Tag == tag {
+	for c := d.FirstChild(id); c != InvalidNode; c = d.NextSibling(c) {
+		if d.kind[c] == Element && d.Tag(c) == tag {
 			return c
 		}
 	}
@@ -154,9 +158,8 @@ func (d *Document) ChildByTag(id NodeID, tag string) NodeID {
 // text content of the first child element tagged attr. The second return
 // is false if neither exists.
 func (d *Document) AttrValue(id NodeID, attr string) (string, bool) {
-	n := &d.nodes[id]
-	for _, a := range n.Attrs {
-		if a.Name == attr {
+	for i := range d.NumAttrs(id) {
+		if a := d.AttrAt(id, i); a.Name == attr {
 			return a.Value, true
 		}
 	}
@@ -175,89 +178,57 @@ func (d *Document) DeepValue(id NodeID, attr string) (string, bool) {
 	if v, ok := d.AttrValue(id, attr); ok {
 		return v, true
 	}
-	n := &d.nodes[id]
-	for i := id + 1; int32(i) <= n.End; i++ {
-		if d.nodes[i].Kind == Element && d.nodes[i].Tag == attr {
+	for i := id + 1; int32(i) <= d.post[id]; i++ {
+		if d.kind[i] == Element && d.Tag(i) == attr {
 			return d.TextContent(i), true
 		}
 	}
 	return "", false
 }
 
-// NumericValue resolves x.attr as a float64; ok is false when the
-// attribute is missing or not numeric.
-func (d *Document) NumericValue(id NodeID, attr string) (float64, bool) {
-	s, ok := d.AttrValue(id, attr)
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
 // TextContent returns the concatenated character data of the subtree
 // rooted at id, in document order.
 func (d *Document) TextContent(id NodeID) string {
-	n := &d.nodes[id]
-	if n.Kind == Text {
-		return n.Text
+	end := NodeID(d.post[id])
+	if d.kind[id] == Text {
+		return d.Text(id)
 	}
 	// A leaf element holding one text node (every XMark value element)
 	// is that node's string: no builder, no copy.
-	if c := n.First; c != InvalidNode && d.nodes[c].Kind == Text && d.nodes[c].Next == InvalidNode {
-		return d.nodes[c].Text
+	if end == id+1 && d.kind[end] == Text {
+		return d.Text(end)
 	}
 	var sb strings.Builder
-	d.appendText(id, &sb)
-	return sb.String()
-}
-
-func (d *Document) appendText(id NodeID, sb *strings.Builder) {
-	for c := d.nodes[id].First; c != InvalidNode; c = d.nodes[c].Next {
-		n := &d.nodes[c]
-		if n.Kind == Text {
+	for i := id + 1; i <= end; i++ { // the subtree, in preorder
+		if d.kind[i] == Text {
 			if sb.Len() > 0 {
 				sb.WriteByte(' ')
 			}
-			sb.WriteString(n.Text)
-		} else {
-			d.appendText(c, sb)
+			sb.WriteString(d.Text(i))
 		}
 	}
+	return sb.String()
 }
-
-// TotalTextLen returns the total number of characters of text content in
-// the document, used for score normalization.
-func (d *Document) TotalTextLen() int { return d.textLen }
 
 // Walk visits every node in preorder, calling fn; if fn returns false the
 // subtree below the node is skipped.
 func (d *Document) Walk(fn func(NodeID) bool) {
-	d.walk(d.Root(), fn)
-}
-
-func (d *Document) walk(id NodeID, fn func(NodeID) bool) {
-	if id == InvalidNode {
-		return
-	}
-	if !fn(id) {
-		return
-	}
-	for c := d.nodes[id].First; c != InvalidNode; c = d.nodes[c].Next {
-		d.walk(c, fn)
+	for id := NodeID(0); int(id) < d.Len(); {
+		if fn(id) {
+			id++
+		} else {
+			id = NodeID(d.post[id]) + 1
+		}
 	}
 }
 
-// ElementsByTag scans the arena and returns all element IDs with the given
-// tag in document order. Index structures should be preferred for repeated
-// lookups; this is the naive fallback used in tests.
+// ElementsByTag scans the columns and returns all element IDs with the
+// given tag in document order. Index structures should be preferred for
+// repeated lookups; this is the naive fallback used in tests.
 func (d *Document) ElementsByTag(tag string) []NodeID {
 	var out []NodeID
-	for i := range d.nodes {
-		if d.nodes[i].Kind == Element && d.nodes[i].Tag == tag {
+	for i, k := range d.kind {
+		if k == Element && d.names[d.tag[i]] == tag {
 			out = append(out, NodeID(i))
 		}
 	}
@@ -271,9 +242,9 @@ func (d *Document) Path(id NodeID) string {
 		return ""
 	}
 	var parts []string
-	for n := id; n != InvalidNode; n = d.nodes[n].Parent {
-		if d.nodes[n].Kind == Element {
-			parts = append(parts, d.nodes[n].Tag)
+	for n := id; n != InvalidNode; n = d.parent[n] {
+		if d.kind[n] == Element {
+			parts = append(parts, d.Tag(n))
 		}
 	}
 	// reverse
@@ -290,5 +261,5 @@ func (d *Document) String() string {
 		return "Document(empty)"
 	}
 	return fmt.Sprintf("Document(root=%s, nodes=%d, text=%dB)",
-		d.nodes[r].Tag, len(d.nodes), d.textLen)
+		d.Tag(r), d.Len(), d.textLen())
 }

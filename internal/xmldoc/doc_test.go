@@ -2,6 +2,7 @@ package xmldoc
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -67,11 +68,16 @@ func TestAttrValue(t *testing.T) {
 	if _, ok := d.AttrValue(cars[0], "mileage"); ok {
 		t.Errorf("mileage should be missing on first car")
 	}
-	// Numeric.
-	if v, ok := d.NumericValue(cars[1], "mileage"); !ok || v != 50000 {
+	// Numeric, as a constraint predicate reads it.
+	numeric := func(id NodeID, attr string) (float64, bool) {
+		s, ok := d.AttrValue(id, attr)
+		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		return v, ok && err == nil
+	}
+	if v, ok := numeric(cars[1], "mileage"); !ok || v != 50000 {
 		t.Errorf("mileage = %v,%v; want 50000,true", v, ok)
 	}
-	if _, ok := d.NumericValue(cars[0], "owner"); ok {
+	if _, ok := numeric(cars[0], "owner"); ok {
 		t.Errorf("owner should not parse as numeric")
 	}
 }
@@ -135,24 +141,22 @@ func TestStructuralPredicates(t *testing.T) {
 	root := d.Root()
 	cars := d.ElementsByTag("car")
 	descs := d.ElementsByTag("description")
+	pos := d.Pos()
 
-	if !d.IsParent(root, cars[0]) {
+	if !pos.ParentOf(root, cars[0]) {
 		t.Errorf("dealer should be parent of car")
 	}
-	if !d.IsAncestor(root, descs[0]) {
+	if !pos.Ancestor(root, descs[0]) {
 		t.Errorf("dealer should be ancestor of description")
 	}
-	if d.IsParent(root, descs[0]) {
+	if pos.ParentOf(root, descs[0]) {
 		t.Errorf("dealer is not parent of description")
 	}
-	if d.IsAncestor(cars[0], cars[1]) || d.IsAncestor(cars[1], cars[0]) {
+	if pos.Ancestor(cars[0], cars[1]) || pos.Ancestor(cars[1], cars[0]) {
 		t.Errorf("sibling cars must not be ancestors of each other")
 	}
-	if d.IsAncestor(cars[0], cars[0]) {
-		t.Errorf("IsAncestor must be irreflexive")
-	}
-	if !d.Contains(cars[0], cars[0]) {
-		t.Errorf("Contains must be reflexive")
+	if pos.Ancestor(cars[0], cars[0]) || pos.ParentOf(cars[0], cars[0]) {
+		t.Errorf("Ancestor and ParentOf must be irreflexive")
 	}
 }
 
@@ -167,9 +171,14 @@ func TestChildLookups(t *testing.T) {
 	if c := d.ChildByTag(cars[0], "nope"); c != InvalidNode {
 		t.Errorf("found nonexistent child %v", c)
 	}
-	kids := d.ChildElements(cars[1])
-	if len(kids) != 6 {
-		t.Errorf("second car has %d element children, want 6", len(kids))
+	kids := 0
+	for c := d.FirstChild(cars[1]); c != InvalidNode; c = d.NextSibling(c) {
+		if d.Kind(c) == Element {
+			kids++
+		}
+	}
+	if kids != 6 {
+		t.Errorf("second car has %d element children, want 6", kids)
 	}
 }
 
@@ -292,7 +301,8 @@ func randomTree(r *rand.Rand, maxNodes int) *Document {
 }
 
 // TestPropertyRegionEncodingAgreesWithParentWalk checks, on random trees,
-// that IsAncestor (region encoding) agrees with walking parent pointers.
+// that Positions.Ancestor (region encoding) agrees with walking parent
+// pointers.
 func TestPropertyRegionEncodingAgreesWithParentWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 200; iter++ {
@@ -301,15 +311,9 @@ func TestPropertyRegionEncodingAgreesWithParentWalk(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				a, dn := NodeID(i), NodeID(j)
-				walk := false
-				for p := d.Parent(dn); p != InvalidNode; p = d.Parent(p) {
-					if p == a {
-						walk = true
-						break
-					}
-				}
-				if got := d.IsAncestor(a, dn); got != walk {
-					t.Fatalf("IsAncestor(%d,%d)=%v, parent walk says %v\n%s",
+				walk := isAncestorByParents(d, a, dn)
+				if got := d.Pos().Ancestor(a, dn); got != walk {
+					t.Fatalf("Ancestor(%d,%d)=%v, parent walk says %v\n%s",
 						a, dn, got, walk, d.XMLString())
 				}
 			}
@@ -329,18 +333,18 @@ func TestPropertyRoundTrip(t *testing.T) {
 		if d.Len() != d2.Len() {
 			t.Fatalf("node count changed: %d -> %d\n%s", d.Len(), d2.Len(), d.XMLString())
 		}
-		for i := 0; i < d.Len(); i++ {
-			a, b := d.Node(NodeID(i)), d2.Node(NodeID(i))
-			if a.Kind != b.Kind || a.Tag != b.Tag || a.Text != b.Text ||
-				a.Parent != b.Parent || a.Level != b.Level {
-				t.Fatalf("node %d differs: %+v vs %+v", i, a, b)
+		a, b := d.records(), d2.records()
+		for i := range a {
+			if a[i].Kind != b[i].Kind || a[i].Tag != b[i].Tag || a[i].Text != b[i].Text ||
+				a[i].Parent != b[i].Parent || a[i].Level != b[i].Level {
+				t.Fatalf("node %d differs: %+v vs %+v", i, a[i], b[i])
 			}
 		}
 	}
 }
 
 // TestQuickLevelMonotone: along any parent chain levels strictly decrease
-// to 0 at the root, and Start values strictly decrease.
+// to 0 at the root, and preorder positions (NodeIDs) strictly decrease.
 func TestQuickLevelMonotone(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	f := func(seed int64) bool {
@@ -357,7 +361,7 @@ func TestQuickLevelMonotone(t *testing.T) {
 			if d.Level(id) != d.Level(p)+1 {
 				return false
 			}
-			if d.Node(p).Start >= d.Node(id).Start {
+			if p >= id {
 				return false
 			}
 		}

@@ -1,9 +1,10 @@
 package xmldoc
 
 // Exported for the differential tests in package xmldoc_test, which
-// need the index and the XMark generator (both import xmldoc).
+// need the index and the data generators (all import xmldoc).
 var (
 	OracleParse  = oracleParse
+	OracleLoad   = oracleLoad
 	SameDocument = sameDocument
 	ParseSeeds   = parseSeeds
 )

@@ -50,12 +50,13 @@ func FuzzParseXML(f *testing.F) {
 // nodes in document order.
 func content(d *Document) []string {
 	var out []string
-	for i := range d.nodes {
-		for _, a := range d.nodes[i].Attrs {
+	for id := NodeID(0); int(id) < d.Len(); id++ {
+		for i := range d.NumAttrs(id) {
+			a := d.AttrAt(id, i)
 			out = append(out, a.Name+"="+a.Value)
 		}
-		if d.nodes[i].Kind == Text {
-			out = append(out, d.nodes[i].Text)
+		if d.Kind(id) == Text {
+			out = append(out, d.Text(id))
 		}
 	}
 	return out

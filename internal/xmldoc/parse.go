@@ -30,26 +30,32 @@ func ParseBytes(src []byte) (*Document, error) {
 // comments, processing instructions and directives are skipped;
 // character data is trimmed and whitespace-only runs are dropped.
 //
-// It sizes the node arena from the source's '<' count, so it is
-// allocated once and never regrows: a start tag, an end tag and a CDATA
-// section each cost one '<', and outside mixed content a text node is
-// followed by its parent's end tag, so the count bounds elements + text
-// nodes (XMark: nodes = 0.88 x count). Mixed content can exceed it
-// (append takes over), containers without text undershoot it
-// (Builder.Document keeps at most 1.25x), and a hostile run of '<'
-// reserves no more than the node per three bytes that a parsable body
-// of its size can force anyway.
+// It sizes the columns from the source's counts, so each is allocated
+// once and, on well-formed input, never regrows:
+//   - a start tag, an end tag and a CDATA section each cost one '<', and
+//     outside mixed content a text node is followed by its parent's end
+//     tag, so the '<' count bounds elements + text nodes (XMark: nodes =
+//     0.88 x count);
+//   - every attribute costs an '=', as does some character data;
+//   - every '<' opens at least three bytes of markup ("<a>"), and
+//     decoding never lengthens text, so the rest bounds the character
+//     data and attribute values — but for '<' inside a CDATA section.
+//
+// Each is a capacity, not a limit (mixed content and CDATA can exceed
+// theirs and append takes over) and not a lease (Builder.Document keeps
+// at most 1.25x), and a hostile run of '<' or '=' reserves no more than
+// the node per three bytes, or the attribute per four (b=""), that a
+// parsable body of its size can force anyway.
 func ParseString(src string) (*Document, error) {
-	s := scanner{src: src, qnames: map[string]string{}, locals: map[string]string{}}
-	s.nodes = make([]Node, 0, min(strings.Count(src, "<"), len(src)/3))
-	// Every attribute costs an '=', as does some character data: a
-	// capacity, not a limit (finish keeps at most 1.25x), and no more
-	// than the attribute per four bytes (b="") a parsable body can hold.
-	s.attrs = make([]Attr, 0, min(strings.Count(src, "="), len(src)/4))
+	lt := strings.Count(src, "<")
+	s := scanner{
+		Builder: newBuilder(min(lt, len(src)/3), min(strings.Count(src, "="), len(src)/4), max(len(src)-3*lt, 0)),
+		src:     src,
+		qnames:  map[string]uint32{},
+	}
 	if err := s.scan(); err != nil {
 		return nil, fmt.Errorf("xmldoc: parse: line %d: %w", 1+strings.Count(src[:s.pos], "\n"), err)
 	}
-	s.finish()
 	return s.Document()
 }
 
@@ -57,30 +63,33 @@ var errEOF = errors.New("unexpected EOF")
 
 // scanner is one pass over the source that accepts exactly what
 // encoding/xml's strict Decoder accepts (the tests keep that decoder's
-// token loop as oracleParse) and appends nodes straight into the
-// Builder's arena. Until finish, Node.Text and Attr.Value are views of
-// the source or of buf.
+// token loop as oracleParse) and appends nodes straight onto the
+// Builder's columns, copying kept character data and attribute values
+// into its arena token by token.
 type scanner struct {
 	Builder
-	src    string
-	pos    int
-	open   []string          // qualified names of the open elements
-	qnames map[string]string // qualified name as written → interned local name, "" if dropped
-	locals map[string]string // the interned local names
-	ns     []nsBinding
-	attrs  []Attr
-	vals   int    // bytes of kept attribute values
-	buf    []byte // character data that needed decoding
+	src     string
+	pos     int
+	open    []string          // qualified names of the open elements
+	qnames  map[string]uint32 // qualified name as written → its local name's ID, 0 if dropped
+	ns      []nsBinding
+	pending []Attr // the start tag's attributes: qualified names, values still views
+	buf     []byte // the token's character data that needed decoding
 }
 
 // nsBinding is an xmlns:prefix declaration on the open element at depth.
+// Whether it binds prefix to the name space "xmlns" is settled when it
+// is read: a decoded value is a view of buf, which the next token reuses.
 type nsBinding struct {
-	prefix, uri string
-	depth       int
+	prefix string
+	xmlns  bool
+	depth  int
 }
 
 func (s *scanner) scan() error {
 	for s.pos < len(s.src) {
+		// The last token's decoded text is in the arena by now.
+		s.buf = s.buf[:0]
 		var err error
 		if s.src[s.pos] != '<' {
 			err = s.chars()
@@ -167,7 +176,8 @@ func (s *scanner) decode(raw string, refs bool) (string, error) {
 			s.buf = append(s.buf, c)
 		}
 	}
-	// buf only grows: a regrowth leaves earlier views on the old array.
+	// buf only grows within a token: a regrowth leaves the token's
+	// earlier views on the old array. scan empties it between tokens.
 	t := unsafe.String(&s.buf[start], len(s.buf)-start)
 	return t, checkChars(t)
 }
@@ -240,30 +250,26 @@ func (s *scanner) name() string {
 	return name
 }
 
-// local resolves a qualified name as written to its interned local
-// name, "" when validXMLName rejects the local part. A name is checked
-// and copied once per document, whatever its count.
-func (s *scanner) local(qname string) (string, error) {
-	if l, ok := s.qnames[qname]; ok {
-		return l, nil
+// local resolves a qualified name as written to the ID of its interned
+// local name, 0 when validXMLName rejects the local part. A name is
+// checked and copied once per document, whatever its count.
+func (s *scanner) local(qname string) (uint32, error) {
+	if id, ok := s.qnames[qname]; ok {
+		return id, nil
 	}
 	if !isName(qname) || strings.Count(qname, ":") > 1 {
-		return "", fmt.Errorf("invalid XML name %q", qname)
+		return 0, fmt.Errorf("invalid XML name %q", qname)
 	}
 	l := qname
 	if prefix, loc, ok := strings.Cut(qname, ":"); ok && prefix != "" && loc != "" {
 		l = loc
 	}
-	if !validXMLName(l) {
-		l = ""
-	} else if v, ok := s.locals[l]; ok {
-		l = v
-	} else {
-		l = strings.Clone(l)
-		s.locals[l] = l
+	var id uint32
+	if validXMLName(l) {
+		id = s.intern(l)
 	}
-	s.qnames[qname] = l
-	return l, nil
+	s.qnames[qname] = id
+	return id, nil
 }
 
 func (s *scanner) space() {
@@ -286,10 +292,11 @@ func (s *scanner) startTag() error {
 	if err != nil {
 		return err
 	}
-	if tag == "" {
+	if tag == 0 {
 		return fmt.Errorf("invalid element name %q", qname)
 	}
-	a0, ns0, empty := len(s.attrs), len(s.ns), false
+	ns0, empty := len(s.ns), false
+	s.pending = s.pending[:0]
 	for {
 		s.space()
 		if s.skip('>') {
@@ -306,24 +313,15 @@ func (s *scanner) startTag() error {
 			return err
 		}
 	}
+	if _, err := s.start(tag); err != nil {
+		return err
+	}
 	// attr left qualified names: resolve them now that every xmlns
 	// declaration of this element is in scope.
-	kept := s.attrs[:a0]
-	for _, a := range s.attrs[a0:] {
-		if prefix, _, ok := strings.Cut(a.Name, ":"); ok && s.boundToXMLNS(prefix) {
-			continue
+	for _, a := range s.pending {
+		if prefix, _, ok := strings.Cut(a.Name, ":"); !ok || !s.boundToXMLNS(prefix) {
+			s.addAttr(s.qnames[a.Name], a.Value)
 		}
-		a.Name = s.qnames[a.Name]
-		kept = append(kept, a)
-		s.vals += len(a.Value)
-	}
-	s.attrs = kept
-	var attrs []Attr
-	if n := len(s.attrs); n > a0 {
-		attrs = s.attrs[a0:n:n]
-	}
-	if _, err := s.start(tag, attrs); err != nil {
-		return err
 	}
 	if empty {
 		s.leave()
@@ -368,9 +366,9 @@ func (s *scanner) attr() error {
 	s.pos += end + 2
 	switch prefix, local, ok := strings.Cut(qname, ":"); {
 	case ok && prefix == "xmlns" && local != "":
-		s.ns = append(s.ns, nsBinding{prefix: local, uri: v, depth: len(s.stack)})
-	case name != "" && name != "xmlns":
-		s.attrs = append(s.attrs, Attr{Name: qname, Value: v})
+		s.ns = append(s.ns, nsBinding{prefix: local, xmlns: v == "xmlns", depth: len(s.stack)})
+	case name != 0 && s.names[name] != "xmlns":
+		s.pending = append(s.pending, Attr{Name: qname, Value: v})
 	}
 	return nil
 }
@@ -381,7 +379,7 @@ func (s *scanner) attr() error {
 func (s *scanner) boundToXMLNS(prefix string) bool {
 	for i := len(s.ns) - 1; i >= 0 && prefix != "xml"; i-- {
 		if s.ns[i].prefix == prefix {
-			return s.ns[i].uri == "xmlns"
+			return s.ns[i].xmlns
 		}
 	}
 	return false
@@ -512,38 +510,6 @@ func (s *scanner) directive() error {
 	return errEOF
 }
 
-// finish copies every kept text and attribute value into one byte
-// arena and the attributes into one []Attr, so the document holds
-// neither the source nor the scratch.
-func (s *scanner) finish() {
-	arena := make([]byte, 0, s.textLen+s.vals)
-	// Earlier Attrs may sit on an array s.attrs outgrew, but every
-	// attribute is at its own index in the newest one.
-	attrs := s.attrs[:0]
-	if cap(attrs) > len(s.attrs)+len(s.attrs)/4 {
-		attrs = make([]Attr, 0, len(s.attrs))
-	}
-	keep := func(v string) string {
-		if v == "" {
-			return ""
-		}
-		arena = append(arena, v...)
-		return unsafe.String(&arena[len(arena)-len(v)], len(v))
-	}
-	for i := range s.nodes {
-		n := &s.nodes[i]
-		if n.Kind == Text {
-			n.Text = keep(n.Text)
-		} else if len(n.Attrs) > 0 {
-			a0 := len(attrs)
-			for _, a := range n.Attrs {
-				attrs = append(attrs, Attr{Name: a.Name, Value: keep(a.Value)})
-			}
-			n.Attrs = attrs[a0:len(attrs):len(attrs)]
-		}
-	}
-}
-
 // WriteXML serializes the document back to XML on w, with the given indent
 // ("" for compact output). Serialization is lossless up to whitespace
 // normalization, which the tests rely on for round-trip checks.
@@ -552,40 +518,42 @@ func (d *Document) WriteXML(w io.Writer, indent string) error {
 }
 
 func (d *Document) writeNode(w io.Writer, id NodeID, indent string, depth int) error {
-	n := &d.nodes[id]
 	pad := ""
 	nl := ""
 	if indent != "" {
 		pad = strings.Repeat(indent, depth)
 		nl = "\n"
 	}
-	if n.Kind == Text {
-		if _, err := fmt.Fprintf(w, "%s%s%s", pad, escapeText(n.Text), nl); err != nil {
+	if d.kind[id] == Text {
+		if _, err := fmt.Fprintf(w, "%s%s%s", pad, escapeText(d.Text(id)), nl); err != nil {
 			return err
 		}
 		return nil
 	}
+	tag := d.Tag(id)
 	var ab strings.Builder
-	for _, a := range n.Attrs {
+	for i := range d.NumAttrs(id) {
+		a := d.AttrAt(id, i)
 		fmt.Fprintf(&ab, ` %s="%s"`, a.Name, attrEscaper.Replace(a.Value))
 	}
-	if n.First == InvalidNode {
-		_, err := fmt.Fprintf(w, "%s<%s%s/>%s", pad, n.Tag, ab.String(), nl)
+	first := d.FirstChild(id)
+	if first == InvalidNode {
+		_, err := fmt.Fprintf(w, "%s<%s%s/>%s", pad, tag, ab.String(), nl)
 		return err
 	}
 	// Compact single-text-child elements onto one line for readability.
-	if d.nodes[n.First].Kind == Text && d.nodes[n.First].Next == InvalidNode {
+	if d.kind[first] == Text && d.NextSibling(first) == InvalidNode {
 		_, err := fmt.Fprintf(w, "%s<%s%s>%s</%s>%s",
-			pad, n.Tag, ab.String(), escapeText(d.nodes[n.First].Text), n.Tag, nl)
+			pad, tag, ab.String(), escapeText(d.Text(first)), tag, nl)
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s<%s%s>%s", pad, n.Tag, ab.String(), nl); err != nil {
+	if _, err := fmt.Fprintf(w, "%s<%s%s>%s", pad, tag, ab.String(), nl); err != nil {
 		return err
 	}
-	for c := n.First; c != InvalidNode; c = d.nodes[c].Next {
+	for c := first; c != InvalidNode; c = d.NextSibling(c) {
 		// Adjacent text siblings (character data the source split with a
 		// comment, PI or directive) stay two nodes when read back.
-		if d.nodes[c].Kind == Text && d.nodes[c-1].Kind == Text && d.nodes[c-1].Parent == id {
+		if d.kind[c] == Text && d.kind[c-1] == Text && d.parent[c-1] == id {
 			if _, err := io.WriteString(w, "<!---->"); err != nil {
 				return err
 			}
@@ -594,7 +562,7 @@ func (d *Document) writeNode(w io.Writer, id NodeID, indent string, depth int) e
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "%s</%s>%s", pad, n.Tag, nl)
+	_, err := fmt.Fprintf(w, "%s</%s>%s", pad, tag, nl)
 	return err
 }
 

@@ -24,7 +24,7 @@ func TestParseInternsNames(t *testing.T) {
 	if !same(d.Tag(prices[0]), d.Tag(prices[2])) {
 		t.Error("price elements at different depths hold two copies of their tag")
 	}
-	if !same(d.Node(cars[0]).Attrs[0].Name, d.Node(cars[1]).Attrs[0].Name) {
+	if !same(d.AttrAt(cars[0], 0).Name, d.AttrAt(cars[1], 0).Name) {
 		t.Error("two vin attributes hold two copies of their name")
 	}
 }
@@ -55,7 +55,6 @@ func TestParseTextRows(t *testing.T) {
 			"ParseString": func() (*Document, error) { return ParseString(tc.src) },
 			"ParseBytes":  func() (*Document, error) { return ParseBytes([]byte(tc.src)) },
 			"Parse":       func() (*Document, error) { return Parse(strings.NewReader(tc.src)) },
-			"oracle":      func() (*Document, error) { return oracleParse(tc.src) },
 		} {
 			d, err := parse()
 			if err != nil {
@@ -63,14 +62,18 @@ func TestParseTextRows(t *testing.T) {
 			}
 			var got []string
 			total := 0
-			for id := 0; id < d.Len(); id++ {
-				if n := d.Node(NodeID(id)); n.Kind == Text {
-					got = append(got, n.Text)
-					total += len(n.Text)
+			for id := NodeID(0); int(id) < d.Len(); id++ {
+				if d.Kind(id) == Text {
+					got = append(got, d.Text(id))
+					total += len(d.Text(id))
 				}
 			}
-			if !reflect.DeepEqual(got, tc.want) || d.TotalTextLen() != total {
-				t.Errorf("%s(%q): text nodes %q (TotalTextLen %d), want %q", name, tc.src, got, d.TotalTextLen(), tc.want)
+			if !reflect.DeepEqual(got, tc.want) || d.textLen() != total {
+				t.Errorf("%s(%q): text nodes %q (text length %d), want %q", name, tc.src, got, d.textLen(), tc.want)
+			}
+			o, oerr := oracleParse(tc.src)
+			if err := sameDocument(d, o, nil, oerr); err != nil {
+				t.Errorf("%s(%q): %v", name, tc.src, err)
 			}
 		}
 	}
@@ -79,8 +82,8 @@ func TestParseTextRows(t *testing.T) {
 // TestParseArenaSizing: the '<' count is a capacity, not a limit and
 // not a lease. Mixed content outgrows it and still parses; containers
 // without text undershoot it and the document keeps at most 1.25x of
-// what it uses; a hostile run of '<' is refused like any other
-// malformed body.
+// what it uses, in every column; a hostile run of '<' is refused like
+// any other malformed body.
 func TestParseArenaSizing(t *testing.T) {
 	mixed := "<p>" + strings.Repeat("t<b/>", 500) + "t</p>" // 501 '<', 1002 nodes
 	d := mustParse(t, mixed)
@@ -90,8 +93,14 @@ func TestParseArenaSizing(t *testing.T) {
 	nested := strings.Repeat("<a>", 600) + strings.Repeat("</a>", 600) // 1200 '<', 600 nodes
 	for name, src := range map[string]string{"mixed": mixed, "nested": nested, "leafy": "<r>" + strings.Repeat("<a>x</a>", 400) + "</r>"} {
 		d := mustParse(t, src)
-		if c, n := cap(d.nodes), len(d.nodes); c > n+n/4 {
-			t.Errorf("%s: arena keeps cap %d for %d nodes (> 1.25x)", name, c, n)
+		for col, c := range map[string][2]int{
+			"kind": {cap(d.kind), len(d.kind)}, "tag": {cap(d.tag), len(d.tag)}, "parent": {cap(d.parent), len(d.parent)},
+			"post": {cap(d.post), len(d.post)}, "level": {cap(d.level), len(d.level)}, "off": {cap(d.off), len(d.off)},
+			"attrOff": {cap(d.attrOff), len(d.attrOff)},
+		} {
+			if c[0] > c[1]+c[1]/4 {
+				t.Errorf("%s: column %s keeps cap %d for %d entries (> 1.25x)", name, col, c[0], c[1])
+			}
 		}
 	}
 	if d, err := ParseString("<r>" + strings.Repeat("<", 1<<16)); err == nil || d != nil {
@@ -100,8 +109,8 @@ func TestParseArenaSizing(t *testing.T) {
 	if _, err := ParseString(strings.Repeat("<", 1<<16)); err == nil {
 		t.Error("a run of '<' parsed")
 	}
-	// '=' is character data too: the attribute arena reserves no more
-	// than one Attr (32 B) per four source bytes, 8 B per byte.
+	// '=' is character data too: the attribute table reserves no more
+	// than one attribute (8 B) per four source bytes, 2 B per byte.
 	eq := "<a>" + strings.Repeat("=", 1<<18) + "</a>"
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -6,6 +6,22 @@ import (
 	"io"
 )
 
+// Node is one node's record in snapshot format v1, which stores a
+// document as an array of them in preorder. Start/End are the region
+// encoding: Start is the node's ID, End the largest ID in its subtree.
+type Node struct {
+	Kind   NodeKind
+	Tag    string // element tag; empty for text nodes
+	Text   string // character data; empty for element nodes
+	Attrs  []Attr // XML attributes; nil for text nodes
+	Parent NodeID
+	First  NodeID // first child
+	Next   NodeID // next sibling
+	Start  int32  // preorder position (== its own NodeID by construction)
+	End    int32  // largest Start in the subtree rooted here
+	Level  int32  // depth; the root has level 0
+}
+
 // persistedDocument is the on-disk form of a Document.
 type persistedDocument struct {
 	Version int
@@ -22,8 +38,8 @@ func (d *Document) Save(w io.Writer) error {
 	enc := gob.NewEncoder(w)
 	return enc.Encode(persistedDocument{
 		Version: persistVersion,
-		Nodes:   d.nodes,
-		TextLen: d.textLen,
+		Nodes:   d.records(),
+		TextLen: d.textLen(),
 	})
 }
 
@@ -38,65 +54,78 @@ func Load(r io.Reader) (*Document, error) {
 	if p.Version != persistVersion {
 		return nil, fmt.Errorf("xmldoc: load: unsupported snapshot version %d", p.Version)
 	}
-	d := &Document{nodes: p.Nodes, textLen: p.TextLen}
-	if err := d.validate(); err != nil {
+	d, err := fromRecords(p.Nodes)
+	if err == nil && d.textLen() != p.TextLen {
+		err = fmt.Errorf("text length mismatch: %d vs %d", d.textLen(), p.TextLen)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("xmldoc: load: corrupt snapshot: %w", err)
 	}
-	d.buildPositions()
 	return d, nil
 }
 
-// validate checks the arena invariants that builders guarantee.
-func (d *Document) validate() error {
-	n := len(d.nodes)
-	if n == 0 {
-		return fmt.Errorf("empty document")
+// records returns the document as v1 records.
+func (d *Document) records() []Node {
+	nodes := make([]Node, d.Len())
+	attrs := make([]Attr, len(d.attrs))
+	for i := range nodes {
+		id := NodeID(i)
+		var as []Attr
+		if lo, hi := d.attrOff[i], d.attrOff[i+1]; hi > lo {
+			as = attrs[lo:hi:hi]
+			for j := range as {
+				as[j] = d.AttrAt(id, j)
+			}
+		}
+		nodes[i] = Node{Kind: d.kind[i], Tag: d.Tag(id), Text: d.Text(id), Attrs: as, Parent: d.parent[i],
+			First: d.FirstChild(id), Next: d.NextSibling(id), Start: int32(i), End: d.post[i], Level: d.level[i]}
 	}
-	if d.nodes[0].Parent != InvalidNode || d.nodes[0].Level != 0 {
-		return fmt.Errorf("node 0 is not a root")
-	}
-	textLen := 0
-	for i := range d.nodes {
-		nd := &d.nodes[i]
-		if nd.Start != int32(i) {
-			return fmt.Errorf("node %d: Start %d != index", i, nd.Start)
+	return nodes
+}
+
+// fromRecords rebuilds the columns from v1 records: it replays them
+// through a Builder, opening each node under the parent its record
+// names, and then accepts them only if every record's links, region and
+// level are the ones the rebuilt columns derive.
+func fromRecords(nodes []Node) (*Document, error) {
+	b := NewBuilderCap(len(nodes))
+	for i := range nodes {
+		n := &nodes[i]
+		for len(b.stack) > 0 && b.stack[len(b.stack)-1] != n.Parent {
+			b.leave()
 		}
-		if nd.End < nd.Start || int(nd.End) >= n {
-			return fmt.Errorf("node %d: End %d out of range", i, nd.End)
-		}
-		if i > 0 {
-			p := nd.Parent
-			if p == InvalidNode {
-				return fmt.Errorf("node %d: second root", i)
-			}
-			if p < 0 || int(p) >= n || p >= NodeID(i) {
-				return fmt.Errorf("node %d: bad parent %d", i, p)
-			}
-			pp := &d.nodes[p]
-			if !(pp.Start < nd.Start && nd.End <= pp.End) {
-				return fmt.Errorf("node %d: region not inside parent %d", i, p)
-			}
-			if nd.Level != pp.Level+1 {
-				return fmt.Errorf("node %d: level %d, parent level %d", i, nd.Level, pp.Level)
-			}
-		}
-		if nd.Kind == Text {
-			if nd.First != InvalidNode {
-				return fmt.Errorf("node %d: text node with children", i)
-			}
-			textLen += len(nd.Text)
-		}
-		for c := nd.First; c != InvalidNode; c = d.nodes[c].Next {
-			if c <= NodeID(i) || int(c) >= n {
-				return fmt.Errorf("node %d: bad child %d", i, c)
-			}
-			if d.nodes[c].Parent != NodeID(i) {
-				return fmt.Errorf("node %d: child %d disowns it", i, c)
-			}
+		if n.Kind == Text && len(b.stack) > 0 {
+			b.text(n.Text)
+		} else {
+			b.Start(n.Tag, n.Attrs...) // fails past the root, or for a text node outside it
 		}
 	}
-	if textLen != d.textLen {
-		return fmt.Errorf("text length mismatch: %d vs %d", textLen, d.textLen)
+	for len(b.stack) > 0 {
+		b.leave()
 	}
-	return nil
+	d, err := b.Document()
+	if err != nil {
+		return nil, err
+	}
+	for i := range nodes {
+		n, id := &nodes[i], NodeID(i)
+		if n.Kind != d.kind[i] || n.Parent != d.parent[i] || n.First != d.FirstChild(id) || n.Next != d.NextSibling(id) ||
+			n.Start != int32(i) || n.End != d.post[i] || n.Level != d.level[i] {
+			return nil, fmt.Errorf("node %d: record (kind %d, parent %d, first %d, next %d, region [%d,%d], level %d) "+
+				"disagrees with its tree", i, n.Kind, n.Parent, n.First, n.Next, n.Start, n.End, n.Level)
+		}
+	}
+	return d, nil
+}
+
+// textLen returns the total length of the document's character data,
+// the v1 record's TextLen.
+func (d *Document) textLen() int {
+	n := 0
+	for i, k := range d.kind {
+		if k == Text {
+			n += int(d.off[i+1] - d.off[i])
+		}
+	}
+	return n
 }

@@ -2,9 +2,18 @@ package xmldoc
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 )
+
+// validate checks the columns' own consistency: the v1 records they
+// derive must rebuild into the same tree, as Load requires of a
+// snapshot.
+func (d *Document) validate() error {
+	_, err := fromRecords(d.records())
+	return err
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	d := mustParse(t, carXML)
@@ -19,7 +28,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if d.XMLString() != d2.XMLString() {
 		t.Fatalf("round trip changed the document")
 	}
-	if d.TotalTextLen() != d2.TotalTextLen() {
+	if d.textLen() != d2.textLen() {
 		t.Errorf("text length changed")
 	}
 }
@@ -48,10 +57,9 @@ func TestPropertySaveLoadRandomTrees(t *testing.T) {
 		if d.Len() != d2.Len() {
 			t.Fatalf("node count changed")
 		}
-		for i := 0; i < d.Len(); i++ {
-			a, b := d.Node(NodeID(i)), d2.Node(NodeID(i))
-			if a.Kind != b.Kind || a.Tag != b.Tag || a.Text != b.Text ||
-				a.Parent != b.Parent || a.Start != b.Start || a.End != b.End {
+		for i := NodeID(0); int(i) < d.Len(); i++ {
+			if d.Kind(i) != d2.Kind(i) || d.Tag(i) != d2.Tag(i) || d.Text(i) != d2.Text(i) ||
+				d.Parent(i) != d2.Parent(i) || d.Pos().Post[i] != d2.Pos().Post[i] {
 				t.Fatalf("node %d differs after round trip", i)
 			}
 		}
@@ -59,24 +67,32 @@ func TestPropertySaveLoadRandomTrees(t *testing.T) {
 }
 
 // TestPropertyValidateCatchesCorruption: flipping structural fields of a
-// loaded snapshot must be caught by validation (content-only corruption
-// can go unnoticed; structure must not).
+// snapshot's records must be caught by Load (content-only corruption can
+// go unnoticed; structure must not).
 func TestPropertyValidateCatchesCorruption(t *testing.T) {
 	d := mustParse(t, carXML)
-	corruptions := []func(*Document){
-		func(d *Document) { d.nodes[3].Parent = 99 },
-		func(d *Document) { d.nodes[2].Start = 0 },
-		func(d *Document) { d.nodes[1].End = int32(len(d.nodes) + 5) },
-		func(d *Document) { d.nodes[4].Level += 3 },
-		func(d *Document) { d.nodes[0].Parent = 1 },
-		func(d *Document) { d.textLen += 10 },
+	corruptions := []func([]Node){
+		func(n []Node) { n[3].Parent = 99 },
+		func(n []Node) { n[2].Start = 0 },
+		func(n []Node) { n[1].End = int32(len(n) + 5) },
+		func(n []Node) { n[4].Level += 3 },
+		func(n []Node) { n[0].Parent = 1 },
+		func(n []Node) { n[2].Next = n[2].First },
+		func(n []Node) { n[0].Kind = Text },
 	}
 	for i, corrupt := range corruptions {
-		cp := mustParse(t, carXML)
-		corrupt(cp)
-		if err := cp.validate(); err == nil {
+		recs := d.records()
+		corrupt(recs)
+		if _, err := fromRecords(recs); err == nil {
 			t.Errorf("corruption %d not caught", i)
 		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(persistedDocument{Version: persistVersion, Nodes: d.records(), TextLen: d.textLen() + 10}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil {
+		t.Error("a wrong text length not caught")
 	}
 	// The pristine document validates.
 	if err := d.validate(); err != nil {

@@ -2,16 +2,15 @@ package xmldoc
 
 // Positions is the document's (pre, post, level) positional encoding as
 // flat arrays keyed by NodeID. The preorder number of a node IS its
-// NodeID (nodes are arena-allocated in preorder), so only post and level
-// need materializing. The twig join and the matcher's structural
-// predicates run their hot loops over these arrays instead of loading
-// whole Node structs: an ancestor test is one compare against Post, a
-// parent test adds one compare against Level.
+// NodeID (nodes are appended in preorder), so only post and level are
+// columns. The twig join and the matcher's structural predicates run
+// their hot loops over these arrays: an ancestor test is one compare
+// against Post, a parent test adds one compare against Level.
 //
-// Invariants (guaranteed by Builder and validated on Load):
+// Invariants (guaranteed by Builder and checked on Load):
 //
 //	pre(n)  == n                      (NodeID is the preorder rank)
-//	Post[n] == largest pre in n's subtree (== Node.End)
+//	Post[n] == largest pre in n's subtree (the v1 record's End)
 //	a is a proper ancestor of d  ⇔  a < d && d <= Post[a]
 //	p is the parent of c         ⇔  ancestor && Level[c] == Level[p]+1
 //
@@ -32,20 +31,8 @@ func (p Positions) ParentOf(par, c NodeID) bool {
 	return p.Ancestor(par, c) && p.Level[c] == p.Level[par]+1
 }
 
-// Pos returns the document's positional arrays. The arrays are built
-// once at document finalization and shared; callers must not mutate
-// them.
+// Pos returns the document's positional arrays: its post and level
+// columns, shared; callers must not mutate them.
 func (d *Document) Pos() Positions {
 	return Positions{Post: d.post, Level: d.level}
-}
-
-// buildPositions materializes the flat positional arrays from the node
-// arena (one pass; called by Builder.Document and Load).
-func (d *Document) buildPositions() {
-	d.post = make([]int32, len(d.nodes))
-	d.level = make([]int32, len(d.nodes))
-	for i := range d.nodes {
-		d.post[i] = d.nodes[i].End
-		d.level[i] = d.nodes[i].Level
-	}
 }

@@ -28,6 +28,17 @@ func randomPosDoc(r *rand.Rand) *Document {
 	return b.MustDocument()
 }
 
+// isAncestorByParents is the pointer-chasing reference: a is a proper
+// ancestor of n when it is on n's parent chain.
+func isAncestorByParents(d *Document, a, n NodeID) bool {
+	for p := d.Parent(n); p != InvalidNode; p = d.Parent(p) {
+		if p == a {
+			return true
+		}
+	}
+	return false
+}
+
 // TestPositionsAgreeWithTree: the flat-array Ancestor/ParentOf tests
 // must agree with the pointer-chasing reference on every node pair.
 func TestPositionsAgreeWithTree(t *testing.T) {
@@ -40,17 +51,24 @@ func TestPositionsAgreeWithTree(t *testing.T) {
 				len(pos.Post), len(pos.Level), d.Len())
 		}
 		for a := NodeID(0); int(a) < d.Len(); a++ {
-			if pos.Post[a] != d.Node(a).End || pos.Level[a] != d.Node(a).Level {
-				t.Fatalf("node %d: pos (%d,%d) != node (%d,%d)",
-					a, pos.Post[a], pos.Level[a], d.Node(a).End, d.Node(a).Level)
+			post, level := int32(a), int32(0)
+			for p := d.Parent(a); p != InvalidNode; p = d.Parent(p) {
+				level++
 			}
 			for n := NodeID(0); int(n) < d.Len(); n++ {
-				if got, want := pos.Ancestor(a, n), a != n && d.IsAncestor(a, n); got != want {
+				want := isAncestorByParents(d, a, n)
+				if want {
+					post = max(post, int32(n))
+				}
+				if got := pos.Ancestor(a, n); got != want {
 					t.Fatalf("Ancestor(%d,%d) = %t, tree says %t", a, n, got, want)
 				}
 				if got, want := pos.ParentOf(a, n), d.Parent(n) == a && a != n; got != want {
 					t.Fatalf("ParentOf(%d,%d) = %t, tree says %t", a, n, got, want)
 				}
+			}
+			if pos.Post[a] != post || pos.Level[a] != level {
+				t.Fatalf("node %d: pos (%d,%d), tree says (%d,%d)", a, pos.Post[a], pos.Level[a], post, level)
 			}
 		}
 	}
@@ -71,12 +89,12 @@ func TestPositionsSurviveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := ld.Pos()
+	pos, want := ld.Pos(), d.Pos()
 	if len(pos.Post) != ld.Len() {
 		t.Fatalf("loaded document has %d post entries for %d nodes", len(pos.Post), ld.Len())
 	}
 	for i := 0; i < ld.Len(); i++ {
-		if pos.Post[i] != ld.Node(NodeID(i)).End || pos.Level[i] != ld.Node(NodeID(i)).Level {
+		if pos.Post[i] != want.Post[i] || pos.Level[i] != want.Level[i] {
 			t.Fatalf("node %d: positions diverge after Load", i)
 		}
 	}
