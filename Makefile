@@ -98,14 +98,24 @@ fuzz-smoke:
 # The benchmark (bench/, its own module, not part of `go test ./...`)
 # compiles against internal packages: a change that breaks its compile
 # surface or its own tests fails here instead of in the acceptance run.
-# One iteration of a root Fig. 7 benchmark rides along, so its
-# vor_in/op and sort_in/op metrics cannot rot.
+# One iteration of each root figure benchmark family rides along (Fig. 6
+# at 101K, one Fig. 7 cell, the other queries, both ablations), so the
+# harness EXPERIMENTS.md's tables come from cannot rot: every line must
+# report pruned/op, and the Fig. 6/7 lines the cut and self-time metrics.
+FIG_BENCH := 'Fig6/size=101K/|Fig7/plan=PtpkP/kors=4/par=1$$|ExtraQueries|Ablation'
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test ./...
-	@out=$$($(GO) test -run '^$$' -bench 'Fig7/plan=PtpkP/kors=4/par=1$$' -benchtime 1x .) || { echo "$$out"; exit 1; }; \
-	for m in vor_in/op sort_in/op; do \
-		echo "$$out" | grep -q "[0-9] $$m" || { echo "$$out"; echo "bench-test: BenchmarkFig7 reports no $$m"; exit 1; }; \
-	done; echo "$$out" | grep '_in/op'
+	@out=$$($(GO) test -run '^$$' -bench $(FIG_BENCH) -benchtime 1x .) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep '^Benchmark'; \
+	echo "$$out" | awk '/^Benchmark/ { \
+		n++; fam[substr($$1, 10, index($$1, "/") - 10)] = 1; need = "pruned/op"; \
+		if ($$1 ~ /Fig[67]/) need = need " vor_in/op sort_in/op ftjoin_self_ms kor_self_ms vor_self_ms total_self_ms"; \
+		split(need, m, " "); \
+		for (i in m) if (index($$0, " " m[i]) == 0) { print "bench-test: " $$1 " reports no " m[i]; bad = 1 } \
+	} END { \
+		split("Fig6 Fig7 ExtraQueries AblationKOROrder AblationTwigAccess", f, " "); \
+		for (i in f) if (!(f[i] in fam)) { print "bench-test: no Benchmark" f[i] " line"; bad = 1 } \
+		exit bad }'
 
 # Fixed-seed serving smoke for CI: two seconds of the benchmark's
 # cached_mix workload against a freshly built pimentod. Every answer is

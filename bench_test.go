@@ -1,24 +1,32 @@
 package pimento
 
-// Benchmark harness for the paper's evaluation artifacts. One benchmark
-// per table/figure:
+// Benchmark harness for the paper's evaluation artifacts, and the one
+// in-process timing harness behind EXPERIMENTS.md's Fig. 6, Fig. 7,
+// "two other queries" and ablation tables:
 //
-//	BenchmarkTable1INEX  — Table 1 (INEX effectiveness, 8 topics)
-//	BenchmarkFig6        — Fig. 6 (Push plan × document size × #KORs)
-//	BenchmarkFig7        — Fig. 7 (four plans × #KORs on a large doc)
-//	BenchmarkAblation*   — Section 7.2 design observations
+//	BenchmarkTable1INEX    — Table 1 (INEX effectiveness, 8 topics)
+//	BenchmarkFig6          — Fig. 6 (Push plan × document size × #KORs)
+//	BenchmarkFig7          — Fig. 7 (four plans × #KORs on the 10 MB document)
+//	BenchmarkExtraQueries  — Section 7.2's "two other queries" (Naive vs Push)
+//	BenchmarkAblation*     — Section 7.2's closing observations
 //
-// The Fig. 6/7 benchmarks use sub-benchmarks: run e.g.
+// Each figure benchmark times sequential plans at k = 10 on a warm
+// index and reports pruned/op beside ns/op. Fig. 6 and Fig. 7 also
+// report where the plan cut (vor_in/op, sort_in/op) and each operator
+// kind's self time (<kind>_self_ms, total_self_ms) from one extra run
+// with operator timing on. One table regenerates with e.g.
 //
-//	go test -bench 'Fig6/size=1M' -benchmem
+//	go test -run '^$' -bench 'Fig6' -count 5 .
 //
 // Absolute times differ from the paper's 2007 hardware; the claims under
 // test are the shapes (sub-linear size scaling, Push ≤ Naive).
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -27,27 +35,35 @@ import (
 	"repro/internal/index"
 	"repro/internal/inex"
 	"repro/internal/plan"
+	"repro/internal/profile"
 	"repro/internal/text"
+	"repro/internal/tpq"
 	"repro/internal/twig"
 	"repro/internal/workload"
 	"repro/internal/xmark"
 	"repro/internal/xmldoc"
 )
 
-// benchSizes trims the paper's sweep to keep `go test -bench=.` runnable
-// in reasonable time; pass -bench 'Fig6' after editing to widen.
-var benchSizes = []int{101 * 1024, 468 * 1024, 1024 * 1024, 5*1024*1024 + 700*1024}
+const (
+	// fig7Size is the paper's Fig. 7 document, 10 MB.
+	fig7Size = 10 * 1024 * 1024
+	// midSize is the 5.7 MB document of the other queries, the KOR-order
+	// ablation and BenchmarkPrepare.
+	midSize = 5*1024*1024 + 700*1024
+)
 
-// fig7Size is Fig. 7's document size for benchmarks (the paper uses
-// 10 MB; 5.7 MB keeps default runs fast while preserving the plan
-// ordering — cmd/experiments runs the full 10 MB version).
-const fig7Size = 5*1024*1024 + 700*1024
+// benchSizes trims the paper's sweep for the access-path and
+// worker-count surfaces; BenchmarkFig6 runs all of xmark.PaperSizes.
+var benchSizes = []int{101 * 1024, 468 * 1024, 1024 * 1024, midSize}
 
 var (
 	ixCacheMu sync.Mutex
 	ixCache   = map[int]*index.Index{}
 )
 
+// xmarkIndex builds (once) the index of the seed-42 XMark document of
+// the given size. Sub-benchmarks call it inside b.Run, so a -bench
+// filter builds only the documents it runs.
 func xmarkIndex(size int) *index.Index {
 	ixCacheMu.Lock()
 	defer ixCacheMu.Unlock()
@@ -58,6 +74,63 @@ func xmarkIndex(size int) *index.Index {
 	ix := index.Build(doc, text.Pipeline{})
 	ixCache[size] = ix
 	return ix
+}
+
+// benchPlan times one plan configuration at k = 10: it builds and
+// executes the plan b.N times, fails if it answers nothing, and reports
+// how many answers its prunes dropped (pruned/op). It returns the last
+// plan for the caller's checks and metrics.
+func benchPlan(b *testing.B, ix *index.Index, q *tpq.Query, prof *profile.Profile, opts plan.Options) *plan.Plan {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var p *plan.Plan
+	for i := 0; i < b.N; i++ {
+		var err error
+		p, err = plan.BuildWith(ix, q, prof, 10, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := p.Execute(); len(got) == 0 {
+			b.Fatal("no answers")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(p.TotalPruned()), "pruned/op")
+	return p
+}
+
+// reportChain reports where a timed plan cut — how many answers got
+// value keys (vor_in/op) and reached the final sort (sort_in/op) — and,
+// from one more execution of the same configuration with operator
+// timing on, each operator kind's self time summed over the chain
+// (<kind>_self_ms: an operator's inclusive wall time minus its input's)
+// and the run's total. The extra run is outside the timer, so its clock
+// reads never touch ns/op.
+func reportChain(b *testing.B, p *plan.Plan, ix *index.Index, q *tpq.Query, prof *profile.Profile, opts plan.Options) {
+	for _, s := range p.Stats() {
+		switch s.Kind() {
+		case "vor":
+			b.ReportMetric(float64(s.In), "vor_in/op")
+		case "sort":
+			b.ReportMetric(float64(s.In), "sort_in/op") // the last sort's wins
+		}
+	}
+	opts.Timing = true
+	tp, err := plan.BuildWith(ix, q, prof, 10, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tp.Execute()
+	self := map[string]int64{}
+	var prev int64
+	for _, s := range tp.Stats() {
+		self[s.Kind()] += max(s.WallNS-prev, 0)
+		prev = s.WallNS
+	}
+	for kind, ns := range self {
+		b.ReportMetric(float64(ns)/1e6, kind+"_self_ms")
+	}
+	b.ReportMetric(float64(prev)/1e6, "total_self_ms")
 }
 
 // BenchmarkTable1INEX regenerates Table 1 per iteration (collection
@@ -75,25 +148,16 @@ func BenchmarkTable1INEX(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6 measures the Push plan on increasing document sizes and
-// KOR counts (query time only; the index is prebuilt, as in the paper).
+// BenchmarkFig6 measures the sequential Push plan on every document size
+// of the paper's Fig. 6 (101K–10M) and 1–4 KORs (query time only; the
+// index is prebuilt, as in the paper).
 func BenchmarkFig6(b *testing.B) {
-	for _, size := range benchSizes {
-		ix := xmarkIndex(size)
+	for _, size := range xmark.PaperSizes {
 		for n := 1; n <= 4; n++ {
-			prof := workload.Fig5Profile(n)
 			b.Run(fmt.Sprintf("size=%s/kors=%d", xmark.SizeLabel(size), n), func(b *testing.B) {
-				q := workload.Fig5Query()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p, err := plan.Build(ix, q, prof, 10, plan.Push)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if got := p.Execute(); len(got) == 0 {
-						b.Fatal("no answers")
-					}
-				}
+				ix, q, prof := xmarkIndex(size), workload.Fig5Query(), workload.Fig5Profile(n)
+				opts := plan.Options{Strategy: plan.Push, Parallelism: 1}
+				reportChain(b, benchPlan(b, ix, q, prof, opts), ix, q, prof, opts)
 			})
 		}
 	}
@@ -110,46 +174,91 @@ func benchParallelisms() []int {
 	return ps
 }
 
-// BenchmarkFig7 compares the four plan strategies on one large document,
-// each at sequential (par=1) and fully parallel (par=GOMAXPROCS)
-// execution, reporting beside the time how many answers reached vor and
-// the final sort (vor_in/op, sort_in/op). The parallel rows measure the tentpole claim: partitioned
-// execution with the shared top-k threshold returns identical answers in
-// less wall-clock time.
+// BenchmarkFig7 compares the four plan strategies on the paper's 10 MB
+// document. EXPERIMENTS.md's Fig. 7 tables are the sequential (par=1)
+// rows. The par=GOMAXPROCS rows time the partitioned executor, which
+// returns the same answers: served, it measured a tie with the
+// sequential path (DESIGN.md §9), so it goes when the benchmark stops
+// using it.
 func BenchmarkFig7(b *testing.B) {
-	ix := xmarkIndex(fig7Size)
 	for _, strat := range plan.Strategies {
 		for n := 1; n <= 4; n++ {
-			prof := workload.Fig5Profile(n)
 			for _, par := range benchParallelisms() {
 				b.Run(fmt.Sprintf("plan=%s/kors=%d/par=%d", strat, n, par), func(b *testing.B) {
-					q := workload.Fig5Query()
-					b.ReportAllocs()
-					var p *plan.Plan
-					for i := 0; i < b.N; i++ {
-						var err error
-						p, err = plan.BuildWith(ix, q, prof, 10,
-							plan.Options{Strategy: strat, Parallelism: par})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if got := p.Execute(); len(got) == 0 {
-							b.Fatal("no answers")
-						}
-					}
-					// Where the plan cuts: how many answers got value keys
-					// and how many reached the final sort.
-					for _, s := range p.Stats() {
-						switch s.Kind() {
-						case "vor":
-							b.ReportMetric(float64(s.In), "vor_in/op")
-						case "sort":
-							b.ReportMetric(float64(s.In), "sort_in/op") // the last sort's wins
-						}
-					}
+					ix, q, prof := xmarkIndex(fig7Size), workload.Fig5Query(), workload.Fig5Profile(n)
+					opts := plan.Options{Strategy: strat, Parallelism: par}
+					reportChain(b, benchPlan(b, ix, q, prof, opts), ix, q, prof, opts)
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkExtraQueries runs Section 7.2's "two other queries" ("we
+// tried these four plans on two other queries and observed that
+// PushtopKPrune never does worse than Naive") under the sequential Naive
+// and Push plans on the 5.7 MB document. That the two return the same
+// top 10 is internal/plan's TestExtraQueriesPushAgreesWithNaive.
+func BenchmarkExtraQueries(b *testing.B) {
+	for _, w := range workload.ExtraQueries() {
+		for _, strat := range []plan.Strategy{plan.Naive, plan.Push} {
+			b.Run(fmt.Sprintf("query=%s/plan=%s", w.Name, strat), func(b *testing.B) {
+				benchPlan(b, xmarkIndex(midSize), w.Query, w.Profile, plan.Options{Strategy: strat, Parallelism: 1})
+			})
+		}
+	}
+}
+
+// BenchmarkAblationKOROrder applies Fig. 5's four KORs in three orders
+// under the sequential Push plan on the 5.7 MB document: the paper's
+// (π1..π4), best-contribution-first (descending algebra.MaxKORScore)
+// and its reverse, worst-first. Section 7.2: "applying the KOR which
+// contributes the highest score first is beneficial as it increases the
+// pruning threshold".
+func BenchmarkAblationKOROrder(b *testing.B) {
+	for _, order := range []string{"paper", "best-first", "worst-first"} {
+		b.Run(order, func(b *testing.B) {
+			ix := xmarkIndex(midSize)
+			prof := workload.Fig5Profile(4)
+			kors := prof.KORs
+			if order != "paper" {
+				slices.SortStableFunc(kors, func(x, y *profile.KOR) int {
+					return cmp.Compare(algebra.MaxKORScore(ix, y), algebra.MaxKORScore(ix, x))
+				})
+				if order == "worst-first" {
+					slices.Reverse(kors)
+				}
+			}
+			for i, k := range kors {
+				c := *k
+				c.Priority = i + 1 // the plan applies KORs in priority order
+				kors[i] = &c
+			}
+			benchPlan(b, ix, workload.Fig5Query(), prof, plan.Options{Strategy: plan.Push, Parallelism: 1})
+		})
+	}
+}
+
+// BenchmarkAblationTwigAccess contrasts the two access paths — scan
+// with per-candidate matching, and the holistic twig semijoin — under
+// the sequential Push plan on a structure-heavy query at 1 MB. Each arm
+// pins its path and fails if the plan resolved another.
+func BenchmarkAblationTwigAccess(b *testing.B) {
+	for _, arm := range []struct {
+		name   string
+		access plan.AccessPath
+	}{
+		{"scan", plan.AccessScan},
+		{"twig", plan.AccessTwigJoin},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			q := MustParseQuery(`//person[./address[./city and ./country] and .//business]`)
+			p := benchPlan(b, xmarkIndex(1024*1024), q, nil,
+				plan.Options{Strategy: plan.Push, AccessPath: arm.access, Parallelism: 1})
+			if p.Access() != arm.access {
+				b.Fatalf("plan ran %s, want %s", p.Access(), arm.access)
+			}
+		})
 	}
 }
 
@@ -182,76 +291,12 @@ func BenchmarkParScale(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationKOROrder contrasts applying the highest-contribution
-// KOR first vs last (Section 7.2: "applying the KOR which contributes
-// the highest score first is beneficial").
-func BenchmarkAblationKOROrder(b *testing.B) {
-	ix := xmarkIndex(1024 * 1024)
-	base := workload.Fig5Profile(4)
-	for _, variant := range []struct {
-		name    string
-		reverse bool
-	}{{"best-first", false}, {"worst-first", true}} {
-		prof := *base
-		kors := append(prof.KORs[:0:0], prof.KORs...)
-		if variant.reverse {
-			for i, j := 0, len(kors)-1; i < j; i, j = i+1, j-1 {
-				kors[i], kors[j] = kors[j], kors[i]
-			}
-			for i := range kors {
-				c := *kors[i]
-				c.Priority = i + 1
-				kors[i] = &c
-			}
-		}
-		prof.KORs = kors
-		b.Run(variant.name, func(b *testing.B) {
-			q := workload.Fig5Query()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p, err := plan.Build(ix, q, &prof, 10, plan.Push)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.Execute()
-			}
-		})
-	}
-}
-
-// BenchmarkAblationTwigAccess contrasts the scan + per-candidate access
-// path with the holistic twig semijoin on a structure-heavy query.
-func BenchmarkAblationTwigAccess(b *testing.B) {
-	ix := xmarkIndex(1024 * 1024)
-	q := MustParseQuery(`//person[./address[./city and ./country] and .//business]`)
-	for _, variant := range []struct {
-		name string
-		opts plan.Options
-	}{
-		{"scan", plan.Options{Strategy: plan.Push}},
-		{"twig", plan.Options{Strategy: plan.Push, AccessPath: plan.AccessTwigJoin}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p, err := plan.BuildWith(ix, q, nil, 10, variant.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := p.Execute(); len(got) == 0 {
-					b.Fatal("no answers")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTwigJoin is the access-path comparison surface (the
 // committed verdict is the benchmark's plan.execute_scan_us /
 // plan.execute_twigjoin_us rows):
 //
 //   - fig7: the four Fig. 7 plan strategies on the Fig. 5 workload
-//     (kors=4) at the large document, scan vs twigjoin;
+//     (kors=4) at the Fig. 7 document, scan vs twigjoin;
 //   - size sweep: a structure-heavy query (three structural predicates,
 //     no full text) across 101K–5.7M, scan vs twigjoin;
 //   - access: the same query and sizes with the candidate generation
@@ -371,12 +416,12 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 // BenchmarkPrepare measures what one PUT /docs costs below the HTTP
-// layer on a Fig. 7-sized document, stage by stage: parse, index build
+// layer on the 5.7 MB document, stage by stage: parse, index build
 // (which also fingerprints), and the whole of parse + build +
 // fingerprint. MB/s is over the XML source length in every stage.
 func BenchmarkPrepare(b *testing.B) {
 	var sb strings.Builder
-	if err := xmark.GenerateSized(xmark.Config{Seed: 42}, fig7Size).WriteXML(&sb, ""); err != nil {
+	if err := xmark.GenerateSized(xmark.Config{Seed: 42}, midSize).WriteXML(&sb, ""); err != nil {
 		b.Fatal(err)
 	}
 	src := sb.String()

@@ -1,6 +1,6 @@
 // Command inexgen writes the synthetic INEX-style collection of one of
-// the paper's 8 topics (Section 7.1), plus its topic file and derived
-// profile, for inspection or external experimentation:
+// the paper's 8 topics (Section 7.1), or the topic's profile or
+// assessments, for inspection or external experimentation:
 //
 //	inexgen -topic 131 -o collection.xml
 //	inexgen -topic 131 -what profile

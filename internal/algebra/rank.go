@@ -126,7 +126,8 @@ func (r *Ranker) Compare(a, b *Answer, mode Mode) int {
 }
 
 // CompareV compares the answers' VOR keys under the profile's
-// deterministic linearization (profile.LinearCompareVORs): a weak order
+// deterministic linearization — each rule's VOR.LinearCompare, composed
+// in VORPriorityOrder, prioritized-lexicographically: a weak order
 // that agrees with the rules' genuine partial order ≺_V on every pair
 // the rules relate, and resolves incomparable pairs by consistent
 // classes. Using the raw partial order here would make the composite

@@ -199,6 +199,46 @@ kor k4 priority 4: x.tag = car & y.tag = car & ftcontains(x, "clean title") => x
 	}
 }
 
+// TestPushPrunesAtScale: on a 512 KB XMark document under Fig. 5's four
+// KORs, the sequential Push plan prunes more answers than Naive — the
+// mechanism behind Fig. 7, which BenchmarkFig7 reports as pruned/op.
+func TestPushPrunesAtScale(t *testing.T) {
+	ix := index.Build(xmark.GenerateSized(xmark.Config{Seed: 42}, 512*1024), text.Pipeline{})
+	pruned := map[Strategy]int{}
+	for _, strat := range []Strategy{Naive, Push} {
+		p, err := BuildWith(ix, workload.Fig5Query(), workload.Fig5Profile(4), 10, Options{Strategy: strat, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Execute()
+		pruned[strat] = p.TotalPruned()
+	}
+	if pruned[Push] <= pruned[Naive] {
+		t.Errorf("push pruned %d, naive %d: pushing must prune more", pruned[Push], pruned[Naive])
+	}
+}
+
+// TestExtraQueriesPushAgreesWithNaive: on Section 7.2's "two other
+// queries" the sequential Naive and Push plans return the identical top
+// 10 — nodes, order, K and S. BenchmarkExtraQueries times the two.
+func TestExtraQueriesPushAgreesWithNaive(t *testing.T) {
+	ix := index.Build(xmark.GenerateSized(xmark.Config{Seed: 42}, 512*1024), text.Pipeline{})
+	for _, w := range workload.ExtraQueries() {
+		var got [2][]algebra.Answer
+		for i, strat := range []Strategy{Naive, Push} {
+			p, err := BuildWith(ix, w.Query, w.Profile, 10, Options{Strategy: strat, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = p.Execute()
+		}
+		if len(got[0]) != 10 {
+			t.Fatalf("%s: %d answers, want 10", w.Name, len(got[0]))
+		}
+		assertSameRanking(t, got[0], got[1], w.Name)
+	}
+}
+
 func korInput(p *Plan) int {
 	total := 0
 	for _, s := range p.Stats() {

@@ -484,22 +484,6 @@ func (p *Profile) SortKORsByPriority() []*KOR {
 	return out
 }
 
-// CompareVORs applies the profile's VORs in priority order and returns
-// the first non-zero verdict: +1 when a is preferred, -1 when b is.
-// Each rule contributes its genuine partial order, so two answers the
-// rules never relate compare as 0 even when they differ — use
-// LinearCompareVORs wherever a sort needs a deterministic order.
-func (p *Profile) CompareVORs(a, b []Key) int {
-	rules := p.SortVORsByPriority()
-	for _, v := range rules {
-		idx := p.vorIndex(v)
-		if c := v.Compare(&a[idx], &b[idx]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
 // VORPriorityOrder returns indices into p.VORs in rule-application order
 // (ascending priority, declaration order for ties and for unprioritized
 // rules). Callers on hot comparison paths compute it once and reuse it.
@@ -510,24 +494,6 @@ func (p *Profile) VORPriorityOrder() []int {
 		out[i] = p.vorIndex(v)
 	}
 	return out
-}
-
-// LinearCompareVORs is the prioritized-lexicographic composition of each
-// rule's LinearCompare: a deterministic weak order that extends the
-// rules' partial order (CompareVORs never disagrees with it on ordered
-// pairs). Sorting with CompareVORs itself is unsound — a partial order
-// plus a NodeID tie-break is cyclic (a ≺-wins over b, b beats c on
-// NodeID, c beats a on NodeID), and sort.SliceStable over a cyclic
-// comparator returns implementation-defined output that can even place a
-// dominated answer above its dominator. LinearCompareVORs is what every
-// rank-order sort, top-k list insertion and parallel merge must use.
-func (p *Profile) LinearCompareVORs(a, b []Key) int {
-	for _, idx := range p.VORPriorityOrder() {
-		if c := p.VORs[idx].LinearCompare(&a[idx], &b[idx]); c != 0 {
-			return c
-		}
-	}
-	return 0
 }
 
 func (p *Profile) vorIndex(v *VOR) int {

@@ -9,6 +9,23 @@ import (
 	"repro/internal/tpq"
 )
 
+// CompareVORs applies the profile's VORs in priority order and returns
+// the first non-zero verdict: +1 when a is preferred, -1 when b is.
+// Each rule contributes its genuine partial order, so two answers the
+// rules never relate compare as 0 even when they differ. Sorting with it
+// is unsound — a partial order plus a NodeID tie-break is cyclic — so
+// ranking composes each rule's LinearCompare in VORPriorityOrder
+// (algebra.Ranker.CompareV); this partial form is the tests' reference
+// for what the rules relate.
+func (p *Profile) CompareVORs(a, b []Key) int {
+	for _, idx := range p.VORPriorityOrder() {
+		if c := p.VORs[idx].Compare(&a[idx], &b[idx]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
 // oracleApply and oracleEncodeOptional are SR.Apply and
 // SR.EncodeOptional as they stood before both became callers of
 // rewrite: two copies of one body that differ in (optional, weight).

@@ -17,8 +17,8 @@ import (
 // ServingPkgs is the request-path substrate: every package a live
 // search, mutation, or profile request executes through. The ctxbg,
 // snapshotonce and budgetedgo invariants apply here; offline harnesses
-// (internal/inex, internal/experiments) and parsing layers are
-// deliberately out of scope.
+// (internal/inex, cmd/experiments) and parsing layers are deliberately
+// out of scope.
 var ServingPkgs = []string{
 	"internal/corpus",
 	"internal/engine",
