@@ -105,7 +105,9 @@ fuzz-smoke:
 # self-time metrics. The twig-access ablation's full-join arms must feed
 # the chain more than k + 1 = 11 candidates and prune nothing (k covers
 # every match): an arm that stops at the (k+1)-th match times the stop,
-# not the access path.
+# not the access path. A Fig. 6/7 line whose ftjoin drops a candidate
+# (ftjoin_pruned/op > 0) means the twig join no longer streams only the
+# elements that hold the required phrase.
 FIG_BENCH := 'Fig6/size=101K/|Fig7/plan=PtpkP/kors=4/par=1$$|ExtraQueries|Ablation'
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test ./...
@@ -113,11 +115,12 @@ bench-test:
 	echo "$$out" | grep '^Benchmark'; \
 	echo "$$out" | awk '/^Benchmark/ { \
 		n++; fam[substr($$1, 10, index($$1, "/") - 10)] = 1; need = "pruned/op candidates/op"; \
-		if ($$1 ~ /Fig[67]/) need = need " vor_in/op sort_in/op ftjoin_self_ms kor_self_ms vor_self_ms total_self_ms"; \
+		if ($$1 ~ /Fig[67]/) need = need " vor_in/op sort_in/op ftjoin_pruned/op ftjoin_self_ms kor_self_ms vor_self_ms total_self_ms"; \
 		split(need, m, " "); \
 		for (i in m) if (index($$0, " " m[i]) == 0) { print "bench-test: " $$1 " reports no " m[i]; bad = 1 } \
-		c = 0; p = 0; for (i = 2; i < NF; i++) { if ($$(i + 1) == "candidates/op") c = $$i; if ($$(i + 1) == "pruned/op") p = $$i } \
+		c = 0; p = 0; ft = 0; for (i = 2; i < NF; i++) { if ($$(i + 1) == "candidates/op") c = $$i; if ($$(i + 1) == "pruned/op") p = $$i; if ($$(i + 1) == "ftjoin_pruned/op") ft = $$i } \
 		if ($$1 ~ /^BenchmarkAblationTwigAccess\/(scan|twig)(-[0-9]+)?$$/ && (c <= 11 || p > 0)) { print "bench-test: " $$1 " stops early: " c " candidates, " p " pruned"; bad = 1 } \
+		if ($$1 ~ /Fig[67]/ && ft > 0) { print "bench-test: " $$1 " ftjoin drops " ft " candidates the twig join streamed"; bad = 1 } \
 	} END { \
 		split("Fig6 Fig7 ExtraQueries AblationKOROrder AblationTwigAccess", f, " "); \
 		for (i in f) if (!(f[i] in fam)) { print "bench-test: no Benchmark" f[i] " line"; bad = 1 } \

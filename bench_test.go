@@ -107,21 +107,28 @@ func benchPlan(b *testing.B, ix *index.Index, q *tpq.Query, prof *profile.Profil
 }
 
 // reportChain reports where a timed plan cut — how many answers got
-// value keys (vor_in/op) and reached the final sort (sort_in/op) — and,
+// value keys (vor_in/op) and reached the final sort (sort_in/op), and
+// how many candidates a keyword semijoin dropped (ftjoin_pruned/op: 0
+// when the twig join streamed only the elements holding each required
+// phrase, so ftjoin only scores) — and,
 // from one more execution of the same configuration with operator
 // timing on, each operator kind's self time summed over the chain
 // (<kind>_self_ms: an operator's inclusive wall time minus its input's)
 // and the run's total. The extra run is outside the timer, so its clock
 // reads never touch ns/op.
 func reportChain(b *testing.B, p *plan.Plan, ix *index.Index, q *tpq.Query, prof *profile.Profile, opts plan.Options) {
+	ftPruned := 0
 	for _, s := range p.Stats() {
 		switch s.Kind() {
 		case "vor":
 			b.ReportMetric(float64(s.In), "vor_in/op")
 		case "sort":
 			b.ReportMetric(float64(s.In), "sort_in/op") // the last sort's wins
+		case "ftjoin":
+			ftPruned += s.Pruned
 		}
 	}
+	b.ReportMetric(float64(ftPruned), "ftjoin_pruned/op")
 	opts.Timing = true
 	tp, err := plan.BuildWith(ix, q, prof, 10, opts)
 	if err != nil {

@@ -23,6 +23,8 @@
 package algebra
 
 import (
+	"slices"
+
 	"repro/internal/index"
 	"repro/internal/profile"
 	"repro/internal/tpq"
@@ -73,18 +75,23 @@ type Matcher struct {
 	required, ft, requiredConstraint, optionalBonus []int
 
 	bufA, bufB []xmldoc.NodeID  // navigation scratch, swapped per step
+	bufC, bufD []xmldoc.NodeID  // rooted's scratch
 	self       [1]xmldoc.NodeID // the candidate as its own binding set
 }
 
 // step is one navigation step of a pattern path. tag is the target
 // pattern node's tag; both directions filter on it. A descendant step
-// walks elems, the tag's index list, from a forward cursor.
+// walks elems, the tag's index list, from a forward cursor. A rooted
+// step (the last upward one, landing on the path's turning node) keeps
+// only the elements that embed the pattern's root→node chain.
 type step struct {
-	down  bool
-	axis  tpq.Axis
-	tag   string
-	elems []xmldoc.NodeID
-	cur   int
+	down   bool
+	axis   tpq.Axis
+	tag    string
+	elems  []xmldoc.NodeID
+	cur    int
+	rooted bool
+	node   int // the pattern node a rooted step lands on
 }
 
 // NewMatcher prepares unit evaluation for q against the index.
@@ -113,12 +120,19 @@ func (m *Matcher) pathFromDist(distAnc []int, pn int) []step {
 	var steps []step
 	// Up from dist to the LCA: each hop crosses the edge above distAnc[i]
 	// and must land on an element tagged like the target pattern node.
+	// The LCA binding must also hang from the pattern root — pn's
+	// Y-pattern (DESIGN §13) shares the root→LCA prefix with the
+	// distinguished chain — unless that prefix is a root with nothing
+	// above it to check.
 	for i := len(distAnc) - 1; i > lca; i-- {
 		steps = append(steps, step{
 			down: false,
 			axis: m.q.Nodes[distAnc[i]].Axis,
 			tag:  m.q.Nodes[distAnc[i-1]].Tag,
 		})
+	}
+	if n := len(steps); n > 0 && (lca > 0 || m.q.Nodes[0].Axis == tpq.Child) {
+		steps[n-1].rooted, steps[n-1].node = true, distAnc[lca]
 	}
 	// Down from the LCA to pn.
 	for i := lca + 1; i < len(pnAnc); i++ {
@@ -232,6 +246,15 @@ func (m *Matcher) Bindings(pn int, e xmldoc.NodeID) []xmldoc.NodeID {
 			next = m.up(next, cur, s.tag, s.axis)
 		}
 		cur, next = next, cur[:0]
+		if s.rooted {
+			kept := cur[:0]
+			for _, x := range cur {
+				if m.rooted(x, s.node) {
+					kept = append(kept, x)
+				}
+			}
+			cur = kept
+		}
 	}
 	// Remember the (possibly grown) buffers for reuse.
 	m.bufA, m.bufB = cur[:len(cur)], next[:0]
@@ -249,6 +272,29 @@ func (m *Matcher) ReleaseScratch() {
 	putNodeBuf(m.bufA)
 	putNodeBuf(m.bufB)
 	m.bufA, m.bufB = nil, nil
+	if m.bufC != nil {
+		putNodeBuf(m.bufC)
+		putNodeBuf(m.bufD)
+		m.bufC, m.bufD = nil, nil
+	}
+}
+
+// rooted reports whether element x, bound to pattern node t, lies on an
+// embedding of the pattern's root→t chain, the root axis included.
+func (m *Matcher) rooted(x xmldoc.NodeID, t int) bool {
+	if m.bufC == nil {
+		m.bufC, m.bufD = getNodeBuf(), getNodeBuf()
+	}
+	cur, next := append(m.bufC[:0], x), m.bufD[:0]
+	for ; t != 0 && len(cur) > 0; t = m.q.Nodes[t].Parent {
+		next = m.up(next[:0], cur, m.q.Nodes[m.q.Nodes[t].Parent].Tag, m.q.Nodes[t].Axis)
+		cur, next = next, cur
+	}
+	m.bufC, m.bufD = cur[:0], next[:0]
+	if m.q.Nodes[0].Axis == tpq.Child {
+		return slices.Contains(cur, m.doc.Root())
+	}
+	return len(cur) > 0
 }
 
 // appendUnique adds n to out unless present. Binding sets per candidate

@@ -21,8 +21,11 @@
 // when a probe is behind it. Plans resolve their lists at build time and
 // run the keyword joins as merges; Index.Score, TF, Contains, DF and
 // MaxPhraseScore are thin callers of the same code. Build resolves no
-// phrase, and a resolved list is never cached across requests: only the
-// occurrence, df and max-score caches below outlive a plan.
+// phrase, and a resolved PhraseList (its cursor, its score tables) is
+// never cached across requests: only the occurrence, containing-element
+// and max-score caches below outlive a plan. The containing-element
+// lists (Containing) are the twig join's keyword-restricted streams and
+// their lengths are the scorer's df.
 package index
 
 import (
@@ -66,9 +69,9 @@ type Index struct {
 	// publication. Concurrent misses may compute the same entry twice —
 	// results are deterministic, so duplicated work is the only cost.
 	cacheMu       sync.Mutex
-	phraseCache   atomic.Pointer[map[string][]int32]    // raw phrase -> sorted text-node starts
-	maxScoreCache atomic.Pointer[map[tagPhrase]float64] // max element score per tag+phrase
-	dfCache       atomic.Pointer[map[tagPhrase]int]     // document frequency per tag+phrase
+	phraseCache   atomic.Pointer[map[string][]int32]            // raw phrase -> sorted text-node starts
+	maxScoreCache atomic.Pointer[map[tagPhrase]float64]         // max element score per tag+phrase
+	containCache  atomic.Pointer[map[tagPhrase][]xmldoc.NodeID] // Containing per tag+phrase
 }
 
 // tagPhrase is a composite cache key (a struct key avoids allocating
@@ -234,10 +237,10 @@ func (ix *Index) NumTokens() int { return len(ix.seqNode) }
 func (ix *Index) resetCaches() {
 	phrase := make(map[string][]int32)
 	maxScore := make(map[tagPhrase]float64)
-	df := make(map[tagPhrase]int)
+	contain := make(map[tagPhrase][]xmldoc.NodeID)
 	ix.phraseCache.Store(&phrase)
 	ix.maxScoreCache.Store(&maxScore)
-	ix.dfCache.Store(&df)
+	ix.containCache.Store(&contain)
 }
 
 // cachePut publishes snapshot' = snapshot ∪ {key: val} under cacheMu.
@@ -338,16 +341,7 @@ func (ix *Index) TF(elem xmldoc.NodeID, phrase string) int {
 // DF returns the number of elements with the given tag whose subtree
 // contains phrase — the document-frequency analog used by idf. The
 // wildcard tag "*" counts over every element.
-func (ix *Index) DF(tag, phrase string) int {
-	p := ix.Phrase("*", phrase)
-	df := 0
-	for _, e := range ix.Elements(tag) {
-		if p.TF(e) > 0 {
-			df++
-		}
-	}
-	return df
-}
+func (ix *Index) DF(tag, phrase string) int { return len(ix.Containing(tag, phrase)) }
 
 // Score returns the relevance contribution of phrase to element elem,
 // normalized into [0, Bound]. The paper leaves the base scoring function
@@ -363,17 +357,26 @@ func (ix *Index) Score(elem xmldoc.NodeID, phrase string) float64 {
 	return p.Score(elem)
 }
 
-// cachedDF caches document frequency per (tag, phrase); computing DF
-// scans the tag's element list, so repeated scoring of the same
-// predicate must not redo it.
-func (ix *Index) cachedDF(tag, phrase string) int {
+// Containing returns the elements with the given tag ("*": every
+// element) whose subtree holds an occurrence of phrase, in document
+// order. Lists are cached per (tag, phrase): computing one probes the
+// tag's whole element list, so the scorer's df (its length) and the twig
+// join's keyword-restricted streams pay for it once. The returned slice
+// is shared and must not be modified.
+func (ix *Index) Containing(tag, phrase string) []xmldoc.NodeID {
 	key := tagPhrase{tag, phrase}
-	if v, ok := (*ix.dfCache.Load())[key]; ok {
+	if v, ok := (*ix.containCache.Load())[key]; ok {
 		return v
 	}
-	df := ix.DF(tag, phrase)
-	cachePut(&ix.cacheMu, &ix.dfCache, key, df)
-	return df
+	p := ix.Phrase("*", phrase)
+	out := []xmldoc.NodeID{} // never nil: an empty list is still a twig join stream
+	for _, e := range ix.Elements(tag) {
+		if p.TF(e) > 0 {
+			out = append(out, e)
+		}
+	}
+	cachePut(&ix.cacheMu, &ix.containCache, key, out)
+	return out
 }
 
 // MaxScore is the static upper bound on the Score of any single phrase
@@ -391,9 +394,10 @@ func (ix *Index) MaxPhraseScore(tag, phrase string) float64 {
 	if v, ok := (*ix.maxScoreCache.Load())[key]; ok {
 		return v
 	}
+	// Elements without an occurrence score 0.
 	best := 0.0
 	p := ix.Phrase(tag, phrase)
-	for _, e := range ix.Elements(tag) {
+	for _, e := range ix.Containing(tag, phrase) {
 		if s := p.Score(e); s > best {
 			best = s
 		}

@@ -3,7 +3,9 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/text"
@@ -256,6 +258,36 @@ func TestPhraseCacheConcurrency(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
+	}
+}
+
+// TestContainingFirstTouchRace: concurrent first touches of the
+// containing-element cache, several pairs at once, publish the lists a
+// sequential run computes (and race cleanly under -race).
+func TestContainingFirstTouchRace(t *testing.T) {
+	pairs := [][2]string{{"car", "good condition"}, {"description", "good"}, {"car", "zebra"}, {"*", "good condition"}, {"dealer", "powerful"}}
+	want := map[[2]string][]xmldoc.NodeID{}
+	ref := buildIdx(t, dealerXML)
+	for _, p := range pairs {
+		want[p] = ref.Containing(p[0], p[1])
+	}
+	ix := buildIdx(t, dealerXML)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range pairs {
+				p := pairs[(g+i)%len(pairs)]
+				if got := ix.Containing(p[0], p[1]); !slices.Equal(got, want[p]) || ix.DF(p[0], p[1]) != len(want[p]) {
+					t.Errorf("Containing(%q, %q) = %v, want %v", p[0], p[1], got, want[p])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(want[[2]string{"car", "good condition"}]); got != 2 {
+		t.Fatalf("2 cars hold \"good condition\", Containing finds %d", got)
 	}
 }
 

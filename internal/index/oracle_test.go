@@ -261,11 +261,15 @@ func checkAgainstOracle(t *testing.T, doc *xmldoc.Document, pipe text.Pipeline, 
 			if tag != "*" {
 				elems = o.tags[tag]
 			}
-			df := 0
+			var holding []xmldoc.NodeID
 			for _, e := range elems {
 				if tf(want, e) > 0 {
-					df++
+					holding = append(holding, e)
 				}
+			}
+			df := len(holding)
+			if got := ix.Containing(tag, phrase); !slices.Equal(got, holding) {
+				t.Fatalf("Containing(%q, %q) = %v, oracle %v", tag, phrase, got, holding)
 			}
 			if got := ix.DF(tag, phrase); got != df {
 				t.Fatalf("DF(%q, %q) = %d, oracle %d", tag, phrase, got, df)

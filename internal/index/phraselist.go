@@ -82,7 +82,7 @@ func (ix *Index) Phrase(tag, phrase string) PhraseList {
 		p.sc = TFIDFScorer{}
 	}
 	if tag != "*" {
-		p.fixed = tagScores{df: ix.cachedDF(tag, phrase), n: len(ix.tags.list(tag))}
+		p.fixed = tagScores{df: ix.DF(tag, phrase), n: len(ix.tags.list(tag))}
 	}
 	return p
 }
@@ -94,7 +94,7 @@ func (p *PhraseList) scoresOf(tag string) *tagScores {
 		if p.other == nil {
 			p.other = make(map[string]*tagScores)
 		}
-		ts = &tagScores{df: p.ix.cachedDF(tag, p.phrase), n: len(p.ix.tags.list(tag))}
+		ts = &tagScores{df: p.ix.DF(tag, p.phrase), n: len(p.ix.tags.list(tag))}
 		p.other[tag] = ts
 	}
 	return ts

@@ -27,7 +27,7 @@ func oracleScore(ix *Index, elem xmldoc.NodeID, phrase string) float64 {
 	if sc == nil {
 		sc = TFIDFScorer{}
 	}
-	return sc.Score(tf, ix.cachedDF(tag, phrase), len(ix.tags.list(tag)))
+	return sc.Score(tf, ix.DF(tag, phrase), len(ix.tags.list(tag)))
 }
 
 func TestSeekGE(t *testing.T) {

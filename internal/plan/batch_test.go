@@ -179,13 +179,16 @@ func allAges33(t testing.TB, doc *xmldoc.Document) *xmldoc.Document {
 // behind the K-only prune and full ties became prunable (the n = 4
 // vector of the chain before that is in that commit's message): up to
 // the last kor they are the parent's, after it vor sees what the K-only
-// prune lets through and the sort a stream a little over k.
+// prune lets through and the sort a stream a little over k. Since the
+// join reads only the persons and businesses that contain "Yes", its
+// entry reports the 4,739 drops ftjoin(Yes) reported before, and ftjoin
+// scores the 4,733 survivors without dropping one.
 func TestSequentialCountersPinned(t *testing.T) {
 	want := map[int][]algebra.OpStats{
 		1: {
-			{Name: "twigjoin(person)", In: 9472, Out: 9472, Pruned: 0},
-			{Name: "twigscan(person)", In: 9472, Out: 9472, Pruned: 0},
-			{Name: "ftjoin(Yes)", In: 9472, Out: 4733, Pruned: 4739},
+			{Name: "twigjoin(person)", In: 9472, Out: 4733, Pruned: 4739},
+			{Name: "twigscan(person)", In: 4733, Out: 4733, Pruned: 0},
+			{Name: "ftjoin(Yes)", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "bonus", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "topkPrune(k=10,K,korbound=0.071)", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "kor(pi1)", In: 4733, Out: 4733, Pruned: 0},
@@ -196,9 +199,9 @@ func TestSequentialCountersPinned(t *testing.T) {
 			{Name: "topkPrune(k=10,K,V,S,sorted)", In: 11, Out: 10, Pruned: 1},
 		},
 		2: {
-			{Name: "twigjoin(person)", In: 9472, Out: 9472, Pruned: 0},
-			{Name: "twigscan(person)", In: 9472, Out: 9472, Pruned: 0},
-			{Name: "ftjoin(Yes)", In: 9472, Out: 4733, Pruned: 4739},
+			{Name: "twigjoin(person)", In: 9472, Out: 4733, Pruned: 4739},
+			{Name: "twigscan(person)", In: 4733, Out: 4733, Pruned: 0},
+			{Name: "ftjoin(Yes)", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "bonus", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "topkPrune(k=10,K,korbound=0.15)", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "kor(pi1)", In: 4733, Out: 4733, Pruned: 0},
@@ -211,9 +214,9 @@ func TestSequentialCountersPinned(t *testing.T) {
 			{Name: "topkPrune(k=10,K,V,S,sorted)", In: 11, Out: 10, Pruned: 1},
 		},
 		3: {
-			{Name: "twigjoin(person)", In: 9472, Out: 9472, Pruned: 0},
-			{Name: "twigscan(person)", In: 9472, Out: 9472, Pruned: 0},
-			{Name: "ftjoin(Yes)", In: 9472, Out: 4733, Pruned: 4739},
+			{Name: "twigjoin(person)", In: 9472, Out: 4733, Pruned: 4739},
+			{Name: "twigscan(person)", In: 4733, Out: 4733, Pruned: 0},
+			{Name: "ftjoin(Yes)", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "bonus", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "topkPrune(k=10,K,korbound=0.26)", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "kor(pi1)", In: 4733, Out: 4733, Pruned: 0},
@@ -228,9 +231,9 @@ func TestSequentialCountersPinned(t *testing.T) {
 			{Name: "topkPrune(k=10,K,V,S,sorted)", In: 11, Out: 10, Pruned: 1},
 		},
 		4: {
-			{Name: "twigjoin(person)", In: 9472, Out: 9472, Pruned: 0},
-			{Name: "twigscan(person)", In: 9472, Out: 9472, Pruned: 0},
-			{Name: "ftjoin(Yes)", In: 9472, Out: 4733, Pruned: 4739},
+			{Name: "twigjoin(person)", In: 9472, Out: 4733, Pruned: 4739},
+			{Name: "twigscan(person)", In: 4733, Out: 4733, Pruned: 0},
+			{Name: "ftjoin(Yes)", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "bonus", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "topkPrune(k=10,K,korbound=0.41)", In: 4733, Out: 4733, Pruned: 0},
 			{Name: "kor(pi1)", In: 4733, Out: 4733, Pruned: 0},

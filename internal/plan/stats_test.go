@@ -11,6 +11,7 @@ import (
 	"repro/internal/tpq"
 	"repro/internal/workload"
 	"repro/internal/xmark"
+	"repro/internal/xmldoc"
 )
 
 // TestParallelStatsAggregate is the regression for the parallel
@@ -55,12 +56,29 @@ func TestParallelStatsAggregate(t *testing.T) {
 			t.Fatalf("op %d: name %q (par) vs %q (seq)", i, parStats[i].Name, seqStats[i].Name)
 		}
 	}
-	// The source must have consumed every candidate exactly once across
-	// partitions — a single worker's chain would report ~1/4 of this.
-	nCars := ix.TagCount("car")
-	if parStats[0].In != nCars || seqStats[0].In != nCars {
-		t.Fatalf("scan consumed par=%d seq=%d candidates, want %d both",
-			parStats[0].In, seqStats[0].In, nCars)
+	// The join decides every car once; the source must have consumed
+	// each of its candidates — the cars whose description holds the
+	// phrase, the only ones the keyword-restricted join streams —
+	// exactly once across partitions: a single worker's chain would
+	// report ~1/4 of that.
+	if seq.Access() != AccessTwigJoin {
+		t.Fatalf("access = %v, want the twig join", seq.Access())
+	}
+	holders := map[xmldoc.NodeID]bool{}
+	for _, d := range ix.Elements("description") {
+		if ix.Contains(d, "good condition") {
+			holders[ix.Document().Parent(d)] = true
+		}
+	}
+	nCars, cands := ix.TagCount("car"), len(holders)
+	if cands == 0 || cands == nCars {
+		t.Fatalf("%d of %d cars hold the phrase: the case needs some of each", cands, nCars)
+	}
+	for _, st := range [][]algebra.OpStats{seqStats, parStats} {
+		if st[0].In != nCars || st[1].In != cands {
+			t.Fatalf("the join read %d cars and the source consumed %d candidates, want %d and %d",
+				st[0].In, st[1].In, nCars, cands)
+		}
 	}
 	// Deterministic prefix: every operator before the first prune sees
 	// identical traffic in both runs.

@@ -3,6 +3,7 @@ package twig
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/tpq"
@@ -52,14 +53,13 @@ func NewEvaluator(ix *index.Index, q *tpq.Query) *Evaluator {
 	f := &fusedQuery{
 		leafMask: make([]uint64, n),
 		selfBit:  make([]uint64, n),
-		isLeaf:   make([]bool, n),
 		onChain:  make([]bool, n),
+		streams:  make([][]xmldoc.NodeID, n),
 	}
 	for bi, leaf := range leaves {
 		bit := uint64(1) << uint(bi)
 		f.full |= bit
 		f.selfBit[leaf] = bit
-		f.isLeaf[leaf] = true
 		for t := leaf; t != -1; t = q.Nodes[t].Parent {
 			f.leafMask[t] |= bit
 		}
@@ -96,6 +96,38 @@ func NewEvaluator(ix *index.Index, q *tpq.Query) *Evaluator {
 			}
 		}
 	}
+	for i := range q.Nodes {
+		if !optionalBranch(q, i) {
+			f.streams[i] = ix.Elements(q.Nodes[i].Tag)
+		}
+	}
+	// Keyword-restricted streams (DESIGN §13): a required ftcontains(P)
+	// on node l restricts l itself when it is a join leaf, each pattern
+	// ancestor whose only required leaf is l, and the distinguished node
+	// when it is l or an ancestor of l — in every answer those nodes bind
+	// elements at or above an element holding P. No other node may be
+	// restricted: one shared with another leaf can bind an element
+	// without P for that leaf. A wildcard node keeps its whole stream
+	// (Containing("*", P) would probe every element).
+	for l, node := range q.Nodes {
+		if optionalBranch(q, l) {
+			continue
+		}
+		for _, ft := range node.FT {
+			if ft.Optional {
+				continue
+			}
+			for t := l; t != -1; t = q.Nodes[t].Parent {
+				only := f.selfBit[l] != 0 && f.leafMask[t] == f.selfBit[l]
+				if tag := q.Nodes[t].Tag; tag != "*" && (only || t == q.Dist) {
+					if c := ix.Containing(tag, ft.Phrase); len(c) < len(f.streams[t]) {
+						f.phrasePruned += len(f.streams[t]) - len(c)
+						f.streams[t] = c
+					}
+				}
+			}
+		}
+	}
 	e.fused = f
 	return e
 }
@@ -127,9 +159,20 @@ func (e *Evaluator) First(ctx context.Context, limit int) ([]xmldoc.NodeID, Join
 	if ctx != nil && ctx.Done() != nil {
 		stop = func() bool { return ctx.Err() != nil }
 	}
+	stats.PhrasePruned = e.fused.phrasePruned
 	ids, err := holisticDistinguished(e.ix, e.q, e.fused, &stats, stop, limit)
 	if errors.Is(err, errStopped) {
 		return nil, stats, ctx.Err()
+	}
+	stats.Emitted = len(ids)
+	// Read counts in the distinguished tag's whole list, whatever the
+	// guide and the keywords left of its stream: a cut answer decided it
+	// through its last candidate, a full one all of it.
+	tagList := e.ix.Elements(e.q.Nodes[e.q.Dist].Tag)
+	stats.Read = len(tagList)
+	if limit > 0 && len(ids) == limit {
+		at, _ := slices.BinarySearch(tagList, ids[limit-1])
+		stats.Read = at + 1
 	}
 	return ids, stats, nil
 }

@@ -11,14 +11,14 @@ import (
 )
 
 // first runs Evaluator.First(ctx, k) and fails unless it returns the
-// first k candidates of the two-sweep oracle (all of them for k <= 0)
-// and its counters account for exactly that prefix: Emitted is what it
-// returned, Read the distinguished-stream elements up to and including
-// the last one when the answer was cut at k, the whole stream
-// otherwise.
+// first k candidates of the join that distinguished checks against the
+// oracle (all of them for k <= 0) and its counters account for exactly
+// that prefix: Emitted is what it returned, Read the distinguished tag's
+// elements up to and including the last one when the answer was cut at
+// k, the whole list otherwise.
 func first(t testing.TB, ix *index.Index, q *tpq.Query, k int) {
 	t.Helper()
-	want := oracleDistinguished(ix, q)
+	want := distinguished(t, ix, q)
 	if k > 0 && k < len(want) {
 		want = want[:k]
 	}

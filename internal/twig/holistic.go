@@ -49,14 +49,19 @@ type JoinStats struct {
 	// GuidePruned counts elements the dataguide removed from join
 	// streams (their root path cannot participate in any embedding).
 	GuidePruned int
+	// PhrasePruned counts elements required keyword predicates removed
+	// from join streams: a restricted stream holds only the elements
+	// that contain the phrase (Index.Containing).
+	PhrasePruned int
 	// StackPushes counts pass-1 stack pushes (elements that entered the
 	// holistic merge after guide pruning).
 	StackPushes int
 	// Emitted counts the distinguished-node candidates the join returned.
 	Emitted int
-	// Read counts the leading distinguished-stream elements the join
-	// decided: the whole list, or through the last candidate a limited
-	// join (Evaluator.First) returned; Read - Emitted were rejected.
+	// Read counts the leading elements of the distinguished tag's list
+	// the join decided: the whole list, or through the last candidate a
+	// limited join (Evaluator.First) returned; Read - Emitted were
+	// rejected, by structure, the dataguide or a required keyword.
 	Read int
 }
 
@@ -77,8 +82,6 @@ const stopCheckEvery = 4096
 // joiner is the pooled per-join scratch state.
 type joiner struct {
 	stacks  [][]stkEntry
-	streams [][]xmldoc.NodeID
-	allowed [][]bool // per node: guide-admissible elements (nil = all)
 	surv    [][]uint64
 	vals    [][]uint64 // per chain node: final leaf masks
 	heads   []int
@@ -93,15 +96,18 @@ var joinerPool = sync.Pool{New: func() any { return new(joiner) }}
 const maskLeaves = 64
 
 // fusedQuery is the Evaluator's precomputed metadata for the fused
-// per-leaf join: one bit per required leaf, per-node leaf masks, and
-// the union of the per-Y-pattern dataguide matches.
+// per-leaf join: one bit per required leaf, per-node leaf masks, the
+// union of the per-Y-pattern dataguide matches and each node's stream.
 type fusedQuery struct {
-	full     uint64   // all required-leaf bits
-	leafMask []uint64 // per node: leaf bits inside its required subtree
-	selfBit  []uint64 // per node: its own leaf bit (0 for interior nodes)
-	isLeaf   []bool   // no required children
-	onChain  []bool   // on the root→dist chain
-	allowed  [][]bool // per node: union of per-Y guide-allowed sets (nil = all)
+	full     uint64            // all required-leaf bits
+	leafMask []uint64          // per node: leaf bits inside its required subtree
+	selfBit  []uint64          // per node: its own leaf bit (0: not a leaf)
+	onChain  []bool            // on the root→dist chain
+	allowed  [][]bool          // per node: union of per-Y guide-allowed sets (nil = all)
+	streams  [][]xmldoc.NodeID // per node: its tag list, keyword-restricted (nil: optional branch)
+	// phrasePruned is what the keyword restrictions removed from the
+	// tag lists (JoinStats.PhrasePruned).
+	phrasePruned int
 }
 
 // holisticDistinguished computes the distinguished-node candidates of q
@@ -145,7 +151,7 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 	}
 
 	j := joinerPool.Get().(*joiner)
-	defer j.release()
+	defer joinerPool.Put(j)
 	j.reset(n)
 
 	dist := q.Dist
@@ -153,15 +159,7 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 		j.parentQ[i] = q.Nodes[i].Parent
 		j.axisD[i] = q.Nodes[i].Axis == tpq.Descendant
 	}
-	for i := 0; i < n; i++ {
-		if optionalBranch(q, i) {
-			continue
-		}
-		j.streams[i] = ix.Elements(q.Nodes[i].Tag)
-		if f.allowed != nil {
-			j.allowed[i] = f.allowed[i]
-		}
-	}
+	streams := f.streams
 	rootOnly := xmldoc.InvalidNode
 	if q.Nodes[0].Axis == tpq.Child {
 		rootOnly = doc.Root()
@@ -169,14 +167,14 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 	// advance skips stream elements the guide (or the root axis) rules
 	// out, so pruned elements never enter the merge.
 	advance := func(i int) {
-		s := j.streams[i]
+		s := streams[i]
 		for j.heads[i] < len(s) {
 			e := s[j.heads[i]]
 			if i == 0 && rootOnly != xmldoc.InvalidNode && e != rootOnly {
 				j.heads[i]++
 				continue
 			}
-			if a := j.allowed[i]; a != nil && !a[guide.ElemGuide(e)] {
+			if guide != nil && f.allowed[i] != nil && !f.allowed[i][guide.ElemGuide(e)] {
 				j.heads[i]++
 				stats.GuidePruned++
 				continue
@@ -184,18 +182,18 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 			return
 		}
 	}
-	for i := range j.streams {
-		if j.streams[i] == nil {
+	for i := range streams {
+		if streams[i] == nil {
 			continue
 		}
 		j.heads[i] = 0
 		advance(i)
 		if f.onChain[i] {
-			j.surv[i] = growBitset(j.surv[i], len(j.streams[i]))
+			j.surv[i] = growBitset(j.surv[i], len(streams[i]))
 			if i != dist {
 				// Final bit masks, read back in pass 2. Only positions whose
 				// surv bit is set are ever read, so no zeroing is needed.
-				j.vals[i] = grow(j.vals[i], len(j.streams[i]))
+				j.vals[i] = grow(j.vals[i], len(streams[i]))
 			}
 		}
 	}
@@ -297,11 +295,11 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 		}
 		s := -1
 		var best xmldoc.NodeID
-		for i := range j.streams {
-			if j.streams[i] == nil || j.heads[i] >= len(j.streams[i]) {
+		for i := range streams {
+			if streams[i] == nil || j.heads[i] >= len(streams[i]) {
 				continue
 			}
-			if e := j.streams[i][j.heads[i]]; s < 0 || e < best {
+			if e := streams[i][j.heads[i]]; s < 0 || e < best {
 				s, best = i, e
 			}
 		}
@@ -315,7 +313,7 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 		if rootStop && rootDone >= limit && len(j.stacks[0]) == 0 {
 			break // no root is open, so every root ahead of best is decided
 		}
-		if f.isLeaf[s] {
+		if f.selfBit[s] != 0 {
 			if s != 0 {
 				notify(s, best, pos.Level[best], f.selfBit[s])
 			}
@@ -349,19 +347,16 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 		// the pass-1 survivors are the answer. A limited join that stopped
 		// early left the undecided tail's bits clear.
 		var out []xmldoc.NodeID
-		s0 := j.streams[0]
-		stats.Read = len(s0)
+		s0 := streams[0]
 		for h := 0; h < len(s0); h++ {
 			if w := j.surv[0][h>>6]; w == 0 {
 				h |= 63 // skip the rest of an empty word
 			} else if w&(1<<uint(h&63)) != 0 {
 				if out = append(out, s0[h]); len(out) == limit {
-					stats.Read = h + 1
 					break
 				}
 			}
 		}
-		stats.Emitted += len(out)
 		return out, nil
 	}
 
@@ -378,7 +373,7 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 		}
 	}
 	advSurv := func(i int) {
-		s := j.streams[i]
+		s := streams[i]
 		for j.heads[i] < len(s) {
 			h := j.heads[i]
 			if j.surv[i][h>>6]&(1<<uint(h&63)) != 0 {
@@ -387,27 +382,26 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 			j.heads[i]++
 		}
 	}
-	for i := range j.streams {
-		if j.streams[i] != nil && f.onChain[i] {
+	for i := range streams {
+		if streams[i] != nil && f.onChain[i] {
 			j.heads[i] = 0
 			advSurv(i)
 		}
 	}
 	var out []xmldoc.NodeID
-	stats.Read = len(j.streams[dist])
 	for limit <= 0 || len(out) < limit {
 		if steps++; stop != nil && steps%stopCheckEvery == 0 && stop() {
 			return nil, errStopped
 		}
 		s := -1
 		var best xmldoc.NodeID
-		for i := range j.streams {
-			if j.streams[i] == nil || !f.onChain[i] || j.heads[i] >= len(j.streams[i]) {
+		for i := range streams {
+			if streams[i] == nil || !f.onChain[i] || j.heads[i] >= len(streams[i]) {
 				continue
 			}
 			// Chain node indices ascend root→dist, so the strict < keeps
 			// parents before children on same-element (wildcard) ties.
-			if e := j.streams[i][j.heads[i]]; s < 0 || e < best {
+			if e := streams[i][j.heads[i]]; s < 0 || e < best {
 				s, best = i, e
 			}
 		}
@@ -437,9 +431,7 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 			// Survival already pinned the leaves below dist, so the
 			// element's K reduces to cand (see the survival cases above).
 			if cand == f.full {
-				if out = append(out, best); len(out) == limit {
-					stats.Read = j.heads[s] + 1
-				}
+				out = append(out, best)
 			}
 		} else if cand != 0 {
 			h := j.heads[s]
@@ -461,7 +453,6 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 		j.heads[s]++
 		advSurv(s)
 	}
-	stats.Emitted += len(out)
 	return out, nil
 }
 
@@ -470,25 +461,13 @@ func (j *joiner) reset(n int) {
 	j.stacks = grow(j.stacks, n)
 	j.surv = grow(j.surv, n)
 	j.vals = grow(j.vals, n)
-	j.streams = grow(j.streams, n)
-	j.allowed = grow(j.allowed, n)
 	j.heads = grow(j.heads, n)
 	j.parentQ = grow(j.parentQ, n)
 	j.axisD = grow(j.axisD, n)
 	for i := 0; i < n; i++ {
 		j.stacks[i] = j.stacks[i][:0]
-		j.streams[i], j.allowed[i] = nil, nil
 		j.heads[i] = 0
 	}
-}
-
-// release drops references into the index (tag streams, guide masks) so
-// pooling the scratch never pins a document, then returns it.
-func (j *joiner) release() {
-	for i := range j.streams {
-		j.streams[i], j.allowed[i] = nil, nil
-	}
-	joinerPool.Put(j)
 }
 
 // grow returns s resized to n elements, reusing its backing array when

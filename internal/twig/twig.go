@@ -11,9 +11,13 @@
 // plans): the query decomposes into one "Y-pattern" per required leaf —
 // the root→dist chain plus the root→leaf chain sharing their prefix —
 // and a distinguished element is a candidate iff every Y-pattern embeds
-// at it. Only structure (tags + axes) is decided here; value predicates
-// stay with the downstream operators. The result equals scan +
-// Matcher.MatchRequired element for element.
+// at it. Structure (tags + axes) is decided here, and so is part of
+// each required ftcontains predicate: its phrase restricts the streams
+// of the nodes that must contain it in every answer (NewEvaluator), so
+// the join reads only the elements holding it. Value predicates and
+// keyword scoring stay with the downstream operators. The result equals
+// scan + Matcher.MatchRequired element for element, minus candidates
+// the downstream ftjoin would drop.
 //
 // Evaluator (eval.go) matches the Y-patterns against the strong
 // dataguide (guide.go) once, then evaluates them all in ONE fused stack
