@@ -107,7 +107,10 @@ fuzz-smoke:
 # every match): an arm that stops at the (k+1)-th match times the stop,
 # not the access path. A Fig. 6/7 line whose ftjoin drops a candidate
 # (ftjoin_pruned/op > 0) means the twig join no longer streams only the
-# elements that hold the required phrase.
+# elements that hold the required phrase. The Fig. 7 Push line at four
+# KORs must feed its chain fewer than 1,000 candidates/op: its tiered
+# source stops at the first tier that cannot reach the top k, where the
+# untiered join fed all 8,322.
 FIG_BENCH := 'Fig6/size=101K/|Fig7/plan=PtpkP/kors=4/par=1$$|ExtraQueries|Ablation'
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test ./...
@@ -121,6 +124,7 @@ bench-test:
 		c = 0; p = 0; ft = 0; for (i = 2; i < NF; i++) { if ($$(i + 1) == "candidates/op") c = $$i; if ($$(i + 1) == "pruned/op") p = $$i; if ($$(i + 1) == "ftjoin_pruned/op") ft = $$i } \
 		if ($$1 ~ /^BenchmarkAblationTwigAccess\/(scan|twig)(-[0-9]+)?$$/ && (c <= 11 || p > 0)) { print "bench-test: " $$1 " stops early: " c " candidates, " p " pruned"; bad = 1 } \
 		if ($$1 ~ /Fig[67]/ && ft > 0) { print "bench-test: " $$1 " ftjoin drops " ft " candidates the twig join streamed"; bad = 1 } \
+		if ($$1 ~ /^BenchmarkFig7\/plan=PtpkP\/kors=4\/par=1(-[0-9]+)?$$/ && c >= 1000) { print "bench-test: " $$1 " feeds the chain " c " candidates: the tiered source did not stop"; bad = 1 } \
 	} END { \
 		split("Fig6 Fig7 ExtraQueries AblationKOROrder AblationTwigAccess", f, " "); \
 		for (i in f) if (!(f[i] in fam)) { print "bench-test: no Benchmark" f[i] " line"; bad = 1 } \

@@ -83,6 +83,8 @@ func (s OpStats) Kind() string {
 type ListScanOp struct {
 	Name string
 	IDs  []xmldoc.NodeID
+	// Next, when non-nil, supplies the next run (tier) once IDs is spent; false ends the stream.
+	Next func() ([]xmldoc.NodeID, bool)
 	// Cancel, when non-nil, lets a context deadline or client
 	// disconnect end the scan early (nil is never checked).
 	Cancel *CancelCheck
@@ -99,6 +101,13 @@ func (s *ListScanOp) Open() {
 func (s *ListScanOp) NextBatch(dst []Answer) int {
 	if s.Cancel.Stop() {
 		return 0
+	}
+	for s.pos == len(s.IDs) && s.Next != nil {
+		ids, ok := s.Next()
+		if !ok {
+			return 0
+		}
+		s.IDs, s.pos = ids, 0
 	}
 	n := min(len(dst), len(s.IDs)-s.pos)
 	for i, e := range s.IDs[s.pos : s.pos+n] {
@@ -426,13 +435,19 @@ type KOROp struct {
 // answer; "" means the tags vary.
 func NewKOROp(in Operator, ix *index.Index, kor *profile.KOR, tag string) *KOROp {
 	o := &KOROp{In: in, Ix: ix, Kor: kor, anyTag: tag == ""}
-	if o.anyTag || tag == kor.Tag {
+	if KORScores(kor, tag) {
 		o.lists = make([]index.PhraseList, len(kor.Phrases))
 		for i, p := range kor.Phrases {
 			o.lists[i] = ix.Phrase(kor.Tag, p)
 		}
 	}
 	return o
+}
+
+// KORScores reports whether kor can add to the K of answers that all
+// carry tag ("" when the tags vary); a rule about another tag scores 0.
+func KORScores(kor *profile.KOR, tag string) bool {
+	return tag == "" || tag == kor.Tag
 }
 
 func (o *KOROp) Open() {

@@ -165,6 +165,12 @@ func (o *TopKPruneOp) TopK() []Answer {
 	return out
 }
 
+// HoldsAbove reports whether the list holds k answers whose K is
+// strictly above bound, which no answer with K ≤ bound can then join.
+func (o *TopKPruneOp) HoldsAbove(bound float64) bool {
+	return len(o.list) == o.K && o.list[len(o.list)-1].K > bound
+}
+
 // ReleaseScratch returns the top-k list to the shared pool; the next
 // Open re-acquires. Call only after TopK (which copies) — the operator's
 // own list is pool property afterwards.

@@ -1,10 +1,12 @@
 package plan
 
-// The chain compiler as it stood before score-free plans stopped early,
-// copied verbatim (only the receiver became a parameter): every plan
-// ends in a parametric sort and a sorted prune, and the twig join runs
-// to the end of its streams. oracleExecute runs it sequentially; it is
-// the reference TestScoreFreeMatchesOracle holds the served chains to.
+// The chain compiler as it stood before the Push plan's source became
+// tiered, copied verbatim (only the receiver became a parameter): every
+// candidate the access path produces goes through it, and a rule about
+// another tag than the distinguished node's still adds its maximum to
+// every kor-scorebound. oracleExecute runs it sequentially over the
+// whole candidate list; it is the reference TestScoreFreeMatchesOracle
+// and TestTieredMatchesOracle hold the served chains to.
 
 import (
 	"repro/internal/algebra"
@@ -15,7 +17,9 @@ import (
 
 // oracleExecute evaluates (q, prof) at k on the given access path the
 // old way: the whole candidate list — every tag-list element, or the
-// whole join — through oracleBuildChain, drained at batchCap.
+// whole join — through oracleBuildChain, drained at batchCap, and with
+// the final sort compiled even for a plan that ranks nothing, so the
+// score-free shortcut is held to a sort-then-prune chain.
 func oracleExecute(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, strat Strategy, access AccessPath) ([]algebra.Answer, error) {
 	p, err := BuildWith(ix, q, prof, k, Options{Strategy: strat, AccessPath: access, Parallelism: 1})
 	if err != nil {
@@ -27,16 +31,16 @@ func oracleExecute(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, 
 			return nil, err
 		}
 	}
-	src := &algebra.ListScanOp{Name: p.sourceName, IDs: ids}
-	ops, final, _ := oracleBuildChain(p, src, nil, algebra.NewCancelCheck(nil))
+	p.scoreFree = false
+	src := &algebra.ListScanOp{Name: p.src.Name, IDs: ids}
+	ops, final := oracleBuildChain(p, src, algebra.NewMatcher(ix, q), nil, algebra.NewCancelCheck(nil))
 	algebra.Run(ops[len(ops)-1], batchCap)
 	return final.TopK(), nil
 }
 
-func oracleBuildChain(p *Plan, src *algebra.ListScanOp, shared *algebra.SharedBound, cancel *algebra.CancelCheck) ([]algebra.Operator, *algebra.TopKPruneOp, *algebra.Matcher) {
-	ix, q, prof, k := p.ix, p.q, p.prof, p.K
+func oracleBuildChain(p *Plan, src *algebra.ListScanOp, m *algebra.Matcher, shared *algebra.SharedBound, cancel *algebra.CancelCheck) ([]algebra.Operator, *algebra.TopKPruneOp) {
+	ix, prof, k := p.ix, p.prof, p.K
 	strat, mode, ranker := p.Strategy, p.Mode, p.ranker
-	m := algebra.NewMatcher(ix, q)
 	src.Cancel = cancel
 	ftUnits := m.FTUnits()
 	var kors []*profile.KOR
@@ -145,9 +149,12 @@ func oracleBuildChain(p *Plan, src *algebra.ListScanOp, shared *algebra.SharedBo
 		}
 	}
 
-	// Final ranking: parametric sort + topkPrune (Fig. 4's plan tops).
-	push(&algebra.SortOp{In: op, Ranker: ranker, Mode: mode, Batch: p.batch})
+	// Final ranking: parametric sort + topkPrune (Fig. 4's plan tops). A
+	// score-free stream is in rank order as the source emits it.
+	if !p.scoreFree {
+		push(&algebra.SortOp{In: op, Ranker: ranker, Mode: mode, Batch: p.batch})
+	}
 	final := prune(mode, 0, true)
 
-	return ops, final, m
+	return ops, final
 }

@@ -176,16 +176,16 @@ func ResolveParallelism(requested, docNodes int) int {
 // can force workers on small inputs.
 func (p *Plan) effectiveWorkers() int {
 	n := p.par
-	if n <= 1 {
+	if n <= 1 || p.tiers != nil { // the tier stop reads one chain's prune
 		return 1
 	}
 	if p.parAuto {
-		if byLoad := len(p.sourceIDs) / minPartition; byLoad < n {
+		if byLoad := len(p.src.IDs) / minPartition; byLoad < n {
 			n = byLoad
 		}
 	}
-	if n > len(p.sourceIDs) {
-		n = len(p.sourceIDs)
+	if n > len(p.src.IDs) {
+		n = len(p.src.IDs)
 	}
 	if n < 1 {
 		return 1
@@ -203,7 +203,7 @@ func (p *Plan) effectiveWorkers() int {
 // cancellation probe bound to ctx, so a deadline or client disconnect
 // aborts every partition cooperatively.
 func (p *Plan) executeParallel(ctx context.Context, w int) ([]algebra.Answer, error) {
-	ids := p.sourceIDs
+	ids := p.src.IDs
 	shared := algebra.NewSharedBound()
 	type workerOut struct {
 		top   []algebra.Answer
@@ -212,9 +212,9 @@ func (p *Plan) executeParallel(ctx context.Context, w int) ([]algebra.Answer, er
 	outs := make([]workerOut, w)
 	Drain(p.opts.Budget, w, func(i int) {
 		lo, hi := i*len(ids)/w, (i+1)*len(ids)/w
-		src := &algebra.ListScanOp{Name: p.sourceName, IDs: ids[lo:hi]}
+		src := &algebra.ListScanOp{Name: p.src.Name, IDs: ids[lo:hi]}
 		m := algebra.NewMatcher(p.ix, p.q)
-		ops, final := p.buildChain(src, m, shared, algebra.NewCancelCheck(ctx))
+		ops, final, _ := p.buildChain(src, m, shared, algebra.NewCancelCheck(ctx))
 		algebra.Run(ops[len(ops)-1], p.batch)
 		stats := make([]algebra.OpStats, len(ops))
 		for j, op := range ops {

@@ -19,13 +19,16 @@ import (
 // on the XMark workload (Fig. 5 query and KOR profiles), forcing 2 and
 // 8 workers must return the exact same ranked top-k answers — same
 // nodes, same order, same scores — as the sequential reference path.
+// Push runs these requests on its tiered source, which takes one
+// worker (checkTiered asserts it), so the interleaved plans keep the
+// partitioned executor covered.
 func TestParallelMatchesSequentialXMark(t *testing.T) {
 	doc := xmark.GenerateSized(xmark.Config{Seed: 42}, 300*1024)
 	ix := index.Build(doc, text.Pipeline{})
 	q := workload.Fig5Query()
 	for _, nKORs := range []int{1, 4} {
 		prof := workload.Fig5Profile(nKORs)
-		for _, strat := range []Strategy{Naive, Push, InterleaveSort} {
+		for _, strat := range []Strategy{Naive, InterleaveNoSort, InterleaveSort} {
 			for _, k := range []int{1, 5, 10, 40} {
 				seq, err := BuildWith(ix, q, prof, k, Options{Strategy: strat, Parallelism: 1})
 				if err != nil {

@@ -176,20 +176,21 @@ func TestDrainContainsHelperPanic(t *testing.T) {
 
 // TestParallelBudget: a budget caps helper goroutines but never changes
 // the answer — even a zero budget (caller drains every partition) must
-// report the full worker count and match the sequential reference.
+// report the full worker count and match the sequential reference. The
+// plan is NS-ILtpkP: Push ranks this request on one worker (tiered).
 func TestParallelBudget(t *testing.T) {
 	doc := xmark.GenerateSized(xmark.Config{Seed: 42}, 300*1024)
 	ix := index.Build(doc, text.Pipeline{})
 	q := workload.Fig5Query()
 	prof := workload.Fig5Profile(2)
-	seq, err := BuildWith(ix, q, prof, 10, Options{Parallelism: 1})
+	seq, err := BuildWith(ix, q, prof, 10, Options{Strategy: InterleaveNoSort, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := seq.Execute()
 	for _, tokens := range []int64{0, 1, 16} {
 		b := &countingBudget{cap: tokens}
-		p, err := BuildWith(ix, q, prof, 10, Options{Parallelism: 4, Budget: b})
+		p, err := BuildWith(ix, q, prof, 10, Options{Strategy: InterleaveNoSort, Parallelism: 4, Budget: b})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,10 +65,11 @@ func TestScoreFreeMatchesOracle(t *testing.T) {
 							if sorts := strings.Contains(p.String(), "sort("); sorts == c.scoreFree {
 								t.Fatalf("%s: plan %s, want a sort: %v", label, p, !c.scoreFree)
 							}
-							if limited := p.joinLimit > 0; limited != (c.joinLimit && p.Access() == AccessTwigJoin) {
-								t.Fatalf("%s: join limit %d", label, p.joinLimit)
+							limited := p.eval != nil && p.joinLimit() > 0
+							if limited != (c.joinLimit && p.Access() == AccessTwigJoin) {
+								t.Fatalf("%s: join limit %d", label, p.joinLimit())
 							}
-							if js := p.JoinStats(); p.joinLimit > 0 && js.Emitted > k+1 {
+							if js := p.JoinStats(); limited && js.Emitted > k+1 {
 								t.Fatalf("%s: the join emitted %d candidates for k = %d", label, js.Emitted, k)
 							}
 						}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/profile"
 	"repro/internal/tpq"
 )
@@ -170,7 +171,9 @@ func waitFor(t *testing.T, cond func() bool) {
 // small cars document auto stays sequential even with GOMAXPROCS raised
 // (the oversubscription fix); on the multi-megabyte XMark document,
 // above the node threshold, it runs several workers and returns exactly
-// the answers of the sequential engine.
+// the answers of the sequential engine. The XMark request asks for the
+// interleaved plan: Push would rank it on its tiered source, which
+// takes one worker whatever the parallelism.
 func TestResolvedParallelismInResponse(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -189,7 +192,7 @@ func TestResolvedParallelismInResponse(t *testing.T) {
 	}
 
 	req := SearchRequest{Doc: "xmark", Query: `//person(*)[.//business[. ftcontains "Yes"]]`,
-		Profile: personProfile(4), K: 10, NoCache: true}
+		Profile: personProfile(4), K: 10, NoCache: true, Strategy: "interleave"}
 	big := search(req)
 	if big.Parallelism != 4 || big.Workers < 2 {
 		t.Fatalf("xmark: parallelism %d, workers %d; want 4 and at least 2", big.Parallelism, big.Workers)
@@ -200,7 +203,7 @@ func TestResolvedParallelismInResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq, err := engine.FromParts(entry.Document(), entry.Index()).Search(engine.Request{
-		Query: tpq.MustParse(req.Query), Profile: prof, K: req.K, Parallelism: 1,
+		Query: tpq.MustParse(req.Query), Profile: prof, K: req.K, Parallelism: 1, Strategy: plan.InterleaveNoSort,
 	})
 	if err != nil {
 		t.Fatal(err)

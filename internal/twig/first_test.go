@@ -10,7 +10,7 @@ import (
 	"repro/internal/tpq"
 )
 
-// first runs Evaluator.First(ctx, k) and fails unless it returns the
+// first runs Evaluator.Join(ctx, nil, k, nil) and fails unless it returns the
 // first k candidates of the join that distinguished checks against the
 // oracle (all of them for k <= 0) and its counters account for exactly
 // that prefix: Emitted is what it returned, Read the distinguished tag's
@@ -22,12 +22,12 @@ func first(t testing.TB, ix *index.Index, q *tpq.Query, k int) {
 	if k > 0 && k < len(want) {
 		want = want[:k]
 	}
-	got, stats, err := NewEvaluator(ix, q).First(context.Background(), k)
+	got, stats, err := NewEvaluator(ix, q).Join(context.Background(), nil, k, nil)
 	if err != nil {
-		t.Fatalf("First(%d) on %s: %v", k, q, err)
+		t.Fatalf("Join limit %d on %s: %v", k, q, err)
 	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("First(%d) = %v, oracle prefix %v\nq: %s\ndoc: %s", k, got, want, q, ix.Document().XMLString())
+		t.Fatalf("Join limit %d = %v, oracle prefix %v\nq: %s\ndoc: %s", k, got, want, q, ix.Document().XMLString())
 	}
 	stream := ix.Elements(q.Nodes[q.Dist].Tag)
 	wantRead := len(stream)
@@ -38,7 +38,7 @@ func first(t testing.TB, ix *index.Index, q *tpq.Query, k int) {
 		wantRead = slices.Index(stream, got[k-1]) + 1
 	}
 	if stats.Emitted != len(got) || stats.Read != wantRead {
-		t.Fatalf("First(%d) on %s: emitted %d read %d, want %d and %d", k, q, stats.Emitted, stats.Read, len(got), wantRead)
+		t.Fatalf("Join limit %d on %s: emitted %d read %d, want %d and %d", k, q, stats.Emitted, stats.Read, len(got), wantRead)
 	}
 }
 
@@ -46,7 +46,7 @@ func first(t testing.TB, ix *index.Index, q *tpq.Query, k int) {
 // get right, each at every k up to past the last match:
 //   - nested same-tag roots: an inner root pops (and survives) while the
 //     outer one is still open and undecided, so the stop must wait for
-//     the root's stack to empty, or First(1) returns the inner element;
+//     the root's stack to empty, or a limit of 1 returns the inner element;
 //   - a wildcard root, streamed beside its own children's tags;
 //   - a child-axis (absolute) root;
 //   - a distinguished node below the root, where pass 2 stops instead.
@@ -71,9 +71,9 @@ func TestFirstStopsOnlyWhenDecided(t *testing.T) {
 			first(t, ix, c.q, k)
 		}
 	}
-	// The stop itself: First(1) on nested roots decides the outer a and
+	// The stop itself: a limit of 1 on nested roots decides the outer a and
 	// reads no further than it needs to.
-	_, stats, err := NewEvaluator(ix, tpq.MustParse(`//a[./b]`)).First(context.Background(), 1)
+	_, stats, err := NewEvaluator(ix, tpq.MustParse(`//a[./b]`)).Join(context.Background(), nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFirstStopsOnlyWhenDecided(t *testing.T) {
 }
 
 // TestFirstIsOraclePrefix: on random documents and structural patterns,
-// a quarter of them rooted at the document root (child axis), First(k)
+// a quarter of them rooted at the document root (child axis), a join limited to k
 // is the oracle's first k candidates for k in {1, 2, 3, 5} and for k
 // past the last match.
 func TestFirstIsOraclePrefix(t *testing.T) {

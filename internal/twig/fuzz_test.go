@@ -13,9 +13,11 @@ import (
 // a document with words and a tree pattern with required and optional
 // ftcontains predicates, both decoded from the fuzz input, and requires
 // the candidates distinguished accepts — and, for a limit k drawn from
-// the input as well, First(k) to be their first k. The decoders accept
-// every byte string, so the fuzzer explores structure instead of
-// fighting a parser.
+// the input as well, First(k) to be their first k. The same byte's top
+// five bits pick a subset of the distinguished stream, and a join
+// restricted to it must return the candidates in that subset, skipping
+// or not (restricted). The decoders accept every byte string, so the
+// fuzzer explores structure instead of fighting a parser.
 func FuzzTwigJoin(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x80, 0x91}, []byte{0x00, 0x31, 0x42}, uint8(1))
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0x07, 0x70}, []byte{0x14, 0x25}, uint8(2))
@@ -23,7 +25,9 @@ func FuzzTwigJoin(f *testing.F) {
 	f.Add([]byte{0x20, 0x61, 0x22, 0x13, 0xa3, 0x11, 0x62}, []byte{0x45, 0x4e, 0x87, 0xc1}, uint8(0))
 	f.Add([]byte{}, []byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, docBytes, qBytes []byte, k uint8) {
-		first(t, fuzzDoc(docBytes), fuzzQuery(qBytes), int(k%8))
+		ix, q := fuzzDoc(docBytes), fuzzQuery(qBytes)
+		first(t, ix, q, int(k%8))
+		restricted(t, ix, q, k>>3)
 	})
 }
 

@@ -59,10 +59,20 @@ type JoinStats struct {
 	// Emitted counts the distinguished-node candidates the join returned.
 	Emitted int
 	// Read counts the leading elements of the distinguished tag's list
-	// the join decided: the whole list, or through the last candidate a
-	// limited join (Evaluator.First) returned; Read - Emitted were
-	// rejected, by structure, the dataguide or a required keyword.
+	// (or members) the join decided: all, or through the last candidate
+	// a limited join returned; Read - Emitted were rejected, by structure,
+	// the dataguide or a required keyword.
 	Read int
+}
+
+// Add sums another join of the same Evaluator into s (Leaves and PhrasePruned are per Evaluator).
+func (s *JoinStats) Add(o JoinStats) {
+	s.Leaves, s.PhrasePruned = o.Leaves, o.PhrasePruned
+	s.GuideShortCircuit = s.GuideShortCircuit || o.GuideShortCircuit
+	s.GuidePruned += o.GuidePruned
+	s.StackPushes += o.StackPushes
+	s.Emitted += o.Emitted
+	s.Read += o.Read
 }
 
 // stkEntry is one open element on a pattern node's join stack.
@@ -81,6 +91,7 @@ const stopCheckEvery = 4096
 
 // joiner is the pooled per-join scratch state.
 type joiner struct {
+	streams [][]xmldoc.NodeID // this run's streams: the query's, the distinguished one maybe cut
 	stacks  [][]stkEntry
 	surv    [][]uint64
 	vals    [][]uint64 // per chain node: final leaf masks
@@ -113,13 +124,15 @@ type fusedQuery struct {
 // holisticDistinguished computes the distinguished-node candidates of q
 // under the per-predicate semijoin semantics in one two-pass stack join
 // over the full pattern, instead of one join per Y-pattern — every
-// per-tag element list streams exactly once per pass. stop, when
-// non-nil, is polled periodically; a true return aborts with
-// errStopped. A positive limit asks for the first limit candidates in
-// document order only, and the join stops as soon as they are decided:
-// in pass 1 when the distinguished node is the pattern root (once limit
-// root elements survived and the root's stack is empty, every root
-// element ahead of the next arrival is decided), in pass 2 otherwise.
+// per-tag element list streams at most once per pass — and appends them
+// to out. stop, when non-nil, is polled periodically; a true return
+// aborts with errStopped. A positive limit asks for the first limit
+// candidates in document order only, and the join stops as soon as they
+// are decided: in pass 1 when the distinguished node is the pattern root
+// (once limit root elements survived and the root's stack is empty,
+// every root element ahead of the next arrival is decided), in pass 2
+// otherwise. A non-nil members replaces the distinguished stream; with
+// skip, pass 1 gallops past elements in no root element (DESIGN §13).
 //
 // A bit is one required LEAF and every accumulated bit propagates
 // upward unconditionally (a classical conjunctive twig join would make
@@ -141,7 +154,7 @@ type fusedQuery struct {
 // leaf. Entries reuse stkEntry's mask fields: down holds K, child holds
 // the running union of K over the open entries at and below it (the
 // descendant-axis parent lookup is then one load from the stack top).
-func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *JoinStats, stop func() bool, limit int) ([]xmldoc.NodeID, error) {
+func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, members []xmldoc.NodeID, limit int, skip bool, out []xmldoc.NodeID, stats *JoinStats, stop func() bool) ([]xmldoc.NodeID, error) {
 	n := len(q.Nodes)
 	doc := ix.Document()
 	pos := doc.Pos()
@@ -154,12 +167,16 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 	defer joinerPool.Put(j)
 	j.reset(n)
 
-	dist := q.Dist
 	for i := 0; i < n; i++ {
 		j.parentQ[i] = q.Nodes[i].Parent
 		j.axisD[i] = q.Nodes[i].Axis == tpq.Descendant
 	}
-	streams := f.streams
+	streams := append(j.streams[:0], f.streams...)
+	if members != nil {
+		streams[q.Dist] = members
+	}
+	j.streams = streams
+	dist := q.Dist
 	rootOnly := xmldoc.InvalidNode
 	if q.Nodes[0].Axis == tpq.Child {
 		rootOnly = doc.Root()
@@ -234,6 +251,7 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 	const noOpen = int32(1<<31 - 1)
 	minOpen := noOpen
 	rootStop, rootDone := limit > 0 && dist == 0, 0 // rootDone: root survivors
+	skip = skip && f.selfBit[0] == 0                // a leaf root streams alone
 	popOne := func(threshold int32, all bool) bool {
 		t := -1
 		var minPost int32
@@ -313,6 +331,20 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 		if rootStop && rootDone >= limit && len(j.stacks[0]) == 0 {
 			break // no root is open, so every root ahead of best is decided
 		}
+		if skip && s != 0 && len(j.stacks[0]) == 0 {
+			if j.heads[0] >= len(streams[0]) {
+				break // no root is open and none will arrive
+			}
+			if next := streams[0][j.heads[0]]; best < next {
+				for i := 1; i < n; i++ {
+					if h := j.heads[i]; streams[i] != nil && h < len(streams[i]) && streams[i][h] < next {
+						j.heads[i] = index.SeekGE(streams[i], h, next)
+						advance(i)
+					}
+				}
+				continue
+			}
+		}
 		if f.selfBit[s] != 0 {
 			if s != 0 {
 				notify(s, best, pos.Level[best], f.selfBit[s])
@@ -346,13 +378,13 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 		// The dist node is the pattern root: no chain hangs above it, so
 		// the pass-1 survivors are the answer. A limited join that stopped
 		// early left the undecided tail's bits clear.
-		var out []xmldoc.NodeID
+		from := len(out)
 		s0 := streams[0]
 		for h := 0; h < len(s0); h++ {
 			if w := j.surv[0][h>>6]; w == 0 {
 				h |= 63 // skip the rest of an empty word
 			} else if w&(1<<uint(h&63)) != 0 {
-				if out = append(out, s0[h]); len(out) == limit {
+				if out = append(out, s0[h]); len(out)-from == limit {
 					break
 				}
 			}
@@ -388,8 +420,8 @@ func holisticDistinguished(ix *index.Index, q *tpq.Query, f *fusedQuery, stats *
 			advSurv(i)
 		}
 	}
-	var out []xmldoc.NodeID
-	for limit <= 0 || len(out) < limit {
+	from := len(out)
+	for limit <= 0 || len(out)-from < limit {
 		if steps++; stop != nil && steps%stopCheckEvery == 0 && stop() {
 			return nil, errStopped
 		}
