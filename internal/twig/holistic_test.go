@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
@@ -138,7 +139,8 @@ func TestGuidePruneCounts(t *testing.T) {
 }
 
 // TestEvaluatorCancellation: a cancelled context aborts the join at its
-// first cancellation probe with the context's error.
+// first cancellation probe with the context's error, and Join hands back
+// the slice it was appending to as it came in.
 func TestEvaluatorCancellation(t *testing.T) {
 	b := xmldoc.NewBuilder()
 	b.Start("a")
@@ -154,6 +156,11 @@ func TestEvaluatorCancellation(t *testing.T) {
 	ids, _, err := ev.Distinguished(ctx)
 	if err != context.Canceled || ids != nil {
 		t.Fatalf("ids = %d, err = %v: want no answer and context.Canceled", len(ids), err)
+	}
+	out := append(make([]xmldoc.NodeID, 0, 8), 3, 5)
+	ids, _, err = ev.Join(ctx, nil, 0, out)
+	if err != context.Canceled || !slices.Equal(ids, out) || cap(ids) != cap(out) {
+		t.Fatalf("ids = %v (cap %d), err = %v: want %v (cap %d) and context.Canceled", ids, cap(ids), err, out, cap(out))
 	}
 }
 
