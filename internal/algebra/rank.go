@@ -156,6 +156,18 @@ func (r *Ranker) CompareV(a, b *Answer) int {
 	return 0
 }
 
+// LeadVOR is the index in Prof.VORs of the rule CompareV reads first,
+// or -1 when the profile has none.
+func (r *Ranker) LeadVOR() int {
+	switch {
+	case r.Prof == nil || len(r.Prof.VORs) == 0:
+		return -1
+	case r.vorOrder != nil:
+		return r.vorOrder[0]
+	}
+	return r.Prof.VORPriorityOrder()[0]
+}
+
 // SortBestFirst orders answers best first under the mode, ties broken
 // by NodeID: the total order of every sort operator and of the parallel
 // k-merge, which is what makes their results reproduce one another.

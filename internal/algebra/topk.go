@@ -171,6 +171,27 @@ func (o *TopKPruneOp) HoldsAbove(bound float64) bool {
 	return len(o.list) == o.K && o.list[len(o.list)-1].K > bound
 }
 
+// Held is how many answers the list holds, at most k.
+func (o *TopKPruneOp) Held() int { return len(o.list) }
+
+// HoldsClassAbove reports whether the list holds k answers each ranking,
+// under K,V,S, strictly above every answer with K ≤ bound outside the
+// class of the ranker's lead VOR: the k-th's K is above bound, or equal
+// to it and the k-th in the class. The lead rule must be of form (1)
+// without common equalities, about every answer's tag: LinearCompare
+// then ranks its class first, and it decides V before any other rule.
+func (o *TopKPruneOp) HoldsClassAbove(bound float64) bool {
+	if len(o.list) < o.K {
+		return false
+	}
+	kth := &o.list[len(o.list)-1]
+	if kth.K > bound {
+		return true
+	}
+	v := o.Ranker.LeadVOR()
+	return kth.K == bound && o.Ranker.Prof.VORs[v].MatchesConst(&kth.VKeys[v])
+}
+
 // ReleaseScratch returns the top-k list to the shared pool; the next
 // Open re-acquires. Call only after TopK (which copies) — the operator's
 // own list is pool property afterwards.

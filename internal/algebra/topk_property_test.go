@@ -224,3 +224,82 @@ func TestPropertyInsertKeepsListSorted(t *testing.T) {
 		}
 	}
 }
+
+// classProfile leads with a form-(1) rule (red cars first) and breaks
+// its classes by mileage: the class rule of a tiered source.
+var classProfile = profile.MustParseProfile(`
+vor c priority 1: x.tag = car & y.tag = car & x.color = red & y.color != red => x < y
+vor w priority 2: x.tag = car & y.tag = car & x.mileage < y.mileage => x < y
+`)
+
+// classAnswer is a car with the given K, class bit and random S and
+// mileage, keyed through the real profile machinery.
+func classAnswer(r *rand.Rand, node int, k float64, red bool) Answer {
+	color, mileage := "blue", fmt.Sprint(1000*(1+r.Intn(4)))
+	if red {
+		color = "red"
+	}
+	lookup := func(attr string) (string, bool) {
+		switch attr {
+		case "color":
+			return color, true
+		case "mileage":
+			return mileage, true
+		}
+		return "", false
+	}
+	keys := make([]profile.Key, len(classProfile.VORs))
+	for i, v := range classProfile.VORs {
+		keys[i] = v.KeyFor("car", lookup)
+	}
+	return Answer{Node: xmldoc.NodeID(node), K: k, S: float64(r.Intn(3)) / 10, VKeys: keys}
+}
+
+// TestPropertyClassStopIsSound is the V-bound mode of the stop test:
+// whenever a K,V,S prune's HoldsClassAbove(b) says yes, every answer
+// with K ≤ b outside the class — seen by the prune or never fed to it —
+// ranks strictly below all k of its list. Bounds are drawn on and
+// between the K levels, so the k-th often ties one.
+func TestPropertyClassStopIsSound(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	ranker := NewRanker(classProfile)
+	tied := 0
+	for iter := 0; iter < 400; iter++ {
+		n, k := 1+r.Intn(40), 1+r.Intn(6)
+		answers := make([]Answer, n)
+		for i := range answers {
+			answers[i] = classAnswer(r, i, float64(r.Intn(4))/10, r.Intn(3) == 0)
+		}
+		op := &TopKPruneOp{In: &sliceOp{answers: answers}, K: k, Mode: ModeKVS, Ranker: ranker}
+		drain(op)
+		list := op.TopK()
+		for range 8 {
+			b := float64(r.Intn(8)) / 20
+			if !op.HoldsClassAbove(b) {
+				continue
+			}
+			if list[k-1].K == b {
+				tied++
+			}
+			outside := make([]Answer, 0, n+4)
+			for _, a := range answers {
+				if a.K <= b && !classProfile.VORs[0].MatchesConst(&a.VKeys[0]) {
+					outside = append(outside, a)
+				}
+			}
+			for i := range 4 { // never fed: a skipped rest's members
+				outside = append(outside, classAnswer(r, n+i, b-float64(r.Intn(2))/10, false))
+			}
+			for _, z := range outside {
+				for _, m := range list {
+					if ranker.Compare(&m, &z, ModeKVS) <= 0 {
+						t.Fatalf("iter %d bound %v: n%d (K %v, outside the class) does not rank below n%d (K %v) of the top %d", iter, b, z.Node, z.K, m.Node, m.K, k)
+					}
+				}
+			}
+		}
+	}
+	if tied == 0 {
+		t.Error("no stop at a k-th K equal to the bound: the class condition went untested")
+	}
+}

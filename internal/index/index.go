@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/text"
+	"repro/internal/tpq"
 	"repro/internal/xmldoc"
 )
 
@@ -69,14 +70,23 @@ type Index struct {
 	// publication. Concurrent misses may compute the same entry twice —
 	// results are deterministic, so duplicated work is the only cost.
 	cacheMu       sync.Mutex
-	phraseCache   atomic.Pointer[map[string][]int32]            // raw phrase -> sorted text-node starts
-	maxScoreCache atomic.Pointer[map[tagPhrase]float64]         // max element score per tag+phrase
-	containCache  atomic.Pointer[map[tagPhrase][]xmldoc.NodeID] // Containing per tag+phrase
+	phraseCache   atomic.Pointer[map[string][]int32]           // raw phrase -> sorted text-node starts
+	maxScoreCache atomic.Pointer[map[tagPhrase]float64]        // max element score per tag+phrase
+	containCache  atomic.Pointer[map[elemsKey][]xmldoc.NodeID] // Containing and WithValue lists
 }
 
 // tagPhrase is a composite cache key (a struct key avoids allocating
 // concatenated strings on the per-candidate scoring path).
 type tagPhrase struct{ tag, phrase string }
+
+// elemsKey keys the element-list cache: Containing's (tag, phrase) or,
+// with byValue set, WithValue's (tag, attr, constant), attr in phrase's
+// place.
+type elemsKey struct {
+	tagPhrase
+	byValue bool
+	val     tpq.Value
+}
 
 // table is a set of named lists in CSR form: a name maps to a dense ID
 // and list id is arena[off[id]:off[id+1]] — a string table and two flat
@@ -237,7 +247,7 @@ func (ix *Index) NumTokens() int { return len(ix.seqNode) }
 func (ix *Index) resetCaches() {
 	phrase := make(map[string][]int32)
 	maxScore := make(map[tagPhrase]float64)
-	contain := make(map[tagPhrase][]xmldoc.NodeID)
+	contain := make(map[elemsKey][]xmldoc.NodeID)
 	ix.phraseCache.Store(&phrase)
 	ix.maxScoreCache.Store(&maxScore)
 	ix.containCache.Store(&contain)
@@ -364,7 +374,7 @@ func (ix *Index) Score(elem xmldoc.NodeID, phrase string) float64 {
 // join's keyword-restricted streams pay for it once. The returned slice
 // is shared and must not be modified.
 func (ix *Index) Containing(tag, phrase string) []xmldoc.NodeID {
-	key := tagPhrase{tag, phrase}
+	key := elemsKey{tagPhrase: tagPhrase{tag, phrase}}
 	if v, ok := (*ix.containCache.Load())[key]; ok {
 		return v
 	}
@@ -373,6 +383,29 @@ func (ix *Index) Containing(tag, phrase string) []xmldoc.NodeID {
 	for _, e := range ix.Elements(tag) {
 		if p.TF(e) > 0 {
 			out = append(out, e)
+		}
+	}
+	cachePut(&ix.cacheMu, &ix.containCache, key, out)
+	return out
+}
+
+// WithValue returns the elements with the given tag whose x.attr,
+// resolved as Document.DeepValue resolves it, equals c under
+// tpq.Value.Compare, in document order: the class a form-(1) ordering
+// rule x.attr = c ranks first. Lists are cached per (tag, attr, c) beside
+// Containing's; c must not be NaN, which no map key equals. The returned
+// slice is shared and must not be modified.
+func (ix *Index) WithValue(tag, attr string, c tpq.Value) []xmldoc.NodeID {
+	key := elemsKey{tagPhrase{tag, attr}, true, c}
+	if v, ok := (*ix.containCache.Load())[key]; ok {
+		return v
+	}
+	out := []xmldoc.NodeID{}
+	for _, e := range ix.Elements(tag) {
+		if raw, ok := ix.doc.DeepValue(e, attr); ok {
+			if r, ok := c.Compare(raw); ok && r == 0 {
+				out = append(out, e)
+			}
 		}
 	}
 	cachePut(&ix.cacheMu, &ix.containCache, key, out)

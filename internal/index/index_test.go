@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/text"
+	"repro/internal/tpq"
 	"repro/internal/xmldoc"
 )
 
@@ -262,14 +263,25 @@ func TestPhraseCacheConcurrency(t *testing.T) {
 }
 
 // TestContainingFirstTouchRace: concurrent first touches of the
-// containing-element cache, several pairs at once, publish the lists a
-// sequential run computes (and race cleanly under -race).
+// element-list cache, several Containing pairs and WithValue classes at
+// once, publish the lists a sequential run computes (and race cleanly
+// under -race); a class never answers for a phrase list or the reverse.
 func TestContainingFirstTouchRace(t *testing.T) {
 	pairs := [][2]string{{"car", "good condition"}, {"description", "good"}, {"car", "zebra"}, {"*", "good condition"}, {"dealer", "powerful"}}
+	classes := []struct {
+		attr string
+		c    tpq.Value
+		n    int
+	}{{"color", tpq.StrValue("red"), 1}, {"price", tpq.NumValue(1500), 1}, {"price", tpq.NumValue(1), 0}, {"good condition", tpq.Value{}, 0}}
 	want := map[[2]string][]xmldoc.NodeID{}
 	ref := buildIdx(t, dealerXML)
 	for _, p := range pairs {
 		want[p] = ref.Containing(p[0], p[1])
+	}
+	for _, c := range classes {
+		if got := ref.WithValue("car", c.attr, c.c); len(got) != c.n {
+			t.Errorf("WithValue(car, %q, %v) = %v, want %d elements", c.attr, c.c, got, c.n)
+		}
 	}
 	ix := buildIdx(t, dealerXML)
 	var wg sync.WaitGroup
@@ -281,6 +293,10 @@ func TestContainingFirstTouchRace(t *testing.T) {
 				p := pairs[(g+i)%len(pairs)]
 				if got := ix.Containing(p[0], p[1]); !slices.Equal(got, want[p]) || ix.DF(p[0], p[1]) != len(want[p]) {
 					t.Errorf("Containing(%q, %q) = %v, want %v", p[0], p[1], got, want[p])
+				}
+				c := classes[(g+i)%len(classes)]
+				if got, w := ix.WithValue("car", c.attr, c.c), ref.WithValue("car", c.attr, c.c); !slices.Equal(got, w) {
+					t.Errorf("WithValue(car, %q, %v) = %v, want %v", c.attr, c.c, got, w)
 				}
 			}
 		}()

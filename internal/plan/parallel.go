@@ -214,7 +214,7 @@ func (p *Plan) executeParallel(ctx context.Context, w int) ([]algebra.Answer, er
 		lo, hi := i*len(ids)/w, (i+1)*len(ids)/w
 		src := &algebra.ListScanOp{Name: p.src.Name, IDs: ids[lo:hi]}
 		m := algebra.NewMatcher(p.ix, p.q)
-		ops, final, _ := p.buildChain(src, m, shared, algebra.NewCancelCheck(ctx))
+		ops, final, _, _ := p.buildChain(src, m, shared, algebra.NewCancelCheck(ctx))
 		algebra.Run(ops[len(ops)-1], p.batch)
 		stats := make([]algebra.OpStats, len(ops))
 		for j, op := range ops {

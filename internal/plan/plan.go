@@ -28,8 +28,9 @@ type Strategy uint8
 
 const (
 	// Default resolves to Push, the paper's best-performing plan and the
-	// best one here from two KORs on; at 1 KOR the non-sorted interleave
-	// ties it or leads (EXPERIMENTS.md, "Fig. 7 — four plans on the 10 MB
+	// best one here at every KOR count: on the 10 MB Fig. 7 document it
+	// runs 9–13× faster than the non-sorted interleave, the next best,
+	// at 1–4 KORs (EXPERIMENTS.md, "Fig. 7 — four plans on the 10 MB
 	// document").
 	Default Strategy = iota
 	// Naive applies topkPrune once, at the end of the plan (NtpkP).
@@ -229,10 +230,10 @@ func buildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts
 		p.kors = prof.SortKORsByPriority()
 	}
 	p.cancel = algebra.NewCancelCheck(nil)
-	var kFinal *algebra.TopKPruneOp
-	p.ops, p.final, kFinal = p.buildChain(p.src, p.m, nil, p.cancel)
+	var kFinal, vks *algebra.TopKPruneOp
+	p.ops, p.final, kFinal, vks = p.buildChain(p.src, p.m, nil, p.cancel)
 	p.root = p.ops[len(p.ops)-1]
-	if p.tiers = newTierSource(p, kFinal); p.tiers != nil {
+	if p.tiers = newTierSource(p, kFinal, vks); p.tiers != nil {
 		p.src.Next = p.tiers.nextTier
 	}
 	return p, nil
@@ -262,8 +263,9 @@ func isScoreFree(mode algebra.Mode, m *algebra.Matcher) bool {
 // thresholds through it. cancel is the chain's cancellation probe,
 // threaded into the scan and prune loops, which probe it once per batch
 // (the places a cooperative abort must interrupt; see DESIGN.md §10).
-// It also returns a Push plan's K-final prune, the first behind the last kor.
-func (p *Plan) buildChain(src *algebra.ListScanOp, m *algebra.Matcher, shared *algebra.SharedBound, cancel *algebra.CancelCheck) ([]algebra.Operator, *algebra.TopKPruneOp, *algebra.TopKPruneOp) {
+// It also returns a Push plan's K-final prune, the first behind the last
+// kor, and its prune in the final mode there, behind vor if any.
+func (p *Plan) buildChain(src *algebra.ListScanOp, m *algebra.Matcher, shared *algebra.SharedBound, cancel *algebra.CancelCheck) (ops []algebra.Operator, final, kFinal, vks *algebra.TopKPruneOp) {
 	ix, prof, k, kors := p.ix, p.prof, p.K, p.kors
 	strat, mode, ranker := p.Strategy, p.Mode, p.ranker
 	src.Cancel = cancel
@@ -274,7 +276,7 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, m *algebra.Matcher, shared *a
 	if p.opts.Timing {
 		timer = algebra.NewTimer(maxOps)
 	}
-	ops := make([]algebra.Operator, 0, maxOps)
+	ops = make([]algebra.Operator, 0, maxOps)
 	var op algebra.Operator
 	push := func(o algebra.Operator) {
 		op = timer.Wrap(o)
@@ -334,7 +336,6 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, m *algebra.Matcher, shared *a
 		push(algebra.NewVOROp(op, ix, prof))
 	}
 
-	var kFinal *algebra.TopKPruneOp
 	remK := totalK
 	for i, kor := range kors {
 		last := i == len(kors)-1
@@ -371,7 +372,8 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, m *algebra.Matcher, shared *a
 			// Pushed all the way also means pruning after the last KOR
 			// (kor-scorebound 0), so the final sort sees a k-sized stream
 			// instead of every candidate.
-			kFinal = cmp.Or(kFinal, prune(mode, remK, false)) // the K-final one, unless vor's went first
+			vks = prune(mode, remK, false)
+			kFinal = cmp.Or(kFinal, vks) // the K-final one, unless vor's went first
 		}
 	}
 
@@ -380,9 +382,9 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, m *algebra.Matcher, shared *a
 	if !p.scoreFree {
 		push(&algebra.SortOp{In: op, Ranker: ranker, Mode: mode, Batch: p.batch})
 	}
-	final := prune(mode, 0, true)
+	final = prune(mode, 0, true)
 
-	return ops, final, kFinal
+	return ops, final, kFinal, vks
 }
 
 // maxChainOps bounds the operators buildChain compiles for a query with
@@ -442,7 +444,7 @@ func (p *Plan) ensureSource(ctx context.Context) error {
 	}
 	p.joinStats, p.joinNS = &JoinStats{}, 0
 	if ts := p.tiers; ts != nil {
-		ts.ctx, ts.next, p.src.IDs = ctx, 0, nil
+		ts.ctx, ts.next, ts.restDue, p.src.IDs = ctx, 0, false, nil
 		return nil
 	}
 	ids, err := p.join(ctx, nil, p.joinLimit(), nil)

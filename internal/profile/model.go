@@ -287,8 +287,8 @@ func (v *VOR) LinearCompare(a, b *Key) int {
 	}
 	switch v.Form {
 	case FormEqConst:
-		am := keyMatchesConst(v, a)
-		bm := keyMatchesConst(v, b)
+		am := v.MatchesConst(a)
+		bm := v.MatchesConst(b)
 		if am != bm {
 			if am {
 				return 1
@@ -338,7 +338,9 @@ func (v *VOR) LinearCompare(a, b *Key) int {
 	return 0
 }
 
-func keyMatchesConst(v *VOR, k *Key) bool {
+// MatchesConst reports whether a form-(1) rule's key holds the constant:
+// the class LinearCompare ranks first.
+func (v *VOR) MatchesConst(k *Key) bool {
 	if !k.HasVal {
 		return false
 	}
