@@ -171,9 +171,6 @@ func (o *TopKPruneOp) HoldsAbove(bound float64) bool {
 	return len(o.list) == o.K && o.list[len(o.list)-1].K > bound
 }
 
-// Held is how many answers the list holds, at most k.
-func (o *TopKPruneOp) Held() int { return len(o.list) }
-
 // HoldsClassAbove reports whether the list holds k answers each ranking,
 // under K,V,S, strictly above every answer with K ≤ bound outside the
 // class of the ranker's lead VOR: the k-th's K is above bound, or equal

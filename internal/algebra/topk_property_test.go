@@ -287,7 +287,7 @@ func TestPropertyClassStopIsSound(t *testing.T) {
 					outside = append(outside, a)
 				}
 			}
-			for i := range 4 { // never fed: a skipped rest's members
+			for i := range 4 { // never fed: a skipped tier's members
 				outside = append(outside, classAnswer(r, n+i, b-float64(r.Intn(2))/10, false))
 			}
 			for _, z := range outside {

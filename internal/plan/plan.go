@@ -444,7 +444,7 @@ func (p *Plan) ensureSource(ctx context.Context) error {
 	}
 	p.joinStats, p.joinNS = &JoinStats{}, 0
 	if ts := p.tiers; ts != nil {
-		ts.ctx, ts.next, ts.restDue, p.src.IDs = ctx, 0, false, nil
+		ts.ctx, ts.next, p.src.IDs = ctx, 0, nil
 		return nil
 	}
 	ids, err := p.join(ctx, nil, p.joinLimit(), nil)

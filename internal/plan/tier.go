@@ -16,31 +16,33 @@ import (
 // more phrases, more near-empty tiers merged before k answers settle. On
 // the 10 MB Fig. 7 document (Fig. 5 query, k = 10, 2-core Xeon) tiered
 // plans read 1.8 / 4.4 / 13 ms at 6 / 7 / 8 phrases, untiered 2.6 / 3.5 / 3.5.
+// The class rule's list is not counted, though it doubles the tiers: led
+// by age = 33, tiered plans read 2.1 / 5.4 ms at 6 / 7 phrases (128 / 256
+// tiers), untiered 2.7 / 2.5.
 const maxTierPhrases = 6
 
-// tier is the elements holding exactly the phrases in held (bit i), and their K's bound.
+// tier is the elements in exactly the lists in held (bit i: list i),
+// and their K's bound.
 type tier struct {
 	held  uint32
 	bound float64
 }
 
-// tierSource feeds a plan's source tier by tier in descending bound, up to
-// the first tier the K-final prune's k answers all beat. Under a class
-// rule it visits a tier's members in the rule's class first and skips
-// the rest once k answers beat them on K, then V (DESIGN.md §6.6).
+// tierSource feeds a plan's source tier by tier in descending bound,
+// class tiers first at equal bound, up to the first tier the K-final
+// prune's k answers all beat. Under a class rule its last list is the
+// rule's class, and a tier outside it is skipped once k answers beat it
+// on K, then V (DESIGN.md §6.6).
 type tierSource struct {
 	p                *Plan
-	lists            [][]xmldoc.NodeID // Containing(distTag, phrase i)
-	class            []xmldoc.NodeID   // the class rule's class; nil: no class rule
+	lists            [][]xmldoc.NodeID // Containing(distTag, phrase i), then the class rule's class
+	class            uint32            // the class list's held bit; 0: no class rule
 	tiers            []tier
 	stop             *algebra.TopKPruneOp // the K-final prune
 	vks              *algebra.TopKPruneOp // the prune behind vor, which reads V
 	ctx              context.Context      // the execution's, for the joins run inside the chain
 	next             int
 	members, matches []xmldoc.NodeID // reused across tiers
-	rest             []xmldoc.NodeID // a split tier's members outside the class; grown on the first split
-	restBound        float64
-	restDue          bool // rest is still to visit, or skip
 }
 
 // newTierSource returns a plan's tiered source, or nil outside its scope:
@@ -73,7 +75,7 @@ func newTierSource(p *Plan, stop, vks *algebra.TopKPruneOp) *tierSource {
 		return nil
 	}
 	n := len(p.eval.Stream()) // members ⊆ stream and matches ⊆ members: no regrowth
-	ts := &tierSource{p: p, stop: stop, lists: make([][]xmldoc.NodeID, len(phrases)), tiers: make([]tier, 1<<len(phrases)),
+	ts := &tierSource{p: p, stop: stop, lists: make([][]xmldoc.NodeID, len(phrases), len(phrases)+1),
 		members: make([]xmldoc.NodeID, 0, n), matches: make([]xmldoc.NodeID, 0, n)}
 	for i, ph := range phrases {
 		ts.lists[i] = p.ix.Containing(p.distTag, ph)
@@ -81,12 +83,15 @@ func newTierSource(p *Plan, stop, vks *algebra.TopKPruneOp) *tierSource {
 	if r := p.ranker.LeadVOR(); r >= 0 {
 		v := p.prof.VORs[r]
 		if v.Form == profile.FormEqConst && v.Tag == p.distTag && len(v.CommonEq) == 0 && !(v.Const.IsNum && math.IsNaN(v.Const.Num)) {
-			ts.class, ts.vks = p.ix.WithValue(p.distTag, v.Attr, v.Const), vks
+			ts.class, ts.vks = 1<<len(ts.lists), vks
+			ts.lists = append(ts.lists, p.ix.WithValue(p.distTag, v.Attr, v.Const))
 		}
 	}
 	// Summed in KOROp's association order over scores at most the maxima,
-	// a bound is by monotone rounding never below a member's K.
-	for held := range ts.tiers {
+	// a bound is by monotone rounding never below a member's K. The class
+	// bit adds nothing to it.
+	ts.tiers = make([]tier, 0, 1<<len(ts.lists))
+	for held := range 1 << len(phrases) {
 		k := 0.0
 		for _, kor := range p.kors {
 			if !algebra.KORScores(kor, p.distTag) {
@@ -100,78 +105,52 @@ func newTierSource(p *Plan, stop, vks *algebra.TopKPruneOp) *tierSource {
 			}
 			k += total
 		}
-		ts.tiers[held] = tier{uint32(held), k}
+		ts.tiers = append(ts.tiers, tier{uint32(held), k})
+		if ts.class != 0 {
+			ts.tiers = append(ts.tiers, tier{uint32(held) | ts.class, k})
+		}
 	}
-	slices.SortStableFunc(ts.tiers, func(a, b tier) int { return cmp.Compare(b.bound, a.bound) })
+	slices.SortStableFunc(ts.tiers, func(a, b tier) int {
+		if c := cmp.Compare(b.bound, a.bound); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.held&ts.class, a.held&ts.class)
+	})
 	return ts
 }
 
-// nextTier is the source's Next: the next part's candidates, or false
-// once the prune's k answers beat the next tier's bound or a join fails
-// (ctx is done). A split tier's rest is skipped when the K-final prune's
-// k answers beat its bound or the prune behind vor holds k that beat it
-// on K, then V; the tiers after it are still visited.
+// nextTier is the source's Next: the next tier's candidates, or false
+// once the K-final prune's k answers beat the next tier's bound or a
+// join fails (ctx is done). A tier outside the class is skipped, before
+// its members are merged, once the prune behind vor holds k answers that
+// beat it on K, then V; an empty tier is skipped without a join.
 func (ts *tierSource) nextTier() ([]xmldoc.NodeID, bool) {
-	for {
-		var part []xmldoc.NodeID
-		switch {
-		case ts.restDue:
-			ts.restDue = false
-			if ts.stop.HoldsAbove(ts.restBound) || ts.vks.HoldsClassAbove(ts.restBound) {
-				continue
-			}
-			part = ts.rest
-		case ts.next < len(ts.tiers) && !ts.stop.HoldsAbove(ts.tiers[ts.next].bound):
-			t := ts.tiers[ts.next]
-			ts.next++
-			part = ts.split(ts.tierMembers(t.held), t.bound)
-		default:
-			return nil, false
+	for ts.next < len(ts.tiers) {
+		t := ts.tiers[ts.next]
+		if ts.stop.HoldsAbove(t.bound) {
+			break
+		}
+		ts.next++
+		if ts.class != 0 && t.held&ts.class == 0 && ts.vks.HoldsClassAbove(t.bound) {
+			continue
+		}
+		members := ts.tierMembers(t.held)
+		if len(members) == 0 {
+			continue
 		}
 		var err error
-		if ts.matches, err = ts.p.join(ts.ctx, part, 0, ts.matches[:0]); err != nil {
-			return nil, false
+		if ts.matches, err = ts.p.join(ts.ctx, members, 0, ts.matches[:0]); err != nil {
+			break
 		}
 		if len(ts.matches) > 0 {
 			return ts.matches, true
 		}
 	}
-}
-
-// split returns the part of a tier to visit first: its members in the
-// class, moved to the front of members, while the rest, moved to ts.rest,
-// waits for the stop test — if some members but not all are in the class,
-// and the prune behind vor holds enough answers that, with them, it
-// reaches k, so the test can succeed. Otherwise, or without a class rule,
-// it is the whole tier, and no rest is due.
-func (ts *tierSource) split(members []xmldoc.NodeID, bound float64) []xmldoc.NodeID {
-	if ts.class == nil {
-		return members
-	}
-	in, at := 0, 0
-	for _, e := range ts.class {
-		if at = index.SeekGE(members, at, e); at < len(members) && members[at] == e {
-			in++
-		}
-	}
-	if in == 0 || in == len(members) || ts.vks.Held()+in < ts.p.K {
-		return members
-	}
-	ts.rest = slices.Grow(ts.rest[:0], len(members)-in)
-	top, c := members[:0], 0
-	for _, e := range members {
-		if c = index.SeekGE(ts.class, c, e); c < len(ts.class) && ts.class[c] == e {
-			top = append(top, e)
-		} else {
-			ts.rest = append(ts.rest, e)
-		}
-	}
-	ts.restBound, ts.restDue = bound, true
-	return top
+	return nil, false
 }
 
 // tierMembers gallops the shortest list the members are in (the stream,
-// for held 0) against every phrase list, checking held, and the stream.
+// for held 0) against every list, checking held, and the stream.
 func (ts *tierSource) tierMembers(held uint32) []xmldoc.NodeID {
 	stream := ts.p.eval.Stream()
 	lead := stream
@@ -180,7 +159,7 @@ func (ts *tierSource) tierMembers(held uint32) []xmldoc.NodeID {
 			lead = l
 		}
 	}
-	var at [maxTierPhrases + 1]int // cursors: the lists, then the stream
+	var at [maxTierPhrases + 2]int // cursors: the lists, then the stream
 	has := func(list []xmldoc.NodeID, c *int, e xmldoc.NodeID) bool {
 		*c = index.SeekGE(list, *c, e)
 		return *c < len(list) && list[*c] == e

@@ -150,8 +150,8 @@ rank K,V,S`)
 	// The class rule. The a's hold c as an XML attribute, a child or a
 	// nested descendant, as 33, 33.0, " 33 ", 34 or red, and every a holds
 	// kind="x". Every variant's plans return the oracle's top k, and a
-	// Push plan splits its tiers by a class exactly when the lead VOR is a
-	// form-(1) rule about a without common equalities.
+	// Push plan adds the class to its tier lists exactly when the lead VOR
+	// is a form-(1) rule about a without common equalities.
 	ix = buildIndex(t, `<r>`+
 		`<a c="33" kind="x"><b>foo</b><e>2</e></a>`+
 		`<a kind="x"><c>33.0</c><b>foo bar</b><e>1</e></a>`+
@@ -187,7 +187,7 @@ vor w priority 5: x.tag = a & y.tag = a & x.e < y.e => x < y
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.tiers == nil || (p.tiers.class != nil) != (c.class >= 0) || c.class >= 0 && len(p.tiers.class) != c.class {
+		if ts := p.tiers; ts == nil || (ts.class != 0) != (c.class >= 0) || c.class >= 0 && len(ts.lists[len(ts.lists)-1]) != c.class {
 			t.Errorf("%s: tiers %+v: want a class of %d (-1: none)", c.name, p.tiers, c.class)
 		}
 	}
@@ -195,48 +195,74 @@ vor w priority 5: x.tag = a & y.tag = a & x.e < y.e => x < y
 
 // TestTierStopIsStrict: with k = 1, the a holding foo and the one
 // holding bar reach the same K, which is also the bound of the other's
-// tier. The source must visit both — a tied K can still lose on V — and
-// stop at the K = 0 tier. Either tier order among the tied bounds is
-// covered: the VOR prefers the foo holder in one document and the bar
-// holder in the other.
+// tier; the c = 33 rule prefers the foo holder in one document and the
+// bar holder in the other. When the rule is behind another VOR it is no
+// class rule: the source must visit both tiers — a tied K can still
+// lose on V — and stop at the K = 0 tier, streaming 2 members. When it
+// leads, the tier holding the class member is visited first, whichever
+// phrase it holds, and the tier outside the class is skipped before it
+// is merged: 1 member.
 func TestTierStopIsStrict(t *testing.T) {
-	prof := profile.MustParseProfile(`kor k1: x.tag = a & y.tag = a & ftcontains(x, "foo") => x < y
+	const kors = `kor k1: x.tag = a & y.tag = a & ftcontains(x, "foo") => x < y
 kor k2: x.tag = a & y.tag = a & ftcontains(x, "bar") => x < y
-vor v: x.tag = a & y.tag = a & x.c = 33 & y.c != 33 => x < y
-rank K,V,S`)
+vor v priority 2: x.tag = a & y.tag = a & x.c = 33 & y.c != 33 => x < y
+`
 	q := tpq.MustParse(`//a[./b]`)
-	for _, src := range []string{
-		`<r><a><b>foo</b><c>33</c></a><a><b>bar</b></a><a><b/></a></r>`,
-		`<r><a><b>foo</b></a><a><b>bar</b><c>33</c></a><a><b/></a></r>`,
+	for _, c := range []struct {
+		name, vor string // vor: a rule ahead of v, or none
+		class     bool
+		streamed  int
+	}{
+		{"class rule", "", true, 1},
+		{"behind another rule", "vor w priority 1: x.tag = a & y.tag = a & x.e < y.e => x < y\n", false, 2},
 	} {
-		ix := buildIndex(t, src)
-		want, err := oracleExecute(ix, q, prof, 1, Push, AccessTwigJoin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := BuildWith(ix, q, prof, 1, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRanking(t, want, p.Execute(), src)
-		ts := p.tiers
-		if ts == nil || ts.tiers[1].bound != ts.tiers[2].bound || want[0].K != ts.tiers[2].bound {
-			t.Fatalf("%s: tiers %+v, answer K %v: want the k-th K equal to the next tier's bound", src, ts, want[0].K)
-		}
-		if js := p.JoinStats(); js.Read != 2 {
-			t.Errorf("%s: the source streamed %d members, want the two tied tiers' 2", src, js.Read)
+		prof := profile.MustParseProfile(kors + c.vor + "rank K,V,S\n")
+		for _, src := range []string{
+			`<r><a><b>foo</b><c>33</c></a><a><b>bar</b></a><a><b/></a></r>`,
+			`<r><a><b>foo</b></a><a><b>bar</b><c>33</c></a><a><b/></a></r>`,
+		} {
+			at := c.name + " " + src
+			ix := buildIndex(t, src)
+			want, err := oracleExecute(ix, q, prof, 1, Push, AccessTwigJoin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := BuildWith(ix, q, prof, 1, Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRanking(t, want, p.Execute(), at)
+			if ts := p.tiers; ts == nil || (ts.class != 0) != c.class || tiersAt(ts, want[0].K) != 2*len(ts.lists)-2 {
+				t.Fatalf("%s: tiers %+v, answer K %v: want the k-th K equal to the {foo} and {bar} tiers' bound", at, ts, want[0].K)
+			}
+			if js := p.JoinStats(); js.Read != c.streamed {
+				t.Errorf("%s: the source streamed %d members, want %d", at, js.Read, c.streamed)
+			}
 		}
 	}
+}
+
+// tiersAt is how many of ts's tiers have the given bound.
+func tiersAt(ts *tierSource, bound float64) int {
+	n := 0
+	for _, t := range ts.tiers {
+		if t.bound == bound {
+			n++
+		}
+	}
+	return n
 }
 
 // TestClassStopIsStrict: k = 1, foo and bar each held by two a's, once
 // and twice, so the {foo} and {bar} tiers share a bound, which the a's
 // holding a phrase twice reach. In the first document the k-th answer,
 // the a holding foo twice, is in the class (c = 33) with K equal to the
-// bound: the rest of its tier and of the {bar} tier are skipped, but
-// not the {bar} tier's class member, which wins on the second VOR. In
-// the second the k-th is outside the class, and the {bar} tier's rest
-// holds the winner: a stop that reads K alone would skip it.
+// bound: the {foo} and {bar} tiers outside the class are skipped, but
+// not the {bar} tier in the class, which holds the winner on the second
+// VOR. In the second the k-th is outside the class, and the {bar} tier
+// outside it holds the winner: a stop that reads K alone would skip it.
+// In the third three a's hold foo and bar, one in the class: it is the
+// k-th, and the top tier's part outside the class is never merged.
 func TestClassStopIsStrict(t *testing.T) {
 	prof := profile.MustParseProfile(`kor k1: x.tag = a & y.tag = a & ftcontains(x, "foo") => x < y
 kor k2: x.tag = a & y.tag = a & ftcontains(x, "bar") => x < y
@@ -251,6 +277,7 @@ rank K,V,S`)
 	}{
 		{`<r><a><b>foo foo</b><c>33</c></a><a><b>foo</b></a><a><b>bar</b></a><a><b>bar bar</b><c>33</c><d>1</d></a><a><b/></a></r>`, 3, 2},
 		{`<r><a><b>foo foo</b></a><a><b>foo</b></a><a><b>bar</b><c>33</c></a><a><b>bar bar</b><d>1</d></a><a><b/></a></r>`, 3, 4},
+		{`<r><a><b>foo bar</b></a><a><b>foo bar</b><c>33</c></a><a><b>foo bar</b><d>1</d></a><a><b/></a></r>`, 1, 1},
 	} {
 		ix := buildIndex(t, c.src)
 		want, err := oracleExecute(ix, q, prof, 1, Push, AccessTwigJoin)
@@ -263,8 +290,7 @@ rank K,V,S`)
 		}
 		got := p.Execute()
 		assertSameRanking(t, want, got, c.src)
-		ts := p.tiers
-		if ts == nil || ts.class == nil || ts.tiers[1].bound != ts.tiers[2].bound || got[0].K != ts.tiers[2].bound {
+		if ts := p.tiers; ts == nil || ts.class == 0 || tiersAt(ts, got[0].K) < 2 {
 			t.Fatalf("%s: tiers %+v, answer K %v: want a class rule and the top K equal to two tiers' bound", c.src, ts, got[0].K)
 		}
 		if as := ix.Elements("a"); got[0].Node != as[c.winner] {
@@ -350,29 +376,39 @@ func TestForeignKORLeavesBoundsAlone(t *testing.T) {
 }
 
 // TestTierPhraseCap: a profile with maxTierPhrases phrases runs tiered,
-// one with a phrase more runs the untiered join, and both return the
-// oracle's top k.
+// one with a phrase more runs the untiered join, with or without a class
+// rule leading its VORs — the class list is no phrase — and all return
+// the oracle's top k.
 func TestTierPhraseCap(t *testing.T) {
 	ix := index.Build(xmark.GenerateSized(xmark.Config{Seed: 42}, xmark.PaperSizes[2]), text.Pipeline{})
 	phrases := []string{"male", "United States", "College", "Phoenix", "Boston", "Graduate School", "Germany", "Seattle"}
-	for _, n := range []int{maxTierPhrases, maxTierPhrases + 1} {
-		var sb strings.Builder
-		for i, ph := range phrases[:n] {
-			fmt.Fprintf(&sb, "kor k%d priority %d: x.tag = person & y.tag = person & ftcontains(x, %q) => x < y\n", i, i+1, ph)
-		}
-		sb.WriteString("rank K,V,S\n")
-		prof := profile.MustParseProfile(sb.String())
-		want, err := oracleExecute(ix, workload.Fig5Query(), prof, 10, Push, AccessTwigJoin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := BuildWith(ix, workload.Fig5Query(), prof, 10, Options{Strategy: Push, AccessPath: AccessTwigJoin, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRanking(t, want, p.Execute(), fmt.Sprintf("%d phrases", n))
-		if (p.tiers != nil) != (n <= maxTierPhrases) {
-			t.Errorf("%d phrases: tiered %v, want %v", n, p.tiers != nil, n <= maxTierPhrases)
+	for _, class := range []bool{false, true} {
+		for _, n := range []int{maxTierPhrases, maxTierPhrases + 1} {
+			var sb strings.Builder
+			for i, ph := range phrases[:n] {
+				fmt.Fprintf(&sb, "kor k%d priority %d: x.tag = person & y.tag = person & ftcontains(x, %q) => x < y\n", i, i+1, ph)
+			}
+			if class {
+				sb.WriteString("vor v priority 9: x.tag = person & y.tag = person & x.age = 33 & y.age != 33 => x < y\n")
+			}
+			sb.WriteString("rank K,V,S\n")
+			prof := profile.MustParseProfile(sb.String())
+			at := fmt.Sprintf("%d phrases, class rule %v", n, class)
+			want, err := oracleExecute(ix, workload.Fig5Query(), prof, 10, Push, AccessTwigJoin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := BuildWith(ix, workload.Fig5Query(), prof, 10, Options{Strategy: Push, AccessPath: AccessTwigJoin, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRanking(t, want, p.Execute(), at)
+			if (p.tiers != nil) != (n <= maxTierPhrases) {
+				t.Errorf("%s: tiered %v, want %v", at, p.tiers != nil, n <= maxTierPhrases)
+			}
+			if ts := p.tiers; ts != nil && (ts.class != 0) != class {
+				t.Errorf("%s: class bit %b", at, ts.class)
+			}
 		}
 	}
 }

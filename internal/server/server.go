@@ -877,11 +877,18 @@ func (s *Server) Snapshot() Statsz {
 // --- plumbing ---
 
 // decodeJSON reads a JSON request body of at most maxBodyBytes into v,
-// rejecting unknown fields; on failure it writes the 400 and returns false.
+// rejecting unknown fields and anything but whitespace after the value;
+// on failure it writes the 400 and returns false.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "parse", fmt.Errorf("bad request body: %w", err))
 		return false
 	}

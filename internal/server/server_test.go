@@ -608,6 +608,40 @@ func TestExplainParseErrors(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected: /search, /lint and /explain answer a body
+// with anything but whitespace after its JSON value 400 parse — a second
+// object, a word, a stray brace — and accept trailing whitespace.
+func TestTrailingDataRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	bodies := map[string]string{
+		"/search":  `{"doc":"cars","query":"//car","k":3}`,
+		"/lint":    `{"profile":"rank K,V,S"}`,
+		"/explain": `{"query":"//car","profile":"rank K,V,S"}`,
+	}
+	for _, c := range []struct {
+		name, tail string
+		status     int
+	}{
+		{"second object", `{"k":-1}`, 400},
+		{"garbage", ` garbage`, 400},
+		{"stray brace", `}`, 400},
+		{"newline", "\n", 200},
+		{"whitespace", " \r\n\t ", 200},
+	} {
+		for path, body := range bodies {
+			status, _, data := post(t, ts, path, body+c.tail)
+			if status != c.status {
+				t.Errorf("%s %s: status %d, want %d (body %s)", path, c.name, status, c.status, data)
+				continue
+			}
+			var er errorResponse
+			if c.status == 400 && (json.Unmarshal(data, &er) != nil || er.Kind != "parse") {
+				t.Errorf("%s %s: error body %s, want kind parse", path, c.name, data)
+			}
+		}
+	}
+}
+
 func TestSearchNoCacheBypass(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	req := SearchRequest{Doc: "cars", Query: carsQuery, NoCache: true}
