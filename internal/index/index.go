@@ -70,9 +70,9 @@ type Index struct {
 	// publication. Concurrent misses may compute the same entry twice —
 	// results are deterministic, so duplicated work is the only cost.
 	cacheMu       sync.Mutex
-	phraseCache   atomic.Pointer[map[string][]int32]           // raw phrase -> sorted text-node starts
-	maxScoreCache atomic.Pointer[map[tagPhrase]float64]        // max element score per tag+phrase
-	containCache  atomic.Pointer[map[elemsKey][]xmldoc.NodeID] // Containing and WithValue lists
+	phraseCache   atomic.Pointer[map[string][]int32]    // raw phrase -> sorted text-node starts
+	maxScoreCache atomic.Pointer[map[tagPhrase]float64] // max element score per tag+phrase
+	containCache  atomic.Pointer[map[elemsKey]elemList] // Containing and WithValue lists, rank sets once asked for
 }
 
 // tagPhrase is a composite cache key (a struct key avoids allocating
@@ -86,6 +86,13 @@ type elemsKey struct {
 	tagPhrase
 	byValue bool
 	val     tpq.Value
+}
+
+// elemList is a cached Containing or WithValue list and, once
+// ContainingSet or WithValueSet asks for it, its rank set.
+type elemList struct {
+	ids []xmldoc.NodeID
+	set []uint64 // nil until asked for
 }
 
 // table is a set of named lists in CSR form: a name maps to a dense ID
@@ -247,7 +254,7 @@ func (ix *Index) NumTokens() int { return len(ix.seqNode) }
 func (ix *Index) resetCaches() {
 	phrase := make(map[string][]int32)
 	maxScore := make(map[tagPhrase]float64)
-	contain := make(map[elemsKey][]xmldoc.NodeID)
+	contain := make(map[elemsKey]elemList)
 	ix.phraseCache.Store(&phrase)
 	ix.maxScoreCache.Store(&maxScore)
 	ix.containCache.Store(&contain)
@@ -376,7 +383,7 @@ func (ix *Index) Score(elem xmldoc.NodeID, phrase string) float64 {
 func (ix *Index) Containing(tag, phrase string) []xmldoc.NodeID {
 	key := elemsKey{tagPhrase: tagPhrase{tag, phrase}}
 	if v, ok := (*ix.containCache.Load())[key]; ok {
-		return v
+		return v.ids
 	}
 	p := ix.Phrase("*", phrase)
 	out := []xmldoc.NodeID{} // never nil: an empty list is still a twig join stream
@@ -385,8 +392,17 @@ func (ix *Index) Containing(tag, phrase string) []xmldoc.NodeID {
 			out = append(out, e)
 		}
 	}
-	cachePut(&ix.cacheMu, &ix.containCache, key, out)
+	cachePut(&ix.cacheMu, &ix.containCache, key, elemList{ids: out})
 	return out
+}
+
+// ContainingSet returns Containing(tag, phrase)'s rank set: bit i of
+// word i/64 is set when Elements(tag)[i] is in the list, and the set has
+// ⌈len(Elements(tag))/64⌉ words. It is built on first use, in one walk
+// of the tag list, and cached beside the list. The returned slice is
+// shared and must not be modified.
+func (ix *Index) ContainingSet(tag, phrase string) []uint64 {
+	return ix.rankSet(elemsKey{tagPhrase: tagPhrase{tag, phrase}}, ix.Containing(tag, phrase))
 }
 
 // WithValue returns the elements with the given tag whose x.attr,
@@ -398,7 +414,7 @@ func (ix *Index) Containing(tag, phrase string) []xmldoc.NodeID {
 func (ix *Index) WithValue(tag, attr string, c tpq.Value) []xmldoc.NodeID {
 	key := elemsKey{tagPhrase{tag, attr}, true, c}
 	if v, ok := (*ix.containCache.Load())[key]; ok {
-		return v
+		return v.ids
 	}
 	out := []xmldoc.NodeID{}
 	for _, e := range ix.Elements(tag) {
@@ -408,8 +424,33 @@ func (ix *Index) WithValue(tag, attr string, c tpq.Value) []xmldoc.NodeID {
 			}
 		}
 	}
-	cachePut(&ix.cacheMu, &ix.containCache, key, out)
+	cachePut(&ix.cacheMu, &ix.containCache, key, elemList{ids: out})
 	return out
+}
+
+// WithValueSet returns WithValue(tag, attr, c)'s rank set, as
+// ContainingSet returns Containing's.
+func (ix *Index) WithValueSet(tag, attr string, c tpq.Value) []uint64 {
+	return ix.rankSet(elemsKey{tagPhrase{tag, attr}, true, c}, ix.WithValue(tag, attr, c))
+}
+
+// rankSet returns the rank set cached under key or, on first ask, builds
+// ids' set over key's tag list, a superset of ids in the same order, and
+// publishes it with the list.
+func (ix *Index) rankSet(key elemsKey, ids []xmldoc.NodeID) []uint64 {
+	if v := (*ix.containCache.Load())[key]; v.set != nil {
+		return v.set
+	}
+	elems := ix.Elements(key.tag)
+	set, j := make([]uint64, (len(elems)+63)/64), 0
+	for i, e := range elems {
+		if j < len(ids) && ids[j] == e {
+			set[i/64] |= 1 << (i % 64)
+			j++
+		}
+	}
+	cachePut(&ix.cacheMu, &ix.containCache, key, elemList{ids, set})
+	return set
 }
 
 // MaxScore is the static upper bound on the Score of any single phrase

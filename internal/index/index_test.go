@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -263,9 +264,11 @@ func TestPhraseCacheConcurrency(t *testing.T) {
 }
 
 // TestContainingFirstTouchRace: concurrent first touches of the
-// element-list cache, several Containing pairs and WithValue classes at
-// once, publish the lists a sequential run computes (and race cleanly
-// under -race); a class never answers for a phrase list or the reverse.
+// element-list cache, several Containing pairs and WithValue classes and
+// their rank sets at once, some sets before their lists, publish the
+// lists a sequential run computes and sets that decode to them (and race
+// cleanly under -race); a class never answers for a phrase list or the
+// reverse.
 func TestContainingFirstTouchRace(t *testing.T) {
 	pairs := [][2]string{{"car", "good condition"}, {"description", "good"}, {"car", "zebra"}, {"*", "good condition"}, {"dealer", "powerful"}}
 	classes := []struct {
@@ -291,12 +294,27 @@ func TestContainingFirstTouchRace(t *testing.T) {
 			defer wg.Done()
 			for i := range pairs {
 				p := pairs[(g+i)%len(pairs)]
+				if g%2 == 0 && p[0] != "*" {
+					// A set asked for before its list is built.
+					if got := decodeSet(ix.Elements(p[0]), ix.ContainingSet(p[0], p[1])); !slices.Equal(got, want[p]) {
+						t.Errorf("ContainingSet(%q, %q) decodes to %v, want %v", p[0], p[1], got, want[p])
+					}
+				}
 				if got := ix.Containing(p[0], p[1]); !slices.Equal(got, want[p]) || ix.DF(p[0], p[1]) != len(want[p]) {
 					t.Errorf("Containing(%q, %q) = %v, want %v", p[0], p[1], got, want[p])
 				}
+				if p[0] != "*" {
+					if got := decodeSet(ix.Elements(p[0]), ix.ContainingSet(p[0], p[1])); !slices.Equal(got, want[p]) {
+						t.Errorf("ContainingSet(%q, %q) decodes to %v, want %v", p[0], p[1], got, want[p])
+					}
+				}
 				c := classes[(g+i)%len(classes)]
-				if got, w := ix.WithValue("car", c.attr, c.c), ref.WithValue("car", c.attr, c.c); !slices.Equal(got, w) {
+				w := ref.WithValue("car", c.attr, c.c)
+				if got := ix.WithValue("car", c.attr, c.c); !slices.Equal(got, w) {
 					t.Errorf("WithValue(car, %q, %v) = %v, want %v", c.attr, c.c, got, w)
+				}
+				if got := decodeSet(ix.Elements("car"), ix.WithValueSet("car", c.attr, c.c)); !slices.Equal(got, w) {
+					t.Errorf("WithValueSet(car, %q, %v) decodes to %v, want %v", c.attr, c.c, got, w)
 				}
 			}
 		}()
@@ -304,6 +322,66 @@ func TestContainingFirstTouchRace(t *testing.T) {
 	wg.Wait()
 	if got := len(want[[2]string{"car", "good condition"}]); got != 2 {
 		t.Fatalf("2 cars hold \"good condition\", Containing finds %d", got)
+	}
+}
+
+// decodeSet is the elements of elems whose bits are set in set, which
+// must have exactly ⌈len(elems)/64⌉ words and no bit past the last
+// element; nil otherwise.
+func decodeSet(elems []xmldoc.NodeID, set []uint64) []xmldoc.NodeID {
+	if set == nil || len(set) != (len(elems)+63)/64 {
+		return nil
+	}
+	out := []xmldoc.NodeID{}
+	for w, x := range set {
+		for ; x != 0; x &= x - 1 {
+			i := 64*w + bits.TrailingZeros64(x)
+			if i >= len(elems) {
+				return nil
+			}
+			out = append(out, elems[i])
+		}
+	}
+	return out
+}
+
+// TestRankSetsDecode: every rank set decodes to exactly its list —
+// phrase lists and classes, empty ones and a class of size 0 included —
+// on documents whose tag counts straddle word boundaries; a wildcard
+// list and a list never asked for carry no set.
+func TestRankSetsDecode(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	words := []string{"good", "condition", "red", "zebra"}
+	for _, n := range []int{0, 1, 63, 64, 65, 128, 200} {
+		var sb strings.Builder
+		sb.WriteString("<dealer>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "<car><description>%s %s</description><price>%d</price></car><note>%s</note>",
+				words[r.Intn(len(words))], words[r.Intn(len(words))], r.Intn(3), words[r.Intn(len(words))])
+		}
+		sb.WriteString("</dealer>")
+		ix := buildIdx(t, sb.String())
+		cars := ix.Elements("car")
+		for _, ph := range append(words, "good condition", "absent") {
+			want := ix.Containing("car", ph)
+			if got := decodeSet(cars, ix.ContainingSet("car", ph)); !slices.Equal(got, want) || got == nil {
+				t.Errorf("%d cars: ContainingSet(car, %q) decodes to %v, want %v", n, ph, got, want)
+			}
+		}
+		for _, c := range []tpq.Value{tpq.NumValue(0), tpq.NumValue(2), tpq.NumValue(7), tpq.StrValue("red")} {
+			want := ix.WithValue("car", "price", c)
+			if got := decodeSet(cars, ix.WithValueSet("car", "price", c)); !slices.Equal(got, want) || got == nil {
+				t.Errorf("%d cars: WithValueSet(car, price, %v) decodes to %v, want %v", n, c, got, want)
+			}
+		}
+		ix.Containing("*", "good")
+		ix.Containing("note", "red")
+		cache := *ix.containCache.Load()
+		for _, key := range []elemsKey{{tagPhrase: tagPhrase{"*", "good"}}, {tagPhrase: tagPhrase{"note", "red"}}} {
+			if set := cache[key].set; set != nil {
+				t.Errorf("%d cars: Containing(%q, %q) built a set nobody asked for", n, key.tag, key.phrase)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -345,28 +346,45 @@ func TestCancelWithinOneBatch(t *testing.T) {
 // build (operators, matcher, twig evaluator), then the twig join, one
 // key arena per vor batch and the top-k copy. The ceiling is that count:
 // an operator more (the K-only prune was one) is a deliberate change.
-// The tiered source stays within it (97) by building its tier table once
-// per plan, reading the KORs the plan sorted once, and running its
-// joins into two buffers allocated once per plan, sized to the stream,
-// that the join appends to. Its class list stays within it too (97):
-// the list is cached in the index and takes a slot reserved in the
-// list table (on the 5.7 MB document n = 1 allocates 83).
+// The tiered source stays within it by building its tier table once per
+// plan, reading the KORs the plan sorted once and its tier lists' rank
+// sets from the index's cache, and running its joins into one buffer,
+// halved into members and matches, that grows to the largest tier yet
+// and at least a batch (96: the stream-sized pair it replaced was two
+// allocations). The same run on the 5.7 MB document (4,733 persons in
+// the stream) is held to a byte budget a stream-sized buffer would
+// break: 58 KB a run with two of them, 22 KB without.
 func TestServedChainAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops a share of what is put back, so the count is not deterministic")
 	}
-	ix := index.Build(xmark.GenerateSized(xmark.Config{Seed: 42}, xmark.PaperSizes[2]), text.Pipeline{})
 	q, prof := workload.Fig5Query(), workload.Fig5Profile(4)
-	const ceiling = 97
-	got := testing.AllocsPerRun(20, func() {
-		p, err := BuildWith(ix, q, prof, 10, Options{Strategy: Push, Parallelism: 1, Timing: true})
-		if err != nil {
-			t.Fatal(err)
+	run := func(ix *index.Index) func() {
+		return func() {
+			p, err := BuildWith(ix, q, prof, 10, Options{Strategy: Push, Parallelism: 1, Timing: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Execute()
+			p.Release()
 		}
-		p.Execute()
-		p.Release()
-	})
+	}
+	const ceiling = 96
+	got := testing.AllocsPerRun(20, run(index.Build(xmark.GenerateSized(xmark.Config{Seed: 42}, xmark.PaperSizes[2]), text.Pipeline{})))
 	if got > ceiling {
 		t.Errorf("build + execute + release allocates %v times, ceiling %d", got, ceiling)
+	}
+
+	const runs, budget = 20, 32 << 10
+	big := run(index.Build(xmark.GenerateSized(xmark.Config{Seed: 42}, xmark.PaperSizes[6]), text.Pipeline{}))
+	big() // warm the index's caches and the chain's pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		big()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > budget {
+		t.Errorf("on the 5.7 MB document build + execute + release allocates %d bytes a run, budget %d", perRun, budget)
 	}
 }

@@ -7,12 +7,19 @@ package plan
 // every kor-scorebound. oracleExecute runs it sequentially over the
 // whole candidate list; it is the reference TestScoreFreeMatchesOracle
 // and TestTieredMatchesOracle hold the served chains to.
+//
+// oracleTierMembers is the tier source's member merge as it stood before
+// the tier lists became rank sets, copied verbatim (the receiver's lists,
+// stream and buffer became parameters): a galloping merge led by the
+// shortest list the members are in. TestTierMembersMatchOracle and
+// FuzzTierMembers hold the set algebra to it.
 
 import (
 	"repro/internal/algebra"
 	"repro/internal/index"
 	"repro/internal/profile"
 	"repro/internal/tpq"
+	"repro/internal/xmldoc"
 )
 
 // oracleExecute evaluates (q, prof) at k on the given access path the
@@ -157,4 +164,33 @@ func oracleBuildChain(p *Plan, src *algebra.ListScanOp, m *algebra.Matcher, shar
 	final := prune(mode, 0, true)
 
 	return ops, final
+}
+
+// oracleTierMembers gallops the shortest list the members are in (the stream,
+// for held 0) against every list, checking held, and the stream.
+func oracleTierMembers(lists [][]xmldoc.NodeID, stream []xmldoc.NodeID, held uint32) []xmldoc.NodeID {
+	lead := stream
+	for i, l := range lists {
+		if held&(1<<i) != 0 && len(l) < len(lead) {
+			lead = l
+		}
+	}
+	var at [maxTierPhrases + 2]int // cursors: the lists, then the stream
+	has := func(list []xmldoc.NodeID, c *int, e xmldoc.NodeID) bool {
+		*c = index.SeekGE(list, *c, e)
+		return *c < len(list) && list[*c] == e
+	}
+	var out []xmldoc.NodeID
+next:
+	for _, e := range lead {
+		for i, l := range lists {
+			if has(l, &at[i], e) != (held&(1<<i) != 0) {
+				continue next
+			}
+		}
+		if has(stream, &at[len(lists)], e) {
+			out = append(out, e)
+		}
+	}
+	return out
 }

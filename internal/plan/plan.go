@@ -13,6 +13,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/algebra"
@@ -562,12 +563,10 @@ func (p *Plan) String() string {
 	// Go through Stats(): after a parallel execution the sequential chain
 	// was never opened (its operator names are empty), but the merged
 	// worker stats carry the names.
-	s := ""
-	for i, st := range p.Stats() {
-		if i > 0 {
-			s += " -> "
-		}
-		s += st.Name
+	stats := p.Stats()
+	names := make([]string, len(stats))
+	for i, st := range stats {
+		names[i] = st.Name
 	}
-	return s
+	return strings.Join(names, " -> ")
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/algebra"
@@ -12,17 +13,15 @@ import (
 	"repro/internal/xmldoc"
 )
 
-// maxTierPhrases caps the phrases a tiered source splits candidates by:
-// more phrases, more near-empty tiers merged before k answers settle. On
-// the 10 MB Fig. 7 document (Fig. 5 query, k = 10, 2-core Xeon) tiered
-// plans read 1.8 / 4.4 / 13 ms at 6 / 7 / 8 phrases, untiered 2.6 / 3.5 / 3.5.
-// The class rule's list is not counted, though it doubles the tiers: led
-// by age = 33, tiered plans read 2.1 / 5.4 ms at 6 / 7 phrases (128 / 256
-// tiers), untiered 2.7 / 2.5.
+// maxTierPhrases caps the phrases a tiered source splits candidates by;
+// each doubles the tiers. On the 10 MB Fig. 7 document (Fig. 5 query,
+// k = 10, 2-core Xeon) tiered plans read 0.24 / 0.61 / 1.8 ms at 6 / 7 /
+// 8 phrases, untiered 2.6 / 3.2 / 4.0; led by age = 33 (its class list
+// not counted) 0.47 / 1.3 / 4.1 against 3.3 / 3.6 / 4.3. The cap was set
+// when member merges galloped and lost from 7 phrases.
 const maxTierPhrases = 6
 
-// tier is the elements in exactly the lists in held (bit i: list i),
-// and their K's bound.
+// tier is the elements in exactly the sets in held (bit i: set i) and their K's bound.
 type tier struct {
 	held  uint32
 	bound float64
@@ -35,14 +34,15 @@ type tier struct {
 // on K, then V (DESIGN.md §6.6).
 type tierSource struct {
 	p                *Plan
-	lists            [][]xmldoc.NodeID // Containing(distTag, phrase i), then the class rule's class
-	class            uint32            // the class list's held bit; 0: no class rule
+	sets             [][]uint64      // rank sets over elems: Containing(distTag, phrase i), then the class rule's class
+	elems, stream    []xmldoc.NodeID // Elements(distTag) and the join's stream, a subset of it
+	class            uint32          // the class list's held bit; 0: no class rule
 	tiers            []tier
 	stop             *algebra.TopKPruneOp // the K-final prune
 	vks              *algebra.TopKPruneOp // the prune behind vor, which reads V
 	ctx              context.Context      // the execution's, for the joins run inside the chain
 	next             int
-	members, matches []xmldoc.NodeID // reused across tiers
+	members, matches []xmldoc.NodeID // one buffer's halves, at least a batch, grown to the largest tier yet
 }
 
 // newTierSource returns a plan's tiered source, or nil outside its scope:
@@ -74,23 +74,22 @@ func newTierSource(p *Plan, stop, vks *algebra.TopKPruneOp) *tierSource {
 	if len(phrases) == 0 || len(phrases) > maxTierPhrases {
 		return nil
 	}
-	n := len(p.eval.Stream()) // members ⊆ stream and matches ⊆ members: no regrowth
-	ts := &tierSource{p: p, stop: stop, lists: make([][]xmldoc.NodeID, len(phrases), len(phrases)+1),
-		members: make([]xmldoc.NodeID, 0, n), matches: make([]xmldoc.NodeID, 0, n)}
+	ts := &tierSource{p: p, stop: stop, sets: make([][]uint64, len(phrases), len(phrases)+1),
+		elems: p.ix.Elements(p.distTag), stream: p.eval.Stream()}
 	for i, ph := range phrases {
-		ts.lists[i] = p.ix.Containing(p.distTag, ph)
+		ts.sets[i] = p.ix.ContainingSet(p.distTag, ph)
 	}
 	if r := p.ranker.LeadVOR(); r >= 0 {
 		v := p.prof.VORs[r]
 		if v.Form == profile.FormEqConst && v.Tag == p.distTag && len(v.CommonEq) == 0 && !(v.Const.IsNum && math.IsNaN(v.Const.Num)) {
-			ts.class, ts.vks = 1<<len(ts.lists), vks
-			ts.lists = append(ts.lists, p.ix.WithValue(p.distTag, v.Attr, v.Const))
+			ts.class, ts.vks = 1<<len(ts.sets), vks
+			ts.sets = append(ts.sets, p.ix.WithValueSet(p.distTag, v.Attr, v.Const))
 		}
 	}
 	// Summed in KOROp's association order over scores at most the maxima,
 	// a bound is by monotone rounding never below a member's K. The class
 	// bit adds nothing to it.
-	ts.tiers = make([]tier, 0, 1<<len(ts.lists))
+	ts.tiers = make([]tier, 0, 1<<len(ts.sets))
 	for held := range 1 << len(phrases) {
 		k := 0.0
 		for _, kor := range p.kors {
@@ -149,31 +148,31 @@ func (ts *tierSource) nextTier() ([]xmldoc.NodeID, bool) {
 	return nil, false
 }
 
-// tierMembers gallops the shortest list the members are in (the stream,
-// for held 0) against every list, checking held, and the stream.
+// tierMembers returns the stream's elements in exactly the sets in held,
+// word by word: the AND of the held sets and the AND-NOT of the others.
 func (ts *tierSource) tierMembers(held uint32) []xmldoc.NodeID {
-	stream := ts.p.eval.Stream()
-	lead := stream
-	for i, l := range ts.lists {
-		if held&(1<<i) != 0 && len(l) < len(lead) {
-			lead = l
+	word := func(w int) uint64 {
+		x := ^uint64(0) >> max(0, 64*(w+1)-len(ts.elems)) // the tail word masked to the tag list
+		for i, s := range ts.sets {
+			x &^= s[w] ^ -uint64(held>>i&1) // held: x &= s[w]; not held: x &^= s[w]
 		}
+		return x
 	}
-	var at [maxTierPhrases + 2]int // cursors: the lists, then the stream
-	has := func(list []xmldoc.NodeID, c *int, e xmldoc.NodeID) bool {
-		*c = index.SeekGE(list, *c, e)
-		return *c < len(list) && list[*c] == e
+	words, n := (len(ts.elems)+63)/64, 0 // counted, then decoded and checked against the stream
+	for w := range words {
+		n += bits.OnesCount64(word(w))
 	}
-	out := ts.members[:0]
-next:
-	for _, e := range lead {
-		for i, l := range ts.lists {
-			if has(l, &at[i], e) != (held&(1<<i) != 0) {
-				continue next
+	if c := max(n, batchCap); cap(ts.members) < n { // matches ⊆ members: the join never regrows them
+		buf := make([]xmldoc.NodeID, 2*c)
+		ts.members, ts.matches = buf[:0:c], buf[c:c]
+	}
+	out, at := ts.members[:0], 0
+	for w := range words {
+		for x := word(w); x != 0; x &= x - 1 {
+			e := ts.elems[w*64+bits.TrailingZeros64(x)]
+			if at = index.SeekGE(ts.stream, at, e); at < len(ts.stream) && ts.stream[at] == e {
+				out = append(out, e)
 			}
-		}
-		if has(stream, &at[len(ts.lists)], e) {
-			out = append(out, e)
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -187,7 +188,7 @@ vor w priority 5: x.tag = a & y.tag = a & x.e < y.e => x < y
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ts := p.tiers; ts == nil || (ts.class != 0) != (c.class >= 0) || c.class >= 0 && len(ts.lists[len(ts.lists)-1]) != c.class {
+		if ts := p.tiers; ts == nil || (ts.class != 0) != (c.class >= 0) || c.class >= 0 && setSize(ts.sets[len(ts.sets)-1]) != c.class {
 			t.Errorf("%s: tiers %+v: want a class of %d (-1: none)", c.name, p.tiers, c.class)
 		}
 	}
@@ -232,7 +233,7 @@ vor v priority 2: x.tag = a & y.tag = a & x.c = 33 & y.c != 33 => x < y
 				t.Fatal(err)
 			}
 			assertSameRanking(t, want, p.Execute(), at)
-			if ts := p.tiers; ts == nil || (ts.class != 0) != c.class || tiersAt(ts, want[0].K) != 2*len(ts.lists)-2 {
+			if ts := p.tiers; ts == nil || (ts.class != 0) != c.class || tiersAt(ts, want[0].K) != 2*len(ts.sets)-2 {
 				t.Fatalf("%s: tiers %+v, answer K %v: want the k-th K equal to the {foo} and {bar} tiers' bound", at, ts, want[0].K)
 			}
 			if js := p.JoinStats(); js.Read != c.streamed {
@@ -240,6 +241,15 @@ vor v priority 2: x.tag = a & y.tag = a & x.c = 33 & y.c != 33 => x < y
 			}
 		}
 	}
+}
+
+// setSize is how many elements a rank set holds.
+func setSize(set []uint64) int {
+	n := 0
+	for _, w := range set {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // tiersAt is how many of ts's tiers have the given bound.
@@ -445,6 +455,94 @@ func TestTieredSelfTimesSumToWall(t *testing.T) {
 			t.Errorf("n = %d: self times sum to %d ns, the final operator's time is %d, the execution took %d", n, sum, last, wall)
 		}
 	}
+}
+
+// TestTierMembersMatchOracle: for every held mask, class bits and 0
+// included, a tier's members are the galloping merge's — over 1–4
+// phrase sets and an optional class, with the whole tag list as stream
+// and a keyword-restricted one — on random documents with 0, 1, 63, 64,
+// 65 and 128 a's, around the tail word's mask.
+func TestTierMembersMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	for _, n := range []int{0, 1, 63, 64, 65, 128} {
+		for iter := 0; iter < 8; iter++ {
+			checkTierMembers(t, countDoc(r, n), r, fmt.Sprintf("%d a's, iter %d", n, iter))
+		}
+	}
+}
+
+// FuzzTierMembers is TestTierMembersMatchOracle on a document drawn from
+// the seed, with up to 255 a's.
+func FuzzTierMembers(f *testing.F) {
+	for _, n := range []uint8{0, 1, 63, 64, 65, 128} {
+		f.Add(int64(n), n)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		r := rand.New(rand.NewSource(seed))
+		checkTierMembers(t, countDoc(r, int(n)), r, fmt.Sprintf("seed %d, %d a's", seed, n))
+	})
+}
+
+// checkTierMembers holds a tier source over ix's a's, a random subset of
+// tierWords' rank sets and sometimes a class (c = 0, 1 or 2), to the
+// oracle's merge over the same lists, for every held mask, on the whole
+// stream and on the a's holding a random word.
+func checkTierMembers(t *testing.T, ix *index.Index, r *rand.Rand, at string) {
+	t.Helper()
+	elems := ix.Elements("a")
+	ts := &tierSource{elems: elems}
+	var lists [][]xmldoc.NodeID
+	for _, w := range r.Perm(len(tierWords))[:1+r.Intn(len(tierWords))] {
+		ts.sets = append(ts.sets, ix.ContainingSet("a", tierWords[w]))
+		lists = append(lists, ix.Containing("a", tierWords[w]))
+	}
+	if r.Intn(2) == 0 {
+		c := tpq.NumValue(float64(r.Intn(3)))
+		ts.class = 1 << len(ts.sets)
+		ts.sets = append(ts.sets, ix.WithValueSet("a", "c", c))
+		lists = append(lists, ix.WithValue("a", "c", c))
+	}
+	for _, stream := range [][]xmldoc.NodeID{elems, ix.Containing("a", tierWords[r.Intn(len(tierWords))])} {
+		ts.stream = stream
+		for held := range uint32(1) << len(ts.sets) {
+			if got, want := ts.tierMembers(held), oracleTierMembers(lists, stream, held); !slices.Equal(got, want) {
+				t.Fatalf("%s, %d sets (class bit %b), stream of %d, held %b: members %v, want %v",
+					at, len(ts.sets), ts.class, len(stream), held, got, want)
+			}
+		}
+	}
+}
+
+// countDoc is a random document with exactly n a elements, each holding
+// a few of tierWords or none and sometimes a c valued 0–2, between d
+// elements holding words too.
+func countDoc(r *rand.Rand, n int) *index.Index {
+	b := xmldoc.NewBuilder()
+	b.Start("r")
+	leaf := func(tag string) {
+		b.Start(tag)
+		words := make([]string, r.Intn(3))
+		for i := range words {
+			words[i] = tierWords[r.Intn(len(tierWords))]
+		}
+		b.Text(strings.Join(words, " "))
+		b.End()
+	}
+	for i := 0; i < n; i++ {
+		if r.Intn(3) == 0 {
+			leaf("d")
+		}
+		b.Start("a")
+		leaf("b")
+		if r.Intn(2) == 0 {
+			b.Start("c")
+			b.Text(fmt.Sprint(r.Intn(3)))
+			b.End()
+		}
+		b.End()
+	}
+	b.End()
+	return index.Build(b.MustDocument(), text.Pipeline{})
 }
 
 // buildIndex parses src and indexes it.
