@@ -74,13 +74,14 @@ cover:
 loc:
 	@find internal cmd pimento.go -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
-# A short fuzz pass over every fuzz target, eleven in all: the three
+# A short fuzz pass over every fuzz target, twelve in all: the three
 # parsers (query, XML, profile), the XML scanner against its
 # encoding/xml oracle, the /search and PUT/DELETE /docs
 # handlers, the profile vet, the Section 5 analyses against their
 # oracle, the scan-vs-twigjoin access-path differential, the index
-# build against its map-and-append oracle and the tier source's
-# rank-set members against its galloping-merge oracle.
+# build against its map-and-append oracle, the tier source's
+# rank-set members against its galloping-merge oracle and the corpus
+# fan-out against its per-document oracle.
 # Catches regressions in input hardening, join correctness and index
 # layout without the open-ended runtime of a real fuzz campaign.
 FUZZTIME ?= 10s
@@ -96,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzTwigJoin -fuzztime $(FUZZTIME) -run '^$$' ./internal/twig/
 	$(GO) test -fuzz FuzzBuildMatchesOracle -fuzztime $(FUZZTIME) -run '^$$' ./internal/index/
 	$(GO) test -fuzz FuzzTierMembers -fuzztime $(FUZZTIME) -run '^$$' ./internal/plan/
+	$(GO) test -fuzz FuzzFanoutMatchesOracle -fuzztime $(FUZZTIME) -run '^$$' ./internal/corpus/
 
 # The benchmark (bench/, its own module, not part of `go test ./...`)
 # compiles against internal packages: a change that breaks its compile

@@ -237,7 +237,7 @@ func BenchmarkAblationKOROrder(b *testing.B) {
 			kors := prof.KORs
 			if order != "paper" {
 				slices.SortStableFunc(kors, func(x, y *profile.KOR) int {
-					return cmp.Compare(algebra.MaxKORScore(ix, y), algebra.MaxKORScore(ix, x))
+					return cmp.Compare(algebra.MaxKORScore(ix, y, nil), algebra.MaxKORScore(ix, x, nil))
 				})
 				if order == "worst-first" {
 					slices.Reverse(kors)

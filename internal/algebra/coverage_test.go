@@ -83,7 +83,7 @@ kor k: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
 func TestMaxKORContributionTightBound(t *testing.T) {
 	ix := dealerIndex(t)
 	kor := &profile.KOR{Name: "k", Tag: "car", Phrases: []string{"best bid", "NYC"}}
-	bound := MaxKORScore(ix, kor)
+	bound := MaxKORScore(ix, kor, nil)
 	if bound <= 0 || bound > 2 {
 		t.Fatalf("bound = %v", bound)
 	}
@@ -95,7 +95,7 @@ func TestMaxKORContributionTightBound(t *testing.T) {
 	}
 	// Weighted rule scales the bound.
 	w := &profile.KOR{Name: "k", Tag: "car", Phrases: []string{"best bid"}, Weight: 3}
-	if b1, b3 := MaxKORScore(ix, kor), MaxKORScore(ix, w); b3 <= b1/2 {
+	if b1, b3 := MaxKORScore(ix, kor, nil), MaxKORScore(ix, w, nil); b3 <= b1/2 {
 		t.Errorf("weight must scale the bound: %v vs %v", b1, b3)
 	}
 }

@@ -23,6 +23,7 @@
 package algebra
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/index"
@@ -471,13 +472,18 @@ func (m *Matcher) MatchRequired(e xmldoc.NodeID) bool {
 	return true
 }
 
-// MaxKORScore returns the largest K increment a keyword-based OR can add
-// to any answer under this index — Algorithm 3's kor-scorebound summand,
-// tightened with the index's per-(tag, phrase) maxima.
-func MaxKORScore(ix *index.Index, kor *profile.KOR) float64 {
+// MaxKORScore returns the most a keyword-based OR can move the K of an
+// answer holding at most the phrases held admits (nil: any) under this
+// index — Algorithm 3's kor-scorebound summand, tightened with the
+// index's per-(tag, phrase) maxima and summed in KOROp's order. A
+// negative weight counts at its magnitude: the k answers a prune holds
+// can lose that much.
+func MaxKORScore(ix *index.Index, kor *profile.KOR, held func(phrase string) bool) float64 {
 	total := 0.0
 	for _, p := range kor.Phrases {
-		total += kor.EffectiveWeight() * ix.MaxPhraseScore(kor.Tag, p)
+		if held == nil || held(p) {
+			total += kor.EffectiveWeight() * ix.MaxPhraseScore(kor.Tag, p)
+		}
 	}
-	return total
+	return math.Abs(total)
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // SharedBound is a monotonically tightening score threshold shared by
-// the topkPrune operators of concurrently executing plan partitions.
+// the topkPrune operators of concurrently executing plan partitions, or
+// of the documents of one corpus fan-out.
 //
 // Each worker publishes the primary-scalar value of its k-th best
 // fully-scored answer; every worker may prune a candidate whose maximal
@@ -35,6 +36,26 @@ func NewSharedBound() *SharedBound {
 // Tighten, which is safe: the bound is conservative.
 func (b *SharedBound) Load() float64 {
 	return math.Float64frombits(b.bits.Load())
+}
+
+// sharedEps pads the shared-bound comparison against floating-point
+// association error. The published threshold is a fully-accumulated
+// scalar (bonuses added one KOROp at a time), while a candidate's
+// maximal reachable value is "partial scalar + remaining-bound sum" —
+// the same real quantity evaluated in a different association order,
+// which can land a few ulps below it. An answer that exactly ties the
+// global k-th must survive to the deterministic merge, so the prune
+// only fires when the candidate is below the bound by more than any
+// plausible accumulated rounding error. Pruning less is always sound.
+const sharedEps = 1e-9
+
+// Threshold is the bound less sharedEps, -Inf for a nil bound: k answers
+// beat a value strictly below it.
+func (b *SharedBound) Threshold() float64 {
+	if b == nil {
+		return math.Inf(-1)
+	}
+	return b.Load() - sharedEps
 }
 
 // Tighten raises the bound to v if v is larger; lower values are

@@ -42,9 +42,10 @@ type TopKPruneOp struct {
 	// SortedInput enables bulk pruning (Section 6.4): on input sorted by
 	// the current rank order, the first pruned answer ends the stream.
 	SortedInput bool
-	// Shared, when non-nil, is the cross-partition threshold of a
-	// parallel execution: the operator prunes candidates provably below
-	// it and publishes its own k-th fully-scored primary scalar into it.
+	// Shared, when non-nil, is the threshold the partitions of a
+	// parallel execution, or the documents of a corpus fan-out, share:
+	// the operator prunes candidates provably below it and publishes its
+	// own k-th fully-scored primary scalar into it.
 	// Only modes whose primary rank component is a scalar participate
 	// (S for ModeS, K for ModeKVS and ModeK, K+S for ModeBlend); the
 	// V-first modes rank by a partial order that a single float cannot
@@ -57,7 +58,7 @@ type TopKPruneOp struct {
 
 	list   []Answer
 	done   bool
-	shared float64 // Shared's value as of this batch, less sharedEps; -Inf without one
+	shared float64 // Shared's Threshold as of this batch
 	stats  OpStats
 }
 
@@ -235,17 +236,6 @@ func (o *TopKPruneOp) consider(a *Answer) bool {
 	return true
 }
 
-// sharedEps pads the shared-bound comparison against floating-point
-// association error. The published threshold is a fully-accumulated
-// scalar (bonuses added one KOROp at a time), while a candidate's
-// maximal reachable value is "partial scalar + remaining-bound sum" —
-// the same real quantity evaluated in a different association order,
-// which can land a few ulps below it. An answer that exactly ties the
-// global k-th must survive to the deterministic merge, so the prune
-// only fires when the candidate is below the bound by more than any
-// plausible accumulated rounding error. Pruning less is always sound.
-const sharedEps = 1e-9
-
 // sharedPrune drops a candidate whose maximal reachable primary scalar
 // is strictly below the cross-partition bound. A candidate strictly
 // below the bound has at least k answers ranked strictly above it in
@@ -266,11 +256,7 @@ func (o *TopKPruneOp) sharedPrune(a *Answer) bool {
 }
 
 // loadShared refreshes the operator's copy of the cross-partition bound.
-func (o *TopKPruneOp) loadShared() {
-	if o.Shared != nil {
-		o.shared = o.Shared.Load() - sharedEps
-	}
-}
+func (o *TopKPruneOp) loadShared() { o.shared = o.Shared.Threshold() }
 
 // publishShared exports the k-th list entry's primary scalar once it is
 // final at this plan position (the operator's remaining bound for that

@@ -7,6 +7,11 @@
 // budgeted drain (plan.Drain), and the per-document top-k lists are
 // merged under the profile's rank order into a global top k.
 //
+// The documents of one search share a k-th threshold: every plan's
+// prunes load and publish it (algebra.SharedBound). Under rank K,V,S the
+// documents run best K bound first (plan.KBound), and one whose bound the
+// threshold beats is skipped before its plan is built.
+//
 // The corpus is *live*: documents can be added, replaced and deleted
 // while searches are in flight. All reads go through an immutable
 // copy-on-write Snapshot behind one atomic pointer — a search loads the
@@ -28,10 +33,12 @@
 package corpus
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -305,6 +312,9 @@ type Response struct {
 	Elapsed    time.Duration
 	// DocsSearched is the number of documents the query ran against.
 	DocsSearched int
+	// DocsSkipped counts the documents among them that the shared k-th
+	// beat before their plan was built.
+	DocsSkipped int
 }
 
 // Search personalizes q with prof (once — the rewriting is document-
@@ -344,7 +354,12 @@ func (s *Snapshot) SearchContext(ctx context.Context, q *tpq.Query, prof *profil
 type unit struct {
 	id    int // reported in TimedOutShards when the unit is dropped
 	names []string
+	bound float64 // an unsharded unit's plan.KBound; unset when sharded
 }
+
+// planRan, when non-nil, sees each fan-out plan after it ran and before
+// its release: the seam TestFanoutWorkPinned counts the work through.
+var planRan func(*plan.Plan)
 
 // fanOut is the one budgeted drain behind every corpus search. It
 // evaluates the query against each unit's documents — per-document
@@ -371,8 +386,21 @@ func (s *Snapshot) fanOut(ctx context.Context, q *tpq.Query, prof *profile.Profi
 		return nil, err
 	}
 
+	// Unsharded, the documents share a k-th threshold (package comment).
+	// Shards share none: one could publish, time out, and leave its
+	// witnesses out of the merge while its bound pruned other shards.
+	var shared *algebra.SharedBound
+	if carve == 0 {
+		shared = algebra.NewSharedBound()
+		for j := range units {
+			units[j].bound = plan.KBound(s.entries[units[j].names[0]].idx, encoded, prof)
+		}
+		slices.SortStableFunc(units, func(a, b unit) int { return cmp.Compare(b.bound, a.bound) })
+	}
+
 	type unitResult struct {
 		hits     []docHit
+		skipped  int
 		timedOut bool
 		err      error
 	}
@@ -394,13 +422,20 @@ func (s *Snapshot) fanOut(ctx context.Context, q *tpq.Query, prof *profile.Profi
 			if algebra.ContextErr(uctx) != nil {
 				break
 			}
+			if shared.Threshold() > u.bound {
+				res.skipped++
+				continue
+			}
 			p, err := plan.BuildWith(s.entries[name].idx, encoded, prof, k,
-				plan.Options{Strategy: strat, Parallelism: 1})
+				plan.Options{Strategy: strat, Parallelism: 1, Shared: shared})
 			if err != nil {
 				res.err = fmt.Errorf("corpus: %s: %w", name, err)
 				return
 			}
 			answers, err := p.ExecuteContext(uctx)
+			if planRan != nil {
+				planRan(p)
+			}
 			p.Release()
 			if err != nil {
 				break // uctx expired mid-plan; classified below
@@ -427,9 +462,9 @@ func (s *Snapshot) fanOut(ctx context.Context, q *tpq.Query, prof *profile.Profi
 		return nil, err
 	}
 	var (
-		all      []docHit
-		timedOut []int
-		docs     int
+		all           []docHit
+		timedOut      []int
+		docs, skipped int
 	)
 	for j, r := range results {
 		switch {
@@ -440,9 +475,11 @@ func (s *Snapshot) fanOut(ctx context.Context, q *tpq.Query, prof *profile.Profi
 		default:
 			all = append(all, r.hits...)
 			docs += len(units[j].names)
+			skipped += r.skipped
 		}
 	}
 	resp := s.materialize(rankHits(all, prof, k), applied, docs, time.Since(start))
+	resp.DocsSkipped = skipped
 	return &ShardedResponse{
 		Response:       *resp,
 		Degraded:       len(timedOut) > 0,

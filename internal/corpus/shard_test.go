@@ -229,10 +229,16 @@ func TestFanoutSnippetRuneBoundary(t *testing.T) {
 
 // TestSearchShardedDegrades: a shard held past its carved deadline is
 // dropped while the request is alive — partial results, Degraded set,
-// the slow shard listed, and the healthy shards' answers intact.
+// the slow shard listed, and the healthy shards' answers exactly an
+// unsharded search over their documents alone.
 func TestSearchShardedDegrades(t *testing.T) {
 	c := shardTestCorpus(t)
 	q := tpq.MustParse(`//car[./description[. ftcontains "good condition"]]`)
+	prof := profile.MustParseProfile(`
+kor k1: x.tag = car & y.tag = car & ftcontains(x, "best bid") => x < y
+kor k2: x.tag = car & y.tag = car & ftcontains(x, "NYC") => x < y
+rank K,V,S
+`)
 	snap := c.Snapshot()
 
 	const n = 3
@@ -250,7 +256,7 @@ func TestSearchShardedDegrades(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	got, err := snap.SearchSharded(ctx, q, nil, 10, plan.Push, ShardOptions{
+	got, err := snap.SearchSharded(ctx, q, prof, 3, plan.Push, ShardOptions{
 		Shards:       n,
 		DeadlineFrac: 0.2, // shard budget ≈100ms, well under the sleep
 		ShardStart: func(shard int) {
@@ -275,12 +281,20 @@ func TestSearchShardedDegrades(t *testing.T) {
 	if got.DocsSearched != wantDocs {
 		t.Errorf("DocsSearched = %d, want %d (healthy shards only)", got.DocsSearched, wantDocs)
 	}
-	for _, r := range got.Results {
-		for _, name := range shards[slow] {
-			if r.DocName == name {
-				t.Errorf("result from the dropped shard: %+v", r)
+	alive := New(text.Pipeline{})
+	for i, sh := range shards {
+		for _, name := range sh {
+			if e, _ := snap.Entry(name); i != slow {
+				alive.Put(name, e.Document())
 			}
 		}
+	}
+	want, err := alive.SearchContext(context.Background(), q, prof, 3, plan.Push)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Results, want.Results) {
+		t.Errorf("degraded results differ from the surviving documents' search\n got %+v\nwant %+v", got.Results, want.Results)
 	}
 }
 

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -9,6 +11,8 @@ import (
 	"repro/internal/profile"
 	"repro/internal/text"
 	"repro/internal/tpq"
+	"repro/internal/workload"
+	"repro/internal/xmark"
 	"repro/internal/xmldoc"
 )
 
@@ -157,12 +161,35 @@ vor w2: x.tag = car & y.tag = car & x.mileage < y.mileage => x < y
 }
 
 func TestStrategiesProduceSameResults(t *testing.T) {
-	e := newEngine(t)
-	prof := profile.MustParseProfile(fig2Rules)
-	q := tpq.MustParse(paperQ)
+	sameResults(t, newEngine(t), tpq.MustParse(paperQ), profile.MustParseProfile(fig2Rules), 3)
+	// A negatively weighted KOR under Push, the served default (its
+	// kor-scorebound once read w · Σ max score < 0).
+	xm := New(xmark.GenerateSized(xmark.Config{Seed: 42}, 512*1024), text.Pipeline{})
+	sameResults(t, xm, workload.Fig5Query(), profile.MustParseProfile(`
+kor a priority 1 weight -3: x.tag = person & y.tag = person & ftcontains(x, "United States") => x < y
+kor b priority 2 weight 0.5: x.tag = person & y.tag = person & ftcontains(x, "Phoenix") => x < y
+rank K,V,S
+`), 10)
+	// Weights of either sign over the Fig. 5 phrases.
+	r := rand.New(rand.NewSource(43))
+	weights := []string{"-3", "-1", "-0.5", "0.5", "1", "2"}
+	for iter := 0; iter < 8; iter++ {
+		var src strings.Builder
+		for i, ph := range []string{"male", "United States", "College", "Phoenix"}[:1+r.Intn(4)] {
+			fmt.Fprintf(&src, "kor k%d priority %d weight %s: x.tag = person & y.tag = person & ftcontains(x, %q) => x < y\n",
+				i, i+1, weights[r.Intn(len(weights))], ph)
+		}
+		src.WriteString("rank K,V,S\n")
+		sameResults(t, xm, workload.Fig5Query(), profile.MustParseProfile(src.String()), 1+r.Intn(12))
+	}
+}
+
+// sameResults fails unless every strategy ranks the nodes and K of Naive.
+func sameResults(t *testing.T, e *Engine, q *tpq.Query, prof *profile.Profile, k int) {
+	t.Helper()
 	var base []Result
 	for i, strat := range []plan.Strategy{plan.Naive, plan.InterleaveNoSort, plan.InterleaveSort, plan.Push} {
-		resp, err := e.Search(Request{Query: q, Profile: prof, K: 3, Strategy: strat})
+		resp, err := e.Search(Request{Query: q, Profile: prof, K: k, Strategy: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,9 +201,9 @@ func TestStrategiesProduceSameResults(t *testing.T) {
 			t.Fatalf("%v: %d results vs %d", strat, len(resp.Results), len(base))
 		}
 		for j := range base {
-			if resp.Results[j].Node != base[j].Node {
-				t.Errorf("%v: rank %d differs: %v vs %v", strat, j,
-					resp.Results[j].Node, base[j].Node)
+			if got := resp.Results[j]; got.Node != base[j].Node || got.K != base[j].K {
+				t.Errorf("%v: rank %d differs: %v (K=%g) vs %v (K=%g)", strat, j,
+					got.Node, got.K, base[j].Node, base[j].K)
 			}
 		}
 	}

@@ -87,7 +87,7 @@ func oracleBuildChain(p *Plan, src *algebra.ListScanOp, m *algebra.Matcher, shar
 
 	totalK := 0.0
 	for _, kor := range kors {
-		totalK += algebra.MaxKORScore(ix, kor)
+		totalK += algebra.MaxKORScore(ix, kor, nil)
 	}
 
 	// vor sits right before the first operator that reads V. Under rank
@@ -127,7 +127,7 @@ func oracleBuildChain(p *Plan, src *algebra.ListScanOp, m *algebra.Matcher, shar
 			prune(early, remK, false)
 		}
 		push(algebra.NewKOROp(op, ix, kor, korTag))
-		remK -= algebra.MaxKORScore(ix, kor)
+		remK -= algebra.MaxKORScore(ix, kor, nil)
 		if remK < 1e-12 {
 			remK = 0 // absorb floating-point residue: the bound is conceptually exact
 		}

@@ -13,6 +13,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -169,6 +170,9 @@ type Options struct {
 	// The serving layer and the Fig. 6/7 harnesses enable it; the bare
 	// chain stays the default for library callers and benchmarks.
 	Timing bool
+	// Shared is a corpus fan-out's k-th threshold, which the chain's
+	// prunes and a tiered source read (nil for one document).
+	Shared *algebra.SharedBound
 }
 
 // Build compiles a (possibly profile-encoded) query into a physical plan.
@@ -232,7 +236,7 @@ func buildWith(ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, opts
 	}
 	p.cancel = algebra.NewCancelCheck(nil)
 	var kFinal, vks *algebra.TopKPruneOp
-	p.ops, p.final, kFinal, vks = p.buildChain(p.src, p.m, nil, p.cancel)
+	p.ops, p.final, kFinal, vks = p.buildChain(p.src, p.m, opts.Shared, p.cancel)
 	p.root = p.ops[len(p.ops)-1]
 	if p.tiers = newTierSource(p, kFinal, vks); p.tiers != nil {
 		p.src.Next = p.tiers.nextTier
@@ -259,11 +263,12 @@ func isScoreFree(mode algebra.Mode, m *algebra.Matcher) bool {
 
 // buildChain compiles the operator pipeline on top of the given source
 // operator. m is the chain's own Matcher (matchers reuse scratch
-// buffers and are not safe for concurrent use); shared is non-nil only
-// for the workers of a parallel Execute, which exchange their top-k
-// thresholds through it. cancel is the chain's cancellation probe,
-// threaded into the scan and prune loops, which probe it once per batch
-// (the places a cooperative abort must interrupt; see DESIGN.md §10).
+// buffers and are not safe for concurrent use); shared is the top-k
+// threshold the chain exchanges with the workers of a parallel Execute
+// or a fan-out's other documents (Options.Shared), nil if none. cancel
+// is the chain's cancellation probe, threaded into the scan and prune
+// loops, which probe it once per batch (the places a cooperative abort
+// must interrupt; see DESIGN.md §10).
 // It also returns a Push plan's K-final prune, the first behind the last
 // kor, and its prune in the final mode there, behind vor if any.
 func (p *Plan) buildChain(src *algebra.ListScanOp, m *algebra.Matcher, shared *algebra.SharedBound, cancel *algebra.CancelCheck) (ops []algebra.Operator, final, kFinal, vks *algebra.TopKPruneOp) {
@@ -310,9 +315,7 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, m *algebra.Matcher, shared *a
 	}
 	totalK := 0.0
 	for _, kor := range kors {
-		if algebra.KORScores(kor, korTag) { // a rule that cannot score adds nothing to a bound
-			totalK += algebra.MaxKORScore(ix, kor)
-		}
+		totalK += korMax(ix, kor, korTag, nil)
 	}
 
 	// vor sits right before the first operator that reads V. Under rank
@@ -346,9 +349,7 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, m *algebra.Matcher, shared *a
 			prune(early, remK, false)
 		}
 		push(algebra.NewKOROp(op, ix, kor, korTag))
-		if algebra.KORScores(kor, korTag) {
-			remK -= algebra.MaxKORScore(ix, kor)
-		}
+		remK -= korMax(ix, kor, korTag, nil)
 		if remK < 1e-12 {
 			remK = 0 // absorb floating-point residue: the bound is conceptually exact
 		}
@@ -386,6 +387,41 @@ func (p *Plan) buildChain(src *algebra.ListScanOp, m *algebra.Matcher, shared *a
 	final = prune(mode, 0, true)
 
 	return ops, final, kFinal, vks
+}
+
+// korMax is MaxKORScore on answers tagged tag ("" when the tags vary):
+// 0 for a rule that cannot score there. It is the one source of the
+// kor-scorebounds and the tier and document bounds.
+func korMax(ix *index.Index, kor *profile.KOR, tag string, held func(phrase string) bool) float64 {
+	if !algebra.KORScores(kor, tag) {
+		return 0
+	}
+	return algebra.MaxKORScore(ix, kor, held)
+}
+
+// kBound sums korMax over kors in KOROp's order, by monotone rounding
+// never below the K of an answer held admits; +Inf (no bound) where a
+// rule scoring on tag weighs other than finite and ≥ 0.
+func kBound(ix *index.Index, kors []*profile.KOR, tag string, held func(phrase string) bool) float64 {
+	k := 0.0
+	for _, kor := range kors {
+		if w := kor.EffectiveWeight(); algebra.KORScores(kor, tag) && !(w >= 0 && w <= math.MaxFloat64) {
+			return math.Inf(1)
+		}
+		k += korMax(ix, kor, tag, held)
+	}
+	return k
+}
+
+// KBound is the largest K a plan for q under prof gives an answer over
+// ix, known before any build; the corpus fan-out orders and skips
+// documents by it. +Inf: no bound (a rank other than K,V,S, or a weight
+// outside kBound's scope).
+func KBound(ix *index.Index, q *tpq.Query, prof *profile.Profile) float64 {
+	if algebra.ModeForProfile(prof) != algebra.ModeKVS {
+		return math.Inf(1)
+	}
+	return kBound(ix, prof.SortKORsByPriority(), strings.TrimSuffix(q.Nodes[q.Dist].Tag, "*"), nil) // a wildcard tag is ""
 }
 
 // maxChainOps bounds the operators buildChain compiles for a query with
@@ -482,6 +518,14 @@ func (p *Plan) Parallelism() int { return p.par }
 func (p *Plan) Release() {
 	algebra.ReleaseChainScratch(p.ops)
 	p.m.ReleaseScratch()
+}
+
+// TiersVisited is the tiers the last Execute took off its list (0: untiered).
+func (p *Plan) TiersVisited() int {
+	if p.tiers == nil {
+		return 0
+	}
+	return p.tiers.next
 }
 
 // Access reports the resolved access path (never AccessAuto).

@@ -83,16 +83,63 @@ func TestAllStrategiesAgreeWithNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range []Strategy{InterleaveNoSort, InterleaveSort, Push} {
-			p, err := Build(ix, q, prof, k, strat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := p.Execute()
-			if !sameAnswers(ref, got) {
-				t.Fatalf("iter %d k %d: %v disagrees with Naive\nnaive: %v\n%-5v: %v\nplan: %s",
-					iter, k, strat, describe(ref), strat, describe(got), p)
-			}
+		agreeWithNaive(t, fmt.Sprintf("iter %d k %d", iter, k), ix, q, prof, k, ref)
+	}
+
+	// A negatively weighted KOR can only lower K, so the kor-scorebound
+	// ahead of it counts 0 for it, not w · Σ max score: a Push plan
+	// counting the latter returned K = 0.092, 0.092, 0, …, -0.32 here,
+	// where Naive returns ten answers at 0.092.
+	fig5 := index.Build(xmark.GenerateSized(xmark.Config{Seed: 42}, 512*1024), text.Pipeline{})
+	neg := profile.MustParseProfile(`
+kor a priority 1 weight -3: x.tag = person & y.tag = person & ftcontains(x, "United States") => x < y
+kor b priority 2 weight 0.5: x.tag = person & y.tag = person & ftcontains(x, "Phoenix") => x < y
+rank K,V,S
+`)
+	ref, err := Evaluate(fig5, workload.Fig5Query(), neg, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) != 10 || ref[9].K != ref[0].K {
+		t.Fatalf("the negative-weight case lost its shape: %v", describe(ref))
+	}
+	agreeWithNaive(t, "fig5 negative weight", fig5, workload.Fig5Query(), neg, 10, ref)
+
+	// Weights of either sign, in rank K,V,S and V,K,S.
+	weights := []string{"-3", "-1", "-0.5", "0.5", "1", "2"}
+	phrases := []string{"best bid", "NYC", "clean title", "low mileage"}
+	for iter := 0; iter < 40; iter++ {
+		var src strings.Builder
+		for i, ph := range phrases[:1+r.Intn(len(phrases))] {
+			fmt.Fprintf(&src, "kor s%d priority %d weight %s: x.tag = car & y.tag = car & ftcontains(x, %q) => x < y\n",
+				i, i+1, weights[r.Intn(len(weights))], ph)
+		}
+		src.WriteString("vor w1: x.tag = car & y.tag = car & x.color = \"red\" & y.color != \"red\" => x < y\n")
+		src.WriteString([]string{"rank K,V,S\n", "rank V,K,S\n"}[iter%2])
+		prof := profile.MustParseProfile(src.String())
+		ix := index.Build(genDealer(r, 5+r.Intn(60)), text.Pipeline{})
+		k := 1 + r.Intn(8)
+		ref, err := Evaluate(ix, q, prof, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agreeWithNaive(t, fmt.Sprintf("signed iter %d k %d\n%s", iter, k, src.String()), ix, q, prof, k, ref)
+	}
+}
+
+// agreeWithNaive fails unless every other strategy returns ref, the
+// Naive plan's answers.
+func agreeWithNaive(t *testing.T, name string, ix *index.Index, q *tpq.Query, prof *profile.Profile, k int, ref []algebra.Answer) {
+	t.Helper()
+	for _, strat := range []Strategy{InterleaveNoSort, InterleaveSort, Push} {
+		p, err := Build(ix, q, prof, k, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := p.Execute()
+		if !sameAnswers(ref, got) {
+			t.Fatalf("%s: %v disagrees with Naive\nnaive: %v\n%-5v: %v\nplan: %s",
+				name, strat, describe(ref), strat, describe(got), p)
 		}
 	}
 }

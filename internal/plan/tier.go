@@ -54,19 +54,14 @@ type tierSource struct {
 // member of the first outranks every other answer.
 func newTierSource(p *Plan, stop, vks *algebra.TopKPruneOp) *tierSource {
 	if p.eval == nil || p.Strategy != Push || p.Mode != algebra.ModeKVS ||
-		p.q.Dist != 0 || p.distTag == "*" || len(p.eval.Stream()) == 0 {
+		p.q.Dist != 0 || p.distTag == "*" || len(p.eval.Stream()) == 0 ||
+		math.IsInf(kBound(p.ix, p.kors, p.distTag, nil), 1) {
 		return nil
 	}
 	var phrases []string
 	for _, kor := range p.kors {
-		if !algebra.KORScores(kor, p.distTag) {
-			continue
-		}
-		if w := kor.EffectiveWeight(); !(w >= 0 && w <= math.MaxFloat64) {
-			return nil
-		}
 		for _, ph := range kor.Phrases {
-			if !slices.Contains(phrases, ph) {
+			if algebra.KORScores(kor, p.distTag) && !slices.Contains(phrases, ph) {
 				phrases = append(phrases, ph)
 			}
 		}
@@ -86,24 +81,11 @@ func newTierSource(p *Plan, stop, vks *algebra.TopKPruneOp) *tierSource {
 			ts.sets = append(ts.sets, p.ix.WithValueSet(p.distTag, v.Attr, v.Const))
 		}
 	}
-	// Summed in KOROp's association order over scores at most the maxima,
-	// a bound is by monotone rounding never below a member's K. The class
-	// bit adds nothing to it.
+	// A tier's bound is kBound over its phrases; the class bit adds
+	// nothing to it.
 	ts.tiers = make([]tier, 0, 1<<len(ts.sets))
 	for held := range 1 << len(phrases) {
-		k := 0.0
-		for _, kor := range p.kors {
-			if !algebra.KORScores(kor, p.distTag) {
-				continue
-			}
-			w, total := kor.EffectiveWeight(), 0.0
-			for _, ph := range kor.Phrases {
-				if held&(1<<slices.Index(phrases, ph)) != 0 {
-					total += w * p.ix.MaxPhraseScore(kor.Tag, ph)
-				}
-			}
-			k += total
-		}
+		k := kBound(p.ix, p.kors, p.distTag, func(ph string) bool { return held&(1<<slices.Index(phrases, ph)) != 0 })
 		ts.tiers = append(ts.tiers, tier{uint32(held), k})
 		if ts.class != 0 {
 			ts.tiers = append(ts.tiers, tier{uint32(held) | ts.class, k})
@@ -119,14 +101,15 @@ func newTierSource(p *Plan, stop, vks *algebra.TopKPruneOp) *tierSource {
 }
 
 // nextTier is the source's Next: the next tier's candidates, or false
-// once the K-final prune's k answers beat the next tier's bound or a
-// join fails (ctx is done). A tier outside the class is skipped, before
-// its members are merged, once the prune behind vor holds k answers that
-// beat it on K, then V; an empty tier is skipped without a join.
+// once the K-final prune's k answers, or a fan-out's shared k-th, beat
+// the next tier's bound, or a join fails (ctx is done). A tier outside
+// the class is skipped, before its members are merged, once the prune
+// behind vor holds k answers that beat it on K, then V; an empty tier is
+// skipped without a join.
 func (ts *tierSource) nextTier() ([]xmldoc.NodeID, bool) {
 	for ts.next < len(ts.tiers) {
 		t := ts.tiers[ts.next]
-		if ts.stop.HoldsAbove(t.bound) {
+		if ts.stop.HoldsAbove(t.bound) || ts.p.opts.Shared.Threshold() > t.bound {
 			break
 		}
 		ts.next++

@@ -355,7 +355,7 @@ func TestForeignKORLeavesBoundsAlone(t *testing.T) {
 	q := workload.Fig5Query()
 	without := fig5Src(2, false)
 	with := strings.Replace(without, "rank K,V,S", "kor it priority 9: x.tag = item & y.tag = item & ftcontains(x, \"honour\") => x < y\nrank K,V,S", 1)
-	if it := profile.MustParseProfile(with).SortKORsByPriority()[2]; algebra.MaxKORScore(ix, it) == 0 {
+	if it := profile.MustParseProfile(with).SortKORsByPriority()[2]; algebra.MaxKORScore(ix, it, nil) == 0 {
 		t.Fatal("no item holds the item rule's phrase: the case would test nothing")
 	}
 	for _, strat := range []Strategy{Push, InterleaveNoSort} {

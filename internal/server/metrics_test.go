@@ -379,6 +379,34 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestSlowQueryLogFanout pins a fan-out's slow-log plan: with no helper
+// granted, the document holding "best bid" runs first, its k-th K beats
+// the other two documents' bound of 0, and they are skipped unbuilt.
+func TestSlowQueryLogFanout(t *testing.T) {
+	var lines []string
+	s := New(Config{
+		SlowQueryThreshold: time.Nanosecond,
+		SlowQueryLog:       func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
+	})
+	for name, desc := range map[string]string{"a": "good condition, best bid", "b": "good condition", "c": "good condition, NYC"} {
+		if err := s.AddXML(name, "<dealer><car><description>"+desc+"</description><price>900</price></car></dealer>"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for b := s.Pool().Budget(); b.TryAcquire(); {
+		defer b.Release()
+	}
+	if status, _, body := post(t, ts, "/search", SearchRequest{Doc: "*", Query: carsQuery, Profile: carsProfile, K: 1}); status != http.StatusOK {
+		t.Fatalf("fan-out: %d %s", status, body)
+	}
+	s.Close() // flush the logging goroutine
+	if len(lines) != 1 || !strings.Contains(lines[0], `plan="fan-out over 3 docs, 2 skipped by the shared k-th"`) {
+		t.Fatalf("slow-query log = %q, want one fan-out line with 2 of 3 documents skipped", lines)
+	}
+}
+
 // TestSlowLogClose pins the close semantics: Close is idempotent, the
 // logging goroutine exits (the stress suite's leak gate depends on
 // it), and a post-Close observe drops instead of panicking on the

@@ -581,7 +581,7 @@ func (s *Server) execute(ctx context.Context, snap *corpus.Snapshot, entry *corp
 				S: res.S, K: res.K, Snippet: res.Snippet,
 			})
 		}
-		elapsed, slow.Plan = resp.Elapsed, fmt.Sprintf("fan-out over %d docs", resp.DocsSearched)
+		elapsed, slow.Plan = resp.Elapsed, fmt.Sprintf("fan-out over %d docs, %d skipped by the shared k-th", resp.DocsSearched, resp.DocsSkipped)
 	} else {
 		eng := engine.FromParts(entry.Document(), entry.Index())
 		eng.UseAnalysisCache(s.analysis)
