@@ -148,7 +148,7 @@ func (m *Matcher) pathFromDist(distAnc []int, pn int) []step {
 
 func (m *Matcher) buildUnits() {
 	for pn, n := range m.q.Nodes {
-		effOpt := m.effectivelyOptional(pn)
+		effOpt := m.q.OnOptionalBranch(pn)
 		if pn != m.q.Dist {
 			m.units = append(m.units, Unit{
 				Kind: UnitExist, Node: pn,
@@ -196,17 +196,6 @@ func (m *Matcher) buildUnits() {
 		}
 	}
 	m.ft = append(m.ft, optFT...)
-}
-
-// effectivelyOptional reports whether pn sits on an optional branch
-// (itself or any pattern ancestor marked optional).
-func (m *Matcher) effectivelyOptional(pn int) bool {
-	for n := pn; n != -1; n = m.q.Nodes[n].Parent {
-		if m.q.Nodes[n].Optional {
-			return true
-		}
-	}
-	return false
 }
 
 // Units returns the query's semijoin units. Callers must not modify the

@@ -498,7 +498,7 @@ func vetOrderingTags(p *profile.Profile, flock []*tpq.Query) []Diagnostic {
 // minimal contradictory witness, and whether one was found.
 func unsatQueryConstraints(q *tpq.Query, requiredOnly bool) (node int, witness []string, found bool) {
 	for ni := range q.Nodes {
-		if requiredOnly && optionalSubtree(q, ni) {
+		if requiredOnly && q.OnOptionalBranch(ni) {
 			continue
 		}
 		var cs []Constraint
@@ -524,18 +524,6 @@ func unsatQueryConstraints(q *tpq.Query, requiredOnly bool) (node int, witness [
 		return ni, display, true
 	}
 	return 0, nil, false
-}
-
-// optionalSubtree reports whether node ni or one of its ancestors is an
-// optional (outer-joined) branch.
-func optionalSubtree(q *tpq.Query, ni int) bool {
-	for ni >= 0 {
-		if q.Nodes[ni].Optional {
-			return true
-		}
-		ni = q.Nodes[ni].Parent
-	}
-	return false
 }
 
 // contradictionWitness extracts a minimal contradictory witness from an

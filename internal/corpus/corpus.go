@@ -12,6 +12,10 @@
 // documents run best K bound first (plan.KBound), and one whose bound the
 // threshold beats is skipped before its plan is built.
 //
+// Snapshot.SearchContext is the one served fan-out. The consistent-hash
+// shard ring (shard.go) is a scatter over the same per-document drain,
+// kept only for the benchmark row that measures it.
+//
 // The corpus is *live*: documents can be added, replaced and deleted
 // while searches are in flight. All reads go through an immutable
 // copy-on-write Snapshot behind one atomic pointer — a search loads the
@@ -41,6 +45,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -337,154 +342,104 @@ func (c *Corpus) SearchContext(ctx context.Context, q *tpq.Query, prof *profile.
 // SearchContext evaluates the query against exactly this snapshot's
 // documents — mutations committed after the snapshot was taken are
 // invisible, so a search admitted before a swap completes against the
-// old, internally consistent view (no torn reads). It is the unsharded
-// case of SearchSharded: one unit of work per document, no deadline
-// carve, never degraded.
+// old, internally consistent view (no torn reads). It is the corpus's
+// one served fan-out: validate and personalize once, rank every
+// document, materialize the merged top k.
 func (s *Snapshot) SearchContext(ctx context.Context, q *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy) (*Response, error) {
-	resp, err := s.SearchSharded(ctx, q, prof, k, strat, ShardOptions{})
+	start := time.Now()
+	k, encoded, applied, err := s.personalize(ctx, q, prof, k)
 	if err != nil {
 		return nil, err
 	}
-	return &resp.Response, nil
+	m := newMerge(prof)
+	hits, skipped, err := s.rank(ctx, encoded, prof, k, strat, s.names, m)
+	if err != nil {
+		return nil, err
+	}
+	resp := s.materialize(hits, applied, len(s.names), time.Since(start))
+	resp.DocsSkipped = skipped
+	return resp, nil
 }
 
-// unit is one schedulable piece of a fan-out: the documents one
-// goroutine evaluates back to back. The unsharded fan-out's units are
-// single documents; the sharded one's are the ring shards.
-type unit struct {
-	id    int // reported in TimedOutShards when the unit is dropped
-	names []string
-	bound float64 // an unsharded unit's plan.KBound; unset when sharded
+// personalize validates the request and runs the query through the
+// Section 5 gate and flock encoding once for every document.
+func (s *Snapshot) personalize(ctx context.Context, q *tpq.Query, prof *profile.Profile, k int) (int, *tpq.Query, []string, error) {
+	k, err := (&engine.Request{Query: q, K: k}).Validate()
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	encoded, applied, err := engine.Personalize(ctx, s.c.ac, prof, q)
+	return k, encoded, applied, err
 }
 
 // planRan, when non-nil, sees each fan-out plan after it ran and before
 // its release: the seam TestFanoutWorkPinned counts the work through.
 var planRan func(*plan.Plan)
 
-// fanOut is the one budgeted drain behind every corpus search. It
-// evaluates the query against each unit's documents — per-document
-// plans run strictly sequentially (Parallelism 1): the fan-out itself
-// is the parallelism — and merges the units' local top-k lists into
-// the global top k.
-//
-// carve > 0 grants each unit that fraction of the request's remaining
-// deadline (shardContext); a unit that exhausts its carve while the
-// request is still alive is dropped from the merge and reported in
-// TimedOutShards. With carve == 0 a unit runs under ctx itself, so it
-// can only time out together with the request, and a dead request
-// returns ctx's error — never a partial merge. unitStart, when non-nil,
-// runs at the start of each unit (ShardOptions.ShardStart).
-func (s *Snapshot) fanOut(ctx context.Context, q *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy, units []unit, carve float64, unitStart func(id int)) (*ShardedResponse, error) {
-	k, err := (&engine.Request{Query: q, K: k}).Validate()
-	if err != nil {
-		return nil, err
+// rank runs the encoded query over the named documents, one budgeted
+// drain unit each (a plan runs sequentially: the fan-out is the
+// parallelism), and returns their merged top k and how many it skipped
+// under their shared k-th threshold. A dead ctx returns its error, never
+// a partial merge.
+func (s *Snapshot) rank(ctx context.Context, encoded *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy, names []string, m merge) ([]docHit, int, error) {
+	type doc struct {
+		name  string
+		bound float64
+		hits  []docHit
+		skip  bool
+		err   error
 	}
-	start := time.Now()
-
-	encoded, applied, err := engine.Personalize(ctx, s.c.ac, prof, q)
-	if err != nil {
-		return nil, err
+	docs := make([]doc, len(names))
+	for i, name := range names {
+		docs[i] = doc{name: name, bound: plan.KBound(s.entries[name].idx, encoded, prof)}
 	}
-
-	// Unsharded, the documents share a k-th threshold (package comment).
-	// Shards share none: one could publish, time out, and leave its
-	// witnesses out of the merge while its bound pruned other shards.
-	var shared *algebra.SharedBound
-	if carve == 0 {
-		shared = algebra.NewSharedBound()
-		for j := range units {
-			units[j].bound = plan.KBound(s.entries[units[j].names[0]].idx, encoded, prof)
-		}
-		slices.SortStableFunc(units, func(a, b unit) int { return cmp.Compare(b.bound, a.bound) })
-	}
-
-	type unitResult struct {
-		hits     []docHit
-		skipped  int
-		timedOut bool
-		err      error
-	}
-	results := make([]unitResult, len(units))
-	plan.Drain(s.c.budget, len(units), func(j int) {
+	slices.SortStableFunc(docs, func(a, b doc) int { return cmp.Compare(b.bound, a.bound) })
+	shared := algebra.NewSharedBound()
+	plan.Drain(s.c.budget, len(docs), func(j int) {
+		d := &docs[j]
 		if algebra.ContextErr(ctx) != nil {
-			return // fan-out aborted before this unit's turn
+			return // fan-out aborted before this document's turn
 		}
-		u, res, uctx := units[j], &results[j], ctx
-		if carve > 0 {
-			var cancel context.CancelFunc
-			uctx, cancel = shardContext(ctx, carve)
-			defer cancel()
-		}
-		if unitStart != nil {
-			unitStart(u.id)
-		}
-		for _, name := range u.names {
-			if algebra.ContextErr(uctx) != nil {
-				break
-			}
-			if shared.Threshold() > u.bound {
-				res.skipped++
-				continue
-			}
-			p, err := plan.BuildWith(s.entries[name].idx, encoded, prof, k,
-				plan.Options{Strategy: strat, Parallelism: 1, Shared: shared})
-			if err != nil {
-				res.err = fmt.Errorf("corpus: %s: %w", name, err)
-				return
-			}
-			answers, err := p.ExecuteContext(uctx)
-			if planRan != nil {
-				planRan(p)
-			}
-			p.Release()
-			if err != nil {
-				break // uctx expired mid-plan; classified below
-			}
-			for _, a := range answers {
-				res.hits = append(res.hits, docHit{doc: name, a: a})
-			}
-		}
-		if algebra.ContextErr(uctx) != nil {
-			// Whether the request died too is decided once, after the
-			// drain; if it did not, only this unit is dropped.
-			res.hits, res.timedOut = nil, true
+		if shared.Threshold() > d.bound {
+			d.skip = true
 			return
 		}
-		if len(res.hits) > k {
-			// Local top k under the global comparator: anything ranked
-			// below a unit's own kth answer cannot appear in the merged
-			// top k.
-			res.hits = rankHits(res.hits, prof, k)
+		p, err := plan.BuildWith(s.entries[d.name].idx, encoded, prof, k,
+			plan.Options{Strategy: strat, Parallelism: 1, Shared: shared})
+		if err != nil {
+			d.err = fmt.Errorf("corpus: %s: %w", d.name, err)
+			return
+		}
+		answers, err := p.ExecuteContext(ctx)
+		if planRan != nil {
+			planRan(p)
+		}
+		p.Release()
+		if err != nil {
+			return // ctx died mid-plan; reported after the drain
+		}
+		for _, a := range answers {
+			d.hits = append(d.hits, docHit{doc: d.name, a: a})
 		}
 	})
 
 	if err := algebra.ContextErr(ctx); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var (
-		all           []docHit
-		timedOut      []int
-		docs, skipped int
+		all     []docHit
+		skipped int
 	)
-	for j, r := range results {
-		switch {
-		case r.err != nil:
-			return nil, r.err
-		case r.timedOut:
-			timedOut = append(timedOut, units[j].id)
-		default:
-			all = append(all, r.hits...)
-			docs += len(units[j].names)
-			skipped += r.skipped
+	for _, d := range docs {
+		if d.err != nil {
+			return nil, 0, d.err
 		}
+		if d.skip {
+			skipped++
+		}
+		all = append(all, d.hits...)
 	}
-	resp := s.materialize(rankHits(all, prof, k), applied, docs, time.Since(start))
-	resp.DocsSkipped = skipped
-	return &ShardedResponse{
-		Response:       *resp,
-		Degraded:       len(timedOut) > 0,
-		TimedOutShards: timedOut,
-	}, nil
+	return m.top(all, k), skipped, nil
 }
 
 // docHit is one pre-merge answer: an algebra answer tagged with the
@@ -494,23 +449,29 @@ type docHit struct {
 	a   algebra.Answer
 }
 
-// rankHits sorts hits under the profile's total rank order — rank,
-// then document name, then node, so the order is deterministic — and
-// truncates to the top k. The final merge and every unit's local top k
-// go through this one comparator; the sharded/unsharded
-// byte-equivalence depends on them agreeing.
-func rankHits(hits []docHit, prof *profile.Profile, k int) []docHit {
-	ranker := algebra.NewRanker(prof)
-	mode := algebra.ModeForProfile(prof)
-	sort.SliceStable(hits, func(i, j int) bool {
-		cmp := ranker.Compare(&hits[i].a, &hits[j].a, mode)
-		if cmp != 0 {
-			return cmp > 0
+// merge is the fan-out's one comparator, built once per search: the
+// profile's rank order, then document name, then node. No two hits
+// share a document and a node, so the order is total and the merged top
+// k is the same whatever order the hits arrive in.
+type merge struct {
+	ranker *algebra.Ranker
+	mode   algebra.Mode
+}
+
+func newMerge(prof *profile.Profile) merge {
+	return merge{algebra.NewRanker(prof), algebra.ModeForProfile(prof)}
+}
+
+// top sorts hits under the order and truncates them to the top k.
+func (m merge) top(hits []docHit, k int) []docHit {
+	slices.SortFunc(hits, func(a, b docHit) int {
+		if c := m.ranker.Compare(&a.a, &b.a, m.mode); c != 0 {
+			return -c
 		}
-		if hits[i].doc != hits[j].doc {
-			return hits[i].doc < hits[j].doc
+		if c := strings.Compare(a.doc, b.doc); c != 0 {
+			return c
 		}
-		return hits[i].a.Node < hits[j].a.Node
+		return cmp.Compare(a.a.Node, b.a.Node)
 	})
 	if len(hits) > k {
 		hits = hits[:k]

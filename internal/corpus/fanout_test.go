@@ -80,12 +80,17 @@ var fanoutCorpora = sync.OnceValue(func() []*Corpus {
 	return out
 })
 
+// fanoutShards are the shard counts the differential runs: 0 is the
+// served fan-out.
+var fanoutShards = []int{0, 2, 3, 4}
+
 // fanoutCase is one fan-out of the differential: ndocs 1–9, a query, a
-// profile (fanoutProfiles index), k, a strategy and the helpers granted.
+// profile (fanoutProfiles index), k, a strategy, the helpers granted and
+// the shards (SearchSharded without a deadline; below 2, SearchContext).
 type fanoutCase struct {
 	ndocs, query, prof, k int
 	strat                 plan.Strategy
-	helpers               int
+	helpers, shards       int
 }
 
 // checkFanout runs c against the oracle and fails unless the responses
@@ -101,10 +106,14 @@ func checkFanout(t *testing.T, c fanoutCase) int {
 		prof = profile.MustParseProfile(src)
 	}
 	snap := corp.Snapshot()
-	got, err := snap.SearchContext(context.Background(), q, prof, c.k, c.strat)
+	sharded, err := snap.SearchSharded(context.Background(), q, prof, c.k, c.strat, ShardOptions{Shards: c.shards})
 	if err != nil {
 		t.Fatalf("%+v: %v", c, err)
 	}
+	if sharded.Degraded {
+		t.Fatalf("%+v: degraded without a deadline: %v", c, sharded.TimedOutShards)
+	}
+	got := &sharded.Response
 	units := make([]unit, len(snap.names))
 	for i := range snap.names {
 		units[i] = unit{id: i, names: snap.names[i : i+1]}
@@ -123,9 +132,10 @@ func checkFanout(t *testing.T, c fanoutCase) int {
 	return got.DocsSkipped
 }
 
-// TestFanoutMatchesOracle holds the shared-threshold fan-out to the
-// per-document one it replaced, over a seeded sample of corpora, rank
-// modes, k from 1 to past every match and 0, 1 or 3 helpers.
+// TestFanoutMatchesOracle holds the shared-threshold fan-out, served and
+// sharded, to the per-document one it replaced, over a seeded sample of
+// corpora, rank modes, k from 1 to past every match, 0, 1 or 3 helpers
+// and 0, 2, 3 or 4 shards.
 func TestFanoutMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	ks := []int{1, 2, 3, 5, 8, 13, 40, 1000}
@@ -135,6 +145,7 @@ func TestFanoutMatchesOracle(t *testing.T) {
 		skipped += checkFanout(t, fanoutCase{
 			ndocs: 1 + r.Intn(9), query: r.Intn(len(fanoutQueries)), prof: r.Intn(len(fanoutProfiles)),
 			k: ks[r.Intn(len(ks))], strat: strats[r.Intn(len(strats))], helpers: []int{0, 1, 3}[r.Intn(3)],
+			shards: fanoutShards[r.Intn(len(fanoutShards))],
 		})
 	}
 	if skipped == 0 {
@@ -143,14 +154,15 @@ func TestFanoutMatchesOracle(t *testing.T) {
 }
 
 func FuzzFanoutMatchesOracle(f *testing.F) {
-	f.Add(uint8(8), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0))
-	f.Add(uint8(9), uint8(1), uint8(2), uint8(10), uint8(0), uint8(3))
-	f.Add(uint8(5), uint8(3), uint8(6), uint8(1), uint8(2), uint8(1))
-	f.Add(uint8(2), uint8(2), uint8(7), uint8(200), uint8(4), uint8(0))
-	f.Fuzz(func(t *testing.T, ndocs, query, prof, k, strat, helpers uint8) {
+	f.Add(uint8(8), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(9), uint8(1), uint8(2), uint8(10), uint8(0), uint8(3), uint8(1))
+	f.Add(uint8(5), uint8(3), uint8(6), uint8(1), uint8(2), uint8(1), uint8(2))
+	f.Add(uint8(2), uint8(2), uint8(7), uint8(200), uint8(4), uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, ndocs, query, prof, k, strat, helpers, shards uint8) {
 		checkFanout(t, fanoutCase{
 			ndocs: 1 + int(ndocs)%9, query: int(query) % len(fanoutQueries), prof: int(prof) % len(fanoutProfiles),
 			k: 1 + int(k), strat: plan.Strategies[int(strat)%len(plan.Strategies)], helpers: []int{0, 1, 3}[int(helpers)%3],
+			shards: fanoutShards[int(shards)%len(fanoutShards)],
 		})
 	})
 }
@@ -175,6 +187,13 @@ func TestFanoutWorkPinned(t *testing.T) {
 		got.chainIn += st[0].Out
 	}
 	defer func() { planRan = nil }()
+	pin := func(c fanoutCase, want fanoutWork) {
+		got = fanoutWork{}
+		got.skipped = checkFanout(t, c)
+		if got != want {
+			t.Errorf("query %d profile %d k %d shards %d: work %+v, want %+v", c.query, c.prof, c.k, c.shards, got, want)
+		}
+	}
 	for _, c := range []struct {
 		query, prof, k int
 		want           fanoutWork
@@ -187,10 +206,10 @@ func TestFanoutWorkPinned(t *testing.T) {
 		{0, 3, 10, fanoutWork{9, 0, 0, 131}},
 		{0, 5, 10, fanoutWork{9, 0, 0, 131}},
 	} {
-		got = fanoutWork{}
-		got.skipped = checkFanout(t, fanoutCase{ndocs: 9, query: c.query, prof: c.prof, k: c.k, strat: plan.Push})
-		if got != c.want {
-			t.Errorf("query %d profile %d k %d: work %+v, want %+v", c.query, c.prof, c.k, got, c.want)
-		}
+		pin(fanoutCase{ndocs: 9, query: c.query, prof: c.prof, k: c.k, strat: plan.Push}, c.want)
 	}
+	// Two shards, d5-copy alone in one: each shard shares a threshold
+	// with its own documents only, so the eight-document shard skips
+	// three and d5-copy runs (the served fan-out's row above skips four).
+	pin(fanoutCase{ndocs: 9, query: 3, prof: 0, k: 5, strat: plan.Push, shards: 2}, fanoutWork{6, 3, 28, 37})
 }

@@ -21,6 +21,14 @@ import (
 	"repro/internal/tpq"
 )
 
+// unit is one schedulable piece of a fan-out: the documents one
+// goroutine evaluates back to back. The unsharded fan-out's units are
+// single documents; the sharded one's are the ring shards.
+type unit struct {
+	id    int // reported in TimedOutShards when the unit is dropped
+	names []string
+}
+
 // oracleFanOut is the one budgeted drain behind every corpus search. It
 // evaluates the query against each unit's documents — per-document
 // plans run strictly sequentially (Parallelism 1): the fan-out itself

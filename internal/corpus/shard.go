@@ -1,14 +1,15 @@
 // Sharded scatter-gather fan-out: the corpus snapshot partitioned by
-// consistent hashing over document names, searched shard-by-shard with
-// per-shard deadline budgets carved from the request deadline.
+// consistent hashing over document names, each shard searched by the
+// served per-document drain (rank) under a deadline budget carved from
+// the request's. A shard shares its k-th threshold only with its own
+// documents, so its witnesses leave or stay in the merge together with
+// every answer its bound pruned.
 //
-// The merge is exact: each shard returns its local top k under the
-// profile's total rank order (rank, then document name, then node — the
-// same comparator the unsharded path sorts with), and any answer
-// outside its shard's top k is dominated by k answers from that same
-// shard, so merging the per-shard lists and truncating to k reproduces
-// the global top k byte-for-byte. TestSearchShardedMatchesUnsharded
-// pins this equivalence.
+// The merge is exact: each shard returns its local top k under the one
+// total rank order (merge), and any answer outside it is dominated by k
+// answers from the same shard, so merging the per-shard lists and
+// truncating to k reproduces the global top k byte-for-byte
+// (TestFanoutMatchesOracle).
 //
 // Degradation is the one divergence: a shard that exhausts its carved
 // deadline while the request as a whole is still alive is dropped from
@@ -27,6 +28,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/plan"
 	"repro/internal/profile"
 	"repro/internal/tpq"
@@ -96,18 +98,14 @@ func ShardNames(names []string, n int) [][]string {
 // ShardOptions tunes SearchSharded.
 type ShardOptions struct {
 	// Shards is the number of consistent-hash partitions; below 2 the
-	// fan-out is unsharded (SearchContext): its unit of work is one
-	// document, no deadline is carved and nothing degrades.
+	// fan-out is unsharded (SearchContext): no deadline is carved and
+	// nothing degrades.
 	Shards int
 	// DeadlineFrac is the fraction of the request's *remaining* deadline
 	// granted to each shard (0 means defaultDeadlineFrac). With no
 	// request deadline, shards are unbounded and the fan-out never
 	// degrades.
 	DeadlineFrac float64
-	// ShardStart, when non-nil, runs at the start of each shard's work,
-	// after its deadline is carved — a test seam for simulating a slow
-	// shard. Production callers leave it nil.
-	ShardStart func(shard int)
 }
 
 // ShardedResponse is a scatter-gather outcome: the merged Response
@@ -139,33 +137,96 @@ func shardContext(ctx context.Context, frac float64) (context.Context, context.C
 	return context.WithDeadline(ctx, time.Now().Add(budget))
 }
 
+// shardStart, when non-nil, runs at the start of each shard's work,
+// after its deadline is carved: the seam TestSearchShardedDegrades
+// slows a shard through.
+var shardStart func(shard int)
+
 // SearchSharded evaluates the query against this snapshot as a
-// scatter-gather over consistent-hash shards: the shards are the units
-// of the snapshot's one fan-out drain (fanOut), so shard workers draw
-// from the corpus's shared budget (SetBudget) and shards × per-plan
-// workers can never oversubscribe the machine. With no request deadline
-// the result is always complete; with one, shards that exhaust their
-// carved budget are dropped and reported (Degraded/TimedOutShards) as
-// long as the request itself is still alive — a dead request returns
-// its error, never a partial merge. Below two shards it is the plain
-// per-document fan-out.
+// scatter-gather over consistent-hash shards. The shards are the units
+// of one budgeted drain, and each shard's documents the units of its
+// own (rank); both draw helpers from the corpus's budget (SetBudget),
+// so a search runs at most one goroutine per document. With no request
+// deadline the result is always complete;
+// with one, shards that exhaust their carved budget are dropped and
+// reported (Degraded/TimedOutShards) as long as the request itself is
+// still alive — a dead request returns its error, never a partial
+// merge. Below two shards it is SearchContext.
 func (s *Snapshot) SearchSharded(ctx context.Context, q *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy, opts ShardOptions) (*ShardedResponse, error) {
 	if opts.Shards < 2 {
-		units := make([]unit, len(s.names))
-		for i := range s.names {
-			units[i] = unit{id: i, names: s.names[i : i+1]}
+		resp, err := s.SearchContext(ctx, q, prof, k, strat)
+		if err != nil {
+			return nil, err
 		}
-		return s.fanOut(ctx, q, prof, k, strat, units, 0, nil)
+		return &ShardedResponse{Response: *resp}, nil
+	}
+	start := time.Now()
+	k, encoded, applied, err := s.personalize(ctx, q, prof, k)
+	if err != nil {
+		return nil, err
 	}
 	frac := opts.DeadlineFrac
 	if frac <= 0 || frac > 1 {
 		frac = defaultDeadlineFrac
 	}
-	var units []unit
+	type shard struct {
+		id       int
+		names    []string
+		hits     []docHit
+		skipped  int
+		timedOut bool
+		err      error
+	}
+	var shards []shard
 	for i, names := range ShardNames(s.names, opts.Shards) {
 		if len(names) > 0 {
-			units = append(units, unit{id: i, names: names})
+			shards = append(shards, shard{id: i, names: names})
 		}
 	}
-	return s.fanOut(ctx, q, prof, k, strat, units, frac, opts.ShardStart)
+	m := newMerge(prof)
+	plan.Drain(s.c.budget, len(shards), func(j int) {
+		if algebra.ContextErr(ctx) != nil {
+			return // fan-out aborted before this shard's turn
+		}
+		sh := &shards[j]
+		sctx, cancel := shardContext(ctx, frac)
+		defer cancel()
+		if shardStart != nil {
+			shardStart(sh.id)
+		}
+		sh.hits, sh.skipped, sh.err = s.rank(sctx, encoded, prof, k, strat, sh.names, m)
+		if sh.err != nil && algebra.ContextErr(sctx) != nil {
+			// Whether the request died too is decided once, after the
+			// drain; if it did not, only this shard is dropped.
+			sh.timedOut, sh.err = true, nil
+		}
+	})
+
+	if err := algebra.ContextErr(ctx); err != nil {
+		return nil, err
+	}
+	var (
+		all           []docHit
+		timedOut      []int
+		docs, skipped int
+	)
+	for _, sh := range shards {
+		switch {
+		case sh.err != nil:
+			return nil, sh.err
+		case sh.timedOut:
+			timedOut = append(timedOut, sh.id)
+		default:
+			all = append(all, sh.hits...)
+			docs += len(sh.names)
+			skipped += sh.skipped
+		}
+	}
+	resp := s.materialize(m.top(all, k), applied, docs, time.Since(start))
+	resp.DocsSkipped = skipped
+	return &ShardedResponse{
+		Response:       *resp,
+		Degraded:       len(timedOut) > 0,
+		TimedOutShards: timedOut,
+	}, nil
 }

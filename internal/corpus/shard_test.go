@@ -254,16 +254,17 @@ rank K,V,S
 		t.Fatal("no non-empty shard to slow down")
 	}
 
+	shardStart = func(shard int) {
+		if shard == slow {
+			time.Sleep(250 * time.Millisecond)
+		}
+	}
+	defer func() { shardStart = nil }()
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
 	got, err := snap.SearchSharded(ctx, q, prof, 3, plan.Push, ShardOptions{
 		Shards:       n,
 		DeadlineFrac: 0.2, // shard budget ≈100ms, well under the sleep
-		ShardStart: func(shard int) {
-			if shard == slow {
-				time.Sleep(250 * time.Millisecond)
-			}
-		},
 	})
 	if err != nil {
 		t.Fatalf("degraded search failed outright: %v", err)

@@ -219,12 +219,13 @@ func (e *Engine) SearchContext(ctx context.Context, req Request) (*Response, err
 	}
 
 	endRank := tr.Start("rank")
+	stats := p.Stats()
 	resp := &Response{
 		EncodedQuery: q,
 		AppliedSRs:   applied,
-		PlanShape:    p.String(),
-		Stats:        p.Stats(),
-		TotalPruned:  p.TotalPruned(),
+		PlanShape:    plan.Shape(stats),
+		Stats:        stats,
+		TotalPruned:  plan.Pruned(stats),
 		Workers:      p.Workers(),
 		Parallelism:  p.Parallelism(),
 		Access:       p.Access(),

@@ -12,11 +12,8 @@ import "math"
 // df = number of same-tag elements containing the phrase, n = number of
 // same-tag elements.
 type Scorer interface {
-	// Score must return 0 when tf == 0 and a value in (0, Bound] otherwise.
+	// Score must return 0 when tf == 0 and a value in (0, 1] otherwise.
 	Score(tf, df, n int) float64
-	// Bound is the static upper bound of Score, used when no per-list
-	// maximum is available.
-	Bound() float64
 	// Name identifies the scorer in plan diagnostics.
 	Name() string
 }
@@ -36,8 +33,7 @@ func (TFIDFScorer) Score(tf, df, n int) float64 {
 	return float64(tf) / float64(tf+1) * idf
 }
 
-func (TFIDFScorer) Bound() float64 { return 1 }
-func (TFIDFScorer) Name() string   { return "tfidf" }
+func (TFIDFScorer) Name() string { return "tfidf" }
 
 // BM25Scorer is a length-free BM25 variant:
 // score = idf · tf·(k1+1)/(tf+k1), normalized into (0, 1].
@@ -74,7 +70,6 @@ func (s BM25Scorer) Score(tf, df, n int) float64 {
 	return idf * sat / (k1 + 1)
 }
 
-func (BM25Scorer) Bound() float64 { return 1 }
 func (s BM25Scorer) Name() string { return "bm25" }
 
 // BooleanScorer scores 1 for any match — pure boolean retrieval.
@@ -87,8 +82,7 @@ func (BooleanScorer) Score(tf, df, n int) float64 {
 	return 1
 }
 
-func (BooleanScorer) Bound() float64 { return 1 }
-func (BooleanScorer) Name() string   { return "boolean" }
+func (BooleanScorer) Name() string { return "boolean" }
 
 // SetScorer replaces the index's relevance function. It must be called
 // before the index serves queries (scores and bounds are cached); it

@@ -23,9 +23,9 @@ func TestScorerContracts(t *testing.T) {
 			df := r.Intn(n + 1)
 			tf := 1 + r.Intn(20)
 			got := sc.Score(tf, df, n)
-			if got <= 0 || got > sc.Bound()+1e-12 {
-				t.Fatalf("%s: Score(%d,%d,%d) = %v out of (0, %v]",
-					sc.Name(), tf, df, n, got, sc.Bound())
+			if got <= 0 || got > 1+1e-12 {
+				t.Fatalf("%s: Score(%d,%d,%d) = %v out of (0, 1]",
+					sc.Name(), tf, df, n, got)
 			}
 		}
 	}

@@ -74,10 +74,9 @@ func (o Options) resolveAccess(ix *index.Index, q *tpq.Query) AccessPath {
 	if o.AccessPath == AccessTwigJoin {
 		return AccessTwigJoin
 	}
-	required := requiredSkeleton(q)
 	skeleton, streamed := 0, 0
 	for i := range q.Nodes {
-		if required[i] {
+		if !q.OnOptionalBranch(i) {
 			skeleton++
 			streamed += ix.TagCount(q.Nodes[i].Tag)
 		}
@@ -87,20 +86,4 @@ func (o Options) resolveAccess(ix *index.Index, q *tpq.Query) AccessPath {
 		return AccessTwigJoin
 	}
 	return AccessScan
-}
-
-// requiredSkeleton flags pattern nodes outside optional branches.
-func requiredSkeleton(q *tpq.Query) []bool {
-	required := make([]bool, len(q.Nodes))
-	for i := range q.Nodes {
-		opt := false
-		for a := i; a != -1; a = q.Nodes[a].Parent {
-			if q.Nodes[a].Optional {
-				opt = true
-				break
-			}
-		}
-		required[i] = !opt
-	}
-	return required
 }

@@ -592,9 +592,13 @@ func (p *Plan) chainStats() []algebra.OpStats {
 // structurally what the scan's RequiredOp drops, so an untiered plan
 // prunes the same on each path. A tiered plan drops only what its
 // visited tiers feed, a subset of what it drops on the scan path.
-func (p *Plan) TotalPruned() int {
+func (p *Plan) TotalPruned() int { return Pruned(p.chainStats()) }
+
+// Pruned sums the topkPrune drops in stats (a Stats or chain slice: the
+// join's entry is no prune).
+func Pruned(stats []algebra.OpStats) int {
 	t := 0
-	for _, s := range p.chainStats() {
+	for _, s := range stats {
 		if s.Kind() == "topkPrune" {
 			t += s.Pruned
 		}
@@ -607,7 +611,12 @@ func (p *Plan) String() string {
 	// Go through Stats(): after a parallel execution the sequential chain
 	// was never opened (its operator names are empty), but the merged
 	// worker stats carry the names.
-	stats := p.Stats()
+	return Shape(p.Stats())
+}
+
+// Shape renders a plan's Stats as its shape: the operator names, source
+// first, joined by arrows.
+func Shape(stats []algebra.OpStats) string {
 	names := make([]string, len(stats))
 	for i, st := range stats {
 		names[i] = st.Name

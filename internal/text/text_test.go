@@ -146,43 +146,6 @@ func TestStemShortAndNonAlpha(t *testing.T) {
 	}
 }
 
-func TestContainsPhrase(t *testing.T) {
-	p := DefaultPipeline
-	txt := "It is in good condition as I was the only driver. I used it in NYC."
-	cases := []struct {
-		phrase string
-		want   bool
-	}{
-		{"good condition", true},
-		{"Good Condition", true}, // case folding
-		{"condition good", false},
-		{"only driver", true},
-		{"nyc", true},
-		{"low mileage", false},
-		{"", false},
-	}
-	for _, c := range cases {
-		if got := p.ContainsPhrase(txt, c.phrase); got != c.want {
-			t.Errorf("ContainsPhrase(%q) = %v, want %v", c.phrase, got, c.want)
-		}
-	}
-}
-
-func TestContainsPhraseStemming(t *testing.T) {
-	p := Pipeline{Stem: true}
-	if !p.ContainsPhrase("mining associations in databases", "association mining") == false {
-		// "association mining" is not contiguous in that order; sanity only.
-		t.Log("order matters for phrases")
-	}
-	if !p.ContainsPhrase("we studied data mining extensively", "data mine") {
-		t.Errorf("stemming should match mining ~ mine")
-	}
-	np := Pipeline{Stem: false}
-	if np.ContainsPhrase("we studied data mining extensively", "data mine") {
-		t.Errorf("without stemming, mine != mining")
-	}
-}
-
 // TestPropertyStemIdempotentOnOutput: stemming twice equals stemming once
 // for typical English word shapes. (True Porter is not idempotent on all
 // strings; we check on realistic inputs used by the system.)
@@ -195,28 +158,6 @@ func TestPropertyTokenizeStable(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPropertyPhraseSelfContainment: any window of a text's tokens is a
-// phrase that ContainsPhrase finds in that text.
-func TestPropertyPhraseSelfContainment(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	words := []string{"car", "red", "mileage", "power", "best", "bid",
-		"good", "condition", "seller", "auction", "price"}
-	for iter := 0; iter < 300; iter++ {
-		n := 1 + r.Intn(12)
-		toks := make([]string, n)
-		for i := range toks {
-			toks[i] = words[r.Intn(len(words))]
-		}
-		txt := strings.Join(toks, " ")
-		lo := r.Intn(n)
-		hi := lo + 1 + r.Intn(n-lo)
-		phrase := strings.Join(toks[lo:hi], " ")
-		if !DefaultPipeline.ContainsPhrase(txt, phrase) {
-			t.Fatalf("text %q must contain its own window %q", txt, phrase)
-		}
 	}
 }
 

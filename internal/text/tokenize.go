@@ -114,32 +114,6 @@ func (p Pipeline) NormalizePhrase(phrase string) []string {
 	return p.Terms(phrase)
 }
 
-// ContainsPhrase reports whether the normalized tokens of text contain the
-// normalized phrase as a contiguous subsequence. This is the naive
-// reference used in tests and on small documents; the index package
-// provides the fast path.
-func (p Pipeline) ContainsPhrase(text, phrase string) bool {
-	ph := p.NormalizePhrase(phrase)
-	if len(ph) == 0 {
-		return false
-	}
-	toks := p.Terms(text)
-	return containsSubsequence(toks, ph)
-}
-
-func containsSubsequence(hay, needle []string) bool {
-outer:
-	for i := 0; i+len(needle) <= len(hay); i++ {
-		for j, n := range needle {
-			if hay[i+j] != n {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}
-
 func isTokenRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }

@@ -68,7 +68,7 @@ func embed(p, q *Query, anchor map[int]func(int) bool) ([]int, bool) {
 	all := p.Descendants(0) // preorder: parents before children
 	order := all[:0]
 	for _, n := range all {
-		if !effectivelyOptional(p, n) {
+		if !p.OnOptionalBranch(n) {
 			order = append(order, n)
 		}
 	}
@@ -149,17 +149,6 @@ func anchorCheck(anchor map[int]func(int) bool, pn, qn int) (ok, present bool) {
 		return true, false
 	}
 	return f(qn), true
-}
-
-// effectivelyOptional reports whether pattern node n or any ancestor is
-// marked optional.
-func effectivelyOptional(q *Query, n int) bool {
-	for ; n != -1; n = q.Nodes[n].Parent {
-		if q.Nodes[n].Optional {
-			return true
-		}
-	}
-	return false
 }
 
 // isPatternDescendant reports whether d is a proper descendant of a in the

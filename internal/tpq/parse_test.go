@@ -278,3 +278,32 @@ func TestPhrasesAndPredCount(t *testing.T) {
 		t.Fatalf("predicate count = %d", preds)
 	}
 }
+
+// TestOnOptionalBranch: a node is on an optional branch when it or any
+// ancestor is optional, never because of a descendant or a sibling.
+func TestOnOptionalBranch(t *testing.T) {
+	q := NewQuery("car", Descendant)
+	owner := q.AddChild(0, "owner", Child)
+	name := q.AddChild(owner, "name", Child)
+	price := q.AddChild(0, "price", Child)
+	currency := q.AddChild(price, "currency", Child)
+	q.Nodes[owner].Optional = true
+	q.Nodes[currency].Optional = true
+	for _, c := range []struct {
+		node int
+		want bool
+	}{
+		{0, false},       // the root, above two optional branches
+		{owner, true},    // optional itself
+		{name, true},     // below an optional ancestor
+		{price, false},   // its child is optional, it is not
+		{currency, true}, // an optional leaf
+	} {
+		if got := q.OnOptionalBranch(c.node); got != c.want {
+			t.Errorf("node %d (%s): OnOptionalBranch = %v, want %v", c.node, q.Nodes[c.node].Tag, got, c.want)
+		}
+	}
+	if p := MustParse(`//car[./owner[./name]?]`); !p.OnOptionalBranch(p.FindByTag("name")[0]) || p.OnOptionalBranch(0) {
+		t.Errorf("parsed optional branch misread: %s", p)
+	}
+}

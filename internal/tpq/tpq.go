@@ -312,6 +312,18 @@ func (q *Query) Ancestors(i int) []int {
 	return path
 }
 
+// OnOptionalBranch reports whether pattern node i or one of its
+// ancestors is an optional (outer-joined) branch: such a node never
+// filters an answer.
+func (q *Query) OnOptionalBranch(i int) bool {
+	for n := i; n != -1; n = q.Nodes[n].Parent {
+		if q.Nodes[n].Optional {
+			return true
+		}
+	}
+	return false
+}
+
 // Descendants returns i and all pattern nodes below it, in preorder.
 func (q *Query) Descendants(i int) []int {
 	out := []int{i}

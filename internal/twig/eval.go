@@ -98,7 +98,7 @@ func NewEvaluator(ix *index.Index, q *tpq.Query) *Evaluator {
 		}
 	}
 	for i := range q.Nodes {
-		if !optionalBranch(q, i) {
+		if !q.OnOptionalBranch(i) {
 			f.streams[i] = ix.Elements(q.Nodes[i].Tag)
 		}
 	}
@@ -111,7 +111,7 @@ func NewEvaluator(ix *index.Index, q *tpq.Query) *Evaluator {
 	// without P for that leaf. A wildcard node keeps its whole stream
 	// (Containing("*", P) would probe every element).
 	for l, node := range q.Nodes {
-		if optionalBranch(q, l) {
+		if q.OnOptionalBranch(l) {
 			continue
 		}
 		for _, ft := range node.FT {

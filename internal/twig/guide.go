@@ -45,7 +45,7 @@ func matchGuide(g *index.Dataguide, q *tpq.Query) *guideEmb {
 	emb := &guideEmb{allowed: make([][]bool, n)}
 	skip := make([]bool, n)
 	for i := range q.Nodes {
-		skip[i] = optionalBranch(q, i)
+		skip[i] = q.OnOptionalBranch(i)
 		if skip[i] {
 			continue
 		}

@@ -29,7 +29,7 @@ func candidatesOwned(ix *index.Index, q *tpq.Query) (cand [][]xmldoc.NodeID, own
 	owned = make([]bool, n)
 	skip := make([]bool, n)
 	for i := range q.Nodes {
-		skip[i] = optionalBranch(q, i)
+		skip[i] = q.OnOptionalBranch(i)
 		if skip[i] {
 			continue
 		}

@@ -44,7 +44,7 @@ func Covers(q *tpq.Query) bool {
 // coveredLeaves is Covers plus the required leaves it counted.
 func coveredLeaves(q *tpq.Query) ([]int, bool) {
 	leaves := requiredLeaves(q)
-	return leaves, len(leaves) > 0 && len(leaves) <= maskLeaves && !optionalBranch(q, q.Dist)
+	return leaves, len(leaves) > 0 && len(leaves) <= maskLeaves && !q.OnOptionalBranch(q.Dist)
 }
 
 // requiredLeaves returns the required pattern nodes with no required
@@ -54,12 +54,12 @@ func coveredLeaves(q *tpq.Query) ([]int, bool) {
 func requiredLeaves(q *tpq.Query) []int {
 	var out []int
 	for i := range q.Nodes {
-		if optionalBranch(q, i) {
+		if q.OnOptionalBranch(i) {
 			continue
 		}
 		hasReqChild := false
 		for _, c := range q.Nodes[i].Children {
-			if !optionalBranch(q, c) {
+			if !q.OnOptionalBranch(c) {
 				hasReqChild = true
 				break
 			}
@@ -103,17 +103,6 @@ func yPattern(q *tpq.Query, leaf int) (*tpq.Query, []int) {
 	}
 	y.Dist = remap[q.Dist]
 	return y, remap
-}
-
-// optionalBranch reports whether pattern node i lies on an optional
-// branch (which never filters).
-func optionalBranch(q *tpq.Query, i int) bool {
-	for n := i; n != -1; n = q.Nodes[n].Parent {
-		if q.Nodes[n].Optional {
-			return true
-		}
-	}
-	return false
 }
 
 func postorder(q *tpq.Query) []int {

@@ -102,7 +102,7 @@ func keywordsCovered(q *tpq.Query) bool {
 func requiredPhrases(q *tpq.Query, i int) []string {
 	var out []string
 	for _, ft := range q.Nodes[i].FT {
-		if !ft.Optional && !optionalBranch(q, i) {
+		if !ft.Optional && !q.OnOptionalBranch(i) {
 			out = append(out, ft.Phrase)
 		}
 	}
